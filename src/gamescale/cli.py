@@ -22,7 +22,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .benchmarks import (
+from .core import JointAction
+from .equilibrium import nash_residual, psgd_nash, scaling_curve
+from .instances import (
     coupled_quadratic,
     nested_box_ladder,
     restriction_instance,
@@ -31,9 +33,7 @@ from .benchmarks import (
     stationary_scaling_factory,
     zero_sum_instance,
 )
-from .core import ConvergenceError, JointAction
-from .equilibrium import nash_residual, psgd_nash, scaling_curve
-from .markov import CalibrationError, build_chain_game, payoff_sweep
+from .markov import build_chain_game, payoff_sweep
 from .participation import alpha_threshold, default_instance, equilibrium_pair
 from .regression import (
     RegressionInstance,
@@ -43,11 +43,9 @@ from .regression import (
     small_model_env_objective,
     small_model_loss,
 )
-from .restriction import RestrictionStageError, certificate_record, certify_restriction
+from .restriction import RestrictionCertificate, RestrictionStageError, certify_restriction
 from .selection import successive_elimination
 from .svg import Series, line_chart
-
-SOLVER_ERRORS = (ConvergenceError, RestrictionStageError, CalibrationError, RuntimeError)
 
 
 class ConfigError(ValueError):
@@ -78,23 +76,6 @@ def load_config(path: Optional[str]) -> dict[str, str]:
     return out
 
 
-def resolve(args: argparse.Namespace, cfg: dict[str, str], key: str, default, cast: Callable):
-    """Command-line value wins over the config file, which wins over the default."""
-    cli_value = getattr(args, key.replace("-", "_"), None)
-    if cli_value is not None:
-        return cli_value
-    if key in cfg:
-        try:
-            return cast(cfg[key])
-        except ValueError as exc:
-            raise ConfigError(f"config key {key}: {exc}") from exc
-    return default
-
-
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
 def fmt_value(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
@@ -102,7 +83,26 @@ def fmt_value(v) -> str:
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return f"{float(v):.17g}"
+    if isinstance(v, np.ndarray):
+        return ",".join(fmt_value(float(c)) for c in v)
     return str(v)
+
+
+def certificate_record(cert: RestrictionCertificate) -> dict[str, str]:
+    """Flat key-value serialization (vectors as comma-separated decimals)."""
+    fields = {
+        "original_theta": cert.original_nash.theta,
+        "original_env": cert.original_nash.env,
+        "direction": cert.direction,
+        "delta": cert.delta,
+        "restricted_theta": cert.restricted_point.theta,
+        "restricted_env": cert.restricted_point.env,
+        "original_loss": cert.original_loss,
+        "restricted_loss": cert.restricted_loss,
+        "improvement": cert.improvement,
+        "restricted_residual": cert.restricted_residual,
+    }
+    return {key: fmt_value(value) for key, value in fields.items()}
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> Path:
@@ -177,6 +177,7 @@ def write_manifest(
 
 
 def run_psgd(params: dict, out_dir: Path) -> list[Path]:
+    """averaged stochastic gradient Nash estimation"""
     bench = coupled_quadratic(sigma=params["sigma"])
     game = bench.game
     rows = []
@@ -222,6 +223,7 @@ def run_psgd(params: dict, out_dir: Path) -> list[Path]:
 
 
 def run_select(params: dict, out_dir: Path) -> list[Path]:
+    """successive elimination over model classes"""
     arms, factory = selection_arms(params["losses"], sigma=params["sigma"])
     rng = np.random.default_rng([params["seed"]])
     report = successive_elimination(
@@ -262,6 +264,7 @@ def run_select(params: dict, out_dir: Path) -> list[Path]:
 
 
 def run_restrict(params: dict, out_dir: Path) -> list[Path]:
+    """improving model-class restriction certificate"""
     bench = restriction_instance() if params["instance"] == "coupled" else zero_sum_instance()
     cert = certify_restriction(
         bench.game, bench.learner_set, bench.env_set, seed=params["seed"]
@@ -273,6 +276,7 @@ def run_restrict(params: dict, out_dir: Path) -> list[Path]:
 
 
 def run_markov(params: dict, out_dir: Path) -> list[Path]:
+    """chain Markov game payoff sweep"""
     game = build_chain_game(
         params["n"], gamma_l=params["gamma"], gamma_e=params["gamma_env"]
     )
@@ -306,6 +310,9 @@ def run_markov(params: dict, out_dir: Path) -> list[Path]:
 
 
 def run_regression(params: dict, out_dir: Path) -> list[Path]:
+    """strategic regression loss comparison"""
+    if params["curve_step"] <= 0:
+        raise ConfigError("curve_step must be positive")
     instance = RegressionInstance(np.array(params["beta"]))
     comparison = compare_model_classes(instance)
     lo, hi = instance.k_range
@@ -370,6 +377,7 @@ def run_regression(params: dict, out_dir: Path) -> list[Path]:
 
 
 def run_participation(params: dict, out_dir: Path) -> list[Path]:
+    """participation dynamics alpha sweep"""
     base, phi = default_instance()
     n_labels = base.n_labels
     threshold = alpha_threshold(base, phi, n_labels)
@@ -407,6 +415,7 @@ def run_participation(params: dict, out_dir: Path) -> list[Path]:
 
 
 def run_scaling_curve(params: dict, out_dir: Path) -> list[Path]:
+    """equilibrium losses across a nested ladder"""
     regime = params["regime"]
     radii = params["radii"]
     if any(b <= a for a, b in zip(radii, radii[1:])):
@@ -414,11 +423,9 @@ def run_scaling_curve(params: dict, out_dir: Path) -> list[Path]:
     if regime == "stationary":
         ladder = nested_box_ladder(radii, dim=2)
         factory = stationary_scaling_factory(np.array([2.0, 0.0]))
-    elif regime in ("stackelberg_leader", "stackelberg_follower", "nash"):
+    else:
         ladder = nested_box_ladder(radii, dim=1)
         factory = stackelberg_scaling_factory()
-    else:
-        raise ConfigError(f"unknown regime {regime!r}")
     curve = scaling_curve(factory, ladder, regime)
     rows = [
         (k, radii[k], rep.loss_learner, rep.loss_env, rep.nash_residual, rep.regime, rep.certified)
@@ -453,10 +460,50 @@ def run_scaling_curve(params: dict, out_dir: Path) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
-    sub.add_argument("--out-dir", type=str, default=None, help="output directory")
-    sub.add_argument("--config", type=str, default=None, help="key=value config file")
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
+def _ints(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
+def _one_of(*choices: str) -> Callable[[str], str]:
+    def cast(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"expected one of {list(choices)}, got {text!r}")
+        return text
+
+    return cast
+
+
+# experiment -> (runner, {key: (cast, default)}); the key is also the flag
+# (--n-seeds for n_seeds) and the config-file name. Defaults are written as on
+# the command line and cast like any other value.
+EXPERIMENTS: dict[str, tuple[Callable[[dict, Path], list[Path]], dict]] = {
+    "psgd": (run_psgd, {
+        "sigma": (float, "0.3"), "horizons": (_ints, "512,4096"), "n_seeds": (int, "20"),
+    }),
+    "select": (run_select, {
+        "losses": (_floats, "0,0.25,0.5,1.0"), "delta": (float, "0.1"), "alpha": (float, "8.0"),
+        "sigma": (float, "0.5"), "scale": (float, "1.0"), "budget": (int, "1000000"),
+    }),
+    "restrict": (run_restrict, {"instance": (_one_of("coupled", "zero_sum"), "coupled")}),
+    "markov": (run_markov, {
+        "n": (int, "50"), "gamma": (float, "0.9"), "gamma_env": (float, None),
+        "points": (int, "200"), "p_min": (float, "0.5"), "p_max": (float, "1.0"),
+    }),
+    "regression": (run_regression, {"beta": (_floats, "1,0"), "curve_step": (float, "0.01")}),
+    "participation": (run_participation, {
+        "alpha_points": (int, "21"), "alpha_min": (float, "0.0"), "alpha_max": (float, "1.0"),
+    }),
+    "scaling-curve": (run_scaling_curve, {
+        "regime": (_one_of("stationary", "stackelberg_leader", "stackelberg_follower", "nash"),
+                   "stationary"),
+        "radii": (_floats, "0.2,0.4,0.6,0.8,1.0"),
+    }),
+}
+COMMON = {"seed": (int, "0")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,120 +512,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Equilibrium scaling experiments for games under model-class restrictions",
     )
     subs = parser.add_subparsers(dest="experiment", required=True)
-
-    p = subs.add_parser("psgd", help="averaged stochastic gradient Nash estimation")
-    _add_common(p)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--horizons", type=str, default=None, help="comma-separated horizons")
-    p.add_argument("--n-seeds", type=int, default=None)
-
-    p = subs.add_parser("select", help="successive elimination over model classes")
-    _add_common(p)
-    p.add_argument("--losses", type=str, default=None, help="per-arm Nash losses")
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--scale", type=float, default=None)
-    p.add_argument("--budget", type=int, default=None)
-
-    p = subs.add_parser("restrict", help="improving model-class restriction certificate")
-    _add_common(p)
-    p.add_argument("--instance", type=str, default=None, choices=["coupled", "zero_sum"])
-
-    p = subs.add_parser("markov", help="chain Markov game payoff sweep")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--gamma-env", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--p-min", type=float, default=None)
-    p.add_argument("--p-max", type=float, default=None)
-
-    p = subs.add_parser("regression", help="strategic regression loss comparison")
-    _add_common(p)
-    p.add_argument("--beta", type=str, default=None, help="comma-separated coefficients")
-    p.add_argument("--curve-step", type=float, default=None)
-
-    p = subs.add_parser("participation", help="participation dynamics alpha sweep")
-    _add_common(p)
-    p.add_argument("--alpha-points", type=int, default=None)
-    p.add_argument("--alpha-min", type=float, default=None)
-    p.add_argument("--alpha-max", type=float, default=None)
-
-    p = subs.add_parser("scaling-curve", help="equilibrium losses across a nested ladder")
-    _add_common(p)
-    p.add_argument("--regime", type=str, default=None,
-                   choices=["stationary", "stackelberg_leader", "stackelberg_follower", "nash"])
-    p.add_argument("--radii", type=str, default=None, help="comma-separated box radii")
-
+    for experiment, (runner, table) in EXPERIMENTS.items():
+        sub = subs.add_parser(experiment, help=runner.__doc__)
+        sub.add_argument("--out-dir", help="output directory (default out/<experiment>)")
+        sub.add_argument("--config", help="key=value config file")
+        for key, (_, default) in {**COMMON, **table}.items():
+            sub.add_argument("--" + key.replace("_", "-"), help=f"default {default}")
     return parser
 
 
-KNOWN_KEYS: dict[str, set[str]] = {
-    "psgd": {"sigma", "horizons", "n_seeds"},
-    "select": {"losses", "delta", "alpha", "sigma", "scale", "budget"},
-    "restrict": {"instance"},
-    "markov": {"n", "gamma", "gamma_env", "points", "p_min", "p_max"},
-    "regression": {"beta", "curve_step"},
-    "participation": {"alpha_points", "alpha_min", "alpha_max"},
-    "scaling-curve": {"regime", "radii"},
-}
-
-
 def _resolve_params(args: argparse.Namespace, cfg: dict[str, str]) -> dict:
-    exp = args.experiment
-    unknown = set(cfg) - KNOWN_KEYS[exp] - {"seed", "out_dir"}
+    """Command-line value wins over the config file, which wins over the default."""
+    table = {**COMMON, **EXPERIMENTS[args.experiment][1]}
+    unknown = set(cfg) - set(table) - {"out_dir"}
     if unknown:
-        raise ConfigError(f"unknown config keys for {exp}: {sorted(unknown)}")
-    params: dict = {"seed": resolve(args, cfg, "seed", 0, int)}
-    if exp == "psgd":
-        params["sigma"] = resolve(args, cfg, "sigma", 0.3, float)
-        horizons = resolve(args, cfg, "horizons", "512,4096", str)
-        params["horizons"] = [int(h) for h in str(horizons).split(",") if h.strip()]
-        params["n_seeds"] = resolve(args, cfg, "n_seeds", 20, int)
-    elif exp == "select":
-        losses = resolve(args, cfg, "losses", "0,0.25,0.5,1.0", str)
-        params["losses"] = _floats(str(losses))
-        params["delta"] = resolve(args, cfg, "delta", 0.1, float)
-        params["alpha"] = resolve(args, cfg, "alpha", 8.0, float)
-        params["sigma"] = resolve(args, cfg, "sigma", 0.5, float)
-        params["scale"] = resolve(args, cfg, "scale", 1.0, float)
-        params["budget"] = resolve(args, cfg, "budget", 1_000_000, int)
-    elif exp == "restrict":
-        params["instance"] = resolve(args, cfg, "instance", "coupled", str)
-        if params["instance"] not in ("coupled", "zero_sum"):
-            raise ConfigError(f"unknown instance {params['instance']!r}")
-    elif exp == "markov":
-        params["n"] = resolve(args, cfg, "n", 50, int)
-        params["gamma"] = resolve(args, cfg, "gamma", 0.9, float)
-        params["gamma_env"] = resolve(args, cfg, "gamma_env", None, float)
-        params["points"] = resolve(args, cfg, "points", 200, int)
-        params["p_min"] = resolve(args, cfg, "p_min", 0.5, float)
-        params["p_max"] = resolve(args, cfg, "p_max", 1.0, float)
-    elif exp == "regression":
-        beta = resolve(args, cfg, "beta", "1,0", str)
-        params["beta"] = _floats(str(beta))
-        params["curve_step"] = resolve(args, cfg, "curve_step", 0.01, float)
-    elif exp == "participation":
-        params["alpha_points"] = resolve(args, cfg, "alpha_points", 21, int)
-        params["alpha_min"] = resolve(args, cfg, "alpha_min", 0.0, float)
-        params["alpha_max"] = resolve(args, cfg, "alpha_max", 1.0, float)
-    elif exp == "scaling-curve":
-        params["regime"] = resolve(args, cfg, "regime", "stationary", str)
-        radii = resolve(args, cfg, "radii", "0.2,0.4,0.6,0.8,1.0", str)
-        params["radii"] = _floats(str(radii))
+        raise ConfigError(f"unknown config keys for {args.experiment}: {sorted(unknown)}")
+    params = {}
+    for key, (cast, default) in table.items():
+        raw = getattr(args, key)
+        if raw is None:
+            raw = cfg.get(key, default)
+        try:
+            params[key] = None if raw is None else cast(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{key}={raw!r}: {exc}") from exc
     return params
-
-
-RUNNERS: dict[str, Callable[[dict, Path], list[Path]]] = {
-    "psgd": run_psgd,
-    "select": run_select,
-    "restrict": run_restrict,
-    "markov": run_markov,
-    "regression": run_regression,
-    "participation": run_participation,
-    "scaling-curve": run_scaling_curve,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -593,11 +551,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(json.dumps({"error": {"type": "config", "message": str(exc)}}), file=sys.stderr)
         return 2
     try:
-        outputs = RUNNERS[args.experiment](params, out_dir)
+        outputs = EXPERIMENTS[args.experiment][0](params, out_dir)
     except ValueError as exc:
         print(json.dumps({"error": {"type": "config", "message": str(exc)}}), file=sys.stderr)
         return 2
-    except SOLVER_ERRORS as exc:
+    except RuntimeError as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, RestrictionStageError):
             error["stage"] = exc.stage

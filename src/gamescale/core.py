@@ -162,10 +162,7 @@ class Intersection(ActionSet):
                 x = y
             if float(np.linalg.norm(x - x_prev)) < DYKSTRA_TOL:
                 # disjoint members also stall the iterate, so require feasibility
-                infeasibility = max(
-                    float(np.linalg.norm(x - m.project(x))) for m in self.members
-                )
-                if infeasibility < 10 * DYKSTRA_TOL:
+                if all(m.contains(x, tol=10 * DYKSTRA_TOL) for m in self.members):
                     return x
         raise ConvergenceError(
             "Dykstra projection did not converge; intersection may be empty"
@@ -375,28 +372,6 @@ def monotonicity_audit(
     )
 
 
-def check_gradients(
-    game: GameSpec,
-    region: ActionSet,
-    rng: np.random.Generator,
-    samples: int = 16,
-    step: float = 1e-5,
-    rel_tol: float = 1e-5,
-) -> bool:
-    """Verify supplied gradients against finite differences of the losses."""
-    dl = game.dim_learner
-    for _ in range(samples):
-        x = JointAction.from_concat(region.sample(rng), dl)
-        fd_l = central_difference(lambda t: game.loss_learner(t, x.env), x.theta, step)
-        fd_e = central_difference(lambda e: game.loss_env(x.theta, e), x.env, step)
-        exact = gradient_operator(game, x)
-        fd = np.concatenate([fd_l, fd_e])
-        scale = max(1.0, float(np.linalg.norm(exact)))
-        if float(np.linalg.norm(exact - fd)) > rel_tol * scale:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Model-class ladders
 # ---------------------------------------------------------------------------
@@ -433,6 +408,6 @@ class ModelClassLadder:
             if isinstance(small, Box) and 2 ** small.dimension <= 1024:
                 points.extend(small.vertices())
             for p in points:
-                if float(np.linalg.norm(p - large.project(p))) > tol:
+                if not large.contains(p, tol):
                     return False
         return True

@@ -57,6 +57,12 @@ class PsgdTrace:
 # ---------------------------------------------------------------------------
 
 
+def natural_residual(x: np.ndarray, feasible: ActionSet, g: np.ndarray) -> float:
+    """Unit-step natural residual |x - P(x - g)|; zero exactly when x is a
+    fixed point of the projected-gradient step."""
+    return float(np.linalg.norm(x - feasible.project(x - g)))
+
+
 def _projected_descent(
     grad: Callable[[np.ndarray], np.ndarray],
     feasible: ActionSet,
@@ -64,14 +70,17 @@ def _projected_descent(
     step: float,
     tol: float,
     max_iters: int,
-) -> tuple[np.ndarray, int]:
-    """Projected gradient descent to unit-step natural residual <= tol."""
+) -> tuple[np.ndarray, int, float]:
+    """Projected gradient descent to unit-step natural residual <= tol.
+
+    Returns the final point, the iteration count and the residual there.
+    """
     x = feasible.project(np.asarray(x0, dtype=float))
     for it in range(1, max_iters + 1):
         g = grad(x)
-        residual = float(np.linalg.norm(x - feasible.project(x - g)))
+        residual = natural_residual(x, feasible, g)
         if residual <= tol:
-            return x, it
+            return x, it, residual
         x = feasible.project(x - step * g)
     raise ConvergenceError(f"projected descent: residual > {tol} after {max_iters} iterations")
 
@@ -86,10 +95,9 @@ def stationary_optimum(
     """Minimize the learner loss against a single fixed environment action."""
     e = np.asarray(fixed_env, dtype=float)
     theta0 = model_class.project(np.zeros(game.dim_learner))
-    theta, iters = _projected_descent(
+    theta, iters, residual = _projected_descent(
         lambda t: game.grad_l(t, e), model_class, theta0, 1.0 / game.lipschitz, tol, max_iters
     )
-    residual = float(np.linalg.norm(theta - model_class.project(theta - game.grad_l(theta, e))))
     return EquilibriumReport(
         regime="stationary",
         joint=JointAction(theta, e),
@@ -117,7 +125,7 @@ def best_response(
     else:
         raise ValueError(f"unknown player {player!r}")
     x0 = own_set.project(np.zeros(own_set.dimension))
-    x, _ = _projected_descent(grad, own_set, x0, 1.0 / game.lipschitz, tol, max_iters)
+    x, _, _ = _projected_descent(grad, own_set, x0, 1.0 / game.lipschitz, tol, max_iters)
     return x
 
 
@@ -298,9 +306,7 @@ def nash_residual(
     """Natural residual |x - P(x - F(x))| of the stacked projected-gradient
     step (both players' own-action blocks); zero exactly at a Nash point of
     the convex game."""
-    r_l = x.theta - learner_set.project(x.theta - game.grad_l(x.theta, x.env))
-    r_e = x.env - env_set.project(x.env - game.grad_e(x.theta, x.env))
-    return float(np.linalg.norm(np.concatenate([r_l, r_e])))
+    return natural_residual(x.concat(), Product(learner_set, env_set), gradient_operator(game, x))
 
 
 def solve_nash(
@@ -317,18 +323,17 @@ def solve_nash(
     monotone game; stops at unit-step natural residual <= tol.
     """
     joint_set = Product(learner_set, env_set)
-    if x0 is None:
-        x = joint_set.project(np.zeros(joint_set.dimension))
-    else:
-        x = joint_set.project(x0.concat())
-    eta = game.mu / (game.lipschitz**2)
+    start = np.zeros(joint_set.dimension) if x0 is None else x0.concat()
     dl = game.dim_learner
-    for it in range(1, max_iters + 1):
-        f = gradient_operator(game, JointAction.from_concat(x, dl))
-        if float(np.linalg.norm(x - joint_set.project(x - f))) <= tol:
-            return JointAction.from_concat(x, dl), it
-        x = joint_set.project(x - eta * f)
-    raise ConvergenceError(f"Nash solve: residual > {tol} after {max_iters} iterations")
+    x, iters, _ = _projected_descent(
+        lambda z: gradient_operator(game, JointAction.from_concat(z, dl)),
+        joint_set,
+        start,
+        game.mu / (game.lipschitz**2),
+        tol,
+        max_iters,
+    )
+    return JointAction.from_concat(x, dl), iters
 
 
 def nash_report(
@@ -347,26 +352,6 @@ def nash_report(
         nash_residual=nash_residual(game, x, learner_set, env_set),
         iterations=iters,
     )
-
-
-def best_response_dynamics(
-    game: GameSpec,
-    learner_set: ActionSet,
-    env_set: ActionSet,
-    x0: JointAction,
-    tol: float = 1e-10,
-    max_rounds: int = 1_000,
-) -> tuple[JointAction, int]:
-    """Alternating exact best responses; converges when the BR map contracts."""
-    theta, env = learner_set.project(x0.theta), env_set.project(x0.env)
-    for rounds in range(1, max_rounds + 1):
-        theta_new = best_response(game, "learner", env, learner_set, tol=min(tol, 1e-10))
-        env_new = best_response(game, "env", theta_new, env_set, tol=min(tol, 1e-10))
-        move = float(np.linalg.norm(theta_new - theta) + np.linalg.norm(env_new - env))
-        theta, env = theta_new, env_new
-        if move <= tol:
-            return JointAction(theta, env), rounds
-    raise ConvergenceError("best-response dynamics did not converge (map may not contract)")
 
 
 # ---------------------------------------------------------------------------
@@ -408,29 +393,6 @@ def pareto_improvement_search(
                 best_val = v
                 best = JointAction(t, e)
     return best
-
-
-def grid_nash(
-    game: GameSpec,
-    learner_set: ActionSet,
-    env_set: ActionSet,
-    resolution: int = 101,
-) -> tuple[JointAction, float]:
-    """Exhaustive-grid Nash oracle via the mutual best-response check.
-
-    Returns the grid cell minimizing the sum of both players' best-response
-    regrets on the grid, together with that regret (zero iff the cell is an
-    exact mutual best response among grid points).
-    """
-    theta_pts = grid_points(learner_set, resolution)
-    env_pts = grid_points(env_set, resolution)
-    losses_l = np.array([[game.loss_learner(t, e) for e in env_pts] for t in theta_pts])
-    losses_e = np.array([[game.loss_env(t, e) for e in env_pts] for t in theta_pts])
-    regret_l = losses_l - losses_l.min(axis=0, keepdims=True)
-    regret_e = losses_e - losses_e.min(axis=1, keepdims=True)
-    total = regret_l + regret_e
-    i, j = np.unravel_index(int(np.argmin(total)), total.shape)
-    return JointAction(theta_pts[i], env_pts[j]), float(total[i, j])
 
 
 # ---------------------------------------------------------------------------

@@ -166,43 +166,3 @@ def stackelberg_scaling_factory():
 
     return factory
 
-
-def regression_stackelberg_game(beta: np.ndarray, k_max: float = 10.0):
-    """The small-model regression game as a generic Stackelberg instance.
-
-    Learner fits theta over a box; the environment's scalar action is the
-    shift magnitude k. The environment maximizes the expected prediction, so
-    its loss is the negated objective. Used to cross-check the closed-form
-    equilibrium k* = 1 with the generic grid solver.
-    """
-    beta = np.asarray(beta, dtype=float)
-    norm = float(np.linalg.norm(beta))
-    d = beta.shape[0]
-
-    def shift(e):
-        return e[0] * beta / norm
-
-    def loss_learner(t, e):
-        diff = beta - t
-        return float(diff @ diff) + float(t @ shift(e)) ** 2
-
-    def grad_learner(t, e):
-        ee = shift(e)
-        return 2.0 * (t - beta) + 2.0 * float(t @ ee) * ee
-
-    def loss_env(t, e):
-        return -float(t @ shift(e))
-
-    game = GameSpec(
-        dim_learner=d,
-        dim_env=1,
-        loss_learner=loss_learner,
-        loss_env=loss_env,
-        grad_learner=grad_learner,
-        grad_env=None,  # finite-differenced; the env side is only grid-searched
-        mu=1.0,
-        lipschitz=2.0 * (1.0 + k_max * k_max),
-    )
-    learner_set = Box(-(abs(beta) + 1.0), abs(beta) + 1.0)
-    env_set = box_1d(-k_max, k_max)
-    return game, learner_set, env_set

@@ -91,6 +91,8 @@ def build_chain_game(
     advance condition p < p*_i holds exactly: the gap is strictly decreasing
     in p because every downstream value slope is at most 1/(1-gamma_e).
     """
+    if n < 1:
+        raise ValueError("the chain needs at least one state")
     if gamma_e is None:
         gamma_e = gamma_l
     thresholds = np.asarray(
@@ -194,15 +196,6 @@ def learner_value(game: MarkovChainGame, p_bar: float, env_policy: np.ndarray) -
     """Exact discounted learner value from the start state under (p_bar, policy)."""
     p = np.full(game.n_states, p_bar)
     return _walk_value(game.learner_rewards, game.gamma_l, p, env_policy, game.n_states)
-
-
-def learner_value_for_policy(
-    game: MarkovChainGame, p_by_state: np.ndarray, env_policy: np.ndarray
-) -> float:
-    """Exact learner value for a per-state probability vector on action 0."""
-    return _walk_value(
-        game.learner_rewards, game.gamma_l, np.asarray(p_by_state, dtype=float), env_policy, game.n_states
-    )
 
 
 def env_value(game: MarkovChainGame, p_bar: float, env_policy: np.ndarray) -> float:

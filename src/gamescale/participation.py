@@ -211,7 +211,6 @@ class EquilibriumOutcome:
     loss: float
     certificate: FixedPointCertificate
     tv_to_base: float
-    tv_to_uniform: float
 
 
 def equilibrium_pair(
@@ -257,9 +256,6 @@ def equilibrium_pair(
         loss=zero_one_loss(classifier, dist),
         certificate=certificate,
         tv_to_base=tv_distance(dist, base),
-        tv_to_uniform=tv_distance(
-            dist, uniform_distribution(base.feature_sizes, base.n_labels)
-        ),
     )
 
 

@@ -239,9 +239,9 @@ def certify_restriction(
     e_prime = best_response(game, "env", theta_prime, env_set, tol=BR_SOLVE_TOL)
     restricted_point = JointAction(theta_prime, e_prime)
 
-    if float(np.linalg.norm(theta_prime - restricted_set.project(theta_prime))) > 1e-9:
+    if not restricted_set.contains(theta_prime, tol=1e-9):
         raise RestrictionStageError("verification", "theta' fell outside the restricted set")
-    if float(np.linalg.norm(x_star.theta - restricted_set.project(x_star.theta))) <= 1e-9:
+    if restricted_set.contains(x_star.theta, tol=1e-9):
         raise RestrictionStageError("verification", "theta* was not removed by the restriction")
     residual = nash_residual(game, restricted_point, restricted_set, env_set)
     if residual > restricted_residual_tol:
@@ -266,26 +266,3 @@ def certify_restriction(
         restricted_residual=residual,
     )
 
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _fmt_vector(x: np.ndarray) -> str:
-    return ",".join(_fmt(float(c)) for c in np.asarray(x, dtype=float))
-
-
-def certificate_record(cert: RestrictionCertificate) -> dict[str, str]:
-    """Flat key-value serialization (vectors as comma-separated decimals)."""
-    return {
-        "original_theta": _fmt_vector(cert.original_nash.theta),
-        "original_env": _fmt_vector(cert.original_nash.env),
-        "direction": _fmt_vector(cert.direction),
-        "delta": _fmt(cert.delta),
-        "restricted_theta": _fmt_vector(cert.restricted_point.theta),
-        "restricted_env": _fmt_vector(cert.restricted_point.env),
-        "original_loss": _fmt(cert.original_loss),
-        "restricted_loss": _fmt(cert.restricted_loss),
-        "improvement": _fmt(cert.improvement),
-        "restricted_residual": _fmt(cert.restricted_residual),
-    }

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from gamescale.benchmarks import (
+from gamescale.instances import (
     coupled_quadratic,
     nested_box_ladder,
     restriction_instance,

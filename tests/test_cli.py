@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gamescale.cli import PlotSpec, emit_plot, load_config, main, write_csv
+from gamescale.cli import EXPERIMENTS, PlotSpec, emit_plot, load_config, main, write_csv
 
 
 def read_manifest(out_dir: Path) -> dict:
@@ -194,3 +194,43 @@ def test_every_shipped_config_runs(tmp_path):
         code = main([experiment, "--config", str(repo_root / config), "--out-dir", str(out)])
         assert code == expected, (experiment, config, code)
         assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["psgd", "--horizons", "abc"], None),
+        (["psgd"], "horizons = 5,x\n"),
+        (["select", "--losses", "a,b"], None),
+        (["regression", "--beta", "x"], None),
+        (["scaling-curve", "--radii", "1,x"], None),
+        (["markov", "--n", "0"], None),
+        (["regression", "--curve-step", "0"], None),
+    ],
+)
+def test_bad_values_exit_with_config_error(tmp_path, capsys, argv, config):
+    argv = [*argv, "--out-dir", str(tmp_path / "out")]
+    if config is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"]["type"] == "config"
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_config_of_defaults_matches_no_config(tmp_path, monkeypatch, experiment):
+    _, table = EXPERIMENTS[experiment]
+    monkeypatch.setitem(EXPERIMENTS, experiment, (lambda params, out_dir: [], table))
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text(
+        "".join(f"{key} = {default}\n" for key, (_, default) in table.items() if default is not None)
+    )
+    configs = []
+    for name, extra in (("bare", []), ("cfg", ["--config", str(cfg)])):
+        out = tmp_path / name
+        assert main([experiment, "--out-dir", str(out), *extra]) == 0
+        configs.append(read_manifest(out)["config"])
+    assert configs[0] == configs[1]
+    assert set(configs[0]) == {"seed", *table}

@@ -17,11 +17,11 @@ from gamescale.core import (
     UnboundedSetError,
     box_1d,
     central_difference,
-    check_gradients,
     gradient_operator,
     monotonicity_audit,
     noisy_gradient_operator,
 )
+from oracles import check_gradients
 
 
 def coupling_game(c: float, mu: float = 1.0, lipschitz: float = 2.0, sigma: float = 0.0) -> GameSpec:

@@ -6,11 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gamescale.benchmarks import (
+from gamescale.instances import (
     coupled_quadratic,
     decoupled_quadratic,
     nested_box_ladder,
-    regression_stackelberg_game,
     restriction_instance,
     stackelberg_scaling_factory,
     stationary_scaling_factory,
@@ -19,8 +18,6 @@ from gamescale.benchmarks import (
 from gamescale.core import Box, GameSpec, JointAction, ModelClassLadder, box_1d
 from gamescale.equilibrium import (
     best_response,
-    best_response_dynamics,
-    grid_nash,
     nash_report,
     nash_residual,
     pareto_improvement_search,
@@ -30,7 +27,8 @@ from gamescale.equilibrium import (
     stackelberg_leader,
     stationary_optimum,
 )
-from tests.test_core import coupling_game
+from oracles import best_response_dynamics, grid_nash, regression_stackelberg_game
+from test_core import coupling_game
 
 BOX2 = Box(-2.0 * np.ones(1), 2.0 * np.ones(1))
 

@@ -14,11 +14,11 @@ from gamescale.markov import (
     env_best_response_mdp,
     env_value,
     learner_value,
-    learner_value_for_policy,
     payoff_sweep,
     rollout_value,
     verify_dominance,
 )
+from oracles import learner_value_for_policy
 
 
 def enumerate_env_optimum(game: MarkovChainGame, p_bar: float) -> tuple[np.ndarray, np.ndarray]:

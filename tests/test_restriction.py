@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from gamescale.benchmarks import restriction_instance, zero_sum_instance
+from gamescale.instances import restriction_instance, zero_sum_instance
+from gamescale.cli import certificate_record
 from gamescale.core import Box, ConvergenceError, GameSpec, box_1d, central_difference
 from gamescale.equilibrium import best_response
 from gamescale.restriction import (
@@ -14,7 +15,6 @@ from gamescale.restriction import (
     ParetoStationaryError,
     RestrictionStageError,
     br_jacobian,
-    certificate_record,
     certify_restriction,
     choose_direction,
     composed_loss,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gamescale.benchmarks import selection_arms
+from gamescale.instances import selection_arms
 from gamescale.selection import (
     confidence_radius,
     suboptimality_gaps,
