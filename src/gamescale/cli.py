@@ -468,6 +468,13 @@ def _ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be at least 1, got {value}")
+    return value
+
+
 def _one_of(*choices: str) -> Callable[[str], str]:
     def cast(text: str) -> str:
         if text not in choices:
@@ -482,7 +489,7 @@ def _one_of(*choices: str) -> Callable[[str], str]:
 # the command line and cast like any other value.
 EXPERIMENTS: dict[str, tuple[Callable[[dict, Path], list[Path]], dict]] = {
     "psgd": (run_psgd, {
-        "sigma": (float, "0.3"), "horizons": (_ints, "512,4096"), "n_seeds": (int, "20"),
+        "sigma": (float, "0.3"), "horizons": (_ints, "512,4096"), "n_seeds": (_positive_int, "20"),
     }),
     "select": (run_select, {
         "losses": (_floats, "0,0.25,0.5,1.0"), "delta": (float, "0.1"), "alpha": (float, "8.0"),
@@ -491,11 +498,11 @@ EXPERIMENTS: dict[str, tuple[Callable[[dict, Path], list[Path]], dict]] = {
     "restrict": (run_restrict, {"instance": (_one_of("coupled", "zero_sum"), "coupled")}),
     "markov": (run_markov, {
         "n": (int, "50"), "gamma": (float, "0.9"), "gamma_env": (float, None),
-        "points": (int, "200"), "p_min": (float, "0.5"), "p_max": (float, "1.0"),
+        "points": (_positive_int, "200"), "p_min": (float, "0.5"), "p_max": (float, "1.0"),
     }),
     "regression": (run_regression, {"beta": (_floats, "1,0"), "curve_step": (float, "0.01")}),
     "participation": (run_participation, {
-        "alpha_points": (int, "21"), "alpha_min": (float, "0.0"), "alpha_max": (float, "1.0"),
+        "alpha_points": (_positive_int, "21"), "alpha_min": (float, "0.0"), "alpha_max": (float, "1.0"),
     }),
     "scaling-curve": (run_scaling_curve, {
         "regime": (_one_of("stationary", "stackelberg_leader", "stackelberg_follower", "nash"),

@@ -257,6 +257,8 @@ class GameSpec:
     def __post_init__(self):
         if self.dim_learner < 1 or self.dim_env < 1:
             raise ValueError("dimensions must be positive")
+        if not all(math.isfinite(c) for c in (self.mu, self.lipschitz, self.noise_bound)):
+            raise ValueError("mu, lipschitz and noise_bound must be finite")
         if self.mu <= 0 or self.lipschitz <= 0:
             raise ValueError("mu and lipschitz must be positive")
         if self.mu > self.lipschitz:

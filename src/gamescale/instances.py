@@ -106,6 +106,8 @@ def selection_arms(
     Arm i is the interval [a_i, a_i + 1] with a_i = sqrt(2 * loss_i); the
     per-class Nash is theta = a_i, e = 0, with learner loss exactly loss_i.
     """
+    if not all(0.0 <= loss < math.inf for loss in nash_losses):
+        raise ValueError(f"losses must be finite and nonnegative, got {nash_losses}")
     offsets = [math.sqrt(2.0 * loss) for loss in nash_losses]
     arms: list[ActionSet] = [box_1d(a, a + 1.0) for a in offsets]
     env_set = box_1d(-1.0, 1.0)

@@ -19,10 +19,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-VALUE_ITERATION_TOL = 1e-12
-VALUE_ITERATION_CAP = 1_000_000
-
-
 class CalibrationError(RuntimeError):
     """Environment rewards failed to reproduce a threshold; carries the state."""
 
@@ -69,10 +65,6 @@ def default_thresholds(n: int) -> np.ndarray:
     return 0.5 + 0.45 * (n - np.arange(n)) / n
 
 
-def _stage_reward(rewards: np.ndarray, state: int, p: float, b: int) -> float:
-    return p * rewards[state, 0, b] + (1.0 - p) * rewards[state, 1, b]
-
-
 def build_chain_game(
     n: int,
     thresholds: Optional[Sequence[float]] = None,
@@ -95,9 +87,6 @@ def build_chain_game(
         raise ValueError("the chain needs at least one state")
     if gamma_e is None:
         gamma_e = gamma_l
-    thresholds = np.asarray(
-        default_thresholds(n) if thresholds is None else thresholds, dtype=float
-    )
 
     learner_rewards = np.zeros((n, 2, 2))
     for i in range(n):
@@ -109,21 +98,14 @@ def build_chain_game(
     env_rewards[:, 1, 0] = 0.0
     env_rewards[n - 1, :, 1] = env_rewards[n - 1, :, 0]  # advancing at the end self-loops
 
-    def value_from(i: int, p: float) -> float:
-        # optimal env value from state i under learner probability p everywhere
-        v = p / (1.0 - gamma_e)  # stay-forever value at the last state
-        for j in range(n - 2, i - 1, -1):
-            advance = env_rewards[j, 0, 1] * p + env_rewards[j, 1, 1] * (1.0 - p) + gamma_e * v
-            v = max(p / (1.0 - gamma_e), advance)
-        return v
-
-    for i in range(n - 2, -1, -1):
-        p_star = thresholds[i]
-        w = p_star / (1.0 - gamma_e) - gamma_e * value_from(i + 1, p_star)
-        env_rewards[i, 0, 1] = w
-        env_rewards[i, 1, 1] = w
-
+    if thresholds is None:
+        thresholds = default_thresholds(n)
     game = MarkovChainGame(n, learner_rewards, env_rewards, gamma_l, gamma_e, thresholds)
+    for i in range(n - 2, -1, -1):
+        # the env value from state i + 1 reads only the rows already calibrated
+        p_star = game.thresholds[i]
+        _, values = env_best_response_mdp(game, p_star)
+        game.env_rewards[i, :, 1] = p_star / (1.0 - gamma_e) - gamma_e * values[i + 1]
     if verify:
         _verify_calibration(game)
     return game
@@ -142,28 +124,23 @@ def _verify_calibration(game: MarkovChainGame, eps: float = 1e-6) -> None:
 
 def env_best_response_mdp(game: MarkovChainGame, p_bar: float) -> tuple[np.ndarray, np.ndarray]:
     """Optimal environment policy and values when the learner plays p_bar
-    everywhere, by value iteration on the induced finite MDP.
+    everywhere, by one exact backward pass over the chain.
 
-    Returns (policy, values); policy[i] = 1 advances, ties break toward stay.
+    Staying is absorbing, so a state is worth the larger of staying forever
+    and advancing into the next state's value; at the last state both actions
+    self-loop. Returns (policy, values); policy[i] = 1 advances, ties break
+    toward stay.
     """
-    n = game.n_states
-    r = np.empty((n, 2))
-    for b in (0, 1):
-        r[:, b] = p_bar * game.env_rewards[:, 0, b] + (1.0 - p_bar) * game.env_rewards[:, 1, b]
-    nxt = np.minimum(np.arange(n) + 1, n - 1)
-    v = np.zeros(n)
-    for _ in range(VALUE_ITERATION_CAP):
-        q_stay = r[:, 0] + game.gamma_e * v
-        q_adv = r[:, 1] + game.gamma_e * v[nxt]
-        v_new = np.maximum(q_stay, q_adv)
-        if float(np.max(np.abs(v_new - v))) <= VALUE_ITERATION_TOL:
-            v = v_new
-            break
-        v = v_new
-    q_stay = r[:, 0] + game.gamma_e * v
-    q_adv = r[:, 1] + game.gamma_e * v[nxt]
-    policy = (q_adv > q_stay).astype(int)
-    return policy, v
+    rewards, gamma = game.env_rewards, game.gamma_e
+    r_stay = p_bar * rewards[:, 0, 0] + (1.0 - p_bar) * rewards[:, 1, 0]
+    r_adv = p_bar * rewards[:, 0, 1] + (1.0 - p_bar) * rewards[:, 1, 1]
+    v = [max(r_stay[-1], r_adv[-1]) / (1.0 - gamma)]
+    for stay, advance in zip(r_stay[-2::-1].tolist(), r_adv[-2::-1].tolist()):
+        v.append(max(stay / (1.0 - gamma), advance + gamma * v[-1]))
+    values = np.array(v[::-1])
+    v_next = np.append(values[1:], values[-1])
+    policy = (r_adv + gamma * v_next > r_stay + gamma * values).astype(int)
+    return policy, values
 
 
 def absorbing_state(game: MarkovChainGame, env_policy: np.ndarray) -> int:
@@ -208,21 +185,20 @@ def verify_dominance(
 ) -> tuple[bool, float]:
     """Check that no single visited-state deviation to 1 - p_bar helps.
 
+    Transitions ignore the learner, so deviating at state s changes only that
+    state's stage reward, by (1 - 2 p_bar)(R_l[s, 0, b_s] - R_l[s, 1, b_s]),
+    weighted by gamma_l^s and by 1 / (1 - gamma_l) at the absorbing state.
     Unvisited states cannot change the value, so the margin is taken over the
     states actually reached before absorption. Returns (ok, worst margin);
     ok means no deviation strictly improves the learner value.
     """
-    base_p = np.full(game.n_states, p_bar)
-    base = _walk_value(game.learner_rewards, game.gamma_l, base_p, env_policy, game.n_states)
-    visited = list(range(absorbing_state(game, env_policy) + 1))
-    margin = math.inf
-    for s in visited:
-        deviated = base_p.copy()
-        deviated[s] = 1.0 - p_bar
-        margin = min(
-            margin,
-            base - _walk_value(game.learner_rewards, game.gamma_l, deviated, env_policy, game.n_states),
-        )
+    last = absorbing_state(game, env_policy)
+    visited = np.arange(last + 1)
+    b = np.asarray(env_policy, dtype=int)[visited]
+    gap = game.learner_rewards[visited, 0, b] - game.learner_rewards[visited, 1, b]
+    weight = float(game.gamma_l) ** visited
+    weight[last] /= 1.0 - game.gamma_l
+    margin = float(np.min((2.0 * p_bar - 1.0) * gap * weight))
     return margin >= -1e-12, margin
 
 

@@ -3,11 +3,14 @@
 Brute-force or independent computations that cross-check the library's
 solvers: an exhaustive-grid Nash, alternating best responses, a
 finite-difference gradient check, the strategic-regression game as a generic
-Stackelberg instance, and exact chain-game learner values for arbitrary
-per-state policies.
+Stackelberg instance, exact chain-game learner values for arbitrary
+per-state policies, value iteration on the chain's environment MDP, and the
+chain-game dominance check by re-walking the chain once per deviation.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from gamescale.core import (
     gradient_operator,
 )
 from gamescale.equilibrium import best_response, grid_points
-from gamescale.markov import MarkovChainGame, _walk_value
+from gamescale.markov import MarkovChainGame, _walk_value, absorbing_state
 
 
 def grid_nash(
@@ -138,3 +141,43 @@ def learner_value_for_policy(
     return _walk_value(
         game.learner_rewards, game.gamma_l, np.asarray(p_by_state, dtype=float), env_policy, game.n_states
     )
+
+
+def value_iteration_env_response(
+    game: MarkovChainGame, p_bar: float, tol: float = 1e-12, max_sweeps: int = 1_000_000
+) -> tuple[np.ndarray, np.ndarray]:
+    """Environment policy and values when the learner plays p_bar everywhere,
+    by value iteration on the induced finite MDP; ties break toward stay."""
+    n = game.n_states
+    r = np.empty((n, 2))
+    for b in (0, 1):
+        r[:, b] = p_bar * game.env_rewards[:, 0, b] + (1.0 - p_bar) * game.env_rewards[:, 1, b]
+    nxt = np.minimum(np.arange(n) + 1, n - 1)
+    v = np.zeros(n)
+    for _ in range(max_sweeps):
+        v_new = np.maximum(r[:, 0] + game.gamma_e * v, r[:, 1] + game.gamma_e * v[nxt])
+        converged = float(np.max(np.abs(v_new - v))) <= tol
+        v = v_new
+        if converged:
+            break
+    else:
+        raise ConvergenceError("value iteration hit its sweep cap")
+    q_stay = r[:, 0] + game.gamma_e * v
+    q_adv = r[:, 1] + game.gamma_e * v[nxt]
+    return (q_adv > q_stay).astype(int), v
+
+
+def rewalk_dominance(
+    game: MarkovChainGame, p_bar: float, env_policy: np.ndarray
+) -> tuple[bool, float]:
+    """Learner dominance check that re-walks the chain for every visited-state
+    deviation to 1 - p_bar; returns (ok, worst margin) like verify_dominance."""
+    n = game.n_states
+    base_p = np.full(n, p_bar)
+    base = _walk_value(game.learner_rewards, game.gamma_l, base_p, env_policy, n)
+    margin = math.inf
+    for s in range(absorbing_state(game, env_policy) + 1):
+        deviated = base_p.copy()
+        deviated[s] = 1.0 - p_bar
+        margin = min(margin, base - _walk_value(game.learner_rewards, game.gamma_l, deviated, env_policy, n))
+    return margin >= -1e-12, margin

@@ -196,19 +196,31 @@ def test_every_shipped_config_runs(tmp_path):
         assert (out / "manifest.json").exists()
 
 
+BAD_VALUES = [
+    (["psgd", "--horizons", "abc"], None, "horizons"),
+    (["psgd"], "horizons = 5,x\n", "horizons"),
+    (["select", "--losses", "a,b"], None, "losses"),
+    (["regression", "--beta", "x"], None, "beta"),
+    (["scaling-curve", "--radii", "1,x"], None, "radii"),
+    (["markov", "--n", "0"], None, "at least one state"),
+    (["regression", "--curve-step", "0"], None, "curve_step"),
+    (["psgd", "--n-seeds", "0", "--horizons", "8"], None, "n_seeds"),
+    (["psgd", "--sigma", "nan", "--horizons", "8", "--n-seeds", "1"], None, "noise_bound"),
+    (["psgd", "--sigma", "inf", "--horizons", "8", "--n-seeds", "1"], None, "noise_bound"),
+    (["select", "--losses", "-1"], None, "losses"),
+    (["markov", "--points", "0"], None, "points"),
+    (["participation", "--alpha-points", "0"], None, "alpha_points"),
+    (["markov", "--gamma", "1"], None, "discount"),
+]
+
+
+# ids stay argv<i>-<config>, leaving the message out of the test names
 @pytest.mark.parametrize(
-    "argv, config",
-    [
-        (["psgd", "--horizons", "abc"], None),
-        (["psgd"], "horizons = 5,x\n"),
-        (["select", "--losses", "a,b"], None),
-        (["regression", "--beta", "x"], None),
-        (["scaling-curve", "--radii", "1,x"], None),
-        (["markov", "--n", "0"], None),
-        (["regression", "--curve-step", "0"], None),
-    ],
+    "argv, config, message",
+    BAD_VALUES,
+    ids=[f"argv{i}-{config}" for i, (_, config, _) in enumerate(BAD_VALUES)],
 )
-def test_bad_values_exit_with_config_error(tmp_path, capsys, argv, config):
+def test_bad_values_exit_with_config_error(tmp_path, capsys, argv, config, message):
     argv = [*argv, "--out-dir", str(tmp_path / "out")]
     if config is not None:
         cfg = tmp_path / "bad.cfg"
@@ -217,6 +229,7 @@ def test_bad_values_exit_with_config_error(tmp_path, capsys, argv, config):
     assert main(argv) == 2
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"]["type"] == "config"
+    assert message in record["error"]["message"]
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))

@@ -18,7 +18,7 @@ from gamescale.markov import (
     rollout_value,
     verify_dominance,
 )
-from oracles import learner_value_for_policy
+from oracles import learner_value_for_policy, rewalk_dominance, value_iteration_env_response
 
 
 def enumerate_env_optimum(game: MarkovChainGame, p_bar: float) -> tuple[np.ndarray, np.ndarray]:
@@ -109,6 +109,32 @@ def test_equal_env_rewards_tie_toward_stay():
     )
     policy, _ = env_best_response_mdp(game, 0.7)
     np.testing.assert_array_equal(policy, [0, 0, 0])
+
+
+def test_backward_pass_matches_value_iteration_on_random_games():
+    rng = np.random.default_rng(14)
+    for trial in range(150):
+        n = int(rng.integers(1, 9))
+        learner_rewards = rng.normal(size=(n, 2, 2))
+        learner_rewards[:, 0, :] = learner_rewards[:, 1, :] + rng.uniform(0.1, 2.0, size=(n, 2))
+        game = MarkovChainGame(
+            n, learner_rewards, rng.normal(size=(n, 2, 2)), float(rng.uniform(0.0, 0.95)),
+            float(rng.uniform(0.0, 0.95)), default_thresholds(n),
+        )
+        if trial % 3 == 0:  # reverse learner dominance at one state, past the constructor check
+            s = int(rng.integers(n))
+            game.learner_rewards[s] = game.learner_rewards[s, ::-1].copy()
+        p_bar = float(rng.uniform(0.5, 1.0))
+        policy, values = env_best_response_mdp(game, p_bar)
+        vi_policy, vi_values = value_iteration_env_response(game, p_bar)
+        np.testing.assert_array_equal(policy, vi_policy)
+        np.testing.assert_allclose(values, vi_values, atol=1e-9)
+        if n <= 6:
+            np.testing.assert_allclose(values, enumerate_env_optimum(game, p_bar)[1], atol=1e-9)
+        ok, margin = verify_dominance(game, p_bar, policy)
+        ref_ok, ref_margin = rewalk_dominance(game, p_bar, policy)
+        assert ok == ref_ok
+        assert margin == pytest.approx(ref_margin, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
