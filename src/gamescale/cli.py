@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .core import JointAction
-from .equilibrium import nash_residual, psgd_nash, scaling_curve
+from .equilibrium import REGIMES, nash_residual, psgd_nash, scaling_curve
 from .instances import (
     coupled_quadratic,
     nested_box_ladder,
@@ -277,6 +277,9 @@ def run_restrict(params: dict, out_dir: Path) -> list[Path]:
 
 def run_markov(params: dict, out_dir: Path) -> list[Path]:
     """chain Markov game payoff sweep"""
+    for key in ("p_min", "p_max"):
+        if not 0.5 <= params[key] <= 1.0:
+            raise ConfigError(f"{key} must lie in [0.5, 1], got {params[key]}")
     game = build_chain_game(
         params["n"], gamma_l=params["gamma"], gamma_e=params["gamma_env"]
     )
@@ -505,8 +508,7 @@ EXPERIMENTS: dict[str, tuple[Callable[[dict, Path], list[Path]], dict]] = {
         "alpha_points": (_positive_int, "21"), "alpha_min": (float, "0.0"), "alpha_max": (float, "1.0"),
     }),
     "scaling-curve": (run_scaling_curve, {
-        "regime": (_one_of("stationary", "stackelberg_leader", "stackelberg_follower", "nash"),
-                   "stationary"),
+        "regime": (_one_of(*REGIMES), "stationary"),
         "radii": (_floats, "0.2,0.4,0.6,0.8,1.0"),
     }),
 }
@@ -541,6 +543,8 @@ def _resolve_params(args: argparse.Namespace, cfg: dict[str, str]) -> dict:
             raw = cfg.get(key, default)
         try:
             params[key] = None if raw is None else cast(raw)
+            if params[key] == []:
+                raise ValueError("needs at least one value")
         except ValueError as exc:
             raise ConfigError(f"{key}={raw!r}: {exc}") from exc
     return params

@@ -92,9 +92,9 @@ class Box(ActionSet):
     def bounding_box(self) -> "Box":
         return self
 
-    def vertices(self, cap: int = 4096) -> np.ndarray:
-        """All corner points, provided 2^dim does not exceed the cap."""
-        if 2 ** self.dimension > cap:
+    def vertices(self) -> np.ndarray:
+        """All corner points, provided 2^dim does not exceed 4096."""
+        if 2 ** self.dimension > 4096:
             raise ValueError("too many vertices to enumerate")
         corners = np.stack(
             np.meshgrid(*[(lo, hi) for lo, hi in zip(self.lower, self.upper)], indexing="ij"),
@@ -329,8 +329,6 @@ def noisy_gradient_operator(
 class MonotonicityReport:
     min_modulus: float
     passed: bool
-    mu_required: float
-    samples: int
     violating_pair: Optional[tuple[np.ndarray, np.ndarray]] = None
 
 
@@ -339,7 +337,6 @@ def monotonicity_audit(
     region: ActionSet,
     samples: int,
     rng: np.random.Generator,
-    tol: float = 1e-7,
 ) -> MonotonicityReport:
     """Sample pairs from the joint region and check the monotonicity quotient.
 
@@ -364,12 +361,10 @@ def monotonicity_audit(
             min_q = q
             worst = (a, b)
         done += 1
-    passed = min_q >= game.mu - tol
+    passed = min_q >= game.mu - 1e-7
     return MonotonicityReport(
         min_modulus=min_q,
         passed=passed,
-        mu_required=game.mu,
-        samples=samples,
         violating_pair=None if passed else worst,
     )
 
@@ -399,17 +394,15 @@ class ModelClassLadder:
     def __getitem__(self, k: int) -> ActionSet:
         return self.classes[k]
 
-    def check_nested(
-        self, rng: np.random.Generator, samples: int = 64, tol: float = 1e-9
-    ) -> bool:
+    def check_nested(self, rng: np.random.Generator) -> bool:
         """Sampling check of Theta_i <= Theta_{i+1}: sampled points (and box
         vertices, when enumerable) of the smaller class must project onto the
         larger one with zero displacement."""
         for small, large in zip(self.classes, self.classes[1:]):
-            points = [small.sample(rng) for _ in range(samples)]
+            points = [small.sample(rng) for _ in range(64)]
             if isinstance(small, Box) and 2 ** small.dimension <= 1024:
                 points.extend(small.vertices())
             for p in points:
-                if not large.contains(p, tol):
+                if not large.contains(p, 1e-9):
                     return False
         return True

@@ -38,7 +38,6 @@ class EquilibriumReport:
     loss_env: float
     nash_residual: float
     iterations: int
-    seed: Optional[int] = None
     certified: bool = True
 
 
@@ -47,9 +46,6 @@ class PsgdTrace:
     """Output of the averaged stochastic projected-gradient run."""
 
     averaged_point: JointAction
-    final_point: JointAction
-    horizon: int
-    stepsize_schedule: str = "eta_t = 2 / (mu * (t + 1))"
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +85,12 @@ def stationary_optimum(
     game: GameSpec,
     model_class: ActionSet,
     fixed_env: np.ndarray,
-    tol: float = 1e-8,
-    max_iters: int = 200_000,
 ) -> EquilibriumReport:
     """Minimize the learner loss against a single fixed environment action."""
     e = np.asarray(fixed_env, dtype=float)
     theta0 = model_class.project(np.zeros(game.dim_learner))
     theta, iters, residual = _projected_descent(
-        lambda t: game.grad_l(t, e), model_class, theta0, 1.0 / game.lipschitz, tol, max_iters
+        lambda t: game.grad_l(t, e), model_class, theta0, 1.0 / game.lipschitz, 1e-8, 200_000
     )
     return EquilibriumReport(
         regime="stationary",
@@ -114,7 +108,6 @@ def best_response(
     opponent_action: np.ndarray,
     own_set: ActionSet,
     tol: float = 1e-9,
-    max_iters: int = 200_000,
 ) -> np.ndarray:
     """Loss-minimizing action of one player against a fixed opponent action."""
     opp = np.asarray(opponent_action, dtype=float)
@@ -125,7 +118,7 @@ def best_response(
     else:
         raise ValueError(f"unknown player {player!r}")
     x0 = own_set.project(np.zeros(own_set.dimension))
-    x, _, _ = _projected_descent(grad, own_set, x0, 1.0 / game.lipschitz, tol, max_iters)
+    x, _, _ = _projected_descent(grad, own_set, x0, 1.0 / game.lipschitz, tol, 200_000)
     return x
 
 
@@ -147,14 +140,13 @@ def _grid_minimize(
     objective: Callable[[np.ndarray], float],
     feasible: ActionSet,
     resolution: int,
-    zoom_rounds: int = 2,
 ) -> tuple[np.ndarray, float, int]:
-    """Grid search refined by zoom rounds; lexicographically first tie-break."""
+    """Grid search refined by two zoom rounds; lexicographically first tie-break."""
     outer = feasible.bounding_box()
     box = outer
     best_point, best_value = None, math.inf
     evals = 0
-    for _ in range(zoom_rounds + 1):
+    for _ in range(3):
         pts = grid_points(feasible, resolution, box)
         if pts.shape[0] == 0:
             break
@@ -177,8 +169,6 @@ def _pattern_search(
     feasible: ActionSet,
     x0: np.ndarray,
     initial_step: float,
-    tol: float = 1e-8,
-    max_iters: int = 10_000,
 ) -> tuple[np.ndarray, float, int]:
     """Compass search with shrinking steps; local, used beyond grid dimensions."""
     x = feasible.project(x0)
@@ -186,7 +176,7 @@ def _pattern_search(
     h = initial_step
     evals = 1
     d = x.shape[0]
-    for _ in range(max_iters):
+    for _ in range(10_000):
         improved = False
         for j in range(d):
             for sign in (+1.0, -1.0):
@@ -200,7 +190,7 @@ def _pattern_search(
                     improved = True
         if not improved:
             h *= 0.5
-            if h < tol:
+            if h < 1e-8:
                 break
     return x, fx, evals
 
@@ -211,7 +201,6 @@ def stackelberg_leader(
     leader_set: ActionSet,
     follower_set: ActionSet,
     grid_resolution: int = 101,
-    br_tol: float = 1e-9,
 ) -> EquilibriumReport:
     """Stackelberg equilibrium: the leader commits, the follower best-responds.
 
@@ -222,12 +211,12 @@ def stackelberg_leader(
     if leader == "learner":
         follower = "env"
         objective = lambda a: float(
-            game.loss_learner(a, best_response(game, follower, a, follower_set, br_tol))
+            game.loss_learner(a, best_response(game, follower, a, follower_set))
         )
     elif leader == "env":
         follower = "learner"
         objective = lambda a: float(
-            game.loss_env(best_response(game, follower, a, follower_set, br_tol), a)
+            game.loss_env(best_response(game, follower, a, follower_set), a)
         )
     else:
         raise ValueError(f"unknown leader {leader!r}")
@@ -241,7 +230,7 @@ def stackelberg_leader(
         x0 = leader_set.project((box.lower + box.upper) / 2.0)
         action, _, evals = _pattern_search(objective, leader_set, x0, span / 4.0)
 
-    follower_action = best_response(game, follower, action, follower_set, br_tol)
+    follower_action = best_response(game, follower, action, follower_set)
     if leader == "learner":
         theta, env = action, follower_action
         learner_set, env_set = leader_set, follower_set
@@ -293,11 +282,7 @@ def psgd_nash(
         eta = 2.0 / (mu * (t + 1))
         x = joint_set.project(x - eta * fhat)
     averaged = acc * (2.0 / (horizon * (horizon + 1)))
-    return PsgdTrace(
-        averaged_point=JointAction.from_concat(averaged, dl),
-        final_point=JointAction.from_concat(x, dl),
-        horizon=horizon,
-    )
+    return PsgdTrace(averaged_point=JointAction.from_concat(averaged, dl))
 
 
 def nash_residual(
@@ -313,9 +298,7 @@ def solve_nash(
     game: GameSpec,
     learner_set: ActionSet,
     env_set: ActionSet,
-    x0: Optional[JointAction] = None,
     tol: float = 1e-10,
-    max_iters: int = 500_000,
 ) -> tuple[JointAction, int]:
     """Deterministic Nash solve: constant-step projected gradient on F.
 
@@ -323,15 +306,14 @@ def solve_nash(
     monotone game; stops at unit-step natural residual <= tol.
     """
     joint_set = Product(learner_set, env_set)
-    start = np.zeros(joint_set.dimension) if x0 is None else x0.concat()
     dl = game.dim_learner
     x, iters, _ = _projected_descent(
         lambda z: gradient_operator(game, JointAction.from_concat(z, dl)),
         joint_set,
-        start,
+        np.zeros(joint_set.dimension),
         game.mu / (game.lipschitz**2),
         tol,
-        max_iters,
+        500_000,
     )
     return JointAction.from_concat(x, dl), iters
 
@@ -340,10 +322,9 @@ def nash_report(
     game: GameSpec,
     learner_set: ActionSet,
     env_set: ActionSet,
-    x0: Optional[JointAction] = None,
     tol: float = 1e-10,
 ) -> EquilibriumReport:
-    x, iters = solve_nash(game, learner_set, env_set, x0, tol)
+    x, iters = solve_nash(game, learner_set, env_set, tol)
     return EquilibriumReport(
         regime="nash",
         joint=x,
@@ -364,8 +345,6 @@ def pareto_improvement_search(
     x: JointAction,
     learner_set: ActionSet,
     env_set: ActionSet,
-    grid_resolution: int = 201,
-    max_points: int = 20_000_000,
 ) -> Optional[JointAction]:
     """Exhaustive grid witness that x is not Pareto optimal, if one exists.
 
@@ -376,9 +355,9 @@ def pareto_improvement_search(
     joint_dim = learner_set.dimension + env_set.dimension
     if joint_dim > 4:
         raise ValueError("exhaustive grid limited to joint dimension <= 4")
-    theta_pts = grid_points(learner_set, grid_resolution)
-    env_pts = grid_points(env_set, grid_resolution)
-    if theta_pts.shape[0] * env_pts.shape[0] > max_points:
+    theta_pts = grid_points(learner_set, 201)
+    env_pts = grid_points(env_set, 201)
+    if theta_pts.shape[0] * env_pts.shape[0] > 20_000_000:
         raise ValueError("grid too large; lower the resolution")
     f_l_ref = float(game.loss_learner(x.theta, x.env))
     f_e_ref = float(game.loss_env(x.theta, x.env))
@@ -413,8 +392,6 @@ def scaling_curve(
     game_factory: Callable[[ActionSet], RegimeInputs],
     ladder: ModelClassLadder,
     regime: str,
-    grid_resolution: int = 101,
-    nash_tol: float = 1e-9,
 ) -> list[tuple[int, EquilibriumReport]]:
     """Equilibrium per ladder class under one interaction regime.
 
@@ -433,10 +410,10 @@ def scaling_curve(
                 raise ValueError("stationary regime needs fixed_env")
             report = stationary_optimum(game, cls, inputs.fixed_env)
         elif regime == "stackelberg_leader":
-            report = stackelberg_leader(game, "learner", cls, inputs.env_set, grid_resolution)
+            report = stackelberg_leader(game, "learner", cls, inputs.env_set)
         elif regime == "stackelberg_follower":
-            report = stackelberg_leader(game, "env", inputs.env_set, cls, grid_resolution)
+            report = stackelberg_leader(game, "env", inputs.env_set, cls)
         else:
-            report = nash_report(game, cls, inputs.env_set, tol=nash_tol)
+            report = nash_report(game, cls, inputs.env_set, tol=1e-9)
         out.append((k, report))
     return out

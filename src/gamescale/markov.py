@@ -13,7 +13,6 @@ states pay the learner more.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -111,11 +110,11 @@ def build_chain_game(
     return game
 
 
-def _verify_calibration(game: MarkovChainGame, eps: float = 1e-6) -> None:
+def _verify_calibration(game: MarkovChainGame) -> None:
     for i in range(game.n_states - 1):
         p_star = game.thresholds[i]
-        below, _ = env_best_response_mdp(game, p_star - eps)
-        above, _ = env_best_response_mdp(game, min(p_star + eps, 1.0))
+        below, _ = env_best_response_mdp(game, p_star - 1e-6)
+        above, _ = env_best_response_mdp(game, min(p_star + 1e-6, 1.0))
         if below[i] != 1:
             raise CalibrationError(i, "environment does not advance just below the threshold")
         if above[i] != 0:
@@ -239,44 +238,3 @@ def payoff_sweep(
 ) -> list[ChainEquilibrium]:
     """Equilibrium per grid point; the reverse-scaling curve of the chain game."""
     return [chain_equilibrium(game, float(p)) for p in p_bar_grid]
-
-
-def rollout_value(
-    game: MarkovChainGame,
-    p_bar: float,
-    env_policy: np.ndarray,
-    episodes: int,
-    horizon: int,
-    rng: np.random.Generator,
-    batch: int = 20_000,
-) -> tuple[float, float]:
-    """Monte-Carlo estimate (mean, standard error) of the learner value.
-
-    The state path is deterministic given the environment policy, so only the
-    learner's action draws are simulated.
-    """
-    n = game.n_states
-    states = np.empty(horizon, dtype=int)
-    s = 0
-    for t in range(horizon):
-        states[t] = s
-        if env_policy[s] == 1 and s < n - 1:
-            s += 1
-    b_path = env_policy[states]
-    r0 = game.learner_rewards[states, 0, b_path]
-    r1 = game.learner_rewards[states, 1, b_path]
-    discounts = game.gamma_l ** np.arange(horizon)
-    total = 0.0
-    total_sq = 0.0
-    remaining = episodes
-    while remaining > 0:
-        m = min(batch, remaining)
-        draws = rng.random((m, horizon))
-        rewards = np.where(draws < p_bar, r0, r1)
-        values = rewards @ discounts
-        total += float(values.sum())
-        total_sq += float((values**2).sum())
-        remaining -= m
-    mean = total / episodes
-    var = max(total_sq / episodes - mean * mean, 0.0)
-    return mean, math.sqrt(var / episodes)

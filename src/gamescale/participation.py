@@ -109,41 +109,28 @@ class Classifier:
     constant across the dropped coordinates by construction."""
 
     labels: np.ndarray
-    class_tag: str  # "full" or "restricted"
 
 
-def _argmax_rows(primary: np.ndarray, secondary: Optional[np.ndarray]) -> np.ndarray:
+def _argmax_rows(primary: np.ndarray, secondary: np.ndarray) -> np.ndarray:
     """Row argmax; exact ties fall to the secondary table, then smallest index."""
-    if secondary is None:
-        return np.argmax(primary, axis=1)
     tied = primary >= primary.max(axis=1, keepdims=True) - 1e-15
     keyed = np.where(tied, secondary, -np.inf)
     return np.argmax(keyed, axis=1)
 
 
 def bayes_classifier(
-    dist: DiscreteDistribution,
-    feature_map: Optional[FeatureMap] = None,
-    tie_break: Optional[DiscreteDistribution] = None,
+    dist: DiscreteDistribution, feature_map: Optional[FeatureMap] = None
 ) -> Classifier:
     """Per-cell argmax of the label conditional; ties go to the smallest label.
 
     With a feature map, cells are pooled by their retained coordinates before
-    taking the argmax, which is the Bayes rule of the restricted class. An
-    optional tie_break distribution resolves exact ties by its own argmax
-    (used to select among equally optimal responses at equilibrium).
+    taking the argmax, which is the Bayes rule of the restricted class.
     """
-    secondary = tie_break.probs if tie_break is not None else None
     if feature_map is None:
-        return Classifier(_argmax_rows(dist.probs, secondary), "full")
+        return Classifier(np.argmax(dist.probs, axis=1))
     pooled = np.zeros((feature_map.n_restricted, dist.n_labels))
     np.add.at(pooled, feature_map.restricted_index, dist.probs)
-    pooled_secondary = None
-    if secondary is not None:
-        pooled_secondary = np.zeros_like(pooled)
-        np.add.at(pooled_secondary, feature_map.restricted_index, secondary)
-    restricted_labels = _argmax_rows(pooled, pooled_secondary)
-    return Classifier(restricted_labels[feature_map.restricted_index], "restricted")
+    return Classifier(np.argmax(pooled, axis=1)[feature_map.restricted_index])
 
 
 def zero_one_loss(classifier: Classifier, dist: DiscreteDistribution) -> float:
@@ -241,7 +228,7 @@ def equilibrium_pair(
     elif model_class == "full":
         uniform = uniform_distribution(base.feature_sizes, base.n_labels)
         dist = mix(uniform, base, alpha)
-        classifier = bayes_classifier(dist, None, tie_break=base)
+        classifier = Classifier(_argmax_rows(dist.probs, base.probs))
         response = env_response(classifier, base, phi_star, alpha)
         certificate = FixedPointCertificate(
             classifier_optimal=is_cellwise_optimal(classifier, dist, None),

@@ -152,9 +152,7 @@ def large_model_equilibrium(instance: RegressionInstance) -> StackelbergOutcome:
     )
 
 
-def compare_model_classes(
-    instance: RegressionInstance, pointwise_tol: float = 1e-9
-) -> ModelClassComparison:
+def compare_model_classes(instance: RegressionInstance) -> ModelClassComparison:
     """Both Stackelberg equilibria plus the pointwise fit comparison.
 
     reverse_scaling is true when the larger class loses more at its own
@@ -166,7 +164,7 @@ def compare_model_classes(
     ks = np.arange(lo, hi + 1e-12, 1e-3) if hi > lo else np.array([lo])
     pointwise = all(
         large_model_learner_loss(instance, float(k))
-        <= small_model_loss(instance, float(k)) + pointwise_tol
+        <= small_model_loss(instance, float(k)) + 1e-9
         for k in ks
     )
     return ModelClassComparison(
@@ -177,11 +175,12 @@ def compare_model_classes(
     )
 
 
-def _argmax_1d(f, lo: float, hi: float, spacing: float = 1e-3, zoom_rounds: int = 2) -> float:
-    """Grid argmax refined by 10x zoom rounds; first maximizer wins ties."""
+def _argmax_1d(f, lo: float, hi: float) -> float:
+    """Grid argmax at spacing 1e-3 refined by two 10x zoom rounds; first maximizer wins ties."""
     if hi <= lo:
         return lo
-    for _ in range(zoom_rounds + 1):
+    spacing = 1e-3
+    for _ in range(3):
         n = max(int(round((hi - lo) / spacing)) + 1, 2)
         ks = np.linspace(lo, hi, n)
         vals = [f(float(k)) for k in ks]
@@ -191,86 +190,3 @@ def _argmax_1d(f, lo: float, hi: float, spacing: float = 1e-3, zoom_rounds: int 
         lo, hi = lo_new, hi_new
         spacing /= 10.0
     return float(ks[best])
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo oracles (independent of every closed form above)
-# ---------------------------------------------------------------------------
-
-
-def _draw_inputs(instance: RegressionInstance, k: float, n: int, rng: np.random.Generator):
-    x = rng.standard_normal((n, instance.dim))
-    shifted = x + instance.shift(k)
-    return x, shifted
-
-
-def mc_gaussian_integrals(
-    instance: RegressionInstance, k: float, n: int, rng: np.random.Generator
-) -> dict[str, tuple[float, float]]:
-    """Estimates (mean, standard error) of E[exp(-|x+e|^2)] and E[exp(-2|x+e|^2)]."""
-    _, shifted = _draw_inputs(instance, k, n, rng)
-    sq = np.einsum("ij,ij->i", shifted, shifted)
-    out = {}
-    for name, scale in (("exp1", 1.0), ("exp2", 2.0)):
-        vals = np.exp(-scale * sq)
-        out[name] = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n)))
-    return out
-
-
-def mc_model_loss(
-    instance: RegressionInstance,
-    k: float,
-    theta1: np.ndarray,
-    theta2: float,
-    n: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Population squared error of a fixed (theta1, theta2) bump model.
-
-    theta2 = 0 recovers the pure linear model.
-    """
-    x, shifted = _draw_inputs(instance, k, n, rng)
-    pred = shifted @ theta1 + theta2 * np.exp(-np.einsum("ij,ij->i", shifted, shifted))
-    res_sq = (x @ instance.beta - pred) ** 2
-    return float(res_sq.mean()), float(res_sq.std(ddof=1) / math.sqrt(n))
-
-
-def mc_env_prediction(
-    instance: RegressionInstance,
-    k: float,
-    theta1: np.ndarray,
-    theta2: float,
-    n: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Expected prediction E[theta1^T (x+e) + theta2 exp(-|x+e|^2)]."""
-    _, shifted = _draw_inputs(instance, k, n, rng)
-    pred = shifted @ theta1 + theta2 * np.exp(-np.einsum("ij,ij->i", shifted, shifted))
-    return float(pred.mean()), float(pred.std(ddof=1) / math.sqrt(n))
-
-
-def mc_least_squares(
-    instance: RegressionInstance,
-    k: float,
-    n: int,
-    rng: np.random.Generator,
-    with_bump: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample least-squares fit and sandwich standard errors per coefficient.
-
-    Features are (x + e) alone, or with the exp(-|x+e|^2) bump appended.
-    """
-    x, shifted = _draw_inputs(instance, k, n, rng)
-    if with_bump:
-        bump = np.exp(-np.einsum("ij,ij->i", shifted, shifted))
-        features = np.column_stack([shifted, bump])
-    else:
-        features = shifted
-    target = x @ instance.beta
-    theta_hat, *_ = np.linalg.lstsq(features, target, rcond=None)
-    residual = target - features @ theta_hat
-    a = features.T @ features / n
-    b = (features * residual[:, None]).T @ (features * residual[:, None]) / n
-    a_inv = np.linalg.inv(a)
-    cov = a_inv @ b @ a_inv / n
-    return theta_hat, np.sqrt(np.diag(cov))

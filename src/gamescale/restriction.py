@@ -31,6 +31,7 @@ from .equilibrium import (
 )
 
 BR_SOLVE_TOL = 1e-11
+FD_STEP = 1e-5
 
 
 class RestrictionStageError(RuntimeError):
@@ -76,12 +77,7 @@ class RestrictionCertificate:
     restricted_residual: float
 
 
-def br_jacobian(
-    game: GameSpec,
-    theta: np.ndarray,
-    env_set: ActionSet,
-    fd_step: float = 1e-5,
-) -> np.ndarray:
+def br_jacobian(game: GameSpec, theta: np.ndarray, env_set: ActionSet) -> np.ndarray:
     """Central-difference Jacobian of the environment's best-response map.
 
     Entry (i, j) is d BR_i / d theta_j. The base best response must be
@@ -90,15 +86,15 @@ def br_jacobian(
     """
     theta = np.asarray(theta, dtype=float)
     base = best_response(game, "env", theta, env_set, tol=BR_SOLVE_TOL)
-    if not env_set.is_interior(base, margin=fd_step):
+    if not env_set.is_interior(base, margin=FD_STEP):
         raise BoundaryResponseError("best response on the boundary of the environment set")
     jac = np.zeros((game.dim_env, game.dim_learner))
     for j in range(game.dim_learner):
         e = np.zeros_like(theta)
-        e[j] = fd_step
+        e[j] = FD_STEP
         plus = best_response(game, "env", theta + e, env_set, tol=BR_SOLVE_TOL)
         minus = best_response(game, "env", theta - e, env_set, tol=BR_SOLVE_TOL)
-        jac[:, j] = (plus - minus) / (2.0 * fd_step)
+        jac[:, j] = (plus - minus) / (2.0 * FD_STEP)
     return jac
 
 
@@ -108,12 +104,7 @@ def composed_loss(game: GameSpec, theta: np.ndarray, env_set: ActionSet) -> floa
     return float(game.loss_learner(theta, e))
 
 
-def fbar_gradient(
-    game: GameSpec,
-    theta: np.ndarray,
-    env_set: ActionSet,
-    fd_step: float = 1e-5,
-) -> np.ndarray:
+def fbar_gradient(game: GameSpec, theta: np.ndarray, env_set: ActionSet) -> np.ndarray:
     """Gradient of theta -> f_l(theta, BR(theta)) by the chain rule.
 
     The cross gradient of the learner loss in the environment action is not
@@ -121,15 +112,15 @@ def fbar_gradient(
     """
     theta = np.asarray(theta, dtype=float)
     e = best_response(game, "env", theta, env_set, tol=BR_SOLVE_TOL)
-    jac = br_jacobian(game, theta, env_set, fd_step)
-    grad_cross = central_difference(lambda ee: game.loss_learner(theta, ee), e, fd_step)
+    jac = br_jacobian(game, theta, env_set)
+    grad_cross = central_difference(lambda ee: game.loss_learner(theta, ee), e, FD_STEP)
     return game.grad_l(theta, e) + jac.T @ grad_cross
 
 
-def choose_direction(grad_fbar: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def choose_direction(grad_fbar: np.ndarray) -> np.ndarray:
     """Unit vector with positive inner product against the composed gradient."""
     norm = float(np.linalg.norm(grad_fbar))
-    if norm <= tol:
+    if norm <= 1e-10:
         raise ParetoStationaryError("composed gradient vanishes; Nash appears Pareto-stationary")
     return np.asarray(grad_fbar, dtype=float) / norm
 
@@ -140,22 +131,20 @@ def delta_search(
     v: np.ndarray,
     env_set: ActionSet,
     learner_set: ActionSet,
-    delta0: float = 1.0,
-    max_halvings: int = 60,
-    interior_margin: float = 1e-9,
 ) -> float:
     """Backtracking step: first delta with a certified composed-loss drop.
 
-    Halves delta from delta0 until theta* - delta v is interior to the
-    learner set and f_l(theta', BR(theta')) < f_l(theta*, BR(theta*)) - 1e-10.
+    Halves delta from 1, at most 60 times, until theta* - delta v is
+    interior to the learner set and
+    f_l(theta', BR(theta')) < f_l(theta*, BR(theta*)) - 1e-10.
     Terminates for smooth games because the first-order term dominates.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     reference = composed_loss(game, theta_star, env_set)
-    delta = float(delta0)
-    for _ in range(max_halvings):
+    delta = 1.0
+    for _ in range(60):
         cand = theta_star - delta * v
-        if learner_set.is_interior(cand, interior_margin):
+        if learner_set.is_interior(cand, 1e-9):
             if composed_loss(game, cand, env_set) < reference - 1e-10:
                 return delta
         delta *= 0.5
@@ -188,11 +177,6 @@ def certify_restriction(
     game: GameSpec,
     learner_set: ActionSet,
     env_set: ActionSet,
-    pareto_resolution: int = 201,
-    fd_step: float = 1e-5,
-    nash_tol: float = 1e-8,
-    restricted_residual_tol: float = 1e-6,
-    audit_samples: int = 128,
     seed: int = 0,
 ) -> RestrictionCertificate:
     """Run the full pipeline and return a verified improvement certificate.
@@ -204,7 +188,7 @@ def certify_restriction(
     stage tag; a Pareto-optimal Nash raises HypothesisNotSatisfiedError.
     """
     rng = np.random.default_rng(seed)
-    report = monotonicity_audit(game, Product(learner_set, env_set), audit_samples, rng)
+    report = monotonicity_audit(game, Product(learner_set, env_set), 128, rng)
     if not report.passed:
         raise RestrictionStageError(
             "monotonicity_audit",
@@ -212,7 +196,7 @@ def certify_restriction(
         )
 
     try:
-        x_star, _ = solve_nash(game, learner_set, env_set, tol=nash_tol)
+        x_star, _ = solve_nash(game, learner_set, env_set, tol=1e-8)
     except ConvergenceError as exc:
         raise RestrictionStageError("nash_solve", str(exc)) from exc
 
@@ -221,13 +205,13 @@ def certify_restriction(
             "interior_check", "Nash learner action on the boundary of its model class"
         )
 
-    witness = pareto_improvement_search(game, x_star, learner_set, env_set, pareto_resolution)
+    witness = pareto_improvement_search(game, x_star, learner_set, env_set)
     if witness is None:
         raise HypothesisNotSatisfiedError(
             "no Pareto-improving joint action found: Nash appears Pareto optimal"
         )
 
-    grad_fbar = fbar_gradient(game, x_star.theta, env_set, fd_step)
+    grad_fbar = fbar_gradient(game, x_star.theta, env_set)
     v = choose_direction(grad_fbar)
     try:
         delta = delta_search(game, x_star.theta, v, env_set, learner_set)
@@ -244,7 +228,7 @@ def certify_restriction(
     if restricted_set.contains(x_star.theta, tol=1e-9):
         raise RestrictionStageError("verification", "theta* was not removed by the restriction")
     residual = nash_residual(game, restricted_point, restricted_set, env_set)
-    if residual > restricted_residual_tol:
+    if residual > 1e-6:
         raise RestrictionStageError(
             "verification", f"restricted point is not a Nash point (residual {residual:.3e})"
         )

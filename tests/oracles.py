@@ -3,9 +3,11 @@
 Brute-force or independent computations that cross-check the library's
 solvers: an exhaustive-grid Nash, alternating best responses, a
 finite-difference gradient check, the strategic-regression game as a generic
-Stackelberg instance, exact chain-game learner values for arbitrary
-per-state policies, value iteration on the chain's environment MDP, and the
-chain-game dominance check by re-walking the chain once per deviation.
+Stackelberg instance, Monte-Carlo estimates of the regression game's
+integrals, losses, predictions and least-squares fits, exact chain-game
+learner values for arbitrary per-state policies, value iteration on the
+chain's environment MDP, the chain-game dominance check by re-walking the
+chain once per deviation, and a Monte-Carlo rollout of the learner value.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from gamescale.core import (
 )
 from gamescale.equilibrium import best_response, grid_points
 from gamescale.markov import MarkovChainGame, _walk_value, absorbing_state
+from gamescale.regression import RegressionInstance
 
 
 def grid_nash(
@@ -134,6 +137,85 @@ def regression_stackelberg_game(beta: np.ndarray, k_max: float = 10.0):
     return game, learner_set, env_set
 
 
+def _draw_inputs(instance: RegressionInstance, k: float, n: int, rng: np.random.Generator):
+    x = rng.standard_normal((n, instance.dim))
+    shifted = x + instance.shift(k)
+    return x, shifted
+
+
+def mc_gaussian_integrals(
+    instance: RegressionInstance, k: float, n: int, rng: np.random.Generator
+) -> dict[str, tuple[float, float]]:
+    """Estimates (mean, standard error) of E[exp(-|x+e|^2)] and E[exp(-2|x+e|^2)]."""
+    _, shifted = _draw_inputs(instance, k, n, rng)
+    sq = np.einsum("ij,ij->i", shifted, shifted)
+    out = {}
+    for name, scale in (("exp1", 1.0), ("exp2", 2.0)):
+        vals = np.exp(-scale * sq)
+        out[name] = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n)))
+    return out
+
+
+def mc_model_loss(
+    instance: RegressionInstance,
+    k: float,
+    theta1: np.ndarray,
+    theta2: float,
+    n: int,
+    rng: np.random.Generator,
+) -> tuple[float, float]:
+    """Population squared error of a fixed (theta1, theta2) bump model.
+
+    theta2 = 0 recovers the pure linear model.
+    """
+    x, shifted = _draw_inputs(instance, k, n, rng)
+    pred = shifted @ theta1 + theta2 * np.exp(-np.einsum("ij,ij->i", shifted, shifted))
+    res_sq = (x @ instance.beta - pred) ** 2
+    return float(res_sq.mean()), float(res_sq.std(ddof=1) / math.sqrt(n))
+
+
+def mc_env_prediction(
+    instance: RegressionInstance,
+    k: float,
+    theta1: np.ndarray,
+    theta2: float,
+    n: int,
+    rng: np.random.Generator,
+) -> tuple[float, float]:
+    """Expected prediction E[theta1^T (x+e) + theta2 exp(-|x+e|^2)]."""
+    _, shifted = _draw_inputs(instance, k, n, rng)
+    pred = shifted @ theta1 + theta2 * np.exp(-np.einsum("ij,ij->i", shifted, shifted))
+    return float(pred.mean()), float(pred.std(ddof=1) / math.sqrt(n))
+
+
+def mc_least_squares(
+    instance: RegressionInstance,
+    k: float,
+    n: int,
+    rng: np.random.Generator,
+    with_bump: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample least-squares fit and sandwich standard errors per coefficient.
+
+    Features are (x + e) alone, or with the exp(-|x+e|^2) bump appended.
+    """
+    x, shifted = _draw_inputs(instance, k, n, rng)
+    if with_bump:
+        bump = np.exp(-np.einsum("ij,ij->i", shifted, shifted))
+        features = np.column_stack([shifted, bump])
+    else:
+        features = shifted
+    target = x @ instance.beta
+    theta_hat, *_ = np.linalg.lstsq(features, target, rcond=None)
+    residual = target - features @ theta_hat
+    a = features.T @ features / n
+    b = (features * residual[:, None]).T @ (features * residual[:, None]) / n
+    a_inv = np.linalg.inv(a)
+    cov = a_inv @ b @ a_inv / n
+    return theta_hat, np.sqrt(np.diag(cov))
+
+
+
 def learner_value_for_policy(
     game: MarkovChainGame, p_by_state: np.ndarray, env_policy: np.ndarray
 ) -> float:
@@ -181,3 +263,44 @@ def rewalk_dominance(
         deviated[s] = 1.0 - p_bar
         margin = min(margin, base - _walk_value(game.learner_rewards, game.gamma_l, deviated, env_policy, n))
     return margin >= -1e-12, margin
+
+
+def rollout_value(
+    game: MarkovChainGame,
+    p_bar: float,
+    env_policy: np.ndarray,
+    episodes: int,
+    horizon: int,
+    rng: np.random.Generator,
+    batch: int = 20_000,
+) -> tuple[float, float]:
+    """Monte-Carlo estimate (mean, standard error) of the learner value.
+
+    The state path is deterministic given the environment policy, so only the
+    learner's action draws are simulated.
+    """
+    n = game.n_states
+    states = np.empty(horizon, dtype=int)
+    s = 0
+    for t in range(horizon):
+        states[t] = s
+        if env_policy[s] == 1 and s < n - 1:
+            s += 1
+    b_path = env_policy[states]
+    r0 = game.learner_rewards[states, 0, b_path]
+    r1 = game.learner_rewards[states, 1, b_path]
+    discounts = game.gamma_l ** np.arange(horizon)
+    total = 0.0
+    total_sq = 0.0
+    remaining = episodes
+    while remaining > 0:
+        m = min(batch, remaining)
+        draws = rng.random((m, horizon))
+        rewards = np.where(draws < p_bar, r0, r1)
+        values = rewards @ discounts
+        total += float(values.sum())
+        total_sq += float((values**2).sum())
+        remaining -= m
+    mean = total / episodes
+    var = max(total_sq / episodes - mean * mean, 0.0)
+    return mean, math.sqrt(var / episodes)

@@ -21,7 +21,7 @@ from gamescale.instances import (
 from gamescale.cli import main
 from gamescale.core import JointAction
 from gamescale.equilibrium import psgd_nash, scaling_curve
-from gamescale.markov import build_chain_game, chain_equilibrium, payoff_sweep, rollout_value
+from gamescale.markov import build_chain_game, chain_equilibrium, payoff_sweep
 from gamescale.participation import alpha_threshold, default_instance, equilibrium_pair
 from gamescale.regression import (
     RegressionInstance,
@@ -29,15 +29,18 @@ from gamescale.regression import (
     large_model_closed_form,
     large_model_env_objective,
     large_model_learner_loss,
-    mc_env_prediction,
-    mc_gaussian_integrals,
-    mc_least_squares,
-    mc_model_loss,
     small_model_best_theta,
     small_model_loss,
 )
 from gamescale.restriction import HypothesisNotSatisfiedError, certify_restriction
 from gamescale.selection import successive_elimination
+from oracles import (
+    mc_env_prediction,
+    mc_gaussian_integrals,
+    mc_least_squares,
+    mc_model_loss,
+    rollout_value,
+)
 
 
 def report(num: int, ok: bool, detail: str, started: float, budget: float) -> None:
@@ -52,7 +55,8 @@ def test_criterion_1_regression_equilibria(tmp_path):
     started = time.monotonic()
     out = tmp_path / "regression"
     code = main(["regression", "--out-dir", str(out)])
-    rows = list(csv.DictReader((out / "regression_equilibrium.csv").open()))
+    with (out / "regression_equilibrium.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
     by_class = {r["model_class"]: r for r in rows}
     small_loss = float(by_class["small"]["learner_loss"])
     large_loss = float(by_class["large"]["learner_loss"])

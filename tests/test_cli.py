@@ -14,6 +14,11 @@ def read_manifest(out_dir: Path) -> dict:
     return json.loads((out_dir / "manifest.json").read_text())
 
 
+def read_rows(path: Path) -> list[dict]:
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -21,7 +26,7 @@ def sha(path: Path) -> str:
 def test_regression_run_reports_expected_equilibria(tmp_path):
     out = tmp_path / "reg"
     assert main(["regression", "--out-dir", str(out), "--curve-step", "0.1"]) == 0
-    rows = list(csv.DictReader((out / "regression_equilibrium.csv").open()))
+    rows = read_rows(out / "regression_equilibrium.csv")
     by_class = {r["model_class"]: r for r in rows}
     assert abs(float(by_class["small"]["learner_loss"]) - 0.5) <= 1e-9
     large = float(by_class["large"]["learner_loss"])
@@ -35,7 +40,7 @@ def test_regression_run_reports_expected_equilibria(tmp_path):
         "regression_summary.csv",
         "regression_curve.svg",
     }
-    summary = list(csv.DictReader((out / "regression_summary.csv").open()))[0]
+    summary = read_rows(out / "regression_summary.csv")[0]
     assert summary["reverse_scaling"] == "1"
     assert summary["pointwise_dominance"] == "1"
 
@@ -71,7 +76,7 @@ def test_config_file_with_cli_override(tmp_path):
     assert manifest["config"]["n"] == 6
     assert manifest["config"]["gamma"] == 0.7
     assert manifest["config"]["points"] == 12  # command line wins
-    rows = list(csv.DictReader((out / "markov_sweep.csv").open()))
+    rows = read_rows(out / "markov_sweep.csv")
     assert len(rows) == 12
 
 
@@ -112,9 +117,9 @@ def test_restrict_coupled_writes_certificate(tmp_path):
 def test_select_writes_elimination_log(tmp_path):
     out = tmp_path / "sel"
     assert main(["select", "--out-dir", str(out)]) == 0
-    rows = list(csv.DictReader((out / "elimination_log.csv").open()))
+    rows = read_rows(out / "elimination_log.csv")
     assert list(rows[0]) == ["epoch", "T", "arm", "estimate", "radius", "active"]
-    summary = list(csv.DictReader((out / "selection_summary.csv").open()))[0]
+    summary = read_rows(out / "selection_summary.csv")[0]
     assert summary["winner"] == "0"
     assert summary["inconclusive"] == "0"
 
@@ -124,9 +129,9 @@ def test_psgd_run_small(tmp_path):
     assert main(
         ["psgd", "--horizons", "64,256", "--n-seeds", "3", "--out-dir", str(out)]
     ) == 0
-    rows = list(csv.DictReader((out / "psgd.csv").open()))
+    rows = read_rows(out / "psgd.csv")
     assert len(rows) == 6
-    summary = list(csv.DictReader((out / "psgd_summary.csv").open()))
+    summary = read_rows(out / "psgd_summary.csv")
     assert float(summary[1]["mean_f_l_gap"]) < float(summary[0]["mean_f_l_gap"]) * 0.8
 
 
@@ -136,7 +141,7 @@ def test_scaling_curve_runs_all_regimes(tmp_path):
         assert main(
             ["scaling-curve", "--regime", regime, "--radii", "0.25,0.5,1.0", "--out-dir", str(out)]
         ) == 0
-        rows = list(csv.DictReader((out / "scaling_curve.csv").open()))
+        rows = read_rows(out / "scaling_curve.csv")
         assert len(rows) == 3
         losses = [float(r["learner_loss"]) for r in rows]
         if regime != "nash":
@@ -172,7 +177,7 @@ def test_csv_floats_are_full_precision(tmp_path):
     path = tmp_path / "f.csv"
     value = 0.1234567890123456789
     write_csv(path, ["v"], [(value,)])
-    rows = list(csv.DictReader(path.open()))
+    rows = read_rows(path)
     assert float(rows[0]["v"]) == value
 
 
@@ -211,6 +216,14 @@ BAD_VALUES = [
     (["markov", "--points", "0"], None, "points"),
     (["participation", "--alpha-points", "0"], None, "alpha_points"),
     (["markov", "--gamma", "1"], None, "discount"),
+    (["select", "--losses", ""], None, "losses"),
+    (["psgd", "--horizons", ""], None, "horizons"),
+    (["scaling-curve", "--radii", ""], None, "radii"),
+    (["regression", "--beta", ""], None, "beta"),
+    (["markov", "--p-min", "0.4"], None, "p_min"),
+    (["markov", "--p-max", "1.5"], None, "p_max"),
+    (["scaling-curve", "--regime", "bogus"], None, "regime"),
+    (["restrict", "--instance", "bogus"], None, "instance"),
 ]
 
 

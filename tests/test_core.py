@@ -121,6 +121,58 @@ def test_product_projects_componentwise():
     np.testing.assert_allclose(joint.project(np.array([2.0, 0.5])), [1.0, 0.0])
 
 
+SQUARE = Box(-np.ones(2), np.ones(2))
+CUT = Halfspace(np.array([1.0, 1.0]), 0.5)
+# name -> (set, rows A and offsets b with set = {x : A x <= b}, bounding box or None)
+SET_CASES = {
+    "halfspace": (CUT, [[1, 1]], [0.5], None),
+    "intersection": (
+        Intersection([SQUARE, CUT, Box(np.array([-0.5, -2.0]), np.array([2.0, 0.8]))]),
+        [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, 0], [-1, 0], [0, 1], [0, -1]],
+        [1, 1, 1, 1, 0.5, 2, 0.5, 0.8, 2],
+        ([-0.5, -1.0], [1.0, 0.8]),
+    ),
+    "halfspaces_only": (
+        Intersection([CUT, Halfspace(np.array([-1.0, 0.0]), 1.0)]), [[1, 1], [-1, 0]], [0.5, 1], None
+    ),
+    "product": (
+        Product(box_1d(-1.0, 1.0), Intersection([SQUARE, CUT])),
+        [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1], [0, 1, 1]],
+        [1, 1, 1, 1, 1, 1, 0.5],
+        ([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SET_CASES))
+def test_interiority_sampling_and_bounding_box(case):
+    region, rows, offsets, box = SET_CASES[case]
+    rows, offsets = np.array(rows, dtype=float), np.array(offsets, dtype=float)
+    rng = np.random.default_rng(0)
+    # interior with margin m: the ball of radius m around p meets no constraint
+    seen = set()
+    for _ in range(200):
+        p = rng.uniform(-1.5, 1.5, region.dimension)
+        depth = float(np.min((offsets - rows @ p) / np.linalg.norm(rows, axis=1)))
+        for margin in (0.0, 0.1):
+            inside = region.is_interior(p, margin)
+            assert inside == (depth >= margin)
+            seen.add(inside)
+    assert seen == {True, False}
+    if box is None:
+        with pytest.raises(UnboundedSetError):
+            region.bounding_box()
+    else:
+        bounds = region.bounding_box()
+        np.testing.assert_array_equal(bounds.lower, box[0])
+        np.testing.assert_array_equal(bounds.upper, box[1])
+    if case == "halfspaces_only":
+        with pytest.raises(UnboundedSetError):
+            region.sample(rng)
+    else:
+        assert all(region.contains(region.sample(rng)) for _ in range(20))
+
+
 # ---------------------------------------------------------------------------
 # Gradient operator
 # ---------------------------------------------------------------------------

@@ -350,7 +350,6 @@ def test_scaling_curve_nash_restriction_improves():
         lambda s: RegimeInputs(game=bench.game, env_set=bench.env_set),
         ladder,
         "nash",
-        nash_tol=1e-9,
     )
     restricted_loss = curve[0][1].loss_learner
     full_loss = curve[1][1].loss_learner

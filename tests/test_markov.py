@@ -15,10 +15,14 @@ from gamescale.markov import (
     env_value,
     learner_value,
     payoff_sweep,
-    rollout_value,
     verify_dominance,
 )
-from oracles import learner_value_for_policy, rewalk_dominance, value_iteration_env_response
+from oracles import (
+    learner_value_for_policy,
+    rewalk_dominance,
+    rollout_value,
+    value_iteration_env_response,
+)
 
 
 def enumerate_env_optimum(game: MarkovChainGame, p_bar: float) -> tuple[np.ndarray, np.ndarray]:

@@ -65,7 +65,7 @@ def test_bayes_matches_exhaustive_classifier_search():
     dist = DiscreteDistribution((2, 2), probs)
     clf = bayes_classifier(dist)
     best = min(
-        zero_one_loss(Classifier(np.array(labels), "full"), dist)
+        zero_one_loss(Classifier(np.array(labels)), dist)
         for labels in itertools.product(range(2), repeat=4)
     )
     assert zero_one_loss(clf, dist) == pytest.approx(best, abs=1e-15)
@@ -90,14 +90,14 @@ def test_loss_matches_direct_enumeration():
         for y in range(3)
         if y != labels[cell]
     )
-    assert zero_one_loss(Classifier(labels, "full"), dist) == pytest.approx(direct)
+    assert zero_one_loss(Classifier(labels), dist) == pytest.approx(direct)
 
 
 def test_cellwise_optimality_detects_improvement():
     base, phi = default_instance()
     clf = bayes_classifier(base)
     assert is_cellwise_optimal(clf, base)
-    worse = Classifier(clf.labels.copy(), "full")
+    worse = Classifier(clf.labels.copy())
     worse.labels[0] = (worse.labels[0] + 1) % base.n_labels
     assert not is_cellwise_optimal(worse, base)
     restricted = bayes_classifier(base, phi)
@@ -140,7 +140,7 @@ def test_protected_use_ignores_zero_mass_cells():
     dist = DiscreteDistribution((2, 2), probs)
     phi = FeatureMap((2, 2), retained=(0,))
     labels = np.array([0, 1, 1, 0])  # differs on the zero-mass t=1 cells only
-    assert not uses_protected_features(Classifier(labels, "full"), dist, phi)
+    assert not uses_protected_features(Classifier(labels), dist, phi)
 
 
 def test_tv_distance_basic():

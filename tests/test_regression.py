@@ -11,15 +11,12 @@ from gamescale.regression import (
     large_model_env_objective,
     large_model_equilibrium,
     large_model_learner_loss,
-    mc_env_prediction,
-    mc_gaussian_integrals,
-    mc_least_squares,
-    mc_model_loss,
     small_model_best_theta,
     small_model_env_objective,
     small_model_equilibrium,
     small_model_loss,
 )
+from oracles import mc_env_prediction, mc_gaussian_integrals, mc_least_squares, mc_model_loss
 
 INSTANCE = RegressionInstance(np.array([1.0, 0.0]))
 
