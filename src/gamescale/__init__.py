@@ -28,7 +28,6 @@ from .core import (
 from .equilibrium import (
     EquilibriumReport,
     PsgdTrace,
-    RegimeInputs,
     best_response,
     nash_report,
     nash_residual,
@@ -64,7 +63,6 @@ __all__ = [
     "ModelClassLadder",
     "Product",
     "PsgdTrace",
-    "RegimeInputs",
     "RestrictionCertificate",
     "SelectionReport",
     "UnboundedSetError",

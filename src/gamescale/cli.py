@@ -29,8 +29,8 @@ from .instances import (
     nested_box_ladder,
     restriction_instance,
     selection_arms,
-    stackelberg_scaling_factory,
-    stationary_scaling_factory,
+    stackelberg_scaling_game,
+    stationary_scaling_game,
     zero_sum_instance,
 )
 from .markov import build_chain_game, payoff_sweep
@@ -116,6 +116,7 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> Pa
 
 @dataclass
 class PlotSpec:
+    file: str
     x: str
     ys: Sequence[str]
     title: str
@@ -126,24 +127,31 @@ class PlotSpec:
     vlines: Sequence[tuple[float, str]] = ()
 
 
-def emit_plot(csv_path: Path, spec: PlotSpec, out_path: Path) -> Path:
-    """Static chart from CSV columns; missing columns or empty data fail."""
-    with Path(csv_path).open() as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise ConfigError(f"{csv_path}: no data rows to plot")
-    missing = [c for c in (spec.x, *spec.ys) if c not in rows[0]]
-    if missing:
-        raise ConfigError(f"{csv_path}: missing columns {missing}")
-    xs = [float(r[spec.x]) for r in rows]
+def emit_plot(
+    header: Sequence[str], rows: Sequence[Sequence], spec: PlotSpec, out_path: Path
+) -> Path:
+    """Chart of the spec's columns of a table; an unknown column or no rows raise ValueError."""
+
+    def column(name: str) -> list[float]:
+        j = list(header).index(name)
+        return [float(row[j]) for row in rows]
+
+    xs = column(spec.x)
     series = [
-        Series(name=col, x=xs, y=[float(r[col]) for r in rows], step=spec.step, markers=spec.markers)
+        Series(name=col, x=xs, y=column(col), step=spec.step, markers=spec.markers)
         for col in spec.ys
     ]
     out_path.write_text(
         line_chart(series, spec.title, spec.x_label, spec.y_label, vlines=list(spec.vlines))
     )
     return out_path
+
+
+def write_table(
+    path: Path, header: Sequence[str], rows: Sequence[Sequence], plot: PlotSpec
+) -> list[Path]:
+    """Write the table as CSV and its chart next to it."""
+    return [write_csv(path, header, rows), emit_plot(header, rows, plot, path.parent / plot.file)]
 
 
 def _sha256(path: Path) -> str:
@@ -180,15 +188,13 @@ def run_psgd(params: dict, out_dir: Path) -> list[Path]:
     """averaged stochastic gradient Nash estimation"""
     bench = coupled_quadratic(sigma=params["sigma"])
     game = bench.game
+    x0 = JointAction(np.zeros(1), np.zeros(1))
     rows = []
     summary = []
     for h_idx, horizon in enumerate(params["horizons"]):
         gaps, residuals = [], []
         for s in range(params["n_seeds"]):
             rng = np.random.default_rng([params["seed"], h_idx, s])
-            x0 = JointAction(
-                bench.learner_set.project(np.zeros(1)), bench.env_set.project(np.zeros(1))
-            )
             trace = psgd_nash(game, bench.learner_set, bench.env_set, x0, horizon, rng)
             avg = trace.averaged_point
             gap = abs(float(game.loss_learner(avg.theta, avg.env)) - bench.nash_learner_loss)
@@ -197,18 +203,14 @@ def run_psgd(params: dict, out_dir: Path) -> list[Path]:
             residuals.append(res)
             rows.append((horizon, s, gap, res))
         summary.append((horizon, float(np.mean(gaps)), float(np.mean(residuals))))
-    out = [
+    return [
         write_csv(out_dir / "psgd.csv", ["horizon", "seed", "f_l_gap", "nash_residual"], rows),
-        write_csv(
+        *write_table(
             out_dir / "psgd_summary.csv",
             ["horizon", "mean_f_l_gap", "mean_nash_residual"],
             summary,
-        ),
-    ]
-    out.append(
-        emit_plot(
-            out[1],
             PlotSpec(
+                file="psgd.svg",
                 x="horizon",
                 ys=["mean_f_l_gap"],
                 title="Averaged-iterate loss gap vs horizon",
@@ -216,19 +218,18 @@ def run_psgd(params: dict, out_dir: Path) -> list[Path]:
                 y_label="mean |f_l(avg) - f_l(nash)|",
                 markers=True,
             ),
-            out_dir / "psgd.svg",
-        )
-    )
-    return out
+        ),
+    ]
 
 
 def run_select(params: dict, out_dir: Path) -> list[Path]:
     """successive elimination over model classes"""
-    arms, factory = selection_arms(params["losses"], sigma=params["sigma"])
+    arms, game, env_set = selection_arms(params["losses"], sigma=params["sigma"])
     rng = np.random.default_rng([params["seed"]])
     report = successive_elimination(
         arms,
-        factory,
+        game,
+        env_set,
         delta=params["delta"],
         alpha=params["alpha"],
         rng=rng,
@@ -288,28 +289,20 @@ def run_markov(params: dict, out_dir: Path) -> list[Path]:
         (eq.p_bar, eq.learner_value, eq.env_value, eq.absorbing_state, params["gamma"])
         for eq in payoff_sweep(game, grid)
     ]
-    out = [
-        write_csv(
-            out_dir / "markov_sweep.csv",
-            ["p_bar", "learner_value", "env_value", "absorbing_state", "gamma"],
-            rows,
-        )
-    ]
-    out.append(
-        emit_plot(
-            out[0],
-            PlotSpec(
-                x="p_bar",
-                ys=["learner_value"],
-                title=f"Chain game: learner value vs policy cap (n={params['n']})",
-                x_label="policy cap p_bar",
-                y_label="equilibrium learner value",
-                step=True,
-            ),
-            out_dir / "markov_sweep.svg",
-        )
+    return write_table(
+        out_dir / "markov_sweep.csv",
+        ["p_bar", "learner_value", "env_value", "absorbing_state", "gamma"],
+        rows,
+        PlotSpec(
+            file="markov_sweep.svg",
+            x="p_bar",
+            ys=["learner_value"],
+            title=f"Chain game: learner value vs policy cap (n={params['n']})",
+            x_label="policy cap p_bar",
+            y_label="equilibrium learner value",
+            step=True,
+        ),
     )
-    return out
 
 
 def run_regression(params: dict, out_dir: Path) -> list[Path]:
@@ -342,11 +335,23 @@ def run_regression(params: dict, out_dir: Path) -> list[Path]:
             comparison.large.learner_loss - comparison.small.learner_loss,
         )
     ]
-    out = [
-        write_csv(
+    return [
+        *write_table(
             out_dir / "regression_curve.csv",
             ["k", "small_loss", "large_loss", "env_obj_small", "env_obj_large"],
             curve_rows,
+            PlotSpec(
+                file="regression_curve.svg",
+                x="k",
+                ys=["small_loss", "large_loss"],
+                title="Best-response losses vs shift magnitude",
+                x_label="shift magnitude k",
+                y_label="learner loss",
+                vlines=[
+                    (comparison.small.k_star, "#1f77b4"),
+                    (comparison.large.k_star, "#d62728"),
+                ],
+            ),
         ),
         write_csv(
             out_dir / "regression_equilibrium.csv",
@@ -359,24 +364,6 @@ def run_regression(params: dict, out_dir: Path) -> list[Path]:
             summary_rows,
         ),
     ]
-    out.append(
-        emit_plot(
-            out[0],
-            PlotSpec(
-                x="k",
-                ys=["small_loss", "large_loss"],
-                title="Best-response losses vs shift magnitude",
-                x_label="shift magnitude k",
-                y_label="learner loss",
-                vlines=[
-                    (comparison.small.k_star, "#1f77b4"),
-                    (comparison.large.k_star, "#d62728"),
-                ],
-            ),
-            out_dir / "regression_curve.svg",
-        )
-    )
-    return out
 
 
 def run_participation(params: dict, out_dir: Path) -> list[Path]:
@@ -393,28 +380,20 @@ def run_participation(params: dict, out_dir: Path) -> list[Path]:
         rows.append(
             (alpha, full.loss, restricted.loss, threshold, full.loss > restricted.loss)
         )
-    out = [
-        write_csv(
-            out_dir / "participation_sweep.csv",
-            ["alpha", "full_loss", "restricted_loss", "threshold", "reverse_scaling_flag"],
-            rows,
-        )
-    ]
-    out.append(
-        emit_plot(
-            out[0],
-            PlotSpec(
-                x="alpha",
-                ys=["full_loss", "restricted_loss"],
-                title="Participation game: equilibrium losses vs alpha",
-                x_label="manipulating fraction alpha",
-                y_label="zero-one loss",
-                markers=True,
-            ),
-            out_dir / "participation_sweep.svg",
-        )
+    return write_table(
+        out_dir / "participation_sweep.csv",
+        ["alpha", "full_loss", "restricted_loss", "threshold", "reverse_scaling_flag"],
+        rows,
+        PlotSpec(
+            file="participation_sweep.svg",
+            x="alpha",
+            ys=["full_loss", "restricted_loss"],
+            title="Participation game: equilibrium losses vs alpha",
+            x_label="manipulating fraction alpha",
+            y_label="zero-one loss",
+            markers=True,
+        ),
     )
-    return out
 
 
 def run_scaling_curve(params: dict, out_dir: Path) -> list[Path]:
@@ -424,38 +403,29 @@ def run_scaling_curve(params: dict, out_dir: Path) -> list[Path]:
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError("radii must be strictly increasing (small class first)")
     if regime == "stationary":
-        ladder = nested_box_ladder(radii, dim=2)
-        factory = stationary_scaling_factory(np.array([2.0, 0.0]))
+        game = stationary_scaling_game(np.array([2.0, 0.0]))
+        curve = scaling_curve(game, nested_box_ladder(radii, dim=2), regime)
     else:
-        ladder = nested_box_ladder(radii, dim=1)
-        factory = stackelberg_scaling_factory()
-    curve = scaling_curve(factory, ladder, regime)
+        game, env_set = stackelberg_scaling_game()
+        curve = scaling_curve(game, nested_box_ladder(radii, dim=1), regime, env_set=env_set)
     rows = [
         (k, radii[k], rep.loss_learner, rep.loss_env, rep.nash_residual, rep.regime, rep.certified)
         for k, rep in curve
     ]
-    out = [
-        write_csv(
-            out_dir / "scaling_curve.csv",
-            ["class_index", "radius", "learner_loss", "env_loss", "nash_residual", "regime", "certified"],
-            rows,
-        )
-    ]
-    out.append(
-        emit_plot(
-            out[0],
-            PlotSpec(
-                x="class_index",
-                ys=["learner_loss"],
-                title=f"Learner loss across the ladder ({regime})",
-                x_label="model class index",
-                y_label="equilibrium learner loss",
-                markers=True,
-            ),
-            out_dir / "scaling_curve.svg",
-        )
+    return write_table(
+        out_dir / "scaling_curve.csv",
+        ["class_index", "radius", "learner_loss", "env_loss", "nash_residual", "regime", "certified"],
+        rows,
+        PlotSpec(
+            file="scaling_curve.svg",
+            x="class_index",
+            ys=["learner_loss"],
+            title=f"Learner loss across the ladder ({regime})",
+            x_label="model class index",
+            y_label="equilibrium learner loss",
+            markers=True,
+        ),
     )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ def stationary_optimum(
 ) -> EquilibriumReport:
     """Minimize the learner loss against a single fixed environment action."""
     e = np.asarray(fixed_env, dtype=float)
-    theta0 = model_class.project(np.zeros(game.dim_learner))
+    theta0 = np.zeros(game.dim_learner)
     theta, iters, residual = _projected_descent(
         lambda t: game.grad_l(t, e), model_class, theta0, 1.0 / game.lipschitz, 1e-8, 200_000
     )
@@ -117,7 +117,7 @@ def best_response(
         grad = lambda e: game.grad_e(opp, e)
     else:
         raise ValueError(f"unknown player {player!r}")
-    x0 = own_set.project(np.zeros(own_set.dimension))
+    x0 = np.zeros(own_set.dimension)
     x, _, _ = _projected_descent(grad, own_set, x0, 1.0 / game.lipschitz, tol, 200_000)
     return x
 
@@ -379,41 +379,30 @@ def pareto_improvement_search(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class RegimeInputs:
-    """Per-class inputs produced by a scaling-curve game factory."""
-
-    game: GameSpec
-    env_set: Optional[ActionSet] = None
-    fixed_env: Optional[np.ndarray] = None
-
-
 def scaling_curve(
-    game_factory: Callable[[ActionSet], RegimeInputs],
+    game: GameSpec,
     ladder: ModelClassLadder,
     regime: str,
+    env_set: Optional[ActionSet] = None,
 ) -> list[tuple[int, EquilibriumReport]]:
     """Equilibrium per ladder class under one interaction regime.
 
-    The learner-loss sequence is non-increasing in class index for the
-    stationary and learner-leading Stackelberg regimes; the Nash regime can
-    break monotonicity, which is the phenomenon under study.
+    The stationary regime plays each class against the zero environment
+    action; the others against env_set. The learner-loss sequence is non-increasing in class
+    index for the stationary and learner-leading Stackelberg regimes; the
+    Nash regime can break monotonicity, which is the phenomenon under study.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     out = []
     for k, cls in enumerate(ladder):
-        inputs = game_factory(cls)
-        game = inputs.game
         if regime == "stationary":
-            if inputs.fixed_env is None:
-                raise ValueError("stationary regime needs fixed_env")
-            report = stationary_optimum(game, cls, inputs.fixed_env)
+            report = stationary_optimum(game, cls, np.zeros(game.dim_env))
         elif regime == "stackelberg_leader":
-            report = stackelberg_leader(game, "learner", cls, inputs.env_set)
+            report = stackelberg_leader(game, "learner", cls, env_set)
         elif regime == "stackelberg_follower":
-            report = stackelberg_leader(game, "env", inputs.env_set, cls)
+            report = stackelberg_leader(game, "env", env_set, cls)
         else:
-            report = nash_report(game, cls, inputs.env_set, tol=1e-9)
+            report = nash_report(game, cls, env_set, tol=1e-9)
         out.append((k, report))
     return out

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ActionSet, Box, GameSpec, JointAction, ModelClassLadder, box_1d
-from .equilibrium import RegimeInputs
-from .selection import ArmFactory
 
 
 @dataclass(eq=False)
@@ -100,24 +98,18 @@ def decoupled_quadratic(sigma: float = 0.0) -> GameSpec:
 
 def selection_arms(
     nash_losses: list[float], sigma: float = 0.5
-) -> tuple[list[ActionSet], ArmFactory]:
+) -> tuple[list[ActionSet], GameSpec, ActionSet]:
     """Arms with prescribed Nash learner losses on the decoupled quadratic.
 
     Arm i is the interval [a_i, a_i + 1] with a_i = sqrt(2 * loss_i); the
     per-class Nash is theta = a_i, e = 0, with learner loss exactly loss_i.
+    Returns the arms, the game and the environment set they share.
     """
     if not all(0.0 <= loss < math.inf for loss in nash_losses):
         raise ValueError(f"losses must be finite and nonnegative, got {nash_losses}")
     offsets = [math.sqrt(2.0 * loss) for loss in nash_losses]
     arms: list[ActionSet] = [box_1d(a, a + 1.0) for a in offsets]
-    env_set = box_1d(-1.0, 1.0)
-    game = decoupled_quadratic(sigma)
-
-    def factory(action_set: ActionSet) -> tuple[GameSpec, ActionSet, JointAction]:
-        x0 = JointAction(action_set.project(np.zeros(1)), env_set.project(np.zeros(1)))
-        return game, env_set, x0
-
-    return arms, factory
+    return arms, decoupled_quadratic(sigma), box_1d(-1.0, 1.0)
 
 
 def nested_box_ladder(radii: list[float], dim: int = 1) -> ModelClassLadder:
@@ -125,12 +117,12 @@ def nested_box_ladder(radii: list[float], dim: int = 1) -> ModelClassLadder:
     return ModelClassLadder([Box(-r * np.ones(dim), r * np.ones(dim)) for r in radii])
 
 
-def stationary_scaling_factory(target: np.ndarray):
-    """Stationary-regime factory: f_l = |theta - target|^2 / 2 with a pinned
+def stationary_scaling_game(target: np.ndarray) -> GameSpec:
+    """Stationary-regime game: f_l = |theta - target|^2 / 2 against a pinned
     environment; larger classes reach closer to the target."""
     target = np.asarray(target, dtype=float)
     dim = target.shape[0]
-    game = GameSpec(
+    return GameSpec(
         dim_learner=dim,
         dim_env=1,
         loss_learner=lambda t, e: 0.5 * float((t - target) @ (t - target)),
@@ -141,16 +133,11 @@ def stationary_scaling_factory(target: np.ndarray):
         lipschitz=1.0,
     )
 
-    def factory(action_set: ActionSet) -> RegimeInputs:
-        return RegimeInputs(game=game, fixed_env=np.zeros(1))
 
-    return factory
-
-
-def stackelberg_scaling_factory():
-    """Learner-leads factory on a tracking game: f_l = (theta-2)^2/2 + theta e,
-    f_e = (e-theta)^2/2, so the committed objective is (theta-2)^2/2 + theta^2
-    with unconstrained minimum at theta = 2/3 (loss 4/3)."""
+def stackelberg_scaling_game() -> tuple[GameSpec, ActionSet]:
+    """Learner-leads tracking game and its environment set: f_l = (theta-2)^2/2
+    + theta e, f_e = (e-theta)^2/2, so the committed objective is
+    (theta-2)^2/2 + theta^2 with unconstrained minimum at theta = 2/3 (loss 4/3)."""
     game = GameSpec(
         dim_learner=1,
         dim_env=1,
@@ -161,10 +148,4 @@ def stackelberg_scaling_factory():
         mu=1.0,
         lipschitz=2.0,
     )
-    env_set = box_1d(-4.0, 4.0)
-
-    def factory(action_set: ActionSet) -> RegimeInputs:
-        return RegimeInputs(game=game, env_set=env_set)
-
-    return factory
-
+    return game, box_1d(-4.0, 4.0)

@@ -76,11 +76,12 @@ def build_chain_game(
     Learner rewards: action 0 pays the 1-based state index, action 1 one
     less, for every environment action. Environment rewards: staying pays 1
     when the learner plays 0 and 0 otherwise (expected stay reward p);
-    advancing pays a state constant w_i chosen by a backward sweep so the
-    advance-vs-stay indifference point equals the state's threshold. Staying
-    at state i means staying forever, so its value is p/(1-gamma_e) and the
-    advance condition p < p*_i holds exactly: the gap is strictly decreasing
-    in p because every downstream value slope is at most 1/(1-gamma_e).
+    advancing pays w_i = p*_i. Staying at state i means staying forever, worth
+    p/(1-gamma_e); thresholds decrease, so at p = p*_i the environment stays at
+    state i + 1 too, and advancing is worth w_i + gamma_e p/(1-gamma_e): the
+    two tie exactly at the threshold. The advance condition p < p*_i holds
+    exactly: the gap is strictly decreasing in p because every downstream
+    value slope is at most 1/(1-gamma_e).
     """
     if n < 1:
         raise ValueError("the chain needs at least one state")
@@ -100,11 +101,9 @@ def build_chain_game(
     if thresholds is None:
         thresholds = default_thresholds(n)
     game = MarkovChainGame(n, learner_rewards, env_rewards, gamma_l, gamma_e, thresholds)
-    for i in range(n - 2, -1, -1):
-        # the env value from state i + 1 reads only the rows already calibrated
-        p_star = game.thresholds[i]
-        _, values = env_best_response_mdp(game, p_star)
-        game.env_rewards[i, :, 1] = p_star / (1.0 - gamma_e) - gamma_e * values[i + 1]
+    # p*_i in exact arithmetic; the indifference equation term by term fixes the last bits
+    stay = game.thresholds[:-1] / (1.0 - gamma_e)
+    game.env_rewards[:-1, :, 1] = (stay - gamma_e * stay)[:, None]
     if verify:
         _verify_calibration(game)
     return game

@@ -193,8 +193,6 @@ class FixedPointCertificate:
 @dataclass(eq=False)
 class EquilibriumOutcome:
     model_class: str
-    classifier: Classifier
-    distribution: DiscreteDistribution
     loss: float
     certificate: FixedPointCertificate
     tv_to_base: float
@@ -238,8 +236,6 @@ def equilibrium_pair(
         raise ValueError(f"unknown model class {model_class!r}")
     return EquilibriumOutcome(
         model_class=model_class,
-        classifier=classifier,
-        distribution=dist,
         loss=zero_one_loss(classifier, dist),
         certificate=certificate,
         tv_to_base=tv_distance(dist, base),

@@ -153,20 +153,18 @@ def delta_search(
 
 def construct_restriction(
     game: GameSpec,
-    theta_star: np.ndarray,
     theta_prime: np.ndarray,
+    e_prime: np.ndarray,
     v: np.ndarray,
     learner_set: ActionSet,
-    env_set: ActionSet,
 ) -> Intersection:
     """Cut the learner set with the two halfspaces that pin theta' as Nash.
 
     The first halfspace {<v, theta> <= <v, theta'>} removes theta*; the
-    second, with normal along the negative learner gradient at the new point,
-    makes theta' a best response to BR(theta') over the whole cut.
+    second, with normal along the negative learner gradient at (theta', e'),
+    makes theta' a best response to e' = BR(theta') over the whole cut.
     """
     theta_prime = np.asarray(theta_prime, dtype=float)
-    e_prime = best_response(game, "env", theta_prime, env_set, tol=BR_SOLVE_TOL)
     grad_at_prime = game.grad_l(theta_prime, e_prime)
     first = Halfspace(v, float(v @ theta_prime))
     second = Halfspace(-grad_at_prime, float(-grad_at_prime @ theta_prime))
@@ -219,8 +217,8 @@ def certify_restriction(
         raise RestrictionStageError("delta_search", str(exc)) from exc
 
     theta_prime = x_star.theta - delta * v
-    restricted_set = construct_restriction(game, x_star.theta, theta_prime, v, learner_set, env_set)
     e_prime = best_response(game, "env", theta_prime, env_set, tol=BR_SOLVE_TOL)
+    restricted_set = construct_restriction(game, theta_prime, e_prime, v, learner_set)
     restricted_point = JointAction(theta_prime, e_prime)
 
     if not restricted_set.contains(theta_prime, tol=1e-9):

@@ -9,15 +9,13 @@ confidence interval is strictly dominated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import ActionSet, GameSpec, JointAction, ModelClassLadder
 from .equilibrium import psgd_nash
-
-ArmFactory = Callable[[ActionSet], tuple[GameSpec, ActionSet, JointAction]]
 
 
 def confidence_radius(L: float, mu: float, T: int, delta: float, scale: float = 1.0) -> float:
@@ -76,12 +74,13 @@ class SelectionReport:
     elimination_log: list[tuple[int, int, float]]
     evaluations: list[EpochRecord]
     delta: float
-    arms: list[ArmState] = field(default_factory=list)
+    arms: list[ArmState]
 
 
 def successive_elimination(
     arms: Sequence[ActionSet] | ModelClassLadder,
-    game_factory: ArmFactory,
+    game: GameSpec,
+    env_set: ActionSet,
     delta: float,
     alpha: float,
     rng: np.random.Generator,
@@ -91,6 +90,7 @@ def successive_elimination(
 ) -> SelectionReport:
     """Identify the arm with the best equilibrium learner loss.
 
+    All arms share one game and environment set; every run starts at the origin.
     Epoch tau uses horizon T = ceil(alpha * 2^tau) and per-test failure budget
     delta' = delta / (2 n T^2). Arm i is eliminated once some arm j satisfies
     f_j + U(T, delta') < f_i - U(T, delta') on the current epoch's fresh
@@ -106,9 +106,7 @@ def successive_elimination(
     sets = list(arms)
     n = len(sets)
     states = [ArmState(i, s) for i, s in enumerate(sets)]
-    inputs = [game_factory(s) for s in sets]
-    lipschitz = max(game.lipschitz for game, _, _ in inputs)
-    mu = min(game.mu for game, _, _ in inputs)
+    x0 = JointAction(np.zeros(game.dim_learner), np.zeros(game.dim_env))
 
     total_steps = 0
     epochs = 0
@@ -123,10 +121,9 @@ def successive_elimination(
             inconclusive = True
             break
         delta_prime = delta / (2.0 * n * horizon * horizon)
-        radius = confidence_radius(lipschitz, mu, horizon, delta_prime, scale)
+        radius = confidence_radius(game.lipschitz, game.mu, horizon, delta_prime, scale)
         streams = rng.spawn(len(active))
         for state, stream in zip(active, streams):
-            game, env_set, x0 = inputs[state.class_index]
             trace = psgd_nash(game, state.action_set, env_set, x0, horizon, stream)
             avg = trace.averaged_point
             state.last_estimate = float(game.loss_learner(avg.theta, avg.env))

@@ -27,8 +27,6 @@ def _fmt(v: float) -> str:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        return [lo]
     return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 

@@ -14,8 +14,8 @@ from gamescale.instances import (
     nested_box_ladder,
     restriction_instance,
     selection_arms,
-    stackelberg_scaling_factory,
-    stationary_scaling_factory,
+    stackelberg_scaling_game,
+    stationary_scaling_game,
     zero_sum_instance,
 )
 from gamescale.cli import main
@@ -144,20 +144,20 @@ def test_criterion_3_psgd_rate():
 
 def test_criterion_4_successive_elimination():
     started = time.monotonic()
-    arms, factory = selection_arms([0.0, 0.25, 0.5, 1.0], sigma=0.5)
+    arms, game, env_set = selection_arms([0.0, 0.25, 0.5, 1.0], sigma=0.5)
     wins = 0
     for s in range(50):
         rep = successive_elimination(
-            arms, factory, delta=0.1, alpha=8.0, rng=np.random.default_rng([40, s]), scale=1.0
+            arms, game, env_set, delta=0.1, alpha=8.0, rng=np.random.default_rng([40, s]), scale=1.0
         )
         if rep.winner == 0:
             wins += 1
     steps = {}
     for gap in (0.25, 0.5, 1.0):
-        gap_arms, gap_factory = selection_arms([0.0, gap, 2 * gap, 4 * gap], sigma=0.5)
+        gap_arms, game, env_set = selection_arms([0.0, gap, 2 * gap, 4 * gap], sigma=0.5)
         totals = [
             successive_elimination(
-                gap_arms, gap_factory, delta=0.1, alpha=8.0,
+                gap_arms, game, env_set, delta=0.1, alpha=8.0,
                 rng=np.random.default_rng([41, int(gap * 100), s]), scale=1.0,
             ).total_steps
             for s in range(10)
@@ -253,14 +253,16 @@ def test_criterion_8_monotone_regimes():
     started = time.monotonic()
     radii = [0.2, 0.4, 0.6, 0.8, 1.0]
     stationary = scaling_curve(
-        stationary_scaling_factory(np.array([2.0, 0.0])),
+        stationary_scaling_game(np.array([2.0, 0.0])),
         nested_box_ladder(radii, dim=2),
         "stationary",
     )
+    game, env_set = stackelberg_scaling_game()
     stackelberg = scaling_curve(
-        stackelberg_scaling_factory(),
+        game,
         nested_box_ladder(radii, dim=1),
         "stackelberg_leader",
+        env_set=env_set,
     )
     results = {}
     for name, curve in [("stationary", stationary), ("stackelberg_leader", stackelberg)]:

@@ -136,7 +136,7 @@ def test_psgd_run_small(tmp_path):
 
 
 def test_scaling_curve_runs_all_regimes(tmp_path):
-    for regime in ("stationary", "stackelberg_leader", "nash"):
+    for regime in ("stationary", "stackelberg_leader", "stackelberg_follower", "nash"):
         out = tmp_path / regime
         assert main(
             ["scaling-curve", "--regime", regime, "--radii", "0.25,0.5,1.0", "--out-dir", str(out)]
@@ -144,24 +144,19 @@ def test_scaling_curve_runs_all_regimes(tmp_path):
         rows = read_rows(out / "scaling_curve.csv")
         assert len(rows) == 3
         losses = [float(r["learner_loss"]) for r in rows]
-        if regime != "nash":
+        if regime in ("stationary", "stackelberg_leader"):
             assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
 
 def test_emit_plot_validates_columns(tmp_path):
-    data = tmp_path / "d.csv"
-    write_csv(data, ["x", "y"], [(0, 1.0), (1, 2.0)])
-    from gamescale.cli import ConfigError
-
-    with pytest.raises(ConfigError):
-        emit_plot(data, PlotSpec(x="x", ys=["missing"], title="", x_label="", y_label=""), tmp_path / "o.svg")
-    empty = tmp_path / "e.csv"
-    write_csv(empty, ["x", "y"], [])
-    with pytest.raises(ConfigError):
-        emit_plot(empty, PlotSpec(x="x", ys=["y"], title="", x_label="", y_label=""), tmp_path / "o.svg")
-    svg = emit_plot(
-        data, PlotSpec(x="x", ys=["y"], title="t", x_label="x", y_label="y"), tmp_path / "ok.svg"
-    )
+    # charts are drawn from the rows in memory: an unknown column or no rows
+    # raise ValueError (exit 2 from main); one row still draws a chart
+    spec = PlotSpec(file="o.svg", x="x", ys=["y"], title="t", x_label="x", y_label="y")
+    with pytest.raises(ValueError, match="'y' is not in list"):
+        emit_plot(["x", "z"], [(0, 1.0)], spec, tmp_path / "o.svg")
+    with pytest.raises(ValueError, match="no data to plot"):
+        emit_plot(["x", "y"], [], spec, tmp_path / "o.svg")
+    svg = emit_plot(["x", "y"], [(0, 1.0)], spec, tmp_path / "ok.svg")
     text = svg.read_text()
     assert text.startswith("<svg")
     assert "polyline" in text
@@ -224,6 +219,7 @@ BAD_VALUES = [
     (["markov", "--p-max", "1.5"], None, "p_max"),
     (["scaling-curve", "--regime", "bogus"], None, "regime"),
     (["restrict", "--instance", "bogus"], None, "instance"),
+    (["scaling-curve", "--radii", "1,0.5"], None, "radii"),
 ]
 
 

@@ -11,8 +11,8 @@ from gamescale.instances import (
     decoupled_quadratic,
     nested_box_ladder,
     restriction_instance,
-    stackelberg_scaling_factory,
-    stationary_scaling_factory,
+    stackelberg_scaling_game,
+    stationary_scaling_game,
     zero_sum_instance,
 )
 from gamescale.core import Box, GameSpec, JointAction, ModelClassLadder, box_1d
@@ -138,10 +138,9 @@ def test_stackelberg_env_leads_regression_game():
 
 
 def test_stackelberg_leader_advantage_over_nash():
-    factory = stackelberg_scaling_factory()
-    inputs = factory(box_1d(-1.0, 1.0))
-    leader = stackelberg_leader(inputs.game, "learner", box_1d(-1.0, 1.0), inputs.env_set)
-    nash = nash_report(inputs.game, box_1d(-1.0, 1.0), inputs.env_set)
+    game, env_set = stackelberg_scaling_game()
+    leader = stackelberg_leader(game, "learner", box_1d(-1.0, 1.0), env_set)
+    nash = nash_report(game, box_1d(-1.0, 1.0), env_set)
     assert leader.loss_learner <= nash.loss_learner + 1e-6
 
 
@@ -319,7 +318,7 @@ def test_oracles_agree_on_contractive_game():
 
 def test_scaling_curve_stationary_monotone():
     curve = scaling_curve(
-        stationary_scaling_factory(np.array([2.0, 0.0])),
+        stationary_scaling_game(np.array([2.0, 0.0])),
         nested_box_ladder([0.2, 0.4, 0.6, 0.8, 1.0], dim=2),
         "stationary",
     )
@@ -328,10 +327,12 @@ def test_scaling_curve_stationary_monotone():
 
 
 def test_scaling_curve_stackelberg_monotone():
+    game, env_set = stackelberg_scaling_game()
     curve = scaling_curve(
-        stackelberg_scaling_factory(),
+        game,
         nested_box_ladder([0.2, 0.4, 0.6, 0.8, 1.0], dim=1),
         "stackelberg_leader",
+        env_set=env_set,
     )
     losses = [rep.loss_learner for _, rep in curve]
     assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
@@ -344,13 +345,7 @@ def test_scaling_curve_nash_restriction_improves():
 
     cert = certify_restriction(bench.game, bench.learner_set, bench.env_set)
     ladder = ModelClassLadder([cert.restricted_set, bench.learner_set])
-    from gamescale.equilibrium import RegimeInputs
-
-    curve = scaling_curve(
-        lambda s: RegimeInputs(game=bench.game, env_set=bench.env_set),
-        ladder,
-        "nash",
-    )
+    curve = scaling_curve(bench.game, ladder, "nash", env_set=bench.env_set)
     restricted_loss = curve[0][1].loss_learner
     full_loss = curve[1][1].loss_learner
     assert restricted_loss < full_loss - 1e-4
@@ -358,7 +353,7 @@ def test_scaling_curve_nash_restriction_improves():
 
 def test_scaling_curve_single_class_trivial():
     curve = scaling_curve(
-        stationary_scaling_factory(np.array([2.0, 0.0])),
+        stationary_scaling_game(np.array([2.0, 0.0])),
         nested_box_ladder([0.5], dim=2),
         "stationary",
     )

@@ -10,6 +10,7 @@ from gamescale.cli import certificate_record
 from gamescale.core import Box, ConvergenceError, GameSpec, box_1d, central_difference
 from gamescale.equilibrium import best_response
 from gamescale.restriction import (
+    BR_SOLVE_TOL,
     BoundaryResponseError,
     HypothesisNotSatisfiedError,
     ParetoStationaryError,
@@ -235,9 +236,8 @@ def test_construct_restriction_membership():
     theta_star = np.array([0.0])
     theta_prime = np.array([-0.25])
     v = np.array([1.0])
-    restricted = construct_restriction(
-        bench.game, theta_star, theta_prime, v, bench.learner_set, bench.env_set
-    )
+    e_prime = best_response(bench.game, "env", theta_prime, bench.env_set, tol=BR_SOLVE_TOL)
+    restricted = construct_restriction(bench.game, theta_prime, e_prime, v, bench.learner_set)
     assert float(np.linalg.norm(theta_prime - restricted.project(theta_prime))) <= 1e-10
     assert float(np.linalg.norm(theta_star - restricted.project(theta_star))) > 1e-6
 
@@ -246,10 +246,8 @@ def test_construct_restriction_first_order_condition():
     bench = restriction_instance()
     theta_prime = np.array([-0.25])
     v = np.array([1.0])
-    restricted = construct_restriction(
-        bench.game, np.zeros(1), theta_prime, v, bench.learner_set, bench.env_set
-    )
     e_prime = best_response(bench.game, "env", theta_prime, bench.env_set, tol=1e-12)
+    restricted = construct_restriction(bench.game, theta_prime, e_prime, v, bench.learner_set)
     grad = bench.game.grad_l(theta_prime, e_prime)
     moved = restricted.project(theta_prime - grad)
     assert float(np.linalg.norm(moved - theta_prime)) <= 1e-9
@@ -270,9 +268,8 @@ def test_construct_restriction_axis_aligned_matches_hand_qp():
     learner_set = Box(-np.ones(2), np.ones(2))
     theta_prime = np.array([-0.5, 0.0])
     v = np.array([1.0, 0.0])
-    restricted = construct_restriction(
-        game, np.zeros(2), theta_prime, v, learner_set, ENV_BOX
-    )
+    e_prime = best_response(game, "env", theta_prime, ENV_BOX, tol=BR_SOLVE_TOL)
+    restricted = construct_restriction(game, theta_prime, e_prime, v, learner_set)
     # grad at theta' is (-1, 0): both halfspaces reduce to {theta_0 <= -0.5},
     # so the restricted set is the slab [-1, -0.5] x [-1, 1]
     for point, expected in [

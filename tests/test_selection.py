@@ -90,11 +90,11 @@ def test_gaps_empty_rejected():
 
 
 def test_two_arms_identify_best_in_most_runs():
-    arms, factory = selection_arms([0.0, 0.5], sigma=0.5)
+    arms, game, env_set = selection_arms([0.0, 0.5], sigma=0.5)
     wins = 0
     for s in range(50):
         report = successive_elimination(
-            arms, factory, delta=0.1, alpha=8.0, rng=np.random.default_rng([100, s])
+            arms, game, env_set, delta=0.1, alpha=8.0, rng=np.random.default_rng([100, s])
         )
         if report.winner == 0:
             wins += 1
@@ -102,9 +102,9 @@ def test_two_arms_identify_best_in_most_runs():
 
 
 def test_identical_arms_inconclusive_at_budget():
-    arms, factory = selection_arms([0.3, 0.3, 0.3], sigma=0.5)
+    arms, game, env_set = selection_arms([0.3, 0.3, 0.3], sigma=0.5)
     report = successive_elimination(
-        arms, factory, delta=0.1, alpha=8.0, rng=np.random.default_rng(1), max_total_steps=5_000
+        arms, game, env_set, delta=0.1, alpha=8.0, rng=np.random.default_rng(1), max_total_steps=5_000
     )
     assert report.inconclusive
     assert report.winner is None
@@ -112,9 +112,9 @@ def test_identical_arms_inconclusive_at_budget():
 
 
 def test_elimination_monotone_and_log_reconstructs_active_sets():
-    arms, factory = selection_arms([0.0, 0.25, 0.5, 1.0], sigma=0.5)
+    arms, game, env_set = selection_arms([0.0, 0.25, 0.5, 1.0], sigma=0.5)
     report = successive_elimination(
-        arms, factory, delta=0.1, alpha=8.0, rng=np.random.default_rng(2)
+        arms, game, env_set, delta=0.1, alpha=8.0, rng=np.random.default_rng(2)
     )
     assert report.winner == 0
     active = set(range(len(arms)))
@@ -133,27 +133,27 @@ def test_elimination_monotone_and_log_reconstructs_active_sets():
 
 
 def test_oracle_mode_identifies_after_first_epoch():
-    arms, factory = selection_arms([0.0, 0.5, 1.0], sigma=0.0)
+    arms, game, env_set = selection_arms([0.0, 0.5, 1.0], sigma=0.0)
     report = successive_elimination(
-        arms, factory, delta=0.1, alpha=8.0, rng=np.random.default_rng(3), scale=1e-12
+        arms, game, env_set, delta=0.1, alpha=8.0, rng=np.random.default_rng(3), scale=1e-12
     )
     assert report.winner == 0
     assert report.epochs == 1
 
 
 def test_maximize_flag_flips_direction():
-    arms, factory = selection_arms([0.0, 0.5], sigma=0.0)
+    arms, game, env_set = selection_arms([0.0, 0.5], sigma=0.0)
     report = successive_elimination(
-        arms, factory, delta=0.1, alpha=8.0, rng=np.random.default_rng(4),
+        arms, game, env_set, delta=0.1, alpha=8.0, rng=np.random.default_rng(4),
         scale=1e-12, maximize=True,
     )
     assert report.winner == 1
 
 
 def test_pulls_accumulate_and_arms_never_reactivate():
-    arms, factory = selection_arms([0.0, 1.0], sigma=0.5)
+    arms, game, env_set = selection_arms([0.0, 1.0], sigma=0.5)
     report = successive_elimination(
-        arms, factory, delta=0.1, alpha=8.0, rng=np.random.default_rng(5)
+        arms, game, env_set, delta=0.1, alpha=8.0, rng=np.random.default_rng(5)
     )
     loser = report.arms[1]
     assert not loser.active
@@ -164,11 +164,11 @@ def test_pulls_accumulate_and_arms_never_reactivate():
 def test_step_scaling_with_gap():
     steps = {}
     for gap in (0.25, 0.5, 1.0):
-        arms, factory = selection_arms([0.0, gap, 2 * gap, 4 * gap], sigma=0.5)
+        arms, game, env_set = selection_arms([0.0, gap, 2 * gap, 4 * gap], sigma=0.5)
         totals = []
         for s in range(5):
             report = successive_elimination(
-                arms, factory, delta=0.1, alpha=8.0, rng=np.random.default_rng([6, s])
+                arms, game, env_set, delta=0.1, alpha=8.0, rng=np.random.default_rng([6, s])
             )
             totals.append(report.total_steps)
         steps[gap] = float(np.mean(totals))
@@ -181,8 +181,8 @@ def test_step_scaling_with_gap():
 
 
 def test_invalid_parameters_rejected():
-    arms, factory = selection_arms([0.0, 0.5])
+    arms, game, env_set = selection_arms([0.0, 0.5])
     with pytest.raises(ValueError):
-        successive_elimination(arms, factory, delta=1.5, alpha=8.0, rng=np.random.default_rng(0))
+        successive_elimination(arms, game, env_set, delta=1.5, alpha=8.0, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        successive_elimination(arms, factory, delta=0.1, alpha=0.0, rng=np.random.default_rng(0))
+        successive_elimination(arms, game, env_set, delta=0.1, alpha=0.0, rng=np.random.default_rng(0))
