@@ -368,6 +368,9 @@ def run_regression(params: dict, out_dir: Path) -> list[Path]:
 
 def run_participation(params: dict, out_dir: Path) -> list[Path]:
     """participation dynamics alpha sweep"""
+    for key in ("alpha_min", "alpha_max"):
+        if not 0.0 <= params[key] <= 1.0:
+            raise ConfigError(f"{key} must lie in [0, 1], got {params[key]}")
     base, phi = default_instance()
     n_labels = base.n_labels
     threshold = alpha_threshold(base, phi, n_labels)

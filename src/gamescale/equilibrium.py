@@ -64,20 +64,42 @@ def _projected_descent(
     feasible: ActionSet,
     x0: np.ndarray,
     step: float,
+    adaptive: bool,
     tol: float,
     max_iters: int,
 ) -> tuple[np.ndarray, int, float]:
     """Projected gradient descent to unit-step natural residual <= tol.
 
+    With adaptive=False every step is `step`. With adaptive=True (grad must be
+    the gradient of a convex function) `step` = 1/L is only the first step;
+    later ones follow Malitsky & Mishchenko, "Adaptive Gradient Descent without
+    Descent" (ICML 2020): the smaller of sqrt(1 + theta) times the last step
+    (theta the ratio of the last two steps) and |dx| / (2 |dg|), the inverse
+    local curvature along the last move; 1/L where the gradient did not change.
+
+    Each iteration projects once. |x - P(x - t g)| is nondecreasing in t and
+    |x - P(x - t g)| / t is nonincreasing, so min(1, 1/step) |x - x_next|
+    bounds the unit-step residual from below; the residual (a second
+    projection) is evaluated only when that bound reaches tol.
     Returns the final point, the iteration count and the residual there.
     """
     x = feasible.project(np.asarray(x0, dtype=float))
+    lam, theta = step, math.inf
     for it in range(1, max_iters + 1):
         g = grad(x)
-        residual = natural_residual(x, feasible, g)
-        if residual <= tol:
-            return x, it, residual
-        x = feasible.project(x - step * g)
+        if adaptive and it > 1:
+            dg = float(np.linalg.norm(g - g_prev))
+            curvature_step = math.sqrt(dx2) / (2.0 * dg) if dg > 0.0 else step
+            lam, lam_prev = min(math.sqrt(1.0 + theta) * lam, curvature_step), lam
+            theta = lam / lam_prev
+        x_next = feasible.project(x - lam * g)
+        d = x - x_next
+        dx2 = float(d @ d)
+        if min(1.0, 1.0 / lam) * math.sqrt(dx2) <= tol * (1.0 + 1e-9):
+            residual = natural_residual(x, feasible, g)
+            if residual <= tol:
+                return x, it, residual
+        x, g_prev = x_next, g
     raise ConvergenceError(f"projected descent: residual > {tol} after {max_iters} iterations")
 
 
@@ -90,7 +112,7 @@ def stationary_optimum(
     e = np.asarray(fixed_env, dtype=float)
     theta0 = np.zeros(game.dim_learner)
     theta, iters, residual = _projected_descent(
-        lambda t: game.grad_l(t, e), model_class, theta0, 1.0 / game.lipschitz, 1e-8, 200_000
+        lambda t: game.grad_l(t, e), model_class, theta0, 1.0 / game.lipschitz, True, 1e-8, 200_000
     )
     return EquilibriumReport(
         regime="stationary",
@@ -118,7 +140,7 @@ def best_response(
     else:
         raise ValueError(f"unknown player {player!r}")
     x0 = np.zeros(own_set.dimension)
-    x, _, _ = _projected_descent(grad, own_set, x0, 1.0 / game.lipschitz, tol, 200_000)
+    x, _, _ = _projected_descent(grad, own_set, x0, 1.0 / game.lipschitz, True, tol, 200_000)
     return x
 
 
@@ -312,6 +334,7 @@ def solve_nash(
         joint_set,
         np.zeros(joint_set.dimension),
         game.mu / (game.lipschitz**2),
+        False,
         tol,
         500_000,
     )

@@ -24,8 +24,14 @@ class RegressionInstance:
 
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=float)
-        if self.beta.ndim != 1 or float(np.linalg.norm(self.beta)) == 0.0:
+        if self.beta.ndim != 1:
             raise ValueError("beta must be a nonzero vector")
+        with np.errstate(over="ignore"):
+            squared_norm = float(self.beta @ self.beta)
+        if squared_norm == 0.0:
+            raise ValueError("beta must be a nonzero vector")
+        if not math.isfinite(squared_norm):
+            raise ValueError(f"beta must have a finite |beta|^2, got {squared_norm}")
         if self.k_range[0] > self.k_range[1]:
             raise ValueError("empty k range")
 

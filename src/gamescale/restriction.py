@@ -77,15 +77,16 @@ class RestrictionCertificate:
     restricted_residual: float
 
 
-def br_jacobian(game: GameSpec, theta: np.ndarray, env_set: ActionSet) -> np.ndarray:
+def br_jacobian(
+    game: GameSpec, theta: np.ndarray, env_set: ActionSet, base: np.ndarray
+) -> np.ndarray:
     """Central-difference Jacobian of the environment's best-response map.
 
-    Entry (i, j) is d BR_i / d theta_j. The base best response must be
-    interior to the environment set; on the boundary the map can be kinked
-    and the finite differences are not trusted.
+    Entry (i, j) is d BR_i / d theta_j. `base` is BR(theta), solved at
+    BR_SOLVE_TOL; it must be interior to the environment set, since on the
+    boundary the map can be kinked and the finite differences are not trusted.
     """
     theta = np.asarray(theta, dtype=float)
-    base = best_response(game, "env", theta, env_set, tol=BR_SOLVE_TOL)
     if not env_set.is_interior(base, margin=FD_STEP):
         raise BoundaryResponseError("best response on the boundary of the environment set")
     jac = np.zeros((game.dim_env, game.dim_learner))
@@ -104,15 +105,17 @@ def composed_loss(game: GameSpec, theta: np.ndarray, env_set: ActionSet) -> floa
     return float(game.loss_learner(theta, e))
 
 
-def fbar_gradient(game: GameSpec, theta: np.ndarray, env_set: ActionSet) -> np.ndarray:
-    """Gradient of theta -> f_l(theta, BR(theta)) by the chain rule.
+def fbar_gradient(
+    game: GameSpec, theta: np.ndarray, env_set: ActionSet, e: np.ndarray
+) -> np.ndarray:
+    """Gradient of theta -> f_l(theta, BR(theta)) by the chain rule, given
+    e = BR(theta) solved at BR_SOLVE_TOL.
 
     The cross gradient of the learner loss in the environment action is not
     part of the game oracle, so it is finite-differenced.
     """
     theta = np.asarray(theta, dtype=float)
-    e = best_response(game, "env", theta, env_set, tol=BR_SOLVE_TOL)
-    jac = br_jacobian(game, theta, env_set)
+    jac = br_jacobian(game, theta, env_set, e)
     grad_cross = central_difference(lambda ee: game.loss_learner(theta, ee), e, FD_STEP)
     return game.grad_l(theta, e) + jac.T @ grad_cross
 
@@ -131,16 +134,16 @@ def delta_search(
     v: np.ndarray,
     env_set: ActionSet,
     learner_set: ActionSet,
+    reference: float,
 ) -> float:
     """Backtracking step: first delta with a certified composed-loss drop.
 
     Halves delta from 1, at most 60 times, until theta* - delta v is
-    interior to the learner set and
-    f_l(theta', BR(theta')) < f_l(theta*, BR(theta*)) - 1e-10.
+    interior to the learner set and f_l(theta', BR(theta')) < reference - 1e-10,
+    where reference = f_l(theta*, BR(theta*)).
     Terminates for smooth games because the first-order term dominates.
     """
     theta_star = np.asarray(theta_star, dtype=float)
-    reference = composed_loss(game, theta_star, env_set)
     delta = 1.0
     for _ in range(60):
         cand = theta_star - delta * v
@@ -209,10 +212,13 @@ def certify_restriction(
             "no Pareto-improving joint action found: Nash appears Pareto optimal"
         )
 
-    grad_fbar = fbar_gradient(game, x_star.theta, env_set)
+    # BR(theta*) at BR_SOLVE_TOL, not x_star.env (solved at the Nash tolerance)
+    e_star = best_response(game, "env", x_star.theta, env_set, tol=BR_SOLVE_TOL)
+    grad_fbar = fbar_gradient(game, x_star.theta, env_set, e_star)
     v = choose_direction(grad_fbar)
+    reference = float(game.loss_learner(x_star.theta, e_star))
     try:
-        delta = delta_search(game, x_star.theta, v, env_set, learner_set)
+        delta = delta_search(game, x_star.theta, v, env_set, learner_set, reference)
     except ConvergenceError as exc:
         raise RestrictionStageError("delta_search", str(exc)) from exc
 

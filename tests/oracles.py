@@ -1,7 +1,8 @@
 """Reference oracles used only by the test suite.
 
 Brute-force or independent computations that cross-check the library's
-solvers: an exhaustive-grid Nash, alternating best responses, a
+solvers: fixed-step projected descent with a residual at every iterate,
+an exhaustive-grid Nash, alternating best responses, a
 finite-difference gradient check, the strategic-regression game as a generic
 Stackelberg instance, Monte-Carlo estimates of the regression game's
 integrals, losses, predictions and least-squares fits, exact chain-game
@@ -29,6 +30,20 @@ from gamescale.core import (
 from gamescale.equilibrium import best_response, grid_points
 from gamescale.markov import MarkovChainGame, _walk_value, absorbing_state
 from gamescale.regression import RegressionInstance
+
+
+def two_projection_descent(grad, feasible: ActionSet, x0, step: float, tol: float, max_iters: int):
+    """Fixed-step projected descent that evaluates the unit-step natural
+    residual (a second projection) at every iterate; the library's loop must
+    return the same point, iteration count and residual bit for bit."""
+    x = feasible.project(np.asarray(x0, dtype=float))
+    for it in range(1, max_iters + 1):
+        g = grad(x)
+        residual = float(np.linalg.norm(x - feasible.project(x - g)))
+        if residual <= tol:
+            return x, it, residual
+        x = feasible.project(x - step * g)
+    raise ConvergenceError(f"projected descent: residual > {tol} after {max_iters} iterations")
 
 
 def grid_nash(

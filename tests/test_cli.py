@@ -220,6 +220,9 @@ BAD_VALUES = [
     (["scaling-curve", "--regime", "bogus"], None, "regime"),
     (["restrict", "--instance", "bogus"], None, "instance"),
     (["scaling-curve", "--radii", "1,0.5"], None, "radii"),
+    (["regression", "--beta", "1e200,0"], None, "beta"),
+    (["participation", "--alpha-min", "2", "--alpha-max", "3", "--alpha-points", "2"], None, "alpha_min"),
+    (["participation", "--alpha-max", "1.5"], None, "alpha_max"),
 ]
 
 

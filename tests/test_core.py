@@ -105,6 +105,15 @@ def test_empty_intersection_raises_after_cap():
         empty.project(np.array([0.0]))
 
 
+def test_dykstra_runs_on_while_corrections_move():
+    # from this far point each box-then-halfspace sweep ends at (1/6, 1/6, 1/6)
+    # again while the box correction is still shrinking; the projection is
+    # clip(y - 40.5, -1, 1), which sums to the offset 0.5
+    region = Intersection([Box(-np.ones(3), np.ones(3)), Halfspace(np.ones(3), 0.5)])
+    got = region.project(np.array([48.0, 9.0, 41.0]))
+    np.testing.assert_allclose(got, [1.0, -1.0, 0.5], atol=1e-9)
+
+
 def test_invalid_sets_rejected():
     with pytest.raises(ValueError):
         Box(np.array([1.0]), np.array([0.0]))

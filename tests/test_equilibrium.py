@@ -1,6 +1,7 @@
 """Equilibrium solvers: the four regimes, PSGD averaging, and the oracles."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,11 +16,23 @@ from gamescale.instances import (
     stationary_scaling_game,
     zero_sum_instance,
 )
-from gamescale.core import Box, GameSpec, JointAction, ModelClassLadder, box_1d
+from gamescale.core import (
+    Box,
+    ConvergenceError,
+    GameSpec,
+    Halfspace,
+    Intersection,
+    JointAction,
+    ModelClassLadder,
+    Product,
+    box_1d,
+)
 from gamescale.equilibrium import (
+    _projected_descent,
     best_response,
     nash_report,
     nash_residual,
+    natural_residual,
     pareto_improvement_search,
     psgd_nash,
     scaling_curve,
@@ -27,7 +40,12 @@ from gamescale.equilibrium import (
     stackelberg_leader,
     stationary_optimum,
 )
-from oracles import best_response_dynamics, grid_nash, regression_stackelberg_game
+from oracles import (
+    best_response_dynamics,
+    grid_nash,
+    regression_stackelberg_game,
+    two_projection_descent,
+)
 from test_core import coupling_game
 
 BOX2 = Box(-2.0 * np.ones(1), 2.0 * np.ones(1))
@@ -105,6 +123,140 @@ def test_best_response_linear_coupling():
     game = coupling_game(1.0)
     e = best_response(game, "env", np.array([0.3]), box_1d(-1.0, 1.0))
     np.testing.assert_allclose(e, [0.3], atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Projected descent: adaptive step, one projection per iteration
+# ---------------------------------------------------------------------------
+
+
+def own_loss_game(dim, grad, lipschitz, mu):
+    """A game whose learner gradient is `grad`; only the learner's side is used."""
+    return GameSpec(
+        dim_learner=dim,
+        dim_env=1,
+        loss_learner=lambda t, e: 0.0,
+        loss_env=lambda t, e: 0.0,
+        grad_learner=lambda t, e: grad(t),
+        grad_env=lambda t, e: np.zeros(1),
+        mu=mu,
+        lipschitz=lipschitz,
+    )
+
+
+def random_convex_losses(rng):
+    """Strongly convex quadratics on [-1, 1]^d with L = 10, L/mu up to 200 and
+    minimizers inside and outside the box, then one softplus loss plus a ridge
+    term. In half the quadratics L is ten times the largest curvature, as on
+    the env-leads regression game, so the adaptive step grows past 1."""
+    out = []
+    for case in range(24):
+        d = 1 + case % 4
+        spread = (1.0, 20.0, 200.0)[case % 3]
+        eig = 10.0 * np.geomspace(1.0 / spread, 1.0, d)
+        if case >= 12 and spread < 200.0:
+            eig /= 10.0
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        hessian = q @ np.diag(eig) @ q.T
+        center = rng.uniform(-2.0, 2.0, d)
+        out.append((d, lambda t, h=hessian, c=center: h @ (t - c), 10.0, float(eig.min())))
+    a = rng.standard_normal((5, 3))
+    b = rng.standard_normal(5)
+    c = rng.uniform(-2.0, 2.0, 3)
+    # softplus'(z) = sigmoid(z), written with tanh so no exp overflows
+    grad = lambda t: a.T @ (0.5 * (1.0 + np.tanh(0.5 * (a @ t + b)))) + 0.1 * (t - c)
+    out.append((3, grad, float(np.linalg.norm(a, 2) ** 2) / 4.0 + 0.1, 0.1))
+    return out
+
+
+def test_adaptive_best_response_matches_fixed_step_reference():
+    rng = np.random.default_rng(61)
+    on_face = interior = 0
+    for d, grad, lipschitz, mu in random_convex_losses(rng):
+        box = Box(-np.ones(d), np.ones(d))
+        iterates = []
+        recording = lambda t, grad=grad: iterates.append(t.copy()) or grad(t)
+        game = own_loss_game(d, recording, lipschitz, mu)
+        reference, _, _ = two_projection_descent(
+            grad, box, np.zeros(d), 1.0 / lipschitz, 1e-13, 1_000_000
+        )
+        x = best_response(game, "learner", np.zeros(1), box, tol=1e-9)
+        assert float(np.linalg.norm(x - reference)) <= 1e-7
+        # the skip never delays the stop: it is the first iterate with residual <= tol
+        residuals = [natural_residual(p, box, grad(p)) for p in iterates]
+        np.testing.assert_array_equal(iterates[-1], x)
+        assert residuals[-1] <= 1e-9 < min(residuals[:-1], default=math.inf)
+        if np.any(np.abs(reference) >= 1.0 - 1e-12):
+            on_face += 1
+        else:
+            interior += 1
+    assert on_face >= 5 and interior >= 5
+
+
+def test_adaptive_step_on_linear_loss_stays_finite():
+    # the gradient never changes, so the curvature estimate is undefined
+    for c, expected in (([1.0, -2.0], [-1.0, 1.0]), ([0.5, 0.0], [-1.0, 0.0])):
+        game = own_loss_game(2, lambda t, c=np.array(c): c, 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = best_response(game, "learner", np.zeros(1), Box(-np.ones(2), np.ones(2)))
+        assert np.all(np.isfinite(x))
+        np.testing.assert_array_equal(x, expected)
+
+
+@pytest.mark.parametrize(
+    "feasible",
+    [
+        Box(-np.ones(3), np.array([1.0, 0.5, 2.0])),
+        Halfspace(np.array([1.0, -2.0, 0.5]), 0.3),
+        Intersection([Box(-np.ones(3), np.ones(3)), Halfspace(np.ones(3), 0.5)]),
+    ],
+    ids=["box", "halfspace", "intersection"],
+)
+def test_projection_step_monotonicity(feasible):
+    # what the residual skip relies on: |x - P(x - t g)| is nondecreasing in t
+    # and |x - P(x - t g)| / t nonincreasing, on both sides of t = 1
+    rng = np.random.default_rng(62)
+    steps = [0.01, 0.3, 0.9, 1.0, 1.7, 5.0, 40.0]
+    # Dykstra stops on a 1e-12 move, which does not bound its error by 1e-12
+    atol = 1e-9 if isinstance(feasible, Intersection) else 1e-12
+    for _ in range(100):
+        x = feasible.project(rng.uniform(-1.5, 1.5, 3))
+        g = rng.standard_normal(3) * rng.choice([0.01, 1.0, 10.0])
+        moves = [float(np.linalg.norm(x - feasible.project(x - t * g))) for t in steps]
+        for (s, m_s), (t, m_t) in zip(zip(steps, moves), zip(steps[1:], moves[1:])):
+            assert m_s <= m_t + atol
+            assert m_t / t <= m_s / s + atol / s
+        unit = moves[steps.index(1.0)]
+        assert all(min(1.0, 1.0 / t) * m <= unit + atol for t, m in zip(steps, moves))
+
+
+def test_fixed_step_descent_matches_two_projection_loop_bitwise():
+    rng = np.random.default_rng(63)
+    for case in range(12):
+        d = 1 + case % 3
+        s = rng.standard_normal((2 * d, 2 * d)) / (2 * d)
+        k = rng.standard_normal((2 * d, 2 * d)) / (2 * d)
+        m = s @ s.T + np.eye(2 * d) + (k - k.T)
+        q = rng.uniform(-3.0, 3.0, 2 * d)
+        feasible = Product(Box(-np.ones(d), np.ones(d)), Box(-np.ones(d), 2.0 * np.ones(d)))
+        lipschitz = float(np.linalg.norm(m, 2))
+        mu = float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
+        field = lambda z, m=m, q=q: m @ z + q
+        args = (field, feasible, np.zeros(2 * d), mu / lipschitz**2)
+        x, iters, residual = _projected_descent(*args, False, 1e-10, 500_000)
+        ref_x, ref_iters, ref_residual = two_projection_descent(*args, 1e-10, 500_000)
+        assert x.tobytes() == ref_x.tobytes()
+        assert (iters, residual) == (ref_iters, ref_residual)
+
+
+@pytest.mark.parametrize("adaptive", [True, False])
+def test_projected_descent_raises_at_iteration_cap(adaptive):
+    hessian = np.diag([1.0, 200.0])
+    grad = lambda t: hessian @ (t - np.array([0.5, -0.25]))
+    box = Box(-np.ones(2), np.ones(2))
+    with pytest.raises(ConvergenceError):
+        _projected_descent(grad, box, np.zeros(2), 1.0 / 200.0, adaptive, 1e-9, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,11 @@ from gamescale.restriction import (
 ENV_BOX = box_1d(-3.0, 3.0)
 
 
+def env_br(game, theta, env_set):
+    """BR(theta) at the pipeline's tolerance, as certify_restriction passes it."""
+    return best_response(game, "env", theta, env_set, tol=BR_SOLVE_TOL)
+
+
 def linear_tracking_game(a_matrix):
     a_matrix = np.asarray(a_matrix, dtype=float)
     d_env, d_learner = a_matrix.shape
@@ -51,7 +56,8 @@ def test_br_jacobian_linear_tracking_matrix():
     a = np.array([[1.0, 0.5], [-0.25, 0.75]])
     game = linear_tracking_game(a)
     env_set = Box(-3.0 * np.ones(2), 3.0 * np.ones(2))
-    jac = br_jacobian(game, np.array([0.3, -0.2]), env_set)
+    theta = np.array([0.3, -0.2])
+    jac = br_jacobian(game, theta, env_set, env_br(game, theta, env_set))
     np.testing.assert_allclose(jac, a, atol=1e-6)
 
 
@@ -66,7 +72,7 @@ def test_br_jacobian_zero_when_env_ignores_learner():
         mu=1.0,
         lipschitz=1.0,
     )
-    jac = br_jacobian(game, np.array([0.7]), ENV_BOX)
+    jac = br_jacobian(game, np.array([0.7]), ENV_BOX, env_br(game, np.array([0.7]), ENV_BOX))
     np.testing.assert_allclose(jac, [[0.0]], atol=1e-6)
 
 
@@ -81,7 +87,7 @@ def test_br_jacobian_scalar_coupling():
         mu=1.0,
         lipschitz=2.0,
     )
-    jac = br_jacobian(game, np.array([0.5]), ENV_BOX)
+    jac = br_jacobian(game, np.array([0.5]), ENV_BOX, env_br(game, np.array([0.5]), ENV_BOX))
     np.testing.assert_allclose(jac, [[1.0]], atol=1e-6)
 
 
@@ -97,7 +103,7 @@ def test_br_jacobian_flags_boundary_response():
         lipschitz=1.0,
     )
     with pytest.raises(BoundaryResponseError):
-        br_jacobian(game, np.array([0.0]), ENV_BOX)
+        br_jacobian(game, np.array([0.0]), ENV_BOX, env_br(game, np.array([0.0]), ENV_BOX))
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +122,7 @@ def test_fbar_reduces_to_own_gradient_without_cross_term():
         mu=1.0,
         lipschitz=2.0,
     )
-    grad = fbar_gradient(game, np.array([0.25]), ENV_BOX)
+    grad = fbar_gradient(game, np.array([0.25]), ENV_BOX, env_br(game, np.array([0.25]), ENV_BOX))
     np.testing.assert_allclose(grad, [0.25 - 1.5], atol=1e-6)
 
 
@@ -133,7 +139,7 @@ def test_fbar_composed_scalar_by_hand():
         mu=1.0,
         lipschitz=2.0,
     )
-    grad = fbar_gradient(game, np.array([1.0]), ENV_BOX)
+    grad = fbar_gradient(game, np.array([1.0]), ENV_BOX, env_br(game, np.array([1.0]), ENV_BOX))
     np.testing.assert_allclose(grad, [3.0], atol=1e-5)
 
 
@@ -156,7 +162,7 @@ def test_fbar_matches_finite_difference_oracle_on_random_games():
             lipschitz=5.0,
         )
         theta = np.array([float(rng.uniform(-0.5, 0.5))])
-        grad = fbar_gradient(game, theta, ENV_BOX)
+        grad = fbar_gradient(game, theta, ENV_BOX, env_br(game, theta, ENV_BOX))
         oracle = central_difference(lambda t: composed_loss(game, t, ENV_BOX), theta, step=1e-4)
         scale = max(1.0, float(np.linalg.norm(oracle)))
         assert float(np.linalg.norm(grad - oracle)) <= 1e-4 * scale
@@ -197,15 +203,19 @@ def affine_composed_game():
 
 def test_delta_search_accepts_unit_step_on_affine_loss():
     game = affine_composed_game()
-    delta = delta_search(game, np.array([0.0]), np.array([1.0]), ENV_BOX, box_1d(-2.0, 2.0))
+    reference = composed_loss(game, np.array([0.0]), ENV_BOX)
+    delta = delta_search(
+        game, np.array([0.0]), np.array([1.0]), ENV_BOX, box_1d(-2.0, 2.0), reference
+    )
     assert delta == 1.0
 
 
 def test_delta_search_quadratic_instance():
     bench = restriction_instance()
     # composed loss is 2 theta^2 + theta: descent from 0 along +1 needs delta < 1/2
+    reference = composed_loss(bench.game, np.array([0.0]), bench.env_set)
     delta = delta_search(
-        bench.game, np.array([0.0]), np.array([1.0]), bench.env_set, bench.learner_set
+        bench.game, np.array([0.0]), np.array([1.0]), bench.env_set, bench.learner_set, reference
     )
     assert delta == 0.25
     assert composed_loss(bench.game, np.array([-delta]), bench.env_set) < 0.0
@@ -222,8 +232,9 @@ def test_delta_search_zero_slope_exhausts():
         mu=0.5,
         lipschitz=1.0,
     )
+    reference = composed_loss(game, np.array([0.0]), ENV_BOX)
     with pytest.raises(ConvergenceError):
-        delta_search(game, np.array([0.0]), np.array([1.0]), ENV_BOX, box_1d(-2.0, 2.0))
+        delta_search(game, np.array([0.0]), np.array([1.0]), ENV_BOX, box_1d(-2.0, 2.0), reference)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +314,10 @@ def test_certificate_on_shipped_instance():
 def test_certificate_improvement_respects_taylor_bound():
     bench = restriction_instance()
     cert = certify_restriction(bench.game, bench.learner_set, bench.env_set)
-    grad = fbar_gradient(bench.game, cert.original_nash.theta, bench.env_set)
+    theta_star = cert.original_nash.theta
+    grad = fbar_gradient(
+        bench.game, theta_star, bench.env_set, env_br(bench.game, theta_star, bench.env_set)
+    )
     first_order = cert.delta * float(grad @ cert.direction)
     composed_hessian_bound = 4.0  # fbar(theta) = 2 theta^2 + theta exactly
     bound = first_order - 0.5 * composed_hessian_bound * cert.delta**2
