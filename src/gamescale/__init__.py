@@ -46,7 +46,6 @@ from .restriction import (
 from .selection import (
     SelectionReport,
     confidence_radius,
-    suboptimality_gaps,
     successive_elimination,
 )
 
@@ -81,7 +80,6 @@ __all__ = [
     "solve_nash",
     "stackelberg_leader",
     "stationary_optimum",
-    "suboptimality_gaps",
     "successive_elimination",
     "__version__",
 ]

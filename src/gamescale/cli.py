@@ -539,7 +539,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(json.dumps({"error": {"type": "config", "message": str(exc)}}), file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, FloatingPointError) as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, RestrictionStageError):
             error["stage"] = exc.stage

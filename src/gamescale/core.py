@@ -53,6 +53,13 @@ class ActionSet:
     def project(self, point: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def project_rows(self, points: np.ndarray) -> np.ndarray:
+        """Project each row of a (B, dimension) array."""
+        out = np.empty_like(points)
+        for i, p in enumerate(points):
+            out[i] = self.project(p)
+        return out
+
     def contains(self, point: np.ndarray, tol: float = 1e-9) -> bool:
         p = _as_vector(point, self.dimension)
         return float(np.linalg.norm(p - self.project(p))) <= tol
@@ -84,6 +91,9 @@ class Box(ActionSet):
 
     def project(self, point: np.ndarray) -> np.ndarray:
         return np.clip(_as_vector(point, self.dimension), self.lower, self.upper)
+
+    def project_rows(self, points: np.ndarray) -> np.ndarray:
+        return np.clip(points, self.lower, self.upper)
 
     def is_interior(self, point: np.ndarray, margin: float = 1e-9) -> bool:
         p = _as_vector(point, self.dimension)
@@ -396,16 +406,3 @@ class ModelClassLadder:
 
     def __getitem__(self, k: int) -> ActionSet:
         return self.classes[k]
-
-    def check_nested(self, rng: np.random.Generator) -> bool:
-        """Sampling check of Theta_i <= Theta_{i+1}: sampled points (and box
-        vertices, when enumerable) of the smaller class must project onto the
-        larger one with zero displacement."""
-        for small, large in zip(self.classes, self.classes[1:]):
-            points = [small.sample(rng) for _ in range(64)]
-            if isinstance(small, Box) and 2 ** small.dimension <= 1024:
-                points.extend(small.vertices())
-            for p in points:
-                if not large.contains(p, 1e-9):
-                    return False
-        return True

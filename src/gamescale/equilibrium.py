@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -59,48 +59,75 @@ def natural_residual(x: np.ndarray, feasible: ActionSet, g: np.ndarray) -> float
     return float(np.linalg.norm(x - feasible.project(x - g)))
 
 
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row. np.vecdot sums like x @ x, and so like
+    np.linalg.norm, bit for bit; einsum and (d * d).sum(-1) do not."""
+    return np.sqrt(np.vecdot(d, d))
+
+
 def _projected_descent(
-    grad: Callable[[np.ndarray], np.ndarray],
+    grads: Sequence[Callable[[np.ndarray], np.ndarray]],
     feasible: ActionSet,
     x0: np.ndarray,
     step: float,
     adaptive: bool,
     tol: float,
     max_iters: int,
-) -> tuple[np.ndarray, int, float]:
-    """Projected gradient descent to unit-step natural residual <= tol.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Projected gradient descent of each row of x0 along its own gradient
+    grads[i], to unit-step natural residual <= tol.
 
-    With adaptive=False every step is `step`. With adaptive=True (grad must be
-    the gradient of a convex function) `step` = 1/L is only the first step;
-    later ones follow Malitsky & Mishchenko, "Adaptive Gradient Descent without
-    Descent" (ICML 2020): the smaller of sqrt(1 + theta) times the last step
-    (theta the ratio of the last two steps) and |dx| / (2 |dg|), the inverse
-    local curvature along the last move; 1/L where the gradient did not change.
+    With adaptive=False every step is `step`. With adaptive=True (each grad
+    must be the gradient of a convex function) `step` = 1/L is only the first
+    step; later ones follow Malitsky & Mishchenko, "Adaptive Gradient Descent
+    without Descent" (ICML 2020): the smaller of sqrt(1 + theta) times the last
+    step (theta the ratio of the last two steps) and |dx| / (2 |dg|), the
+    inverse local curvature along the last move; 1/L where the gradient did
+    not change.
 
     Each iteration projects once. |x - P(x - t g)| is nondecreasing in t and
     |x - P(x - t g)| / t is nonincreasing, so min(1, 1/step) |x - x_next|
     bounds the unit-step residual from below; the residual (a second
     projection) is evaluated only when that bound reaches tol.
-    Returns the final point, the iteration count and the residual there.
+
+    Rows share no state: each keeps its own step and stops on its own test,
+    and a stopped row leaves the batch, so every row ends bit for bit where it
+    would alone. Returns the final points, iteration counts and residuals by
+    row; raises ConvergenceError if a row is still running after max_iters.
     """
-    x = feasible.project(np.asarray(x0, dtype=float))
-    lam, theta = step, math.inf
+    x = feasible.project_rows(np.asarray(x0, dtype=float))
+    n = x.shape[0]
+    points, iters, residuals = np.empty_like(x), np.zeros(n, dtype=int), np.empty(n)
+    rows = np.arange(n)
+    lam, theta = np.full(n, step), np.full(n, math.inf)
     for it in range(1, max_iters + 1):
-        g = grad(x)
+        if rows.size == 0:
+            break
+        g = np.array([grads[i](xi) for i, xi in zip(rows.tolist(), x)])
         if adaptive and it > 1:
-            dg = float(np.linalg.norm(g - g_prev))
-            curvature_step = math.sqrt(dx2) / (2.0 * dg) if dg > 0.0 else step
-            lam, lam_prev = min(math.sqrt(1.0 + theta) * lam, curvature_step), lam
+            dg = _row_norms(g - g_prev)
+            curvature_step = np.divide(
+                np.sqrt(dx2), 2.0 * dg, out=np.full(rows.size, step), where=dg > 0.0
+            )
+            lam, lam_prev = np.minimum(np.sqrt(1.0 + theta) * lam, curvature_step), lam
             theta = lam / lam_prev
-        x_next = feasible.project(x - lam * g)
+        x_next = feasible.project_rows(x - lam[:, None] * g)
         d = x - x_next
-        dx2 = float(d @ d)
-        if min(1.0, 1.0 / lam) * math.sqrt(dx2) <= tol * (1.0 + 1e-9):
-            residual = natural_residual(x, feasible, g)
-            if residual <= tol:
-                return x, it, residual
+        dx2 = np.vecdot(d, d)
+        near = np.flatnonzero(np.minimum(1.0, 1.0 / lam) * np.sqrt(dx2) <= tol * (1.0 + 1e-9))
+        if near.size:
+            residual = _row_norms(x[near] - feasible.project_rows(x[near] - g[near]))
+            stop = residual <= tol
+            done = near[stop]
+            finished = rows[done]
+            points[finished], iters[finished], residuals[finished] = x[done], it, residual[stop]
+            keep = np.ones(rows.size, dtype=bool)
+            keep[done] = False
+            rows, x_next, g, lam, theta, dx2 = (a[keep] for a in (rows, x_next, g, lam, theta, dx2))
         x, g_prev = x_next, g
-    raise ConvergenceError(f"projected descent: residual > {tol} after {max_iters} iterations")
+    if rows.size:
+        raise ConvergenceError(f"projected descent: residual > {tol} after {max_iters} iterations")
+    return points, iters, residuals
 
 
 def stationary_optimum(
@@ -110,18 +137,38 @@ def stationary_optimum(
 ) -> EquilibriumReport:
     """Minimize the learner loss against a single fixed environment action."""
     e = np.asarray(fixed_env, dtype=float)
-    theta0 = np.zeros(game.dim_learner)
+    theta0 = np.zeros((1, game.dim_learner))
     theta, iters, residual = _projected_descent(
-        lambda t: game.grad_l(t, e), model_class, theta0, 1.0 / game.lipschitz, True, 1e-8, 200_000
+        [lambda t: game.grad_l(t, e)], model_class, theta0, 1.0 / game.lipschitz, True, 1e-8, 200_000
     )
     return EquilibriumReport(
         regime="stationary",
-        joint=JointAction(theta, e),
-        loss_learner=float(game.loss_learner(theta, e)),
-        loss_env=float(game.loss_env(theta, e)),
-        nash_residual=residual,
-        iterations=iters,
+        joint=JointAction(theta[0], e),
+        loss_learner=float(game.loss_learner(theta[0], e)),
+        loss_env=float(game.loss_env(theta[0], e)),
+        nash_residual=float(residual[0]),
+        iterations=int(iters[0]),
     )
+
+
+def _best_responses(
+    game: GameSpec,
+    player: str,
+    opponent_actions: np.ndarray,
+    own_set: ActionSet,
+    tol: float,
+) -> np.ndarray:
+    """Best responses of one player to each row of opponent_actions, solved as
+    one batched descent."""
+    if player == "learner":
+        grads = [lambda t, o=o: game.grad_l(t, o) for o in opponent_actions]
+    elif player == "env":
+        grads = [lambda e, o=o: game.grad_e(o, e) for o in opponent_actions]
+    else:
+        raise ValueError(f"unknown player {player!r}")
+    x0 = np.zeros((len(grads), own_set.dimension))
+    x, _, _ = _projected_descent(grads, own_set, x0, 1.0 / game.lipschitz, True, tol, 200_000)
+    return x
 
 
 def best_response(
@@ -133,15 +180,7 @@ def best_response(
 ) -> np.ndarray:
     """Loss-minimizing action of one player against a fixed opponent action."""
     opp = np.asarray(opponent_action, dtype=float)
-    if player == "learner":
-        grad = lambda t: game.grad_l(t, opp)
-    elif player == "env":
-        grad = lambda e: game.grad_e(opp, e)
-    else:
-        raise ValueError(f"unknown player {player!r}")
-    x0 = np.zeros(own_set.dimension)
-    x, _, _ = _projected_descent(grad, own_set, x0, 1.0 / game.lipschitz, True, tol, 200_000)
-    return x
+    return _best_responses(game, player, opp[np.newaxis], own_set, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +198,14 @@ def grid_points(feasible: ActionSet, resolution: int, box: Optional[Box] = None)
 
 
 def _grid_minimize(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray], np.ndarray],
     feasible: ActionSet,
     resolution: int,
 ) -> tuple[np.ndarray, float, int]:
-    """Grid search refined by two zoom rounds; lexicographically first tie-break."""
+    """Grid search refined by two zoom rounds; lexicographically first tie-break.
+
+    objective maps a (B, d) array of points to their B values; each round
+    evaluates its whole grid in one call."""
     outer = feasible.bounding_box()
     box = outer
     best_point, best_value = None, math.inf
@@ -172,11 +214,10 @@ def _grid_minimize(
         pts = grid_points(feasible, resolution, box)
         if pts.shape[0] == 0:
             break
-        for p in pts:
-            v = objective(p)
-            evals += 1
+        for p, v in zip(pts, objective(pts)):
             if v < best_value - 1e-15:
-                best_value, best_point = v, p
+                best_value, best_point = float(v), p
+        evals += pts.shape[0]
         spacing = (box.upper - box.lower) / max(resolution - 1, 1)
         lo = np.maximum(outer.lower, best_point - spacing)
         hi = np.minimum(outer.upper, best_point + spacing)
@@ -187,14 +228,16 @@ def _grid_minimize(
 
 
 def _pattern_search(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray], np.ndarray],
     feasible: ActionSet,
     x0: np.ndarray,
     initial_step: float,
 ) -> tuple[np.ndarray, float, int]:
-    """Compass search with shrinking steps; local, used beyond grid dimensions."""
+    """Compass search with shrinking steps; local, used beyond grid dimensions.
+
+    objective is the grid's row objective, called with one row at a time."""
     x = feasible.project(x0)
-    fx = objective(x)
+    fx = float(objective(x[np.newaxis])[0])
     h = initial_step
     evals = 1
     d = x.shape[0]
@@ -205,7 +248,7 @@ def _pattern_search(
                 cand = x.copy()
                 cand[j] += sign * h
                 cand = feasible.project(cand)
-                val = objective(cand)
+                val = float(objective(cand[np.newaxis])[0])
                 evals += 1
                 if val < fx - 1e-15:
                     x, fx = cand, val
@@ -232,16 +275,17 @@ def stackelberg_leader(
     """
     if leader == "learner":
         follower = "env"
-        objective = lambda a: float(
-            game.loss_learner(a, best_response(game, follower, a, follower_set))
-        )
+        leader_loss = game.loss_learner
     elif leader == "env":
         follower = "learner"
-        objective = lambda a: float(
-            game.loss_env(best_response(game, follower, a, follower_set), a)
-        )
+        leader_loss = lambda a, f: game.loss_env(f, a)
     else:
         raise ValueError(f"unknown leader {leader!r}")
+
+    def objective(actions: np.ndarray) -> np.ndarray:
+        """Leader loss at each row of actions, the follower best-responding."""
+        responses = _best_responses(game, follower, actions, follower_set, 1e-9)
+        return np.array([float(leader_loss(a, f)) for a, f in zip(actions, responses)])
 
     certified = leader_set.dimension <= 2
     if certified:
@@ -330,15 +374,15 @@ def solve_nash(
     joint_set = Product(learner_set, env_set)
     dl = game.dim_learner
     x, iters, _ = _projected_descent(
-        lambda z: gradient_operator(game, JointAction.from_concat(z, dl)),
+        [lambda z: gradient_operator(game, JointAction.from_concat(z, dl))],
         joint_set,
-        np.zeros(joint_set.dimension),
+        np.zeros((1, joint_set.dimension)),
         game.mu / (game.lipschitz**2),
         False,
         tol,
         500_000,
     )
-    return JointAction.from_concat(x, dl), iters
+    return JointAction.from_concat(x[0], dl), int(iters[0])
 
 
 def nash_report(

@@ -29,20 +29,6 @@ def confidence_radius(L: float, mu: float, T: int, delta: float, scale: float = 
     return scale * (L * L * math.log(1.0 / delta) + L**3) / (mu * mu * T)
 
 
-def suboptimality_gaps(losses: Sequence[float]) -> tuple[list[float], Optional[float]]:
-    """Per-arm gaps to the best loss and the smallest nonzero gap.
-
-    Returns (gaps, None) when all losses coincide, in which case the minimum
-    gap is undefined and no separation-based bound applies.
-    """
-    if len(losses) == 0:
-        raise ValueError("need at least one loss")
-    best = min(losses)
-    gaps = [x - best for x in losses]
-    nonzero = [g for g in gaps if g > 0.0]
-    return gaps, (min(nonzero) if nonzero else None)
-
-
 @dataclass(eq=False)
 class ArmState:
     class_index: int
@@ -85,7 +71,6 @@ def successive_elimination(
     alpha: float,
     rng: np.random.Generator,
     scale: float = 1.0,
-    maximize: bool = False,
     max_total_steps: int = 1_000_000,
 ) -> SelectionReport:
     """Identify the arm with the best equilibrium learner loss.
@@ -94,7 +79,7 @@ def successive_elimination(
     Epoch tau uses horizon T = ceil(alpha * 2^tau) and per-test failure budget
     delta' = delta / (2 n T^2). Arm i is eliminated once some arm j satisfies
     f_j + U(T, delta') < f_i - U(T, delta') on the current epoch's fresh
-    estimates (losses; set maximize=True to compare payoffs instead).
+    estimates.
 
     Stops when one arm survives, or returns all survivors flagged
     inconclusive when the next epoch would exceed the step budget.
@@ -131,11 +116,9 @@ def successive_elimination(
         total_steps += len(active) * horizon
         epochs = tau
 
-        sign = -1.0 if maximize else 1.0
-        scores = {s.class_index: sign * s.last_estimate for s in active}
-        best_ucb = min(scores.values()) + radius
+        best_ucb = min(s.last_estimate for s in active) + radius
         for state in active:
-            lcb = scores[state.class_index] - radius
+            lcb = state.last_estimate - radius
             if lcb > best_ucb:
                 state.active = False
                 eliminations.append((tau, state.class_index, lcb - best_ucb))

@@ -2,7 +2,8 @@
 
 Brute-force or independent computations that cross-check the library's
 solvers: fixed-step projected descent with a residual at every iterate,
-an exhaustive-grid Nash, alternating best responses, a
+single-point adaptive projected descent, a sampling check that a ladder's
+classes are nested, per-arm suboptimality gaps, an exhaustive-grid Nash, alternating best responses, a
 finite-difference gradient check, the strategic-regression game as a generic
 Stackelberg instance, Monte-Carlo estimates of the regression game's
 integrals, losses, predictions and least-squares fits, exact chain-game
@@ -14,6 +15,7 @@ chain once per deviation, and a Monte-Carlo rollout of the learner value.
 from __future__ import annotations
 
 import math
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from gamescale.core import (
     ConvergenceError,
     GameSpec,
     JointAction,
+    ModelClassLadder,
     box_1d,
     central_difference,
     gradient_operator,
@@ -44,6 +47,61 @@ def two_projection_descent(grad, feasible: ActionSet, x0, step: float, tol: floa
             return x, it, residual
         x = feasible.project(x - step * g)
     raise ConvergenceError(f"projected descent: residual > {tol} after {max_iters} iterations")
+
+
+def single_point_descent(
+    grad, feasible: ActionSet, x0, step: float, adaptive: bool, tol: float, max_iters: int
+):
+    """One point's projected descent, the library's loop before it took rows:
+    the same step rule (Malitsky & Mishchenko when adaptive) and the same stop
+    test, written with Python floats; every row of the batched loop must end
+    on the same point, iteration count and residual bit for bit."""
+    x = feasible.project(np.asarray(x0, dtype=float))
+    lam, theta = step, math.inf
+    for it in range(1, max_iters + 1):
+        g = grad(x)
+        if adaptive and it > 1:
+            dg = float(np.linalg.norm(g - g_prev))
+            curvature_step = math.sqrt(dx2) / (2.0 * dg) if dg > 0.0 else step
+            lam, lam_prev = min(math.sqrt(1.0 + theta) * lam, curvature_step), lam
+            theta = lam / lam_prev
+        x_next = feasible.project(x - lam * g)
+        d = x - x_next
+        dx2 = float(d @ d)
+        if min(1.0, 1.0 / lam) * math.sqrt(dx2) <= tol * (1.0 + 1e-9):
+            residual = float(np.linalg.norm(x - feasible.project(x - g)))
+            if residual <= tol:
+                return x, it, residual
+        x, g_prev = x_next, g
+    raise ConvergenceError(f"projected descent: residual > {tol} after {max_iters} iterations")
+
+
+def check_nested(ladder: ModelClassLadder, rng: np.random.Generator) -> bool:
+    """Sampling check of Theta_i <= Theta_{i+1}: sampled points (and box
+    vertices, when enumerable) of the smaller class must project onto the
+    larger one with zero displacement."""
+    for small, large in zip(ladder.classes, ladder.classes[1:]):
+        points = [small.sample(rng) for _ in range(64)]
+        if isinstance(small, Box) and 2 ** small.dimension <= 1024:
+            points.extend(small.vertices())
+        for p in points:
+            if not large.contains(p, 1e-9):
+                return False
+    return True
+
+
+def suboptimality_gaps(losses: Sequence[float]) -> tuple[list[float], Optional[float]]:
+    """Per-arm gaps to the best loss and the smallest nonzero gap.
+
+    Returns (gaps, None) when all losses coincide, in which case the minimum
+    gap is undefined and no separation-based bound applies.
+    """
+    if len(losses) == 0:
+        raise ValueError("need at least one loss")
+    best = min(losses)
+    gaps = [x - best for x in losses]
+    nonzero = [g for g in gaps if g > 0.0]
+    return gaps, (min(nonzero) if nonzero else None)
 
 
 def grid_nash(

@@ -259,3 +259,17 @@ def test_config_of_defaults_matches_no_config(tmp_path, monkeypatch, experiment)
         configs.append(read_manifest(out)["config"])
     assert configs[0] == configs[1]
     assert set(configs[0]) == {"seed", *table}
+
+
+def test_non_finite_gradient_exits_with_solver_failure(tmp_path, monkeypatch, capsys):
+    # gradient_operator raises FloatingPointError, an ArithmeticError rather
+    # than a RuntimeError, on a non-finite gradient
+    def runner(params, out_dir):
+        raise FloatingPointError("non-finite gradient components")
+
+    monkeypatch.setitem(EXPERIMENTS, "psgd", (runner, EXPERIMENTS["psgd"][1]))
+    out = tmp_path / "fpe"
+    assert main(["psgd", "--out-dir", str(out)]) == 3
+    error = {"type": "FloatingPointError", "message": "non-finite gradient components"}
+    assert read_manifest(out)["error"] == error
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {"error": error}

@@ -21,7 +21,7 @@ from gamescale.core import (
     monotonicity_audit,
     noisy_gradient_operator,
 )
-from oracles import check_gradients
+from oracles import check_gradients, check_nested
 
 
 def coupling_game(c: float, mu: float = 1.0, lipschitz: float = 2.0, sigma: float = 0.0) -> GameSpec:
@@ -97,6 +97,32 @@ def test_projection_optimality_boxes():
         assert np.all(dist_p <= dists + 1e-12)
 
 
+def random_halfspace(rng, d):
+    return Halfspace(rng.standard_normal(d), rng.uniform(-1.0, 1.0))
+
+
+def random_intersection(rng, d):
+    # nonnegative offsets keep the origin feasible, so the set is never empty
+    cuts = [Halfspace(rng.standard_normal(d), rng.uniform(0.0, 1.0)) for _ in range(2)]
+    return Intersection([Box(-np.ones(d), np.ones(d)), *cuts])
+
+
+@pytest.mark.parametrize("make", [random_halfspace, random_intersection], ids=["halfspace", "intersection"])
+def test_projection_nonexpansive_and_variational_inequality(make):
+    # |P(x) - P(z)| <= |x - z|, and <x - P(x), y - P(x)> <= 0 for every feasible y
+    rng = np.random.default_rng(64)
+    # Dykstra stops on a 1e-12 move, which does not bound its error by 1e-12
+    atol = 1e-9 if make is random_intersection else 1e-12
+    for trial in range(200):
+        d = 1 + trial % 4
+        region = make(rng, d)
+        x, z, w = rng.standard_normal((3, d)) * 3.0
+        px, pz, y = region.project(x), region.project(z), region.project(w)
+        assert np.linalg.norm(px - pz) <= np.linalg.norm(x - z) + atol
+        scale = (1.0 + np.linalg.norm(x - px)) * (1.0 + np.linalg.norm(y - px))
+        assert float((x - px) @ (y - px)) <= atol * scale
+
+
 def test_empty_intersection_raises_after_cap():
     empty = Intersection(
         [Halfspace(np.array([1.0]), -1.0), Halfspace(np.array([-1.0]), -1.0)]
@@ -151,6 +177,15 @@ SET_CASES = {
         ([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]),
     ),
 }
+
+
+@pytest.mark.parametrize("case", ["box", *sorted(SET_CASES)])
+def test_project_rows_matches_project_bitwise(case):
+    region = Box(np.array([-1.0, -0.5]), np.array([0.5, 2.0])) if case == "box" else SET_CASES[case][0]
+    points = np.random.default_rng(65).standard_normal((40, region.dimension)) * 2.0
+    rows = region.project_rows(points)
+    assert rows.shape == points.shape
+    assert rows.tobytes() == np.array([region.project(p) for p in points]).tobytes()
 
 
 @pytest.mark.parametrize("case", sorted(SET_CASES))
@@ -350,10 +385,10 @@ def test_ladder_nested_boxes_pass():
     ladder = ModelClassLadder(
         [Box(-r * np.ones(2), r * np.ones(2)) for r in (0.25, 0.5, 1.0)]
     )
-    assert ladder.check_nested(np.random.default_rng(8))
+    assert check_nested(ladder, np.random.default_rng(8))
 
 
 def test_ladder_non_nested_fails():
     ladder = ModelClassLadder([Box(np.array([0.0, 0.0]), np.array([2.0, 2.0])),
                                Box(np.array([1.0, 1.0]), np.array([3.0, 3.0]))])
-    assert not ladder.check_nested(np.random.default_rng(9))
+    assert not check_nested(ladder, np.random.default_rng(9))

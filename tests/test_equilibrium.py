@@ -44,6 +44,7 @@ from oracles import (
     best_response_dynamics,
     grid_nash,
     regression_stackelberg_game,
+    single_point_descent,
     two_projection_descent,
 )
 from test_core import coupling_game
@@ -243,9 +244,13 @@ def test_fixed_step_descent_matches_two_projection_loop_bitwise():
         lipschitz = float(np.linalg.norm(m, 2))
         mu = float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
         field = lambda z, m=m, q=q: m @ z + q
-        args = (field, feasible, np.zeros(2 * d), mu / lipschitz**2)
-        x, iters, residual = _projected_descent(*args, False, 1e-10, 500_000)
-        ref_x, ref_iters, ref_residual = two_projection_descent(*args, 1e-10, 500_000)
+        step = mu / lipschitz**2
+        (x,), (iters,), (residual,) = _projected_descent(
+            [field], feasible, np.zeros((1, 2 * d)), step, False, 1e-10, 500_000
+        )
+        ref_x, ref_iters, ref_residual = two_projection_descent(
+            field, feasible, np.zeros(2 * d), step, 1e-10, 500_000
+        )
         assert x.tobytes() == ref_x.tobytes()
         assert (iters, residual) == (ref_iters, ref_residual)
 
@@ -256,7 +261,59 @@ def test_projected_descent_raises_at_iteration_cap(adaptive):
     grad = lambda t: hessian @ (t - np.array([0.5, -0.25]))
     box = Box(-np.ones(2), np.ones(2))
     with pytest.raises(ConvergenceError):
-        _projected_descent(grad, box, np.zeros(2), 1.0 / 200.0, adaptive, 1e-9, 3)
+        _projected_descent([grad], box, np.zeros((1, 2)), 1.0 / 200.0, adaptive, 1e-9, 3)
+
+
+def random_quadratic_rows(rng, d, rows):
+    """Gradients of strongly convex quadratics with curvature in [0.05, 10]
+    and minimizers inside and outside [-1, 1]^d, one per row."""
+    grads = []
+    for _ in range(rows):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        hessian = q @ np.diag(rng.uniform(0.05, 10.0, d)) @ q.T
+        center = rng.uniform(-2.0, 2.0, d)
+        grads.append(lambda t, h=hessian, c=center: h @ (t - c))
+    return grads
+
+
+BATCH_SETS = {
+    "box": lambda rng, d: Box(-np.ones(d), np.ones(d)),
+    "halfspace": lambda rng, d: Halfspace(rng.standard_normal(d), rng.uniform(0.0, 1.0)),
+    "intersection": lambda rng, d: Intersection(
+        [Box(-np.ones(d), np.ones(d)), Halfspace(rng.standard_normal(d), rng.uniform(0.0, 1.0))]
+    ),
+}
+
+
+@pytest.mark.parametrize("adaptive", [True, False])
+@pytest.mark.parametrize("kind", sorted(BATCH_SETS))
+def test_batched_descent_matches_single_point_loop_bitwise(kind, adaptive):
+    # Box rows are clipped as one array, the other sets project row by row
+    rng = np.random.default_rng(66)
+    for d in range(1, 5):
+        feasible = BATCH_SETS[kind](rng, d)
+        grads = random_quadratic_rows(rng, d, 12)
+        x0 = rng.uniform(-1.5, 1.5, (12, d))
+        x, iters, residuals = _projected_descent(grads, feasible, x0, 0.1, adaptive, 1e-9, 200_000)
+        for i, grad in enumerate(grads):
+            ref_x, ref_iters, ref_residual = single_point_descent(
+                grad, feasible, x0[i], 0.1, adaptive, 1e-9, 200_000
+            )
+            assert x[i].tobytes() == ref_x.tobytes()
+            assert (iters[i], residuals[i]) == (ref_iters, ref_residual)
+        assert len(set(iters.tolist())) >= 6  # rows leave the batch at different iterations
+
+
+def test_batched_descent_raises_when_one_row_hits_cap():
+    box = Box(-np.ones(2), np.ones(2))
+    # step 1/200 solves the curvature-200 rows in one step; the slow row needs ~4,000
+    easy = [lambda t, c=np.array(c): 200.0 * (t - c) for c in ([0.5, 0.2], [3.0, -0.1])]
+    slow = lambda t: np.diag([1.0, 200.0]) @ (t - np.array([0.5, -0.25]))
+    x0 = np.zeros((3, 2))
+    _, iters, _ = _projected_descent(easy, box, x0[:2], 1.0 / 200.0, False, 1e-9, 1_000)
+    assert iters.max() <= 3
+    with pytest.raises(ConvergenceError):
+        _projected_descent([easy[0], slow, easy[1]], box, x0, 1.0 / 200.0, False, 1e-9, 1_000)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +351,24 @@ def test_stackelberg_leader_advantage_over_nash():
     leader = stackelberg_leader(game, "learner", box_1d(-1.0, 1.0), env_set)
     nash = nash_report(game, box_1d(-1.0, 1.0), env_set)
     assert leader.loss_learner <= nash.loss_learner + 1e-6
+
+
+def test_stackelberg_grid_tie_goes_to_lexicographically_first_point():
+    # the leader loss -(t0 - t1)^2 is lowest at (-1, 1) and (1, -1), equal bit
+    # for bit; the grid lists (-1, 1) first
+    game = GameSpec(
+        dim_learner=2,
+        dim_env=1,
+        loss_learner=lambda t, e: -((t[0] - t[1]) ** 2) + 0.5 * e[0] ** 2,
+        loss_env=lambda t, e: 0.5 * e[0] ** 2,
+        grad_learner=lambda t, e: np.array([-2.0 * (t[0] - t[1]), 2.0 * (t[0] - t[1])]),
+        grad_env=lambda t, e: e,
+        mu=1.0,
+        lipschitz=4.0,
+    )
+    report = stackelberg_leader(game, "learner", Box(-np.ones(2), np.ones(2)), box_1d(-1.0, 1.0))
+    assert report.certified
+    np.testing.assert_array_equal(report.joint.theta, [-1.0, 1.0])
 
 
 def test_stackelberg_high_dim_flagged_uncertified():

@@ -8,9 +8,9 @@ import pytest
 from gamescale.instances import selection_arms
 from gamescale.selection import (
     confidence_radius,
-    suboptimality_gaps,
     successive_elimination,
 )
+from oracles import suboptimality_gaps
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +139,6 @@ def test_oracle_mode_identifies_after_first_epoch():
     )
     assert report.winner == 0
     assert report.epochs == 1
-
-
-def test_maximize_flag_flips_direction():
-    arms, game, env_set = selection_arms([0.0, 0.5], sigma=0.0)
-    report = successive_elimination(
-        arms, game, env_set, delta=0.1, alpha=8.0, rng=np.random.default_rng(4),
-        scale=1e-12, maximize=True,
-    )
-    assert report.winner == 1
 
 
 def test_pulls_accumulate_and_arms_never_reactivate():
