@@ -27,7 +27,6 @@ from .core import (
 )
 from .equilibrium import (
     EquilibriumReport,
-    PsgdTrace,
     best_response,
     nash_report,
     nash_residual,
@@ -61,7 +60,6 @@ __all__ = [
     "JointAction",
     "ModelClassLadder",
     "Product",
-    "PsgdTrace",
     "RestrictionCertificate",
     "SelectionReport",
     "UnboundedSetError",

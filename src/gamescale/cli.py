@@ -36,6 +36,7 @@ from .instances import (
 from .markov import build_chain_game, payoff_sweep
 from .participation import alpha_threshold, default_instance, equilibrium_pair
 from .regression import (
+    K_RANGE,
     RegressionInstance,
     compare_model_classes,
     large_model_env_objective,
@@ -195,8 +196,7 @@ def run_psgd(params: dict, out_dir: Path) -> list[Path]:
         gaps, residuals = [], []
         for s in range(params["n_seeds"]):
             rng = np.random.default_rng([params["seed"], h_idx, s])
-            trace = psgd_nash(game, bench.learner_set, bench.env_set, x0, horizon, rng)
-            avg = trace.averaged_point
+            avg = psgd_nash(game, bench.learner_set, bench.env_set, x0, horizon, rng)
             gap = abs(float(game.loss_learner(avg.theta, avg.env)) - bench.nash_learner_loss)
             res = nash_residual(game, avg, bench.learner_set, bench.env_set)
             gaps.append(gap)
@@ -311,7 +311,7 @@ def run_regression(params: dict, out_dir: Path) -> list[Path]:
         raise ConfigError("curve_step must be positive")
     instance = RegressionInstance(np.array(params["beta"]))
     comparison = compare_model_classes(instance)
-    lo, hi = instance.k_range
+    lo, hi = K_RANGE
     ks = np.arange(lo, hi + 1e-12, params["curve_step"])
     curve_rows = [
         (

@@ -310,16 +310,18 @@ class JointAction:
         return JointAction(x[:dim_learner], x[dim_learner:])
 
 
-def gradient_operator(game: GameSpec, x: JointAction) -> np.ndarray:
-    """Stacked own-action gradients F(x) = (grad_theta f_l; grad_e f_e)."""
-    out = np.concatenate([game.grad_l(x.theta, x.env), game.grad_e(x.theta, x.env)])
+def gradient_operator(game: GameSpec, x: np.ndarray) -> np.ndarray:
+    """Stacked own-action gradients F(x) = (grad_theta f_l; grad_e f_e) at the
+    stacked joint point x = (theta; env)."""
+    theta, env = x[: game.dim_learner], x[game.dim_learner :]
+    out = np.concatenate([game.grad_l(theta, env), game.grad_e(theta, env)])
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite gradient components")
     return out
 
 
 def noisy_gradient_operator(
-    game: GameSpec, x: JointAction, rng: np.random.Generator
+    game: GameSpec, x: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """F(x) plus mean-zero noise, almost surely bounded by 1 in norm.
 
@@ -356,7 +358,6 @@ def monotonicity_audit(
     The quotient <F(x)-F(x'), x-x'> / |x-x'|^2 must stay at or above mu for a
     mu-strongly monotone game. A failed audit is reported, not raised.
     """
-    dl = game.dim_learner
     min_q = math.inf
     worst = None
     done = 0
@@ -367,8 +368,8 @@ def monotonicity_audit(
         nsq = float(diff @ diff)
         if nsq < 1e-18:
             continue
-        fa = gradient_operator(game, JointAction.from_concat(a, dl))
-        fb = gradient_operator(game, JointAction.from_concat(b, dl))
+        fa = gradient_operator(game, a)
+        fb = gradient_operator(game, b)
         q = float((fa - fb) @ diff) / nsq
         if q < min_q:
             min_q = q

@@ -41,13 +41,6 @@ class EquilibriumReport:
     certified: bool = True
 
 
-@dataclass(eq=False)
-class PsgdTrace:
-    """Output of the averaged stochastic projected-gradient run."""
-
-    averaged_point: JointAction
-
-
 # ---------------------------------------------------------------------------
 # Single-player projected descent
 # ---------------------------------------------------------------------------
@@ -137,10 +130,7 @@ def stationary_optimum(
 ) -> EquilibriumReport:
     """Minimize the learner loss against a single fixed environment action."""
     e = np.asarray(fixed_env, dtype=float)
-    theta0 = np.zeros((1, game.dim_learner))
-    theta, iters, residual = _projected_descent(
-        [lambda t: game.grad_l(t, e)], model_class, theta0, 1.0 / game.lipschitz, True, 1e-8, 200_000
-    )
+    theta, iters, residual = best_responses(game, "learner", e[np.newaxis], model_class, 1e-8)
     return EquilibriumReport(
         regime="stationary",
         joint=JointAction(theta[0], e),
@@ -151,15 +141,17 @@ def stationary_optimum(
     )
 
 
-def _best_responses(
+def best_responses(
     game: GameSpec,
     player: str,
     opponent_actions: np.ndarray,
     own_set: ActionSet,
     tol: float,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best responses of one player to each row of opponent_actions, solved as
-    one batched descent."""
+    one batched adaptive descent from the origin; every best response in the
+    package is solved here. Returns the points, iteration counts and natural
+    residuals by row."""
     if player == "learner":
         grads = [lambda t, o=o: game.grad_l(t, o) for o in opponent_actions]
     elif player == "env":
@@ -167,8 +159,7 @@ def _best_responses(
     else:
         raise ValueError(f"unknown player {player!r}")
     x0 = np.zeros((len(grads), own_set.dimension))
-    x, _, _ = _projected_descent(grads, own_set, x0, 1.0 / game.lipschitz, True, tol, 200_000)
-    return x
+    return _projected_descent(grads, own_set, x0, 1.0 / game.lipschitz, True, tol, 200_000)
 
 
 def best_response(
@@ -180,7 +171,7 @@ def best_response(
 ) -> np.ndarray:
     """Loss-minimizing action of one player against a fixed opponent action."""
     opp = np.asarray(opponent_action, dtype=float)
-    return _best_responses(game, player, opp[np.newaxis], own_set, tol)[0]
+    return best_responses(game, player, opp[np.newaxis], own_set, tol)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -193,30 +184,34 @@ def grid_points(feasible: ActionSet, resolution: int, box: Optional[Box] = None)
     box = box if box is not None else feasible.bounding_box()
     axes = [np.linspace(lo, hi, resolution) for lo, hi in zip(box.lower, box.upper)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, box.dimension)
-    keep = [p for p in mesh if feasible.contains(p, tol=1e-9)]
-    return np.array(keep) if keep else np.empty((0, box.dimension))
+    return mesh[_row_norms(mesh - feasible.project_rows(mesh)) <= 1e-9]
+
+
+RowObjective = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def _grid_minimize(
-    objective: Callable[[np.ndarray], np.ndarray],
+    objective: RowObjective,
     feasible: ActionSet,
     resolution: int,
-) -> tuple[np.ndarray, float, int]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Grid search refined by two zoom rounds; lexicographically first tie-break.
 
-    objective maps a (B, d) array of points to their B values; each round
-    evaluates its whole grid in one call."""
+    objective maps a (B, d) array of points to their B values and the B rows
+    that came with them (the follower's responses); each round evaluates its
+    whole grid in one call. Returns the best point and its row."""
     outer = feasible.bounding_box()
     box = outer
-    best_point, best_value = None, math.inf
+    best_point, best_row, best_value = None, None, math.inf
     evals = 0
     for _ in range(3):
         pts = grid_points(feasible, resolution, box)
         if pts.shape[0] == 0:
             break
-        for p, v in zip(pts, objective(pts)):
+        values, rows = objective(pts)
+        for p, r, v in zip(pts, rows, values):
             if v < best_value - 1e-15:
-                best_value, best_point = float(v), p
+                best_value, best_point, best_row = float(v), p, r
         evals += pts.shape[0]
         spacing = (box.upper - box.lower) / max(resolution - 1, 1)
         lo = np.maximum(outer.lower, best_point - spacing)
@@ -224,20 +219,22 @@ def _grid_minimize(
         box = Box(lo, hi)
     if best_point is None:
         raise ValueError("empty grid: feasible set has no grid points")
-    return best_point, best_value, evals
+    return best_point, best_row, evals
 
 
 def _pattern_search(
-    objective: Callable[[np.ndarray], np.ndarray],
+    objective: RowObjective,
     feasible: ActionSet,
     x0: np.ndarray,
     initial_step: float,
-) -> tuple[np.ndarray, float, int]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Compass search with shrinking steps; local, used beyond grid dimensions.
 
-    objective is the grid's row objective, called with one row at a time."""
+    objective is the grid's row objective, called with one row at a time.
+    Returns the best point and its row."""
     x = feasible.project(x0)
-    fx = float(objective(x[np.newaxis])[0])
+    values, rows = objective(x[np.newaxis])
+    fx, row = float(values[0]), rows[0]
     h = initial_step
     evals = 1
     d = x.shape[0]
@@ -248,16 +245,16 @@ def _pattern_search(
                 cand = x.copy()
                 cand[j] += sign * h
                 cand = feasible.project(cand)
-                val = float(objective(cand[np.newaxis])[0])
+                values, rows = objective(cand[np.newaxis])
                 evals += 1
-                if val < fx - 1e-15:
-                    x, fx = cand, val
+                if values[0] < fx - 1e-15:
+                    x, fx, row = cand, float(values[0]), rows[0]
                     improved = True
         if not improved:
             h *= 0.5
             if h < 1e-8:
                 break
-    return x, fx, evals
+    return x, row, evals
 
 
 def stackelberg_leader(
@@ -282,21 +279,22 @@ def stackelberg_leader(
     else:
         raise ValueError(f"unknown leader {leader!r}")
 
-    def objective(actions: np.ndarray) -> np.ndarray:
-        """Leader loss at each row of actions, the follower best-responding."""
-        responses = _best_responses(game, follower, actions, follower_set, 1e-9)
-        return np.array([float(leader_loss(a, f)) for a, f in zip(actions, responses)])
+    def objective(actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Leader loss at each row of actions, and the follower's best
+        responses that give it."""
+        responses, _, _ = best_responses(game, follower, actions, follower_set, 1e-9)
+        losses = np.array([float(leader_loss(a, f)) for a, f in zip(actions, responses)])
+        return losses, responses
 
     certified = leader_set.dimension <= 2
     if certified:
-        action, _, evals = _grid_minimize(objective, leader_set, grid_resolution)
+        action, follower_action, evals = _grid_minimize(objective, leader_set, grid_resolution)
     else:
         box = leader_set.bounding_box()
         span = float(np.max(box.upper - box.lower))
         x0 = leader_set.project((box.lower + box.upper) / 2.0)
-        action, _, evals = _pattern_search(objective, leader_set, x0, span / 4.0)
+        action, follower_action, evals = _pattern_search(objective, leader_set, x0, span / 4.0)
 
-    follower_action = best_response(game, follower, action, follower_set)
     if leader == "learner":
         theta, env = action, follower_action
         learner_set, env_set = leader_set, follower_set
@@ -329,11 +327,11 @@ def psgd_nash(
     x0: JointAction,
     horizon: int,
     rng: np.random.Generator,
-) -> PsgdTrace:
+) -> JointAction:
     """Projected stochastic gradient steps with weighted iterate averaging.
 
     Iterates x_{t+1} = P(x_t - eta_t * Fhat(x_t)) with eta_t = 2/(mu (t+1));
-    the returned average weights iterate t by t / (T(T+1)/2).
+    returns the average that weights iterate t by t / (T(T+1)/2).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -341,14 +339,13 @@ def psgd_nash(
     x = joint_set.project(x0.concat())
     acc = np.zeros_like(x)
     mu = game.mu
-    dl = game.dim_learner
     for t in range(1, horizon + 1):
         acc += t * x
-        fhat = noisy_gradient_operator(game, JointAction.from_concat(x, dl), rng)
+        fhat = noisy_gradient_operator(game, x, rng)
         eta = 2.0 / (mu * (t + 1))
         x = joint_set.project(x - eta * fhat)
     averaged = acc * (2.0 / (horizon * (horizon + 1)))
-    return PsgdTrace(averaged_point=JointAction.from_concat(averaged, dl))
+    return JointAction.from_concat(averaged, game.dim_learner)
 
 
 def nash_residual(
@@ -357,7 +354,8 @@ def nash_residual(
     """Natural residual |x - P(x - F(x))| of the stacked projected-gradient
     step (both players' own-action blocks); zero exactly at a Nash point of
     the convex game."""
-    return natural_residual(x.concat(), Product(learner_set, env_set), gradient_operator(game, x))
+    z = x.concat()
+    return natural_residual(z, Product(learner_set, env_set), gradient_operator(game, z))
 
 
 def solve_nash(
@@ -372,9 +370,8 @@ def solve_nash(
     monotone game; stops at unit-step natural residual <= tol.
     """
     joint_set = Product(learner_set, env_set)
-    dl = game.dim_learner
     x, iters, _ = _projected_descent(
-        [lambda z: gradient_operator(game, JointAction.from_concat(z, dl))],
+        [lambda z: gradient_operator(game, z)],
         joint_set,
         np.zeros((1, joint_set.dimension)),
         game.mu / (game.lipschitz**2),
@@ -382,7 +379,7 @@ def solve_nash(
         tol,
         500_000,
     )
-    return JointAction.from_concat(x[0], dl), int(iters[0])
+    return JointAction.from_concat(x[0], game.dim_learner), int(iters[0])
 
 
 def nash_report(

@@ -69,7 +69,6 @@ def build_chain_game(
     thresholds: Optional[Sequence[float]] = None,
     gamma_l: float = 0.9,
     gamma_e: Optional[float] = None,
-    verify: bool = True,
 ) -> MarkovChainGame:
     """Construct the chain game with calibrated environment rewards.
 
@@ -81,7 +80,8 @@ def build_chain_game(
     state i + 1 too, and advancing is worth w_i + gamma_e p/(1-gamma_e): the
     two tie exactly at the threshold. The advance condition p < p*_i holds
     exactly: the gap is strictly decreasing in p because every downstream
-    value slope is at most 1/(1-gamma_e).
+    value slope is at most 1/(1-gamma_e). The build checks the calibration
+    before it returns.
     """
     if n < 1:
         raise ValueError("the chain needs at least one state")
@@ -104,8 +104,7 @@ def build_chain_game(
     # p*_i in exact arithmetic; the indifference equation term by term fixes the last bits
     stay = game.thresholds[:-1] / (1.0 - gamma_e)
     game.env_rewards[:-1, :, 1] = (stay - gamma_e * stay)[:, None]
-    if verify:
-        _verify_calibration(game)
+    _verify_calibration(game)
     return game
 
 

@@ -83,23 +83,13 @@ class FeatureMap:
         if any(i < 0 or i >= len(self.feature_sizes) for i in self.retained):
             raise ValueError("retained coordinate out of range")
         n_cells = int(np.prod(self.feature_sizes))
-        self._decode = np.zeros((n_cells, len(self.feature_sizes)), dtype=int)
-        rem = np.arange(n_cells)
-        for axis in reversed(range(len(self.feature_sizes))):
-            self._decode[:, axis] = rem % self.feature_sizes[axis]
-            rem //= self.feature_sizes[axis]
-        weights = np.ones(len(self.feature_sizes), dtype=int)
-        for axis in reversed(range(len(self.feature_sizes) - 1)):
-            weights[axis] = weights[axis + 1] * self.feature_sizes[axis + 1]
-        kept = self._decode.copy()
-        dropped = [i for i in range(len(self.feature_sizes)) if i not in self.retained]
-        kept[:, dropped] = 0
-        self.representative = kept @ weights  # full-cell index of phi(x)
+        coords = np.unravel_index(np.arange(n_cells), self.feature_sizes)
+        kept = [c if i in self.retained else np.zeros_like(c) for i, c in enumerate(coords)]
+        self.representative = np.ravel_multi_index(kept, self.feature_sizes)  # full cell of phi(x)
         retained_sizes = [self.feature_sizes[i] for i in self.retained]
-        rweights = np.ones(len(retained_sizes), dtype=int)
-        for axis in reversed(range(len(retained_sizes) - 1)):
-            rweights[axis] = rweights[axis + 1] * retained_sizes[axis + 1]
-        self.restricted_index = self._decode[:, list(self.retained)] @ rweights
+        # over no retained axes ravel_multi_index gives one scalar: every cell maps to 0
+        restricted = np.ravel_multi_index([coords[i] for i in self.retained], retained_sizes)
+        self.restricted_index = np.broadcast_to(restricted, (n_cells,))
         self.n_restricted = int(np.prod(retained_sizes))
 
 

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+K_RANGE = (-10.0, 10.0)  # the shift magnitudes k the population may choose
+
 
 @dataclass(eq=False)
 class RegressionInstance:
     beta: np.ndarray
-    k_range: tuple[float, float] = (-10.0, 10.0)
 
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=float)
@@ -32,8 +33,6 @@ class RegressionInstance:
             raise ValueError("beta must be a nonzero vector")
         if not math.isfinite(squared_norm):
             raise ValueError(f"beta must have a finite |beta|^2, got {squared_norm}")
-        if self.k_range[0] > self.k_range[1]:
-            raise ValueError("empty k range")
 
     @property
     def dim(self) -> int:
@@ -104,7 +103,7 @@ def small_model_env_objective(instance: RegressionInstance, k: float) -> float:
 
 
 def small_model_equilibrium(instance: RegressionInstance) -> StackelbergOutcome:
-    k_star = _argmax_1d(lambda k: small_model_env_objective(instance, k), *instance.k_range)
+    k_star = _argmax_1d(lambda k: small_model_env_objective(instance, k), *K_RANGE)
     return StackelbergOutcome(
         model_class="small",
         k_star=k_star,
@@ -149,7 +148,7 @@ def large_model_env_objective(instance: RegressionInstance, k: float) -> float:
 
 
 def large_model_equilibrium(instance: RegressionInstance) -> StackelbergOutcome:
-    k_star = _argmax_1d(lambda k: large_model_env_objective(instance, k), *instance.k_range)
+    k_star = _argmax_1d(lambda k: large_model_env_objective(instance, k), *K_RANGE)
     return StackelbergOutcome(
         model_class="large",
         k_star=k_star,
@@ -166,8 +165,8 @@ def compare_model_classes(instance: RegressionInstance) -> ModelClassComparison:
     """
     small = small_model_equilibrium(instance)
     large = large_model_equilibrium(instance)
-    lo, hi = instance.k_range
-    ks = np.arange(lo, hi + 1e-12, 1e-3) if hi > lo else np.array([lo])
+    lo, hi = K_RANGE
+    ks = np.arange(lo, hi + 1e-12, 1e-3)
     pointwise = all(
         large_model_learner_loss(instance, float(k))
         <= small_model_loss(instance, float(k)) + 1e-9
@@ -183,8 +182,6 @@ def compare_model_classes(instance: RegressionInstance) -> ModelClassComparison:
 
 def _argmax_1d(f, lo: float, hi: float) -> float:
     """Grid argmax at spacing 1e-3 refined by two 10x zoom rounds; first maximizer wins ties."""
-    if hi <= lo:
-        return lo
     spacing = 1e-3
     for _ in range(3):
         n = max(int(round((hi - lo) / spacing)) + 1, 2)

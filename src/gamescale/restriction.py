@@ -25,6 +25,7 @@ from .core import (
 )
 from .equilibrium import (
     best_response,
+    best_responses,
     nash_residual,
     pareto_improvement_search,
     solve_nash,
@@ -85,18 +86,18 @@ def br_jacobian(
     Entry (i, j) is d BR_i / d theta_j. `base` is BR(theta), solved at
     BR_SOLVE_TOL; it must be interior to the environment set, since on the
     boundary the map can be kinked and the finite differences are not trusted.
+    The 2 d responses to theta +- FD_STEP e_j are solved as one batch.
     """
     theta = np.asarray(theta, dtype=float)
     if not env_set.is_interior(base, margin=FD_STEP):
         raise BoundaryResponseError("best response on the boundary of the environment set")
-    jac = np.zeros((game.dim_env, game.dim_learner))
-    for j in range(game.dim_learner):
-        e = np.zeros_like(theta)
-        e[j] = FD_STEP
-        plus = best_response(game, "env", theta + e, env_set, tol=BR_SOLVE_TOL)
-        minus = best_response(game, "env", theta - e, env_set, tol=BR_SOLVE_TOL)
-        jac[:, j] = (plus - minus) / (2.0 * FD_STEP)
-    return jac
+    steps = FD_STEP * np.eye(game.dim_learner)
+    responses, _, _ = best_responses(
+        game, "env", np.concatenate([theta + steps, theta - steps]), env_set, BR_SOLVE_TOL
+    )
+    plus, minus = responses[: game.dim_learner], responses[game.dim_learner :]
+    # C order: matmul sums in a layout-dependent order, and jac.T @ g must keep its bits
+    return np.ascontiguousarray(((plus - minus) / (2.0 * FD_STEP)).T)
 
 
 def composed_loss(game: GameSpec, theta: np.ndarray, env_set: ActionSet) -> float:

@@ -109,8 +109,7 @@ def successive_elimination(
         radius = confidence_radius(game.lipschitz, game.mu, horizon, delta_prime, scale)
         streams = rng.spawn(len(active))
         for state, stream in zip(active, streams):
-            trace = psgd_nash(game, state.action_set, env_set, x0, horizon, stream)
-            avg = trace.averaged_point
+            avg = psgd_nash(game, state.action_set, env_set, x0, horizon, stream)
             state.last_estimate = float(game.loss_learner(avg.theta, avg.env))
             state.pulls += horizon
         total_steps += len(active) * horizon

@@ -3,7 +3,8 @@
 Brute-force or independent computations that cross-check the library's
 solvers: fixed-step projected descent with a residual at every iterate,
 single-point adaptive projected descent, a sampling check that a ladder's
-classes are nested, per-arm suboptimality gaps, an exhaustive-grid Nash, alternating best responses, a
+classes are nested, per-arm suboptimality gaps, random strongly monotone
+affine games with a known Nash point, an exhaustive-grid Nash, alternating best responses, a
 finite-difference gradient check, the strategic-regression game as a generic
 Stackelberg instance, Monte-Carlo estimates of the regression game's
 integrals, losses, predictions and least-squares fits, exact chain-game
@@ -147,6 +148,39 @@ def best_response_dynamics(
     raise ConvergenceError("best-response dynamics did not converge (map may not contract)")
 
 
+def random_affine_game(rng: np.random.Generator, dim_learner: int, dim_env: int):
+    """Strongly monotone affine game F(x) = A x + b with its Nash point.
+
+    A = P + K with P symmetric positive definite and K skew, nonzero only in
+    the off-diagonal blocks, so each player's loss is a convex quadratic in its
+    own action and <F(x) - F(y), x - y> = (x - y)^T P (x - y). b puts the Nash
+    point x* = -A^{-1} b inside (-0.5, 0.5)^d, interior to the [-1, 1] boxes.
+    Returns the game and x* stacked as (theta; env).
+    """
+    d, dl = dim_learner + dim_env, dim_learner
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    p = q @ np.diag(rng.uniform(0.5, 3.0, d)) @ q.T
+    p = 0.5 * (p + p.T)
+    k = np.zeros((d, d))
+    k[:dl, dl:] = rng.uniform(-1.0, 1.0, (dl, dim_env))
+    k[dl:, :dl] = -k[:dl, dl:].T
+    a = p + k
+    x_star = rng.uniform(-0.5, 0.5, d)
+    b = -a @ x_star
+    att, ate, aet, aee = a[:dl, :dl], a[:dl, dl:], a[dl:, :dl], a[dl:, dl:]
+    game = GameSpec(
+        dim_learner=dim_learner,
+        dim_env=dim_env,
+        loss_learner=lambda t, e: float(0.5 * t @ att @ t + t @ ate @ e + b[:dl] @ t),
+        loss_env=lambda t, e: float(0.5 * e @ aee @ e + e @ aet @ t + b[dl:] @ e),
+        grad_learner=lambda t, e: att @ t + ate @ e + b[:dl],
+        grad_env=lambda t, e: aet @ t + aee @ e + b[dl:],
+        mu=float(np.linalg.eigvalsh(p)[0]),
+        lipschitz=float(np.linalg.norm(a, 2)),
+    )
+    return game, x_star
+
+
 def check_gradients(
     game: GameSpec,
     region: ActionSet,
@@ -161,7 +195,7 @@ def check_gradients(
         x = JointAction.from_concat(region.sample(rng), dl)
         fd_l = central_difference(lambda t: game.loss_learner(t, x.env), x.theta, step)
         fd_e = central_difference(lambda e: game.loss_env(x.theta, e), x.env, step)
-        exact = gradient_operator(game, x)
+        exact = gradient_operator(game, x.concat())
         fd = np.concatenate([fd_l, fd_e])
         scale = max(1.0, float(np.linalg.norm(exact)))
         if float(np.linalg.norm(exact - fd)) > rel_tol * scale:

@@ -127,8 +127,7 @@ def test_criterion_3_psgd_rate():
         for s in range(20):
             rng = np.random.default_rng([30, horizon, s])
             x0 = JointAction(np.zeros(1), np.zeros(1))
-            trace = psgd_nash(game, bench.learner_set, bench.env_set, x0, horizon, rng)
-            avg = trace.averaged_point
+            avg = psgd_nash(game, bench.learner_set, bench.env_set, x0, horizon, rng)
             gaps.append(abs(float(game.loss_learner(avg.theta, avg.env)) - bench.nash_learner_loss))
         means[horizon] = float(np.mean(gaps))
     ok = means[4096] <= 0.5 * means[512]

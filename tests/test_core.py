@@ -224,13 +224,13 @@ def test_interiority_sampling_and_bounding_box(case):
 
 def test_gradient_operator_decoupled():
     game = coupling_game(0.0, lipschitz=1.0)
-    out = gradient_operator(game, JointAction(np.array([3.0]), np.array([-2.0])))
+    out = gradient_operator(game, JointAction(np.array([3.0]), np.array([-2.0])).concat())
     np.testing.assert_allclose(out, [3.0, -2.0])
 
 
 def test_gradient_operator_coupled_by_hand():
     game = coupling_game(1.0, lipschitz=2.0)
-    out = gradient_operator(game, JointAction(np.array([1.0]), np.array([1.0])))
+    out = gradient_operator(game, JointAction(np.array([1.0]), np.array([1.0])).concat())
     np.testing.assert_allclose(out, [2.0, 0.0])
 
 
@@ -246,7 +246,7 @@ def test_gradient_operator_rejects_nonfinite():
         lipschitz=1.0,
     )
     with pytest.raises(FloatingPointError):
-        gradient_operator(game, JointAction(np.zeros(1), np.zeros(1)))
+        gradient_operator(game, JointAction(np.zeros(1), np.zeros(1)).concat())
 
 
 def test_gradients_match_finite_differences():
@@ -276,7 +276,7 @@ def test_omitted_gradients_fall_back_to_finite_differences():
         mu=1.0,
         lipschitz=2.0,
     )
-    out = gradient_operator(game, JointAction(np.array([1.0]), np.array([1.0])))
+    out = gradient_operator(game, JointAction(np.array([1.0]), np.array([1.0])).concat())
     np.testing.assert_allclose(out, [2.0, 1.0], atol=1e-7)
 
 
@@ -310,7 +310,7 @@ def test_game_spec_validation():
 
 def test_noisy_gradient_zero_sigma_is_exact():
     game = coupling_game(0.0, lipschitz=1.0, sigma=0.0)
-    x = JointAction(np.array([0.3]), np.array([-0.7]))
+    x = JointAction(np.array([0.3]), np.array([-0.7])).concat()
     rng = np.random.default_rng(3)
     np.testing.assert_array_equal(
         noisy_gradient_operator(game, x, rng), gradient_operator(game, x)
@@ -320,7 +320,7 @@ def test_noisy_gradient_zero_sigma_is_exact():
 def test_noisy_gradient_mean_and_bound():
     sigma = 0.5
     game = coupling_game(0.0, lipschitz=1.0, sigma=sigma)
-    x = JointAction(np.array([0.3]), np.array([-0.7]))
+    x = JointAction(np.array([0.3]), np.array([-0.7])).concat()
     base = gradient_operator(game, x)
     rng = np.random.default_rng(4)
     n = 100_000
@@ -335,7 +335,7 @@ def test_noisy_gradient_mean_and_bound():
 
 def test_noisy_gradient_deterministic_given_seed():
     game = coupling_game(0.0, lipschitz=1.0, sigma=0.3)
-    x = JointAction(np.array([0.1]), np.array([0.2]))
+    x = JointAction(np.array([0.1]), np.array([0.2])).concat()
     a = noisy_gradient_operator(game, x, np.random.default_rng(42))
     b = noisy_gradient_operator(game, x, np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)

@@ -30,6 +30,7 @@ from gamescale.core import (
 from gamescale.equilibrium import (
     _projected_descent,
     best_response,
+    grid_points,
     nash_report,
     nash_residual,
     natural_residual,
@@ -43,6 +44,7 @@ from gamescale.equilibrium import (
 from oracles import (
     best_response_dynamics,
     grid_nash,
+    random_affine_game,
     regression_stackelberg_game,
     single_point_descent,
     two_projection_descent,
@@ -317,8 +319,66 @@ def test_batched_descent_raises_when_one_row_hits_cap():
 
 
 # ---------------------------------------------------------------------------
+# Grid points
+# ---------------------------------------------------------------------------
+
+
+GRID_CASES = {
+    "box": (Box(np.array([-1.0, -0.5]), np.array([1.0, 2.0])), None),
+    "zoomed_sub_box": (
+        Box(np.array([-1.0, -0.5]), np.array([1.0, 2.0])),
+        Box(np.array([-0.3, 0.1]), np.array([0.2, 0.4])),
+    ),
+    "halfspace_cut": (
+        Intersection([Box(-np.ones(2), np.ones(2)), Halfspace(np.array([1.0, 2.0]), 0.3)]),
+        None,
+    ),
+    "halfspace_cut_zoomed": (
+        Intersection([Box(-np.ones(2), np.ones(2)), Halfspace(np.array([1.0, 2.0]), 0.3)]),
+        Box(np.array([-0.2, 0.0]), np.array([0.6, 0.5])),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
+def test_grid_points_match_per_point_contains_filter(case):
+    feasible, box = GRID_CASES[case]
+    mesh_box = box if box is not None else feasible.bounding_box()
+    mesh = grid_points(mesh_box, 11)
+    assert mesh.shape == (11**2, 2)  # a box keeps its whole mesh
+    expected = np.array([p for p in mesh if feasible.contains(p, tol=1e-9)])
+    kept = grid_points(feasible, 11, box)
+    assert kept.tobytes() == expected.tobytes()
+    if isinstance(feasible, Intersection):
+        assert 0 < kept.shape[0] < mesh.shape[0]
+
+
+# ---------------------------------------------------------------------------
 # Stackelberg
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "leader, dim_leader, dim_follower, resolution",
+    [("learner", 1, 2, 101), ("env", 1, 2, 101), ("learner", 2, 1, 21), ("learner", 3, 1, 101)],
+)
+def test_stackelberg_follower_is_best_response_bitwise(leader, dim_leader, dim_follower, resolution):
+    # grid leaders (dimension <= 2) and the pattern-search leader (3) keep the
+    # follower response they found, which must be the one-point solve bit for bit
+    rng = np.random.default_rng(70 + dim_leader)
+    dl, de = (dim_leader, dim_follower) if leader == "learner" else (dim_follower, dim_leader)
+    game, _ = random_affine_game(rng, dl, de)
+    learner_set, env_set = Box(-np.ones(dl), np.ones(dl)), Box(-np.ones(de), np.ones(de))
+    if leader == "learner":
+        report = stackelberg_leader(game, "learner", learner_set, env_set, grid_resolution=resolution)
+        expected = best_response(game, "env", report.joint.theta, env_set)
+        follower_action = report.joint.env
+    else:
+        report = stackelberg_leader(game, "env", env_set, learner_set, grid_resolution=resolution)
+        expected = best_response(game, "learner", report.joint.env, learner_set)
+        follower_action = report.joint.theta
+    assert report.certified == (dim_leader <= 2)
+    assert follower_action.tobytes() == expected.tobytes()
 
 
 def test_stackelberg_zero_sum_coincides_with_nash():
@@ -396,16 +456,16 @@ def test_stackelberg_high_dim_flagged_uncertified():
 def test_psgd_decoupled_reaches_origin():
     game = decoupled_quadratic(sigma=0.0)
     x0 = JointAction(np.array([1.0]), np.array([1.0]))
-    trace = psgd_nash(game, BOX2, BOX2, x0, 1000, np.random.default_rng(0))
-    assert float(np.linalg.norm(trace.averaged_point.concat())) <= 1e-2
+    avg = psgd_nash(game, BOX2, BOX2, x0, 1000, np.random.default_rng(0))
+    assert float(np.linalg.norm(avg.concat())) <= 1e-2
 
 
 def test_psgd_coupled_linear_system_solution():
     bench = coupled_quadratic(sigma=0.0)
     x0 = JointAction(np.zeros(1), np.zeros(1))
-    trace = psgd_nash(bench.game, bench.learner_set, bench.env_set, x0, 20_000, np.random.default_rng(1))
-    np.testing.assert_allclose(trace.averaged_point.theta, [0.0], atol=1e-3)
-    np.testing.assert_allclose(trace.averaged_point.env, [1.0], atol=1e-3)
+    avg = psgd_nash(bench.game, bench.learner_set, bench.env_set, x0, 20_000, np.random.default_rng(1))
+    np.testing.assert_allclose(avg.theta, [0.0], atol=1e-3)
+    np.testing.assert_allclose(avg.env, [1.0], atol=1e-3)
 
 
 def test_psgd_rejects_bad_horizon():
@@ -420,7 +480,7 @@ def test_psgd_deterministic_given_seed():
     x0 = JointAction(np.zeros(1), np.zeros(1))
     a = psgd_nash(bench.game, bench.learner_set, bench.env_set, x0, 500, np.random.default_rng(7))
     b = psgd_nash(bench.game, bench.learner_set, bench.env_set, x0, 500, np.random.default_rng(7))
-    np.testing.assert_array_equal(a.averaged_point.concat(), b.averaged_point.concat())
+    np.testing.assert_array_equal(a.concat(), b.concat())
 
 
 def test_psgd_averaging_weights_sum_to_one_exactly():
@@ -435,8 +495,8 @@ def test_psgd_noiseless_error_decay():
     star = bench.nash.concat()
     errors = {}
     for horizon in [16, 32, 64, 128, 256, 512, 1024, 2048, 4096]:
-        trace = psgd_nash(bench.game, bench.learner_set, bench.env_set, x0, horizon, np.random.default_rng(2))
-        errors[horizon] = float(np.linalg.norm(trace.averaged_point.concat() - star))
+        avg = psgd_nash(bench.game, bench.learner_set, bench.env_set, x0, horizon, np.random.default_rng(2))
+        errors[horizon] = float(np.linalg.norm(avg.concat() - star))
     horizons = sorted(errors)
     for a, b in zip(horizons, horizons[1:]):
         assert errors[b] <= errors[a] + 1e-12
@@ -447,8 +507,8 @@ def test_psgd_noiseless_error_decay():
 def test_psgd_residual_small_at_large_horizon():
     bench = coupled_quadratic(sigma=0.1)
     x0 = JointAction(np.zeros(1), np.zeros(1))
-    trace = psgd_nash(bench.game, bench.learner_set, bench.env_set, x0, 10_000, np.random.default_rng(3))
-    res = nash_residual(bench.game, trace.averaged_point, bench.learner_set, bench.env_set)
+    avg = psgd_nash(bench.game, bench.learner_set, bench.env_set, x0, 10_000, np.random.default_rng(3))
+    res = nash_residual(bench.game, avg, bench.learner_set, bench.env_set)
     assert res <= 1e-2
 
 
@@ -483,6 +543,20 @@ def test_residual_zero_at_clamped_nash():
     x, _ = solve_nash(game, BOX2, BOX2, tol=1e-9)
     np.testing.assert_allclose(x.theta, [2.0], atol=1e-8)
     assert nash_residual(game, x, BOX2, BOX2) <= 1e-8
+
+
+def test_residual_zero_at_closed_form_nash_of_random_affine_games():
+    rng = np.random.default_rng(71)
+    for _ in range(20):
+        dl, de = (int(n) for n in rng.integers(1, 4, size=2))
+        game, x_star = random_affine_game(rng, dl, de)
+        learner_set, env_set = Box(-np.ones(dl), np.ones(dl)), Box(-np.ones(de), np.ones(de))
+        nash = JointAction.from_concat(x_star, dl)
+        assert nash_residual(game, nash, learner_set, env_set) <= 1e-12
+        off = JointAction.from_concat(x_star + 0.1 * rng.standard_normal(dl + de), dl)
+        assert nash_residual(game, off, learner_set, env_set) > 1e-3
+        solved, _ = solve_nash(game, learner_set, env_set, tol=1e-10)
+        np.testing.assert_allclose(solved.concat(), x_star, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +606,8 @@ def test_oracles_agree_on_contractive_game():
     spacing = 2.0 / 100
     x0 = JointAction(np.array([0.7]), np.array([-0.7]))
     br_point, _ = best_response_dynamics(game, box, box, x0)
-    trace = psgd_nash(game, box, box, x0, 20_000, np.random.default_rng(4))
-    for candidate in (grid_point, br_point, trace.averaged_point):
+    avg = psgd_nash(game, box, box, x0, 20_000, np.random.default_rng(4))
+    for candidate in (grid_point, br_point, avg):
         assert float(np.linalg.norm(candidate.concat() - exact.concat())) <= spacing
     assert regret <= 1e-9
 

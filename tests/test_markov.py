@@ -107,7 +107,7 @@ def test_myopic_env_reduces_to_stage_comparison():
 
 
 def test_equal_env_rewards_tie_toward_stay():
-    base = build_chain_game(3, verify=False)
+    base = build_chain_game(3)
     game = MarkovChainGame(
         3, base.learner_rewards, np.ones((3, 2, 2)), 0.9, 0.9, base.thresholds
     )
@@ -262,7 +262,7 @@ def test_dominance_holds_on_calibrated_game():
 
 
 def test_reversed_dominance_detected():
-    base = build_chain_game(3, verify=False)
+    base = build_chain_game(3)
     rewards = base.learner_rewards.copy()
     rewards[0, 0, :], rewards[0, 1, :] = 0.0, 5.0  # reversed at the start state
     game = MarkovChainGame.__new__(MarkovChainGame)

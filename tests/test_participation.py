@@ -77,6 +77,13 @@ def test_restricted_bayes_pools_protected_cells():
     # constant across the protected bit
     assert np.array_equal(clf.labels, clf.labels[phi.representative])
     assert zero_one_loss(clf, base) == pytest.approx(0.15, abs=1e-12)
+    # no retained coordinate: every cell pools into restricted cell 0
+    nothing = FeatureMap(base.feature_sizes, retained=())
+    assert nothing.n_restricted == 1
+    np.testing.assert_array_equal(nothing.restricted_index, np.zeros(base.n_cells, dtype=int))
+    np.testing.assert_array_equal(nothing.representative, np.zeros(base.n_cells, dtype=int))
+    constant = bayes_classifier(base, nothing)
+    assert np.all(constant.labels == np.argmax(base.probs.sum(axis=0)))
 
 
 def test_loss_matches_direct_enumeration():

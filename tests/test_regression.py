@@ -159,11 +159,10 @@ def test_comparison_reverse_scaling_and_pointwise_dominance():
 
 
 def test_degenerate_k_range_no_manipulation():
-    inst = RegressionInstance(np.array([1.0, 0.0]), k_range=(0.0, 0.0))
-    comp = compare_model_classes(inst)
-    assert comp.small.learner_loss == pytest.approx(0.0, abs=1e-12)
-    assert comp.large.learner_loss == pytest.approx(0.0, abs=1e-12)
-    assert not comp.reverse_scaling
+    # a population that can only choose k = 0 does not shift: both classes fit exactly
+    inst = RegressionInstance(np.array([1.0, 0.0]))
+    assert small_model_loss(inst, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert large_model_learner_loss(inst, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_losses_scale_exactly_with_beta_norm_squared():
@@ -181,5 +180,3 @@ def test_losses_scale_exactly_with_beta_norm_squared():
 def test_instance_validation():
     with pytest.raises(ValueError):
         RegressionInstance(np.zeros(2))
-    with pytest.raises(ValueError):
-        RegressionInstance(np.array([1.0]), k_range=(1.0, -1.0))
