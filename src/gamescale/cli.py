@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -44,13 +45,19 @@ from .regression import (
     small_model_env_objective,
     small_model_loss,
 )
-from .restriction import RestrictionCertificate, RestrictionStageError, certify_restriction
+from .restriction import RestrictionCertificate, certify_restriction
 from .selection import successive_elimination
 from .svg import Series, line_chart
 
 
 class ConfigError(ValueError):
     pass
+
+
+class OutputError(RuntimeError):
+    """A result value is not finite; the run fails instead of writing it."""
+
+    stage = "output"
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +90,8 @@ def fmt_value(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
+        if not math.isfinite(v):
+            raise OutputError(f"non-finite result value {float(v)}")
         return f"{float(v):.17g}"
     if isinstance(v, np.ndarray):
         return ",".join(fmt_value(float(c)) for c in v)
@@ -307,8 +316,8 @@ def run_markov(params: dict, out_dir: Path) -> list[Path]:
 
 def run_regression(params: dict, out_dir: Path) -> list[Path]:
     """strategic regression loss comparison"""
-    if params["curve_step"] <= 0:
-        raise ConfigError("curve_step must be positive")
+    if not params["curve_step"] > 0:
+        raise ConfigError(f"curve_step must be positive, got {params['curve_step']}")
     instance = RegressionInstance(np.array(params["beta"]))
     comparison = compare_model_classes(instance)
     lo, hi = K_RANGE
@@ -372,13 +381,12 @@ def run_participation(params: dict, out_dir: Path) -> list[Path]:
         if not 0.0 <= params[key] <= 1.0:
             raise ConfigError(f"{key} must lie in [0, 1], got {params[key]}")
     base, phi = default_instance()
-    n_labels = base.n_labels
-    threshold = alpha_threshold(base, phi, n_labels)
+    threshold = alpha_threshold(base, phi)
     rows = []
     for alpha in np.linspace(params["alpha_min"], params["alpha_max"], params["alpha_points"]):
         full = equilibrium_pair("full", base, phi, float(alpha))
         restricted = equilibrium_pair("restricted", base, phi, float(alpha))
-        if not (full.certificate.passed and restricted.certificate.passed):
+        if not (full.certified and restricted.certified):
             raise RuntimeError(f"equilibrium certificate failed at alpha={alpha}")
         rows.append(
             (alpha, full.loss, restricted.loss, threshold, full.loss > restricted.loss)
@@ -403,6 +411,8 @@ def run_scaling_curve(params: dict, out_dir: Path) -> list[Path]:
     """equilibrium losses across a nested ladder"""
     regime = params["regime"]
     radii = params["radii"]
+    if not all(0.0 <= r < math.inf for r in radii):
+        raise ConfigError(f"radii must be finite and nonnegative, got {radii}")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError("radii must be strictly increasing (small class first)")
     if regime == "stationary":
@@ -531,18 +541,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         params = _resolve_params(args, cfg)
         out_dir = Path(args.out_dir or cfg.get("out_dir") or f"out/{args.experiment}")
         out_dir.mkdir(parents=True, exist_ok=True)
-    except ConfigError as exc:
-        print(json.dumps({"error": {"type": "config", "message": str(exc)}}), file=sys.stderr)
-        return 2
-    try:
         outputs = EXPERIMENTS[args.experiment][0](params, out_dir)
     except ValueError as exc:
         print(json.dumps({"error": {"type": "config", "message": str(exc)}}), file=sys.stderr)
         return 2
     except (RuntimeError, FloatingPointError) as exc:
+        # only the runner raises these, so out_dir is set
         error = {"type": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, RestrictionStageError):
-            error["stage"] = exc.stage
+        stage = getattr(exc, "stage", None)
+        if stage is not None:
+            error["stage"] = stage
         write_manifest(out_dir, args.experiment, params, [], time.monotonic() - started, error)
         print(json.dumps({"error": error}), file=sys.stderr)
         return 3

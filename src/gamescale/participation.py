@@ -46,9 +46,6 @@ class DiscreteDistribution:
     def n_labels(self) -> int:
         return self.probs.shape[1]
 
-    def x_marginal(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
-
 
 def uniform_distribution(feature_sizes: tuple[int, ...], n_labels: int) -> DiscreteDistribution:
     n_cells = int(np.prod(feature_sizes))
@@ -60,10 +57,6 @@ def uniform_distribution(feature_sizes: tuple[int, ...], n_labels: int) -> Discr
 def mix(noise: DiscreteDistribution, base: DiscreteDistribution, alpha: float) -> DiscreteDistribution:
     """alpha * noise + (1 - alpha) * base."""
     return DiscreteDistribution(base.feature_sizes, alpha * noise.probs + (1.0 - alpha) * base.probs)
-
-
-def tv_distance(a: DiscreteDistribution, b: DiscreteDistribution) -> float:
-    return 0.5 * float(np.abs(a.probs - b.probs).sum())
 
 
 @dataclass(eq=False)
@@ -92,13 +85,12 @@ class FeatureMap:
         self.restricted_index = np.broadcast_to(restricted, (n_cells,))
         self.n_restricted = int(np.prod(retained_sizes))
 
-
-@dataclass(eq=False)
-class Classifier:
-    """Labeling of every full feature cell; restricted classifiers are
-    constant across the dropped coordinates by construction."""
-
-    labels: np.ndarray
+    def pool(self, probs: np.ndarray) -> np.ndarray:
+        """(restricted cell x label) table: rows of probs summed over cells
+        that share their retained coordinates."""
+        pooled = np.zeros((self.n_restricted, probs.shape[1]))
+        np.add.at(pooled, self.restricted_index, probs)
+        return pooled
 
 
 def _argmax_rows(primary: np.ndarray, secondary: np.ndarray) -> np.ndarray:
@@ -110,35 +102,34 @@ def _argmax_rows(primary: np.ndarray, secondary: np.ndarray) -> np.ndarray:
 
 def bayes_classifier(
     dist: DiscreteDistribution, feature_map: Optional[FeatureMap] = None
-) -> Classifier:
-    """Per-cell argmax of the label conditional; ties go to the smallest label.
+) -> np.ndarray:
+    """Label of every full feature cell: the per-cell argmax of the label
+    conditional; ties go to the smallest label.
 
     With a feature map, cells are pooled by their retained coordinates before
-    taking the argmax, which is the Bayes rule of the restricted class.
+    taking the argmax, which is the Bayes rule of the restricted class; its
+    labels are constant across the dropped coordinates.
     """
     if feature_map is None:
-        return Classifier(np.argmax(dist.probs, axis=1))
-    pooled = np.zeros((feature_map.n_restricted, dist.n_labels))
-    np.add.at(pooled, feature_map.restricted_index, dist.probs)
-    return Classifier(np.argmax(pooled, axis=1)[feature_map.restricted_index])
+        return np.argmax(dist.probs, axis=1)
+    return np.argmax(feature_map.pool(dist.probs), axis=1)[feature_map.restricted_index]
 
 
-def zero_one_loss(classifier: Classifier, dist: DiscreteDistribution) -> float:
-    hit = dist.probs[np.arange(dist.n_cells), classifier.labels]
+def zero_one_loss(labels: np.ndarray, dist: DiscreteDistribution) -> float:
+    hit = dist.probs[np.arange(dist.n_cells), labels]
     return 1.0 - float(hit.sum())
 
 
 def uses_protected_features(
-    classifier: Classifier, base: DiscreteDistribution, phi_star: FeatureMap
+    labels: np.ndarray, base: DiscreteDistribution, phi_star: FeatureMap
 ) -> bool:
     """True when g(x) differs from g(phi*(x)) on a cell of positive base mass."""
-    mass = base.x_marginal()
-    differs = classifier.labels != classifier.labels[phi_star.representative]
-    return bool(np.any(differs & (mass > 0.0)))
+    differs = labels != labels[phi_star.representative]
+    return bool(np.any(differs & (base.probs.sum(axis=1) > 0.0)))
 
 
 def env_response(
-    classifier: Classifier,
+    labels: np.ndarray,
     base: DiscreteDistribution,
     phi_star: FeatureMap,
     alpha: float,
@@ -147,45 +138,32 @@ def env_response(
     protected features; otherwise the truthful base distribution."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    if uses_protected_features(classifier, base, phi_star):
+    if uses_protected_features(labels, base, phi_star):
         return mix(uniform_distribution(base.feature_sizes, base.n_labels), base, alpha)
     return base
 
 
 def is_cellwise_optimal(
-    classifier: Classifier,
+    labels: np.ndarray,
     dist: DiscreteDistribution,
     feature_map: Optional[FeatureMap] = None,
 ) -> bool:
     """No single-cell relabeling (within the class) lowers the zero-one loss."""
     if feature_map is None:
         best = dist.probs.max(axis=1)
-        chosen = dist.probs[np.arange(dist.n_cells), classifier.labels]
+        chosen = dist.probs[np.arange(dist.n_cells), labels]
         return bool(np.all(chosen >= best - 1e-15))
-    pooled = np.zeros((feature_map.n_restricted, dist.n_labels))
-    np.add.at(pooled, feature_map.restricted_index, dist.probs)
+    pooled = feature_map.pool(dist.probs)
     per_restricted = np.zeros(feature_map.n_restricted, dtype=int)
-    per_restricted[feature_map.restricted_index] = classifier.labels
+    per_restricted[feature_map.restricted_index] = labels
     chosen = pooled[np.arange(feature_map.n_restricted), per_restricted]
     return bool(np.all(chosen >= pooled.max(axis=1) - 1e-15))
 
 
-@dataclass
-class FixedPointCertificate:
-    classifier_optimal: bool
-    env_fixed_point: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.classifier_optimal and self.env_fixed_point
-
-
 @dataclass(eq=False)
 class EquilibriumOutcome:
-    model_class: str
     loss: float
-    certificate: FixedPointCertificate
-    tv_to_base: float
+    certified: bool
 
 
 def equilibrium_pair(
@@ -200,43 +178,32 @@ def equilibrium_pair(
     the noise. Full class: Bayes on the alpha-mixed distribution, with exact
     ties resolved toward the base-distribution argmax (the alpha -> 1 limit;
     the uniform component adds a constant per label, so ties only matter at
-    alpha = 1). The certificate checks mutual best response and reports
-    (rather than hides) the case where the full Bayes classifier happens not
-    to use protected features, breaking the fixed point.
+    alpha = 1). The outcome is certified when the classifier is cellwise
+    optimal for the distribution and the population's response is that
+    distribution; a full Bayes classifier that happens not to use protected
+    features breaks the fixed point and is reported, not hidden.
     """
     if model_class == "restricted":
-        classifier = bayes_classifier(base, phi_star)
+        labels = bayes_classifier(base, phi_star)
         dist = base
-        certificate = FixedPointCertificate(
-            classifier_optimal=is_cellwise_optimal(classifier, dist, phi_star),
-            env_fixed_point=np.array_equal(
-                env_response(classifier, base, phi_star, alpha).probs, dist.probs
-            ),
-        )
+        optimal = is_cellwise_optimal(labels, dist, phi_star)
     elif model_class == "full":
-        uniform = uniform_distribution(base.feature_sizes, base.n_labels)
-        dist = mix(uniform, base, alpha)
-        classifier = Classifier(_argmax_rows(dist.probs, base.probs))
-        response = env_response(classifier, base, phi_star, alpha)
-        certificate = FixedPointCertificate(
-            classifier_optimal=is_cellwise_optimal(classifier, dist, None),
-            env_fixed_point=bool(np.allclose(response.probs, dist.probs, atol=1e-15)),
-        )
+        dist = mix(uniform_distribution(base.feature_sizes, base.n_labels), base, alpha)
+        labels = _argmax_rows(dist.probs, base.probs)
+        optimal = is_cellwise_optimal(labels, dist)
     else:
         raise ValueError(f"unknown model class {model_class!r}")
-    return EquilibriumOutcome(
-        model_class=model_class,
-        loss=zero_one_loss(classifier, dist),
-        certificate=certificate,
-        tv_to_base=tv_distance(dist, base),
-    )
+    fixed_point = np.array_equal(env_response(labels, base, phi_star, alpha).probs, dist.probs)
+    return EquilibriumOutcome(loss=zero_one_loss(labels, dist), certified=optimal and fixed_point)
 
 
-def alpha_threshold(base: DiscreteDistribution, phi_star: FeatureMap, n_labels: int) -> float:
-    """n times the restricted Bayes loss; above it the restriction wins.
+def alpha_threshold(base: DiscreteDistribution, phi_star: FeatureMap) -> float:
+    """n times the restricted Bayes loss, for n = base.n_labels; above it the
+    restriction wins.
 
     Requires the restricted Bayes classifier to beat random guessing
     (misclassification below 1/n)."""
+    n_labels = base.n_labels
     restricted_loss = zero_one_loss(bayes_classifier(base, phi_star), base)
     if restricted_loss >= 1.0 / n_labels:
         raise AssumptionViolatedError(

@@ -12,7 +12,7 @@ loses more at equilibrium.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +22,8 @@ K_RANGE = (-10.0, 10.0)  # the shift magnitudes k the population may choose
 @dataclass(eq=False)
 class RegressionInstance:
     beta: np.ndarray
+    dim: int = field(init=False)
+    beta_norm: float = field(init=False)
 
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=float)
@@ -33,14 +35,8 @@ class RegressionInstance:
             raise ValueError("beta must be a nonzero vector")
         if not math.isfinite(squared_norm):
             raise ValueError(f"beta must have a finite |beta|^2, got {squared_norm}")
-
-    @property
-    def dim(self) -> int:
-        return self.beta.shape[0]
-
-    @property
-    def beta_norm(self) -> float:
-        return float(np.linalg.norm(self.beta))
+        self.dim = self.beta.shape[0]
+        self.beta_norm = float(np.linalg.norm(self.beta))
 
     def shift(self, k: float) -> np.ndarray:
         """Perturbation vector e = k * beta / |beta|."""
@@ -85,31 +81,21 @@ def small_model_best_theta(instance: RegressionInstance, k: float) -> np.ndarray
     beta = instance.beta
     return beta - e * float(e @ beta) / (1.0 + float(e @ e))
 
-def linear_population_loss(instance: RegressionInstance, theta: np.ndarray, k: float) -> float:
-    """E[(beta^T x - theta^T (x + e))^2] = |beta - theta|^2 + (theta^T e)^2."""
+
+def small_model_loss(instance: RegressionInstance, k: float) -> float:
+    """Best-response learner loss of the small class, |beta|^2 k^2/(1+k^2).
+
+    E[(beta^T x - theta^T (x + e))^2] = |beta - theta|^2 + (theta^T e)^2 at theta = theta*(e).
+    """
+    theta = small_model_best_theta(instance, k)
     e = instance.shift(k)
     diff = instance.beta - theta
     return float(diff @ diff) + float(theta @ e) ** 2
 
 
-def small_model_loss(instance: RegressionInstance, k: float) -> float:
-    """Best-response learner loss of the small class, |beta|^2 k^2/(1+k^2)."""
-    return linear_population_loss(instance, small_model_best_theta(instance, k), k)
-
-
 def small_model_env_objective(instance: RegressionInstance, k: float) -> float:
     """Expected prediction theta*(e)^T e = k |beta| / (1 + k^2)."""
     return float(small_model_best_theta(instance, k) @ instance.shift(k))
-
-
-def small_model_equilibrium(instance: RegressionInstance) -> StackelbergOutcome:
-    k_star = _argmax_1d(lambda k: small_model_env_objective(instance, k), *K_RANGE)
-    return StackelbergOutcome(
-        model_class="small",
-        k_star=k_star,
-        learner_loss=small_model_loss(instance, k_star),
-        env_objective=small_model_env_objective(instance, k_star),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +133,27 @@ def large_model_env_objective(instance: RegressionInstance, k: float) -> float:
     return instance.beta_norm * (cf.c * k + 3.0 * cf.m * cf.p)
 
 
-def large_model_equilibrium(instance: RegressionInstance) -> StackelbergOutcome:
-    k_star = _argmax_1d(lambda k: large_model_env_objective(instance, k), *K_RANGE)
+# ---------------------------------------------------------------------------
+# Equilibria
+# ---------------------------------------------------------------------------
+
+
+# model class -> (best-response learner loss at k, population objective at k)
+CLASS_OBJECTIVES = {
+    "small": (small_model_loss, small_model_env_objective),
+    "large": (large_model_learner_loss, large_model_env_objective),
+}
+
+
+def stackelberg_outcome(instance: RegressionInstance, model_class: str) -> StackelbergOutcome:
+    """The population leads: k* maximizes its objective against the class's best response."""
+    learner_loss, env_objective = CLASS_OBJECTIVES[model_class]
+    k_star = _argmax_1d(lambda k: env_objective(instance, k), *K_RANGE)
     return StackelbergOutcome(
-        model_class="large",
+        model_class=model_class,
         k_star=k_star,
-        learner_loss=large_model_learner_loss(instance, k_star),
-        env_objective=large_model_env_objective(instance, k_star),
+        learner_loss=learner_loss(instance, k_star),
+        env_objective=env_objective(instance, k_star),
     )
 
 
@@ -163,8 +163,8 @@ def compare_model_classes(instance: RegressionInstance) -> ModelClassComparison:
     reverse_scaling is true when the larger class loses more at its own
     equilibrium even though its best-response loss is no worse at any k.
     """
-    small = small_model_equilibrium(instance)
-    large = large_model_equilibrium(instance)
+    small = stackelberg_outcome(instance, "small")
+    large = stackelberg_outcome(instance, "large")
     lo, hi = K_RANGE
     ks = np.arange(lo, hi + 1e-12, 1e-3)
     pointwise = all(

@@ -24,8 +24,8 @@ def confidence_radius(L: float, mu: float, T: int, delta: float, scale: float = 
         raise ValueError("T must be >= 1")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if L <= 0 or mu <= 0 or scale <= 0:
-        raise ValueError("L, mu, and scale must be positive")
+    if not all(0.0 < v < math.inf for v in (L, mu, scale)):
+        raise ValueError(f"L, mu, and scale must be positive and finite, got {L}, {mu}, {scale}")
     return scale * (L * L * math.log(1.0 / delta) + L**3) / (mu * mu * T)
 
 
@@ -86,8 +86,8 @@ def successive_elimination(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     sets = list(arms)
     n = len(sets)
     states = [ArmState(i, s) for i, s in enumerate(sets)]

@@ -227,14 +227,14 @@ def test_criterion_6_markov_reverse_scaling():
 def test_criterion_7_participation_reverse_scaling():
     started = time.monotonic()
     base, phi = default_instance()
-    threshold = alpha_threshold(base, phi, base.n_labels)
+    threshold = alpha_threshold(base, phi)
     all_ok = True
     for alpha in np.linspace(0.6, 1.0, 20):
         full = equilibrium_pair("full", base, phi, float(alpha))
         restricted = equilibrium_pair("restricted", base, phi, float(alpha))
         if not (
-            full.certificate.passed
-            and restricted.certificate.passed
+            full.certified
+            and restricted.certified
             and full.loss > restricted.loss
         ):
             all_ok = False

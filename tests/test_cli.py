@@ -223,6 +223,12 @@ BAD_VALUES = [
     (["regression", "--beta", "1e200,0"], None, "beta"),
     (["participation", "--alpha-min", "2", "--alpha-max", "3", "--alpha-points", "2"], None, "alpha_min"),
     (["participation", "--alpha-max", "1.5"], None, "alpha_max"),
+    (["select", "--alpha", "inf"], None, "alpha"),
+    (["select", "--alpha", "nan"], None, "alpha"),
+    (["select", "--scale", "inf"], None, "scale"),
+    (["scaling-curve", "--radii", "nan"], None, "radii"),
+    (["scaling-curve", "--radii", "0.1,inf"], None, "radii"),
+    (["regression", "--curve-step", "nan"], None, "curve_step"),
 ]
 
 
@@ -272,4 +278,18 @@ def test_non_finite_gradient_exits_with_solver_failure(tmp_path, monkeypatch, ca
     assert main(["psgd", "--out-dir", str(out)]) == 3
     error = {"type": "FloatingPointError", "message": "non-finite gradient components"}
     assert read_manifest(out)["error"] == error
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {"error": error}
+
+
+def test_non_finite_result_exits_with_output_failure(tmp_path, capsys):
+    def runner(params, out_dir):
+        return [write_csv(out_dir / "r.csv", ["x", "y"], [(0, 1.0), (1, float("nan"))])]
+
+    out = tmp_path / "nan"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(EXPERIMENTS, "psgd", (runner, EXPERIMENTS["psgd"][1]))
+        assert main(["psgd", "--out-dir", str(out)]) == 3
+    error = read_manifest(out)["error"]
+    assert error["type"] == "OutputError"
+    assert error["stage"] == "output"
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {"error": error}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gamescale.markov import (
+    CalibrationError,
     MarkovChainGame,
     absorbing_state,
     build_chain_game,
@@ -276,6 +277,9 @@ def test_reversed_dominance_detected():
     ok, margin = verify_dominance(game, 0.8, policy)
     assert not ok
     assert margin < 0
+    with pytest.raises(CalibrationError) as err:
+        chain_equilibrium(game, 0.8)
+    assert err.value.state == -1
 
 
 def test_dominance_margin_scales_with_reward_gap():

@@ -7,7 +7,6 @@ import pytest
 
 from gamescale.participation import (
     AssumptionViolatedError,
-    Classifier,
     DiscreteDistribution,
     FeatureMap,
     alpha_threshold,
@@ -17,7 +16,6 @@ from gamescale.participation import (
     equilibrium_pair,
     is_cellwise_optimal,
     mix,
-    tv_distance,
     uniform_distribution,
     uses_protected_features,
     zero_one_loss,
@@ -48,14 +46,14 @@ def test_point_mass_classified_exactly():
     probs[2, 1] = 1.0
     dist = DiscreteDistribution((2, 2), probs)
     clf = bayes_classifier(dist)
-    assert clf.labels[2] == 1
+    assert clf[2] == 1
     assert zero_one_loss(clf, dist) == 0.0
 
 
 def test_uniform_distribution_all_ties():
     dist = uniform_distribution((2, 2), 4)
     clf = bayes_classifier(dist)
-    np.testing.assert_array_equal(clf.labels, 0)
+    np.testing.assert_array_equal(clf, 0)
     assert zero_one_loss(clf, dist) == pytest.approx(1.0 - 1.0 / 4.0)
 
 
@@ -65,7 +63,7 @@ def test_bayes_matches_exhaustive_classifier_search():
     dist = DiscreteDistribution((2, 2), probs)
     clf = bayes_classifier(dist)
     best = min(
-        zero_one_loss(Classifier(np.array(labels)), dist)
+        zero_one_loss(np.array(labels), dist)
         for labels in itertools.product(range(2), repeat=4)
     )
     assert zero_one_loss(clf, dist) == pytest.approx(best, abs=1e-15)
@@ -75,7 +73,7 @@ def test_restricted_bayes_pools_protected_cells():
     base, phi = default_instance()
     clf = bayes_classifier(base, phi)
     # constant across the protected bit
-    assert np.array_equal(clf.labels, clf.labels[phi.representative])
+    assert np.array_equal(clf, clf[phi.representative])
     assert zero_one_loss(clf, base) == pytest.approx(0.15, abs=1e-12)
     # no retained coordinate: every cell pools into restricted cell 0
     nothing = FeatureMap(base.feature_sizes, retained=())
@@ -83,7 +81,7 @@ def test_restricted_bayes_pools_protected_cells():
     np.testing.assert_array_equal(nothing.restricted_index, np.zeros(base.n_cells, dtype=int))
     np.testing.assert_array_equal(nothing.representative, np.zeros(base.n_cells, dtype=int))
     constant = bayes_classifier(base, nothing)
-    assert np.all(constant.labels == np.argmax(base.probs.sum(axis=0)))
+    assert np.all(constant == np.argmax(base.probs.sum(axis=0)))
 
 
 def test_loss_matches_direct_enumeration():
@@ -97,15 +95,15 @@ def test_loss_matches_direct_enumeration():
         for y in range(3)
         if y != labels[cell]
     )
-    assert zero_one_loss(Classifier(labels), dist) == pytest.approx(direct)
+    assert zero_one_loss(labels, dist) == pytest.approx(direct)
 
 
 def test_cellwise_optimality_detects_improvement():
     base, phi = default_instance()
     clf = bayes_classifier(base)
     assert is_cellwise_optimal(clf, base)
-    worse = Classifier(clf.labels.copy())
-    worse.labels[0] = (worse.labels[0] + 1) % base.n_labels
+    worse = clf.copy()
+    worse[0] = (worse[0] + 1) % base.n_labels
     assert not is_cellwise_optimal(worse, base)
     restricted = bayes_classifier(base, phi)
     assert is_cellwise_optimal(restricted, base, phi)
@@ -147,16 +145,7 @@ def test_protected_use_ignores_zero_mass_cells():
     dist = DiscreteDistribution((2, 2), probs)
     phi = FeatureMap((2, 2), retained=(0,))
     labels = np.array([0, 1, 1, 0])  # differs on the zero-mass t=1 cells only
-    assert not uses_protected_features(Classifier(labels), dist, phi)
-
-
-def test_tv_distance_basic():
-    u = uniform_distribution((2, 2), 2)
-    assert tv_distance(u, u) == 0.0
-    point = np.zeros((4, 2))
-    point[0, 0] = 1.0
-    p = DiscreteDistribution((2, 2), point)
-    assert tv_distance(p, u) == pytest.approx(1.0 - 1.0 / 8.0)
+    assert not uses_protected_features(labels, dist, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -167,22 +156,21 @@ def test_tv_distance_basic():
 def test_restricted_equilibrium_truthful_fixed_point():
     base, phi = default_instance()
     outcome = equilibrium_pair("restricted", base, phi, alpha=0.7)
-    assert outcome.certificate.passed
+    assert outcome.certified
     assert outcome.loss == pytest.approx(0.15, abs=1e-12)
-    assert outcome.tv_to_base == 0.0
 
 
 def test_full_equilibrium_alpha_zero_reduces_to_base_bayes():
     base, phi = default_instance()
     outcome = equilibrium_pair("full", base, phi, alpha=0.0)
-    assert outcome.certificate.passed
+    assert outcome.certified
     assert outcome.loss == pytest.approx(0.1225, abs=1e-12)
 
 
 def test_full_equilibrium_alpha_one_uniform_floor():
     base, phi = default_instance()
     outcome = equilibrium_pair("full", base, phi, alpha=1.0)
-    assert outcome.certificate.passed
+    assert outcome.certified
     assert outcome.loss >= 1.0 - 1.0 / base.n_labels - 1e-12
 
 
@@ -192,6 +180,19 @@ def test_full_equilibrium_loss_decomposition():
         outcome = equilibrium_pair("full", base, phi, alpha)
         expected = (1 - alpha) * 0.1225 + alpha * 0.75
         assert outcome.loss == pytest.approx(expected, abs=1e-12)
+
+
+def test_full_equilibrium_without_protected_use_not_certified():
+    # labels follow the retained coordinate alone, so the full Bayes rule does
+    # not trigger the noise: the population stays truthful, which is not the
+    # mixed distribution the classifier was fitted to unless alpha = 0, however
+    # small alpha is
+    probs = np.array([[0.6, 0.4], [0.6, 0.4], [0.3, 0.7], [0.3, 0.7]]) / 4.0
+    base = DiscreteDistribution((2, 2), probs)
+    phi = FeatureMap((2, 2), retained=(0,))
+    assert equilibrium_pair("full", base, phi, alpha=0.0).certified
+    for alpha in (1e-9, 0.5):
+        assert not equilibrium_pair("full", base, phi, alpha).certified
 
 
 def test_proof_inequality_chain():
@@ -210,12 +211,12 @@ def test_proof_inequality_chain():
 
 def test_threshold_arithmetic():
     base, phi = two_feature_instance(confidence=0.9)
-    assert alpha_threshold(base, phi, 4) == pytest.approx(0.4, abs=1e-12)
+    assert alpha_threshold(base, phi) == pytest.approx(0.4, abs=1e-12)
 
 
 def test_threshold_zero_for_separable_restriction():
     base, phi = two_feature_instance(confidence=1.0)
-    assert alpha_threshold(base, phi, 4) == pytest.approx(0.0, abs=1e-15)
+    assert alpha_threshold(base, phi) == pytest.approx(0.0, abs=1e-15)
     for alpha in (0.25, 0.75):
         full = equilibrium_pair("full", base, phi, alpha)
         restricted = equilibrium_pair("restricted", base, phi, alpha)
@@ -227,19 +228,19 @@ def test_threshold_zero_for_separable_restriction():
 
 def test_reverse_scaling_above_threshold():
     base, phi = default_instance()
-    threshold = alpha_threshold(base, phi, base.n_labels)
+    threshold = alpha_threshold(base, phi)
     assert threshold == pytest.approx(0.6, abs=1e-12)
     for alpha in np.linspace(threshold, 1.0, 20):
         full = equilibrium_pair("full", base, phi, float(alpha))
         restricted = equilibrium_pair("restricted", base, phi, float(alpha))
-        assert full.certificate.passed and restricted.certificate.passed
+        assert full.certified and restricted.certified
         assert full.loss > restricted.loss
 
 
 def test_threshold_requires_better_than_random():
     base, phi = two_feature_instance(confidence=0.7)  # restricted loss 0.3 >= 1/4
     with pytest.raises(AssumptionViolatedError):
-        alpha_threshold(base, phi, 4)
+        alpha_threshold(base, phi)
 
 
 def test_distribution_validation():

@@ -9,12 +9,11 @@ from gamescale.regression import (
     large_model_best_theta,
     large_model_closed_form,
     large_model_env_objective,
-    large_model_equilibrium,
     large_model_learner_loss,
     small_model_best_theta,
     small_model_env_objective,
-    small_model_equilibrium,
     small_model_loss,
+    stackelberg_outcome,
 )
 from oracles import mc_env_prediction, mc_gaussian_integrals, mc_least_squares, mc_model_loss
 
@@ -41,13 +40,13 @@ def test_small_theta_matches_monte_carlo_least_squares():
 
 
 def test_small_equilibrium_unit_beta():
-    outcome = small_model_equilibrium(INSTANCE)
+    outcome = stackelberg_outcome(INSTANCE, "small")
     assert abs(outcome.k_star - 1.0) <= 1e-5
     assert outcome.learner_loss == pytest.approx(0.5, abs=1e-9)
 
 
 def test_small_equilibrium_scales_with_beta_norm():
-    outcome = small_model_equilibrium(RegressionInstance(np.array([3.0, 4.0])))
+    outcome = stackelberg_outcome(RegressionInstance(np.array([3.0, 4.0])), "small")
     assert outcome.learner_loss == pytest.approx(12.5, abs=1e-7)
 
 
@@ -131,7 +130,7 @@ def test_env_objective_zero_at_origin():
 
 
 def test_env_objective_argmax_location():
-    outcome = large_model_equilibrium(INSTANCE)
+    outcome = stackelberg_outcome(INSTANCE, "large")
     assert abs(outcome.k_star - 3.4) <= 0.1
 
 

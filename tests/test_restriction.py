@@ -346,6 +346,25 @@ def test_boundary_nash_rejected_with_stage_tag():
     assert err.value.stage == "interior_check"
 
 
+def test_weakly_monotone_game_rejected_at_audit():
+    # the shipped instance with both losses halved has modulus 0.5, below the declared mu
+    bench = restriction_instance()
+    game = GameSpec(
+        dim_learner=1,
+        dim_env=1,
+        loss_learner=lambda t, e: 0.5 * bench.game.loss_learner(t, e),
+        loss_env=lambda t, e: 0.5 * bench.game.loss_env(t, e),
+        grad_learner=lambda t, e: 0.5 * bench.game.grad_l(t, e),
+        grad_env=lambda t, e: 0.5 * bench.game.grad_e(t, e),
+        mu=1.0,
+        lipschitz=1.0,
+    )
+    with pytest.raises(RestrictionStageError) as err:
+        certify_restriction(game, bench.learner_set, bench.env_set)
+    assert err.value.stage == "monotonicity_audit"
+    assert "5.000e-01" in str(err.value)
+
+
 def test_certificate_record_round_trips():
     bench = restriction_instance()
     cert = certify_restriction(bench.game, bench.learner_set, bench.env_set)
