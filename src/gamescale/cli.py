@@ -116,11 +116,19 @@ def certificate_record(cert: RestrictionCertificate) -> dict[str, str]:
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> Path:
+    """Format every row, then write the file, so a value that cannot be written
+    leaves no partial CSV; the error names the file and the column."""
+    table = [header]
+    for row in rows:
+        cells = []
+        for name, v in zip(header, row, strict=True):
+            try:
+                cells.append(fmt_value(v))
+            except OutputError as exc:
+                raise OutputError(f"{path.name}, column {name}: {exc}") from None
+        table.append(cells)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt_value(v) for v in row])
+        csv.writer(fh).writerows(table)
     return path
 
 
@@ -201,11 +209,12 @@ def run_psgd(params: dict, out_dir: Path) -> list[Path]:
     x0 = JointAction(np.zeros(1), np.zeros(1))
     rows = []
     summary = []
+    n_seeds = params["n_seeds"]
     for h_idx, horizon in enumerate(params["horizons"]):
         gaps, residuals = [], []
-        for s in range(params["n_seeds"]):
-            rng = np.random.default_rng([params["seed"], h_idx, s])
-            avg = psgd_nash(game, bench.learner_set, bench.env_set, x0, horizon, rng)
+        rngs = [np.random.default_rng([params["seed"], h_idx, s]) for s in range(n_seeds)]
+        averages = psgd_nash(game, [bench.learner_set] * n_seeds, bench.env_set, x0, horizon, rngs)
+        for s, avg in enumerate(averages):
             gap = abs(float(game.loss_learner(avg.theta, avg.env)) - bench.nash_learner_loss)
             res = nash_residual(game, avg, bench.learner_set, bench.env_set)
             gaps.append(gap)
@@ -450,15 +459,15 @@ def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise ValueError(f"must be at least 1, got {value}")
     return value
+
+
+def _positive_ints(text: str) -> list[int]:
+    return [_positive_int(v) for v in text.split(",") if v.strip()]
 
 
 def _one_of(*choices: str) -> Callable[[str], str]:
@@ -475,11 +484,12 @@ def _one_of(*choices: str) -> Callable[[str], str]:
 # the command line and cast like any other value.
 EXPERIMENTS: dict[str, tuple[Callable[[dict, Path], list[Path]], dict]] = {
     "psgd": (run_psgd, {
-        "sigma": (float, "0.3"), "horizons": (_ints, "512,4096"), "n_seeds": (_positive_int, "20"),
+        "sigma": (float, "0.3"), "horizons": (_positive_ints, "512,4096"),
+        "n_seeds": (_positive_int, "20"),
     }),
     "select": (run_select, {
         "losses": (_floats, "0,0.25,0.5,1.0"), "delta": (float, "0.1"), "alpha": (float, "8.0"),
-        "sigma": (float, "0.5"), "scale": (float, "1.0"), "budget": (int, "1000000"),
+        "sigma": (float, "0.5"), "scale": (float, "1.0"), "budget": (_positive_int, "1000000"),
     }),
     "restrict": (run_restrict, {"instance": (_one_of("coupled", "zero_sum"), "coupled")}),
     "markov": (run_markov, {

@@ -253,8 +253,18 @@ def central_difference(f: Callable[[np.ndarray], float], x: np.ndarray, step: fl
 class GameSpec:
     """Two-player game: losses, gradient oracles, and regularity constants.
 
+    An oracle grad(theta, env) gets one joint point as two vectors and returns
+    the player's own-action gradient as a vector (a float when the dimension
+    is 1). gradient_operator on a (B, d) array, as in psgd_nash, calls it once
+    with a batch instead: theta of shape (B, dim_learner) and env of shape
+    (B, dim_env), row i being joint point i. It must then return shape
+    (B, dim) exactly; any other shape raises ValueError rather than being
+    broadcast. So an oracle that indexes t[0] (row 0 of a batch) serves single
+    points only, and batches need oracles that broadcast over rows, such as
+    t - 1.0 + e.
+
     Gradients may be omitted, in which case central finite differences of the
-    losses are used (step 1e-6).
+    losses are used (step 1e-6) at single points; a batch needs both oracles.
     """
 
     dim_learner: int
@@ -290,6 +300,21 @@ class GameSpec:
         return central_difference(lambda e: self.loss_env(theta, e), env)
 
 
+def _batch_gradient(
+    oracle: Optional[GradFn], name: str, theta: np.ndarray, env: np.ndarray, dim: int
+) -> np.ndarray:
+    """One oracle call on a batch of joint points, held to shape (B, dim)."""
+    if oracle is None:
+        raise ValueError(f"the game has no {name} oracle; a batch of points needs one")
+    g = np.asarray(oracle(theta, env), dtype=float)
+    if g.shape != (theta.shape[0], dim):
+        raise ValueError(
+            f"{name} returned shape {g.shape} for a batch of {theta.shape[0]} points; "
+            f"expected {(theta.shape[0], dim)}"
+        )
+    return g
+
+
 @dataclass(eq=False)
 class JointAction:
     """Joint point x = (theta, env) of the two players."""
@@ -312,32 +337,50 @@ class JointAction:
 
 def gradient_operator(game: GameSpec, x: np.ndarray) -> np.ndarray:
     """Stacked own-action gradients F(x) = (grad_theta f_l; grad_e f_e) at the
-    stacked joint point x = (theta; env)."""
-    theta, env = x[: game.dim_learner], x[game.dim_learner :]
-    out = np.concatenate([game.grad_l(theta, env), game.grad_e(theta, env)])
-    if not np.all(np.isfinite(out)):
+    stacked joint point x = (theta; env), or at each row of a (B, d) array of
+    such points with one call of each oracle for the whole batch."""
+    dl = game.dim_learner
+    if x.ndim == 2:
+        theta, env = x[:, :dl], x[:, dl:]
+        out = np.concatenate(
+            [
+                _batch_gradient(game.grad_learner, "grad_learner", theta, env, dl),
+                _batch_gradient(game.grad_env, "grad_env", theta, env, game.dim_env),
+            ],
+            axis=1,
+        )
+    else:
+        theta, env = x[:dl], x[dl:]
+        out = np.concatenate([game.grad_l(theta, env), game.grad_e(theta, env)])
+    if not np.isfinite(out).all():
         raise FloatingPointError("non-finite gradient components")
     return out
 
 
 def noisy_gradient_operator(
-    game: GameSpec, x: np.ndarray, rng: np.random.Generator
+    game: GameSpec, x: np.ndarray, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
-    """F(x) plus mean-zero noise, almost surely bounded by 1 in norm.
+    """F at each row of the (B, d) array x plus mean-zero noise, almost surely
+    bounded by 1 in norm; row i draws from rngs[i] alone.
 
     The perturbation is a uniform-on-the-sphere direction with magnitude
     uniform on [0, min(1, sqrt(3)*sigma)], so E[noise] = 0,
-    E[|noise|^2] <= sigma^2, and |noise| <= 1 always.
+    E[|noise|^2] <= sigma^2, and |noise| <= 1 always. Each generator draws, in
+    order, standard_normal(d) (again while its norm is below 1e-12) and then
+    the uniform magnitude, so a row's draws do not depend on the other rows.
     """
     base = gradient_operator(game, x)
-    dim = base.shape[0]
-    direction = rng.standard_normal(dim)
-    norm = float(np.linalg.norm(direction))
-    while norm < 1e-12:
-        direction = rng.standard_normal(dim)
-        norm = float(np.linalg.norm(direction))
-    magnitude = rng.uniform(0.0, min(1.0, math.sqrt(3.0) * game.noise_bound))
-    return base + (magnitude / norm) * direction
+    dim = base.shape[1]
+    direction = np.array([rng.standard_normal(dim) for rng in rngs])
+    # np.vecdot sums like np.linalg.norm does, bit for bit
+    norm = np.sqrt(np.vecdot(direction, direction))
+    for i in (norm < 1e-12).nonzero()[0]:
+        while norm[i] < 1e-12:
+            direction[i] = rngs[i].standard_normal(dim)
+            norm[i] = np.linalg.norm(direction[i])
+    high = min(1.0, math.sqrt(3.0) * game.noise_bound)
+    magnitude = np.array([rng.uniform(0.0, high) for rng in rngs])
+    return base + (magnitude / norm)[:, np.newaxis] * direction
 
 
 @dataclass

@@ -320,32 +320,57 @@ def stackelberg_leader(
 # ---------------------------------------------------------------------------
 
 
+def _row_projection(sets: Sequence[ActionSet]) -> Callable[[np.ndarray], np.ndarray]:
+    """Projection of row i of a (B, d) array onto sets[i]: one np.clip against
+    the stacked bounds when every set is a Box, else row by row."""
+    if all(isinstance(s, Box) for s in sets):
+        lower = np.stack([s.lower for s in sets])
+        upper = np.stack([s.upper for s in sets])
+        return lambda points: np.clip(points, lower, upper)
+    return lambda points: np.array([s.project(p) for s, p in zip(sets, points)])
+
+
 def psgd_nash(
     game: GameSpec,
-    learner_set: ActionSet,
+    learner_sets: Sequence[ActionSet],
     env_set: ActionSet,
     x0: JointAction,
     horizon: int,
-    rng: np.random.Generator,
-) -> JointAction:
+    rngs: Sequence[np.random.Generator],
+) -> list[JointAction]:
     """Projected stochastic gradient steps with weighted iterate averaging.
 
     Iterates x_{t+1} = P(x_t - eta_t * Fhat(x_t)) with eta_t = 2/(mu (t+1));
     returns the average that weights iterate t by t / (T(T+1)/2).
+
+    Runs len(rngs) independent runs as the rows of one (B, d) array: run i
+    plays learner_sets[i] and draws its noise from rngs[i] alone, and all
+    share the game, env_set, x0 and the horizon. Each row's arithmetic is the
+    single run's, so run i returns the same bits as it would alone. Returns
+    the averaged points by run.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    joint_set = Product(learner_set, env_set)
-    x = joint_set.project(x0.concat())
+    if len(learner_sets) != len(rngs):
+        raise ValueError(f"{len(learner_sets)} learner sets for {len(rngs)} generators")
+    dl = game.dim_learner
+    project_learner = _row_projection(learner_sets)
+
+    def project(z: np.ndarray) -> np.ndarray:
+        z[:, :dl] = project_learner(z[:, :dl])
+        z[:, dl:] = env_set.project_rows(z[:, dl:])
+        return z
+
+    x = project(np.tile(x0.concat(), (len(rngs), 1)))
     acc = np.zeros_like(x)
     mu = game.mu
     for t in range(1, horizon + 1):
         acc += t * x
-        fhat = noisy_gradient_operator(game, x, rng)
+        fhat = noisy_gradient_operator(game, x, rngs)
         eta = 2.0 / (mu * (t + 1))
-        x = joint_set.project(x - eta * fhat)
+        x = project(x - eta * fhat)
     averaged = acc * (2.0 / (horizon * (horizon + 1)))
-    return JointAction.from_concat(averaged, game.dim_learner)
+    return [JointAction.from_concat(row, dl) for row in averaged]
 
 
 def nash_residual(

@@ -27,14 +27,15 @@ class NashBenchmark:
 def coupled_quadratic(sigma: float = 0.0) -> NashBenchmark:
     """Skew-coupled quadratic with Nash at (0, 1): f_l = (theta-1)^2/2 + theta e,
     f_e = (e-1)^2/2 - theta e. The skew coupling cancels in the monotonicity
-    quotient, so mu = 1 and L = sqrt(2)."""
+    quotient, so mu = 1 and L = sqrt(2). The gradients broadcast over a batch
+    of points (rows)."""
     game = GameSpec(
         dim_learner=1,
         dim_env=1,
         loss_learner=lambda t, e: 0.5 * (t[0] - 1.0) ** 2 + t[0] * e[0],
         loss_env=lambda t, e: 0.5 * (e[0] - 1.0) ** 2 - t[0] * e[0],
-        grad_learner=lambda t, e: np.array([t[0] - 1.0 + e[0]]),
-        grad_env=lambda t, e: np.array([e[0] - 1.0 - t[0]]),
+        grad_learner=lambda t, e: t - 1.0 + e,
+        grad_env=lambda t, e: e - 1.0 - t,
         mu=1.0,
         lipschitz=math.sqrt(2.0),
         noise_bound=sigma,
@@ -82,14 +83,15 @@ def zero_sum_instance() -> NashBenchmark:
 
 
 def decoupled_quadratic(sigma: float = 0.0) -> GameSpec:
-    """Independent scalar quadratics f_l = theta^2/2, f_e = e^2/2 (mu = L = 1)."""
+    """Independent scalar quadratics f_l = theta^2/2, f_e = e^2/2 (mu = L = 1);
+    the gradients broadcast over a batch of points (rows)."""
     return GameSpec(
         dim_learner=1,
         dim_env=1,
         loss_learner=lambda t, e: 0.5 * t[0] ** 2,
         loss_env=lambda t, e: 0.5 * e[0] ** 2,
-        grad_learner=lambda t, e: np.array([t[0]]),
-        grad_env=lambda t, e: np.array([e[0]]),
+        grad_learner=lambda t, e: t,
+        grad_env=lambda t, e: e,
         mu=1.0,
         lipschitz=1.0,
         noise_bound=sigma,

@@ -75,7 +75,9 @@ def successive_elimination(
 ) -> SelectionReport:
     """Identify the arm with the best equilibrium learner loss.
 
-    All arms share one game and environment set; every run starts at the origin.
+    All arms share one game and environment set; every run starts at the origin,
+    and each epoch runs its active arms as one batch of PSGD runs, each with
+    its own stream spawned from rng.
     Epoch tau uses horizon T = ceil(alpha * 2^tau) and per-test failure budget
     delta' = delta / (2 n T^2). Arm i is eliminated once some arm j satisfies
     f_j + U(T, delta') < f_i - U(T, delta') on the current epoch's fresh
@@ -107,9 +109,10 @@ def successive_elimination(
             break
         delta_prime = delta / (2.0 * n * horizon * horizon)
         radius = confidence_radius(game.lipschitz, game.mu, horizon, delta_prime, scale)
-        streams = rng.spawn(len(active))
-        for state, stream in zip(active, streams):
-            avg = psgd_nash(game, state.action_set, env_set, x0, horizon, stream)
+        averages = psgd_nash(
+            game, [s.action_set for s in active], env_set, x0, horizon, rng.spawn(len(active))
+        )
+        for state, avg in zip(active, averages):
             state.last_estimate = float(game.loss_learner(avg.theta, avg.env))
             state.pulls += horizon
         total_steps += len(active) * horizon

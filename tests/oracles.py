@@ -2,15 +2,16 @@
 
 Brute-force or independent computations that cross-check the library's
 solvers: fixed-step projected descent with a residual at every iterate,
-single-point adaptive projected descent, a sampling check that a ladder's
-classes are nested, per-arm suboptimality gaps, random strongly monotone
-affine games with a known Nash point, an exhaustive-grid Nash, alternating best responses, a
-finite-difference gradient check, the strategic-regression game as a generic
-Stackelberg instance, Monte-Carlo estimates of the regression game's
-integrals, losses, predictions and least-squares fits, exact chain-game
-learner values for arbitrary per-state policies, value iteration on the
-chain's environment MDP, the chain-game dominance check by re-walking the
-chain once per deviation, and a Monte-Carlo rollout of the learner value.
+single-point adaptive projected descent, a single averaged PSGD run, a
+sampling check that a ladder's classes are nested, per-arm suboptimality
+gaps, random strongly monotone affine games with a known Nash point, an
+exhaustive-grid Nash, alternating best responses, a finite-difference
+gradient check, the strategic-regression game as a generic Stackelberg
+instance, Monte-Carlo estimates of the regression game's integrals, losses,
+predictions and least-squares fits, exact chain-game learner values for
+arbitrary per-state policies, value iteration on the chain's environment
+MDP, the chain-game dominance check by re-walking the chain once per
+deviation, and a Monte-Carlo rollout of the learner value.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from gamescale.core import (
     GameSpec,
     JointAction,
     ModelClassLadder,
+    Product,
     box_1d,
     central_difference,
     gradient_operator,
@@ -126,6 +128,38 @@ def grid_nash(
     total = regret_l + regret_e
     i, j = np.unravel_index(int(np.argmin(total)), total.shape)
     return JointAction(theta_pts[i], env_pts[j]), float(total[i, j])
+
+
+def single_run_psgd(
+    game: GameSpec,
+    learner_set: ActionSet,
+    env_set: ActionSet,
+    x0: JointAction,
+    horizon: int,
+    rng: np.random.Generator,
+) -> JointAction:
+    """One averaged PSGD run, one point at a time: the reference that each row
+    of the batched psgd_nash must equal bit for bit. Each step draws the
+    noise direction (redrawn while its norm is below 1e-12) and then its
+    uniform magnitude from rng."""
+    joint_set = Product(learner_set, env_set)
+    x = joint_set.project(x0.concat())
+    acc = np.zeros_like(x)
+    high = min(1.0, math.sqrt(3.0) * game.noise_bound)
+    for t in range(1, horizon + 1):
+        acc += t * x
+        base = gradient_operator(game, x)
+        direction = rng.standard_normal(x.shape[0])
+        norm = float(np.linalg.norm(direction))
+        while norm < 1e-12:
+            direction = rng.standard_normal(x.shape[0])
+            norm = float(np.linalg.norm(direction))
+        magnitude = rng.uniform(0.0, high)
+        fhat = base + (magnitude / norm) * direction
+        eta = 2.0 / (game.mu * (t + 1))
+        x = joint_set.project(x - eta * fhat)
+    averaged = acc * (2.0 / (horizon * (horizon + 1)))
+    return JointAction.from_concat(averaged, game.dim_learner)
 
 
 def best_response_dynamics(

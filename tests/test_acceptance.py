@@ -123,12 +123,13 @@ def test_criterion_3_psgd_rate():
     game = bench.game
     means = {}
     for horizon in (512, 4096):
-        gaps = []
-        for s in range(20):
-            rng = np.random.default_rng([30, horizon, s])
-            x0 = JointAction(np.zeros(1), np.zeros(1))
-            avg = psgd_nash(game, bench.learner_set, bench.env_set, x0, horizon, rng)
-            gaps.append(abs(float(game.loss_learner(avg.theta, avg.env)) - bench.nash_learner_loss))
+        rngs = [np.random.default_rng([30, horizon, s]) for s in range(20)]
+        x0 = JointAction(np.zeros(1), np.zeros(1))
+        averages = psgd_nash(game, [bench.learner_set] * 20, bench.env_set, x0, horizon, rngs)
+        gaps = [
+            abs(float(game.loss_learner(avg.theta, avg.env)) - bench.nash_learner_loss)
+            for avg in averages
+        ]
         means[horizon] = float(np.mean(gaps))
     ok = means[4096] <= 0.5 * means[512]
     report(

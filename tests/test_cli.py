@@ -5,9 +5,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gamescale.cli import EXPERIMENTS, PlotSpec, emit_plot, load_config, main, write_csv
+from gamescale.core import GameSpec, JointAction, box_1d
+from gamescale.equilibrium import psgd_nash
 
 
 def read_manifest(out_dir: Path) -> dict:
@@ -229,6 +232,9 @@ BAD_VALUES = [
     (["scaling-curve", "--radii", "nan"], None, "radii"),
     (["scaling-curve", "--radii", "0.1,inf"], None, "radii"),
     (["regression", "--curve-step", "nan"], None, "curve_step"),
+    (["psgd", "--horizons", "0"], None, "horizons"),
+    (["psgd", "--horizons", "8,-1", "--n-seeds", "1"], None, "horizons"),
+    (["select", "--budget", "-5"], None, "budget"),
 ]
 
 
@@ -281,6 +287,32 @@ def test_non_finite_gradient_exits_with_solver_failure(tmp_path, monkeypatch, ca
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {"error": error}
 
 
+def test_non_finite_gradient_in_one_batch_row_exits_with_solver_failure(tmp_path, monkeypatch):
+    # row 1's box starts it where its gradient is nan; row 0 stays finite
+    game = GameSpec(
+        dim_learner=1,
+        dim_env=1,
+        loss_learner=lambda t, e: 0.0,
+        loss_env=lambda t, e: 0.0,
+        grad_learner=lambda t, e: np.where(t > 4.0, np.nan, t),
+        grad_env=lambda t, e: e,
+        mu=1.0,
+        lipschitz=1.0,
+        noise_bound=0.1,
+    )
+
+    def runner(params, out_dir):
+        rngs = [np.random.default_rng(i) for i in range(2)]
+        x0 = JointAction(np.zeros(1), np.zeros(1))
+        psgd_nash(game, [box_1d(-1.0, 1.0), box_1d(5.0, 6.0)], box_1d(-1.0, 1.0), x0, 8, rngs)
+        return []
+
+    monkeypatch.setitem(EXPERIMENTS, "psgd", (runner, EXPERIMENTS["psgd"][1]))
+    out = tmp_path / "fpe-row"
+    assert main(["psgd", "--out-dir", str(out)]) == 3
+    assert read_manifest(out)["error"]["type"] == "FloatingPointError"
+
+
 def test_non_finite_result_exits_with_output_failure(tmp_path, capsys):
     def runner(params, out_dir):
         return [write_csv(out_dir / "r.csv", ["x", "y"], [(0, 1.0), (1, float("nan"))])]
@@ -292,4 +324,6 @@ def test_non_finite_result_exits_with_output_failure(tmp_path, capsys):
     error = read_manifest(out)["error"]
     assert error["type"] == "OutputError"
     assert error["stage"] == "output"
+    assert "r.csv" in error["message"] and "column y" in error["message"]
+    assert not (out / "r.csv").exists()
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {"error": error}

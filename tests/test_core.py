@@ -25,14 +25,15 @@ from oracles import check_gradients, check_nested
 
 
 def coupling_game(c: float, mu: float = 1.0, lipschitz: float = 2.0, sigma: float = 0.0) -> GameSpec:
-    """f_l = theta^2/2 + c theta e, f_e = e^2/2 - c theta e (skew coupling)."""
+    """f_l = theta^2/2 + c theta e, f_e = e^2/2 - c theta e (skew coupling);
+    the gradients broadcast over a batch of points (rows)."""
     return GameSpec(
         dim_learner=1,
         dim_env=1,
         loss_learner=lambda t, e: 0.5 * t[0] ** 2 + c * t[0] * e[0],
         loss_env=lambda t, e: 0.5 * e[0] ** 2 - c * t[0] * e[0],
-        grad_learner=lambda t, e: np.array([t[0] + c * e[0]]),
-        grad_env=lambda t, e: np.array([e[0] - c * t[0]]),
+        grad_learner=lambda t, e: t + c * e,
+        grad_env=lambda t, e: e - c * t,
         mu=mu,
         lipschitz=lipschitz,
         noise_bound=sigma,
@@ -249,6 +250,73 @@ def test_gradient_operator_rejects_nonfinite():
         gradient_operator(game, JointAction(np.zeros(1), np.zeros(1)).concat())
 
 
+def test_gradient_operator_on_a_batch_equals_each_row():
+    game = coupling_game(0.5)
+    x = np.random.default_rng(5).uniform(-2.0, 2.0, size=(6, 2))
+    batch = gradient_operator(game, x)
+    assert batch.shape == (6, 2)
+    for row, point in zip(batch, x):
+        assert row.tobytes() == gradient_operator(game, point).tobytes()
+
+
+@pytest.mark.parametrize(
+    "grad_learner",
+    [
+        lambda t, e: np.array([t[0] + e[0]]),  # row 0 as a (1, 1) array
+        lambda t, e: t[0] + e[0],  # row 0 as a (1,) array
+        lambda t, e: float(t[0, 0] + e[0, 0]),  # row 0 as a float
+        lambda t, e: t[:, 0] + e[:, 0],  # every row, but flattened to (B,)
+    ],
+    ids=["row0-array", "row0-vector", "row0-float", "flat"],
+)
+def test_gradient_operator_rejects_a_batch_result_of_the_wrong_shape(grad_learner):
+    game = GameSpec(
+        dim_learner=1,
+        dim_env=1,
+        loss_learner=lambda t, e: 0.0,
+        loss_env=lambda t, e: 0.0,
+        grad_learner=grad_learner,
+        grad_env=lambda t, e: e,
+        mu=1.0,
+        lipschitz=1.0,
+    )
+    with pytest.raises(ValueError, match=r"grad_learner returned shape .* expected \(3, 1\)"):
+        gradient_operator(game, np.arange(6.0).reshape(3, 2))
+
+
+@pytest.mark.parametrize("missing", ["grad_learner", "grad_env"])
+def test_gradient_operator_batch_names_the_missing_oracle(missing):
+    oracles = {"grad_learner": lambda t, e: t, "grad_env": lambda t, e: e}
+    del oracles[missing]
+    game = GameSpec(
+        dim_learner=1,
+        dim_env=1,
+        loss_learner=lambda t, e: 0.5 * t[0] ** 2,
+        loss_env=lambda t, e: 0.5 * e[0] ** 2,
+        mu=1.0,
+        lipschitz=1.0,
+        **oracles,
+    )
+    with pytest.raises(ValueError, match=f"no {missing} oracle"):
+        gradient_operator(game, np.zeros((2, 2)))
+
+
+def test_gradient_operator_batch_rejects_a_non_finite_row():
+    game = GameSpec(
+        dim_learner=1,
+        dim_env=1,
+        loss_learner=lambda t, e: 0.0,
+        loss_env=lambda t, e: 0.0,
+        grad_learner=lambda t, e: np.where(t > 1.0, np.inf, t),
+        grad_env=lambda t, e: e,
+        mu=1.0,
+        lipschitz=1.0,
+    )
+    gradient_operator(game, np.zeros((2, 2)))
+    with pytest.raises(FloatingPointError):
+        gradient_operator(game, np.array([[0.0, 0.0], [2.0, 0.0]]))
+
+
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(2)
     for trial in range(5):
@@ -313,7 +381,7 @@ def test_noisy_gradient_zero_sigma_is_exact():
     x = JointAction(np.array([0.3]), np.array([-0.7])).concat()
     rng = np.random.default_rng(3)
     np.testing.assert_array_equal(
-        noisy_gradient_operator(game, x, rng), gradient_operator(game, x)
+        noisy_gradient_operator(game, x[np.newaxis], [rng])[0], gradient_operator(game, x)
     )
 
 
@@ -324,7 +392,7 @@ def test_noisy_gradient_mean_and_bound():
     base = gradient_operator(game, x)
     rng = np.random.default_rng(4)
     n = 100_000
-    draws = np.array([noisy_gradient_operator(game, x, rng) for _ in range(n)])
+    draws = np.array([noisy_gradient_operator(game, x[np.newaxis], [rng])[0] for _ in range(n)])
     noise = draws - base
     norms = np.linalg.norm(noise, axis=1)
     assert np.all(norms <= 1.0 + 1e-12)
@@ -336,8 +404,8 @@ def test_noisy_gradient_mean_and_bound():
 def test_noisy_gradient_deterministic_given_seed():
     game = coupling_game(0.0, lipschitz=1.0, sigma=0.3)
     x = JointAction(np.array([0.1]), np.array([0.2])).concat()
-    a = noisy_gradient_operator(game, x, np.random.default_rng(42))
-    b = noisy_gradient_operator(game, x, np.random.default_rng(42))
+    a = noisy_gradient_operator(game, x[np.newaxis], [np.random.default_rng(42)])
+    b = noisy_gradient_operator(game, x[np.newaxis], [np.random.default_rng(42)])
     np.testing.assert_array_equal(a, b)
 
 

@@ -12,6 +12,7 @@ from gamescale.instances import (
     decoupled_quadratic,
     nested_box_ladder,
     restriction_instance,
+    selection_arms,
     stackelberg_scaling_game,
     stationary_scaling_game,
     zero_sum_instance,
@@ -47,6 +48,7 @@ from oracles import (
     random_affine_game,
     regression_stackelberg_game,
     single_point_descent,
+    single_run_psgd,
     two_projection_descent,
 )
 from test_core import coupling_game
@@ -456,14 +458,16 @@ def test_stackelberg_high_dim_flagged_uncertified():
 def test_psgd_decoupled_reaches_origin():
     game = decoupled_quadratic(sigma=0.0)
     x0 = JointAction(np.array([1.0]), np.array([1.0]))
-    avg = psgd_nash(game, BOX2, BOX2, x0, 1000, np.random.default_rng(0))
+    (avg,) = psgd_nash(game, [BOX2], BOX2, x0, 1000, [np.random.default_rng(0)])
     assert float(np.linalg.norm(avg.concat())) <= 1e-2
 
 
 def test_psgd_coupled_linear_system_solution():
     bench = coupled_quadratic(sigma=0.0)
     x0 = JointAction(np.zeros(1), np.zeros(1))
-    avg = psgd_nash(bench.game, bench.learner_set, bench.env_set, x0, 20_000, np.random.default_rng(1))
+    (avg,) = psgd_nash(
+        bench.game, [bench.learner_set], bench.env_set, x0, 20_000, [np.random.default_rng(1)]
+    )
     np.testing.assert_allclose(avg.theta, [0.0], atol=1e-3)
     np.testing.assert_allclose(avg.env, [1.0], atol=1e-3)
 
@@ -472,14 +476,15 @@ def test_psgd_rejects_bad_horizon():
     game = decoupled_quadratic()
     x0 = JointAction(np.zeros(1), np.zeros(1))
     with pytest.raises(ValueError):
-        psgd_nash(game, BOX2, BOX2, x0, 0, np.random.default_rng(0))
+        psgd_nash(game, [BOX2], BOX2, x0, 0, [np.random.default_rng(0)])
 
 
 def test_psgd_deterministic_given_seed():
     bench = coupled_quadratic(sigma=0.3)
     x0 = JointAction(np.zeros(1), np.zeros(1))
-    a = psgd_nash(bench.game, bench.learner_set, bench.env_set, x0, 500, np.random.default_rng(7))
-    b = psgd_nash(bench.game, bench.learner_set, bench.env_set, x0, 500, np.random.default_rng(7))
+    sets = [bench.learner_set]
+    (a,) = psgd_nash(bench.game, sets, bench.env_set, x0, 500, [np.random.default_rng(7)])
+    (b,) = psgd_nash(bench.game, sets, bench.env_set, x0, 500, [np.random.default_rng(7)])
     np.testing.assert_array_equal(a.concat(), b.concat())
 
 
@@ -495,7 +500,9 @@ def test_psgd_noiseless_error_decay():
     star = bench.nash.concat()
     errors = {}
     for horizon in [16, 32, 64, 128, 256, 512, 1024, 2048, 4096]:
-        avg = psgd_nash(bench.game, bench.learner_set, bench.env_set, x0, horizon, np.random.default_rng(2))
+        (avg,) = psgd_nash(
+            bench.game, [bench.learner_set], bench.env_set, x0, horizon, [np.random.default_rng(2)]
+        )
         errors[horizon] = float(np.linalg.norm(avg.concat() - star))
     horizons = sorted(errors)
     for a, b in zip(horizons, horizons[1:]):
@@ -507,9 +514,92 @@ def test_psgd_noiseless_error_decay():
 def test_psgd_residual_small_at_large_horizon():
     bench = coupled_quadratic(sigma=0.1)
     x0 = JointAction(np.zeros(1), np.zeros(1))
-    avg = psgd_nash(bench.game, bench.learner_set, bench.env_set, x0, 10_000, np.random.default_rng(3))
+    (avg,) = psgd_nash(
+        bench.game, [bench.learner_set], bench.env_set, x0, 10_000, [np.random.default_rng(3)]
+    )
     res = nash_residual(bench.game, avg, bench.learner_set, bench.env_set)
     assert res <= 1e-2
+
+
+def _bits(point: JointAction) -> bytes:
+    return point.concat().tobytes()
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 17, 512])
+def test_psgd_batch_rows_equal_single_runs_bitwise(horizon):
+    bench = coupled_quadratic(sigma=0.3)
+    x0 = JointAction(np.zeros(1), np.zeros(1))
+    seeds = [[30, horizon, s] for s in range(20)]
+    batch = psgd_nash(
+        bench.game, [bench.learner_set] * 20, bench.env_set, x0, horizon,
+        [np.random.default_rng(seed) for seed in seeds],
+    )
+    for seed, row in zip(seeds, batch):
+        alone = single_run_psgd(
+            bench.game, bench.learner_set, bench.env_set, x0, horizon, np.random.default_rng(seed)
+        )
+        assert _bits(row) == _bits(alone)
+
+
+@pytest.mark.parametrize("n_arms", [1, 2, 3, 4])
+def test_psgd_batch_of_selection_arms_equals_single_runs_bitwise(n_arms):
+    arms, game, env_set = selection_arms([0.0, 0.25, 0.5, 1.0], sigma=0.5)
+    sets = arms[:n_arms]
+    x0 = JointAction(np.zeros(1), np.zeros(1))
+    batch = psgd_nash(game, sets, env_set, x0, 64, np.random.default_rng([5, n_arms]).spawn(n_arms))
+    streams = np.random.default_rng([5, n_arms]).spawn(n_arms)
+    for arm, stream, row in zip(sets, streams, batch):
+        assert _bits(row) == _bits(single_run_psgd(game, arm, env_set, x0, 64, stream))
+
+
+def test_psgd_batch_with_non_box_sets_equals_single_runs_bitwise():
+    # an Intersection learner row sends the learner block row by row, and the
+    # Intersection environment set projects each row on its own
+    bench = coupled_quadratic(sigma=0.3)
+    cut = Intersection([box_1d(-2.0, 2.0), Halfspace(np.array([1.0]), -0.25)])
+    env_set = Intersection([box_1d(-2.0, 2.0), Halfspace(np.array([1.0]), 0.75)])
+    sets = [cut, bench.learner_set, cut]
+    x0 = JointAction(np.array([1.0]), np.array([1.0]))
+    batch = psgd_nash(bench.game, sets, env_set, x0, 40, [np.random.default_rng(i) for i in range(3)])
+    for i, (learner_set, row) in enumerate(zip(sets, batch)):
+        alone = single_run_psgd(bench.game, learner_set, env_set, x0, 40, np.random.default_rng(i))
+        assert _bits(row) == _bits(alone)
+    assert batch[0].theta[0] <= -0.25 + 1e-12
+
+
+class ZeroFirstNormal:
+    """Generator whose first standard_normal draw is all zeros; logs each draw."""
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed)
+        self.calls: list[str] = []
+
+    def standard_normal(self, size):
+        self.calls.append("standard_normal")
+        draw = self.rng.standard_normal(size)
+        return np.zeros(size) if len(self.calls) == 1 else draw
+
+    def uniform(self, low, high):
+        self.calls.append("uniform")
+        return self.rng.uniform(low, high)
+
+
+def test_psgd_redraws_a_zero_noise_direction_in_the_single_run_order():
+    bench = coupled_quadratic(sigma=0.3)
+    x0 = JointAction(np.zeros(1), np.zeros(1))
+    stub = ZeroFirstNormal(9)
+    batch = psgd_nash(
+        bench.game, [bench.learner_set] * 2, bench.env_set, x0, 5, [np.random.default_rng(8), stub]
+    )
+    reference = ZeroFirstNormal(9)
+    alone = single_run_psgd(bench.game, bench.learner_set, bench.env_set, x0, 5, reference)
+    assert _bits(batch[1]) == _bits(alone)
+    assert stub.calls == reference.calls
+    assert stub.calls == ["standard_normal"] * 2 + ["uniform"] + ["standard_normal", "uniform"] * 4
+    other = single_run_psgd(
+        bench.game, bench.learner_set, bench.env_set, x0, 5, np.random.default_rng(8)
+    )
+    assert _bits(batch[0]) == _bits(other)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +696,7 @@ def test_oracles_agree_on_contractive_game():
     spacing = 2.0 / 100
     x0 = JointAction(np.array([0.7]), np.array([-0.7]))
     br_point, _ = best_response_dynamics(game, box, box, x0)
-    avg = psgd_nash(game, box, box, x0, 20_000, np.random.default_rng(4))
+    (avg,) = psgd_nash(game, [box], box, x0, 20_000, [np.random.default_rng(4)])
     for candidate in (grid_point, br_point, avg):
         assert float(np.linalg.norm(candidate.concat() - exact.concat())) <= spacing
     assert regret <= 1e-9
