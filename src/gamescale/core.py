@@ -102,16 +102,6 @@ class Box(ActionSet):
     def bounding_box(self) -> "Box":
         return self
 
-    def vertices(self) -> np.ndarray:
-        """All corner points, provided 2^dim does not exceed 4096."""
-        if 2 ** self.dimension > 4096:
-            raise ValueError("too many vertices to enumerate")
-        corners = np.stack(
-            np.meshgrid(*[(lo, hi) for lo, hi in zip(self.lower, self.upper)], indexing="ij"),
-            axis=-1,
-        ).reshape(-1, self.dimension)
-        return corners
-
 
 @dataclass(eq=False)
 class Halfspace(ActionSet):
@@ -167,15 +157,15 @@ class Intersection(ActionSet):
         for _ in range(DYKSTRA_MAX_SWEEPS):
             # stop on the members' total move, not on the sweep's net move:
             # the iterate can end a sweep where it began while the corrections
-            # still change. A small total move leaves x within DYKSTRA_TOL of
-            # every member, so disjoint members run to the sweep cap.
+            # still change. The move is relative to |x| beyond 1, as roundings
+            # are; disjoint members run to the sweep cap.
             moved = 0.0
             for i, member in enumerate(self.members):
                 y = member.project(x + corrections[i])
                 corrections[i] = x + corrections[i] - y
                 moved += float(np.linalg.norm(y - x))
                 x = y
-            if moved < DYKSTRA_TOL:
+            if moved < DYKSTRA_TOL * max(1.0, float(np.linalg.norm(x))):
                 return x
         raise ConvergenceError(
             "Dykstra projection did not converge; intersection may be empty"
@@ -253,18 +243,15 @@ def central_difference(f: Callable[[np.ndarray], float], x: np.ndarray, step: fl
 class GameSpec:
     """Two-player game: losses, gradient oracles, and regularity constants.
 
-    An oracle grad(theta, env) gets one joint point as two vectors and returns
-    the player's own-action gradient as a vector (a float when the dimension
-    is 1). gradient_operator on a (B, d) array, as in psgd_nash, calls it once
-    with a batch instead: theta of shape (B, dim_learner) and env of shape
-    (B, dim_env), row i being joint point i. It must then return shape
-    (B, dim) exactly; any other shape raises ValueError rather than being
-    broadcast. So an oracle that indexes t[0] (row 0 of a batch) serves single
-    points only, and batches need oracles that broadcast over rows, such as
-    t - 1.0 + e.
-
-    Gradients may be omitted, in which case central finite differences of the
-    losses are used (step 1e-6) at single points; a batch needs both oracles.
+    One oracle contract serves PSGD and best responses: grad(theta, env) gets
+    one joint point (two vectors; it returns a vector, or a float in dimension
+    1) or a batch, theta of shape (B, dim_learner) and env of shape
+    (B, dim_env) with row i joint point i, for which it must return shape
+    (B, dim) exactly: any other shape is an error, not broadcast. Oracles that
+    broadcast over rows, such as t - 1.0 + e, serve both solvers with one call
+    per step. One that serves single points only (it indexes t[0] or calls
+    float()), or an omitted one (central differences of the loss, step 1e-6),
+    makes PSGD raise, while best responses fall back to one point at a time.
     """
 
     dim_learner: int

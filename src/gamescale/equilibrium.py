@@ -23,6 +23,7 @@ from .core import (
     JointAction,
     ModelClassLadder,
     Product,
+    _batch_gradient,
     gradient_operator,
     noisy_gradient_operator,
 )
@@ -39,6 +40,15 @@ class EquilibriumReport:
     nash_residual: float
     iterations: int
     certified: bool = True
+
+
+def _report(
+    game: GameSpec, regime: str, joint: JointAction, residual: float, iterations: int,
+    certified: bool = True,
+) -> EquilibriumReport:
+    """The report of joint, with both players' losses evaluated there."""
+    losses = (float(loss(joint.theta, joint.env)) for loss in (game.loss_learner, game.loss_env))
+    return EquilibriumReport(regime, joint, *losses, float(residual), int(iterations), certified)
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +69,7 @@ def _row_norms(d: np.ndarray) -> np.ndarray:
 
 
 def _projected_descent(
-    grads: Sequence[Callable[[np.ndarray], np.ndarray]],
+    grad: Callable[[np.ndarray, np.ndarray], np.ndarray],
     feasible: ActionSet,
     x0: np.ndarray,
     step: float,
@@ -67,11 +77,12 @@ def _projected_descent(
     tol: float,
     max_iters: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Projected gradient descent of each row of x0 along its own gradient
-    grads[i], to unit-step natural residual <= tol.
+    """Projected gradient descent of each row of x0 along its own gradient, to
+    unit-step natural residual <= tol. Each iteration makes one call
+    grad(x, rows) for the (len(rows), d) gradients at the active rows x of x0.
 
-    With adaptive=False every step is `step`. With adaptive=True (each grad
-    must be the gradient of a convex function) `step` = 1/L is only the first
+    With adaptive=False every step is `step`. With adaptive=True (each row's
+    gradient must be that of a convex function) `step` = 1/L is only the first
     step; later ones follow Malitsky & Mishchenko, "Adaptive Gradient Descent
     without Descent" (ICML 2020): the smaller of sqrt(1 + theta) times the last
     step (theta the ratio of the last two steps) and |dx| / (2 |dg|), the
@@ -96,7 +107,7 @@ def _projected_descent(
     for it in range(1, max_iters + 1):
         if rows.size == 0:
             break
-        g = np.array([grads[i](xi) for i, xi in zip(rows.tolist(), x)])
+        g = grad(x, rows)
         if adaptive and it > 1:
             dg = _row_norms(g - g_prev)
             curvature_step = np.divide(
@@ -131,14 +142,7 @@ def stationary_optimum(
     """Minimize the learner loss against a single fixed environment action."""
     e = np.asarray(fixed_env, dtype=float)
     theta, iters, residual = best_responses(game, "learner", e[np.newaxis], model_class, 1e-8)
-    return EquilibriumReport(
-        regime="stationary",
-        joint=JointAction(theta[0], e),
-        loss_learner=float(game.loss_learner(theta[0], e)),
-        loss_env=float(game.loss_env(theta[0], e)),
-        nash_residual=float(residual[0]),
-        iterations=int(iters[0]),
-    )
+    return _report(game, "stationary", JointAction(theta[0], e), residual[0], iters[0])
 
 
 def best_responses(
@@ -151,15 +155,45 @@ def best_responses(
     """Best responses of one player to each row of opponent_actions, solved as
     one batched adaptive descent from the origin; every best response in the
     package is solved here. Returns the points, iteration counts and natural
-    residuals by row."""
+    residuals by row.
+
+    Each iteration makes one oracle call on all active rows. It must return
+    shape (B, dim), and at the first moved iterate (iteration 2, or 1 for a
+    row that stopped there) every row must equal the single-point oracle's
+    bits. If not, or if the oracle is missing or the batch solve raises, the
+    solve is rerun one point at a time, giving the per-row result exactly.
+    """
+    opp = np.asarray(opponent_actions, dtype=float)
     if player == "learner":
-        grads = [lambda t, o=o: game.grad_l(t, o) for o in opponent_actions]
+        oracle, single = game.grad_learner, game.grad_l
+        batch = lambda x, o: _batch_gradient(oracle, "grad_learner", x, o, game.dim_learner)
     elif player == "env":
-        grads = [lambda e, o=o: game.grad_e(o, e) for o in opponent_actions]
+        oracle, single = game.grad_env, lambda x, o: game.grad_e(o, x)
+        batch = lambda x, o: _batch_gradient(oracle, "grad_env", o, x, game.dim_env)
     else:
         raise ValueError(f"unknown player {player!r}")
-    x0 = np.zeros((len(grads), own_set.dimension))
-    return _projected_descent(grads, own_set, x0, 1.0 / game.lipschitz, True, tol, 200_000)
+    x0 = np.zeros((len(opp), own_set.dimension))
+    solve = lambda grad: _projected_descent(grad, own_set, x0, 1.0 / game.lipschitz, True, tol, 200_000)
+    per_row = lambda x, rows: np.array([single(xi, opp[i]) for i, xi in zip(rows.tolist(), x)])
+    seen = []  # the batch gradients of iterations 1 and 2; row i of the first is row i of opp
+
+    def checked(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        g = batch(x, opp[rows])
+        if len(seen) < 2:
+            seen.append(g)
+            if len(seen) == 2 and g.tobytes() != per_row(x, rows).tobytes():
+                raise ValueError("batch gradients differ from the single-point ones")
+        return g
+
+    if oracle is not None and len(opp):
+        try:
+            points, iters, residuals = solve(checked)
+            stopped = np.flatnonzero(iters == 1)
+            if seen[0][stopped].tobytes() == per_row(points[stopped], stopped).tobytes():
+                return points, iters, residuals
+        except Exception:
+            pass  # an oracle written for single points may raise anything on a batch
+    return solve(per_row)
 
 
 def best_response(
@@ -304,15 +338,8 @@ def stackelberg_leader(
         learner_set, env_set = follower_set, leader_set
         regime = "stackelberg_follower"
     joint = JointAction(theta, env)
-    return EquilibriumReport(
-        regime=regime,
-        joint=joint,
-        loss_learner=float(game.loss_learner(theta, env)),
-        loss_env=float(game.loss_env(theta, env)),
-        nash_residual=nash_residual(game, joint, learner_set, env_set),
-        iterations=evals,
-        certified=certified,
-    )
+    residual = nash_residual(game, joint, learner_set, env_set)
+    return _report(game, regime, joint, residual, evals, certified)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +423,7 @@ def solve_nash(
     """
     joint_set = Product(learner_set, env_set)
     x, iters, _ = _projected_descent(
-        [lambda z: gradient_operator(game, z)],
+        lambda x, rows: gradient_operator(game, x[0])[np.newaxis],
         joint_set,
         np.zeros((1, joint_set.dimension)),
         game.mu / (game.lipschitz**2),
@@ -414,14 +441,7 @@ def nash_report(
     tol: float = 1e-10,
 ) -> EquilibriumReport:
     x, iters = solve_nash(game, learner_set, env_set, tol)
-    return EquilibriumReport(
-        regime="nash",
-        joint=x,
-        loss_learner=float(game.loss_learner(x.theta, x.env)),
-        loss_env=float(game.loss_env(x.theta, x.env)),
-        nash_residual=nash_residual(game, x, learner_set, env_set),
-        iterations=iters,
-    )
+    return _report(game, "nash", x, nash_residual(game, x, learner_set, env_set), iters)
 
 
 # ---------------------------------------------------------------------------

@@ -54,11 +54,10 @@ def restriction_instance() -> NashBenchmark:
         dim_env=1,
         loss_learner=lambda t, e: 0.5 * t[0] ** 2 + t[0] * e[0] + 0.5 * e[0] ** 2 + e[0],
         loss_env=lambda t, e: 0.5 * (e[0] - t[0]) ** 2,
-        grad_learner=lambda t, e: np.array([t[0] + e[0]]),
-        grad_env=lambda t, e: np.array([e[0] - t[0]]),
+        grad_learner=lambda t, e: t + e,
+        grad_env=lambda t, e: e - t,
         mu=1.0,
         lipschitz=2.0,
-        noise_bound=0.0,
     )
     nash = JointAction(np.array([0.0]), np.array([0.0]))
     return NashBenchmark(game, box_1d(-2.0, 2.0), box_1d(-2.0, 2.0), nash, 0.0)
@@ -72,11 +71,10 @@ def zero_sum_instance() -> NashBenchmark:
         dim_env=1,
         loss_learner=lambda t, e: 0.5 * t[0] ** 2 + t[0] * e[0] - 0.5 * e[0] ** 2,
         loss_env=lambda t, e: -(0.5 * t[0] ** 2 + t[0] * e[0] - 0.5 * e[0] ** 2),
-        grad_learner=lambda t, e: np.array([t[0] + e[0]]),
-        grad_env=lambda t, e: np.array([e[0] - t[0]]),
+        grad_learner=lambda t, e: t + e,
+        grad_env=lambda t, e: e - t,
         mu=1.0,
         lipschitz=math.sqrt(2.0),
-        noise_bound=0.0,
     )
     nash = JointAction(np.array([0.0]), np.array([0.0]))
     return NashBenchmark(game, box_1d(-2.0, 2.0), box_1d(-2.0, 2.0), nash, 0.0)
@@ -145,8 +143,8 @@ def stackelberg_scaling_game() -> tuple[GameSpec, ActionSet]:
         dim_env=1,
         loss_learner=lambda t, e: 0.5 * (t[0] - 2.0) ** 2 + t[0] * e[0],
         loss_env=lambda t, e: 0.5 * (e[0] - t[0]) ** 2,
-        grad_learner=lambda t, e: np.array([t[0] - 2.0 + e[0]]),
-        grad_env=lambda t, e: np.array([e[0] - t[0]]),
+        grad_learner=lambda t, e: t - 2.0 + e,
+        grad_env=lambda t, e: e - t,
         mu=1.0,
         lipschitz=2.0,
     )

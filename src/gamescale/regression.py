@@ -113,12 +113,6 @@ def large_model_closed_form(instance: RegressionInstance, k: float) -> LargeMode
     return LargeModelClosedForm(m=m, y=y, z=z, c=c, p=p)
 
 
-def large_model_best_theta(instance: RegressionInstance, k: float) -> tuple[np.ndarray, float]:
-    """Best-response coefficients (theta_1, theta_2) = (c beta, p |beta|)."""
-    cf = large_model_closed_form(instance, k)
-    return cf.c * instance.beta, cf.p * instance.beta_norm
-
-
 def large_model_learner_loss(instance: RegressionInstance, k: float) -> float:
     cf = large_model_closed_form(instance, k)
     c, p, m, y = cf.c, cf.p, cf.m, cf.y

@@ -2,16 +2,18 @@
 
 Brute-force or independent computations that cross-check the library's
 solvers: fixed-step projected descent with a residual at every iterate,
-single-point adaptive projected descent, a single averaged PSGD run, a
-sampling check that a ladder's classes are nested, per-arm suboptimality
-gaps, random strongly monotone affine games with a known Nash point, an
-exhaustive-grid Nash, alternating best responses, a finite-difference
-gradient check, the strategic-regression game as a generic Stackelberg
-instance, Monte-Carlo estimates of the regression game's integrals, losses,
-predictions and least-squares fits, exact chain-game learner values for
-arbitrary per-state policies, value iteration on the chain's environment
-MDP, the chain-game dominance check by re-walking the chain once per
-deviation, and a Monte-Carlo rollout of the learner value.
+single-point adaptive projected descent, an oracle wrapper that refuses
+batches (the per-row reference of a best-response solve), a single averaged
+PSGD run, a sampling check (box corners included) that a ladder's classes
+are nested, per-arm suboptimality gaps, random strongly monotone affine
+games with a known Nash point, an exhaustive-grid Nash, alternating best
+responses, a finite-difference gradient check, the strategic-regression
+game as a generic Stackelberg instance, the large regression class's
+best-response coefficients, Monte-Carlo estimates of the regression game's
+integrals, losses, predictions and least-squares fits, exact chain-game
+learner values for arbitrary per-state policies, value iteration on the
+chain's environment MDP, the chain-game dominance check by re-walking the
+chain once per deviation, and a Monte-Carlo rollout of the learner value.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from gamescale.core import (
 )
 from gamescale.equilibrium import best_response, grid_points
 from gamescale.markov import MarkovChainGame, _walk_value, absorbing_state
-from gamescale.regression import RegressionInstance
+from gamescale.regression import RegressionInstance, large_model_closed_form
 
 
 def two_projection_descent(grad, feasible: ActionSet, x0, step: float, tol: float, max_iters: int):
@@ -79,6 +81,19 @@ def single_point_descent(
     raise ConvergenceError(f"projected descent: residual > {tol} after {max_iters} iterations")
 
 
+def single_point_only(grad):
+    """The oracle grad, refusing batch (2-D) arguments. A best-response solve
+    on such an oracle always takes the per-row path, so it is the per-row
+    reference of the same solve on grad."""
+
+    def oracle(*args):
+        if any(np.ndim(a) != 1 for a in args):
+            raise ValueError(f"single points only, got shapes {[np.shape(a) for a in args]}")
+        return grad(*args)
+
+    return oracle
+
+
 def check_nested(ladder: ModelClassLadder, rng: np.random.Generator) -> bool:
     """Sampling check of Theta_i <= Theta_{i+1}: sampled points (and box
     vertices, when enumerable) of the smaller class must project onto the
@@ -86,7 +101,8 @@ def check_nested(ladder: ModelClassLadder, rng: np.random.Generator) -> bool:
     for small, large in zip(ladder.classes, ladder.classes[1:]):
         points = [small.sample(rng) for _ in range(64)]
         if isinstance(small, Box) and 2 ** small.dimension <= 1024:
-            points.extend(small.vertices())
+            corners = np.meshgrid(*zip(small.lower, small.upper), indexing="ij")
+            points.extend(np.stack(corners, axis=-1).reshape(-1, small.dimension))
         for p in points:
             if not large.contains(p, 1e-9):
                 return False
@@ -276,6 +292,13 @@ def regression_stackelberg_game(beta: np.ndarray, k_max: float = 10.0):
     learner_set = Box(-(abs(beta) + 1.0), abs(beta) + 1.0)
     env_set = box_1d(-k_max, k_max)
     return game, learner_set, env_set
+
+
+def large_model_best_theta(instance: RegressionInstance, k: float) -> tuple[np.ndarray, float]:
+    """The bump-feature class's best-response coefficients (theta_1, theta_2)
+    = (c beta, p |beta|) at shift magnitude k."""
+    cf = large_model_closed_form(instance, k)
+    return cf.c * instance.beta, cf.p * instance.beta_norm
 
 
 def _draw_inputs(instance: RegressionInstance, k: float, n: int, rng: np.random.Generator):

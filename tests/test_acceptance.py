@@ -25,7 +25,6 @@ from gamescale.markov import build_chain_game, chain_equilibrium, payoff_sweep
 from gamescale.participation import alpha_threshold, default_instance, equilibrium_pair
 from gamescale.regression import (
     RegressionInstance,
-    large_model_best_theta,
     large_model_closed_form,
     large_model_env_objective,
     large_model_learner_loss,
@@ -35,6 +34,7 @@ from gamescale.regression import (
 from gamescale.restriction import HypothesisNotSatisfiedError, certify_restriction
 from gamescale.selection import successive_elimination
 from oracles import (
+    large_model_best_theta,
     mc_env_prediction,
     mc_gaussian_integrals,
     mc_least_squares,

@@ -112,7 +112,7 @@ def random_intersection(rng, d):
 def test_projection_nonexpansive_and_variational_inequality(make):
     # |P(x) - P(z)| <= |x - z|, and <x - P(x), y - P(x)> <= 0 for every feasible y
     rng = np.random.default_rng(64)
-    # Dykstra stops on a 1e-12 move, which does not bound its error by 1e-12
+    # Dykstra stops on a move of 1e-12 max(1, |x|), which does not bound its error by 1e-12
     atol = 1e-9 if make is random_intersection else 1e-12
     for trial in range(200):
         d = 1 + trial % 4
@@ -130,6 +130,28 @@ def test_empty_intersection_raises_after_cap():
     )
     with pytest.raises(ConvergenceError):
         empty.project(np.array([0.0]))
+
+
+def test_dykstra_terminates_at_large_scale():
+    # at coordinates ~1e6 one rounding of a member's projection moves x by
+    # ~1e-10, so an absolute 1e-12 stop test could run to the sweep cap
+    rng = np.random.default_rng(65)
+    for trial in range(50):
+        d = 2 + trial % 3
+        lower, upper = -rng.uniform(0.5, 1.0, d) * 1e6, rng.uniform(0.5, 1.0, d) * 1e6
+        normal = rng.standard_normal(d)
+        # the cut passes through a point of the box, so the set is never empty
+        region = Intersection(
+            [Box(lower, upper), Halfspace(normal, float(normal @ rng.uniform(lower, upper)))]
+        )
+        x, w = rng.standard_normal((2, d)) * 2e6
+        px, y = region.project(x), region.project(w)
+        # the stop test and the roundings are relative to the size of the point
+        size = np.linalg.norm(px)
+        for member in region.members:
+            assert np.linalg.norm(px - member.project(px)) <= 1e-11 * size
+        scale = (size + np.linalg.norm(x - px)) * (size + np.linalg.norm(y - px))
+        assert float((x - px) @ (y - px)) <= 1e-12 * scale
 
 
 def test_dykstra_runs_on_while_corrections_move():

@@ -31,6 +31,7 @@ from gamescale.core import (
 from gamescale.equilibrium import (
     _projected_descent,
     best_response,
+    best_responses,
     grid_points,
     nash_report,
     nash_residual,
@@ -48,6 +49,7 @@ from oracles import (
     random_affine_game,
     regression_stackelberg_game,
     single_point_descent,
+    single_point_only,
     single_run_psgd,
     two_projection_descent,
 )
@@ -130,6 +132,126 @@ def test_best_response_linear_coupling():
     np.testing.assert_allclose(e, [0.3], atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "game, learner_ref, env_ref",
+    [
+        (restriction_instance().game, lambda t, e: t[0] + e[0], lambda t, e: e[0] - t[0]),
+        (zero_sum_instance().game, lambda t, e: t[0] + e[0], lambda t, e: e[0] - t[0]),
+        (stackelberg_scaling_game()[0], lambda t, e: t[0] - 2.0 + e[0], lambda t, e: e[0] - t[0]),
+    ],
+    ids=["restriction", "zero_sum", "stackelberg_scaling"],
+)
+def test_broadcast_oracles_equal_their_single_point_values_bitwise(game, learner_ref, env_ref):
+    rng = np.random.default_rng(67)
+    theta, env = rng.uniform(-4.0, 4.0, (2, 9, 1))
+    for oracle, ref in ((game.grad_learner, learner_ref), (game.grad_env, env_ref)):
+        singles = [oracle(t, e) for t, e in zip(theta, env)]
+        assert all(g.shape == (1,) for g in singles)
+        # the scalar expression the oracle had before it broadcast
+        scalars = np.array([[ref(t, e)] for t, e in zip(theta, env)])
+        assert np.array(singles).tobytes() == scalars.tobytes()
+        batch = oracle(theta, env)
+        assert batch.shape == (9, 1)
+        assert batch.tobytes() == np.array(singles).tobytes()
+
+
+def wrong_broadcast_game():
+    """The env-leads regression game's learner side (dim 2), written for
+    single points: on a batch it takes row 0's shift ee for every row, so a
+    batch of 2 rows still gives shape (2, 2), and its coupling term
+    (t @ ee) ee is right at the origin only."""
+    beta = np.array([0.6, -0.8])
+
+    def grad_learner(t, e):
+        ee = e[0] * beta
+        return 2.0 * (t - beta) + 2.0 * (t @ ee) * ee
+
+    return GameSpec(
+        dim_learner=2,
+        dim_env=1,
+        loss_learner=lambda t, e: 0.0,
+        loss_env=lambda t, e: 0.0,
+        grad_learner=grad_learner,
+        grad_env=lambda t, e: np.zeros(1),
+        mu=1.0,
+        lipschitz=2.0 * (1.0 + 2.0**2),
+    )
+
+
+def with_oracles(game, wrap):
+    """game with each of its gradient oracles passed through wrap."""
+    oracles = {k: getattr(game, k) for k in ("grad_learner", "grad_env")}
+    return GameSpec(
+        dim_learner=game.dim_learner,
+        dim_env=game.dim_env,
+        loss_learner=game.loss_learner,
+        loss_env=game.loss_env,
+        mu=game.mu,
+        lipschitz=game.lipschitz,
+        **{k: None if f is None else wrap(f) for k, f in oracles.items()},
+    )
+
+
+UNIT = box_1d(0.0, 1.0)
+TRACKED = np.linspace(-0.5, 1.5, 7)[:, np.newaxis]
+# name -> (game, player, own set, opponent actions)
+PER_ROW_CASES = {
+    # grad_env indexes e[0] and t[0]: a batch returns row 0 alone, shape (1, 1)
+    "row0_oracle": lambda: (tracking_game(), "env", UNIT, TRACKED),
+    # no oracles: central differences of the losses
+    "no_oracle": lambda: (with_oracles(tracking_game(), lambda f: None), "env", UNIT, TRACKED),
+    "wrong_broadcast": lambda: (
+        wrong_broadcast_game(),
+        "learner",
+        Box(-2.0 * np.ones(2), 2.0 * np.ones(2)),
+        np.array([[-2.0], [1.5]]),
+    ),
+    # e - t[0] on a batch takes row 0's opponent action for every row, shape
+    # (B, 1); from the origin every row then stops at iteration 1, where only
+    # the first should
+    "row0_stops_at_origin": lambda: (
+        with_oracles(tracking_game(), lambda f: lambda t, e: e - t[0]),
+        "env",
+        UNIT,
+        np.array([[-1.0], [0.5], [0.8]]),
+    ),
+    # broadcasts correctly, so the batch path is kept; it must give the same bits
+    "broadcast": lambda: (
+        restriction_instance().game, "env", box_1d(-2.0, 2.0), np.linspace(-3.0, 3.0, 13)[:, None]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PER_ROW_CASES))
+def test_best_responses_equal_per_row_results_bitwise(case):
+    game, player, own_set, opponents = PER_ROW_CASES[case]()
+    reference = with_oracles(game, single_point_only)
+    got = best_responses(game, player, opponents, own_set, 1e-9)
+    expected = best_responses(reference, player, opponents, own_set, 1e-9)
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_wrong_broadcast_oracle_passes_the_shape_check_but_not_the_values():
+    # the wrong_broadcast case above tests the fallback only if the batch call
+    # is right at the origin and wrong away from it
+    game, opponents = wrong_broadcast_game(), np.array([[-2.0], [1.5]])
+    for t in (np.zeros((2, 2)), np.array([[0.3, -0.2], [0.1, 0.4]])):
+        got = game.grad_learner(t, opponents)
+        assert got.shape == (2, 2)
+        expected = np.array([game.grad_learner(ti, oi) for ti, oi in zip(t, opponents)])
+        assert np.array_equal(got, expected) == (not t.any())
+
+
+def test_best_responses_raise_the_single_point_oracles_error():
+    def grad_env(t, e):
+        raise ZeroDivisionError("oracle failure")
+
+    game = with_oracles(tracking_game(), lambda f: grad_env)
+    with pytest.raises(ZeroDivisionError):
+        best_responses(game, "env", np.zeros((3, 1)), box_1d(0.0, 1.0), 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Projected descent: adaptive step, one projection per iteration
 # ---------------------------------------------------------------------------
@@ -180,7 +302,7 @@ def test_adaptive_best_response_matches_fixed_step_reference():
     for d, grad, lipschitz, mu in random_convex_losses(rng):
         box = Box(-np.ones(d), np.ones(d))
         iterates = []
-        recording = lambda t, grad=grad: iterates.append(t.copy()) or grad(t)
+        recording = single_point_only(lambda t, grad=grad: iterates.append(t.copy()) or grad(t))
         game = own_loss_game(d, recording, lipschitz, mu)
         reference, _, _ = two_projection_descent(
             grad, box, np.zeros(d), 1.0 / lipschitz, 1e-13, 1_000_000
@@ -236,6 +358,12 @@ def test_projection_step_monotonicity(feasible):
         assert all(min(1.0, 1.0 / t) * m <= unit + atol for t, m in zip(steps, moves))
 
 
+def by_row(grads):
+    """The grad(x, rows) callable of _projected_descent that evaluates row i's
+    own single-point gradient grads[i] at each active row."""
+    return lambda x, rows: np.array([grads[i](xi) for i, xi in zip(rows.tolist(), x)])
+
+
 def test_fixed_step_descent_matches_two_projection_loop_bitwise():
     rng = np.random.default_rng(63)
     for case in range(12):
@@ -250,7 +378,7 @@ def test_fixed_step_descent_matches_two_projection_loop_bitwise():
         field = lambda z, m=m, q=q: m @ z + q
         step = mu / lipschitz**2
         (x,), (iters,), (residual,) = _projected_descent(
-            [field], feasible, np.zeros((1, 2 * d)), step, False, 1e-10, 500_000
+            by_row([field]), feasible, np.zeros((1, 2 * d)), step, False, 1e-10, 500_000
         )
         ref_x, ref_iters, ref_residual = two_projection_descent(
             field, feasible, np.zeros(2 * d), step, 1e-10, 500_000
@@ -265,7 +393,7 @@ def test_projected_descent_raises_at_iteration_cap(adaptive):
     grad = lambda t: hessian @ (t - np.array([0.5, -0.25]))
     box = Box(-np.ones(2), np.ones(2))
     with pytest.raises(ConvergenceError):
-        _projected_descent([grad], box, np.zeros((1, 2)), 1.0 / 200.0, adaptive, 1e-9, 3)
+        _projected_descent(by_row([grad]), box, np.zeros((1, 2)), 1.0 / 200.0, adaptive, 1e-9, 3)
 
 
 def random_quadratic_rows(rng, d, rows):
@@ -298,7 +426,9 @@ def test_batched_descent_matches_single_point_loop_bitwise(kind, adaptive):
         feasible = BATCH_SETS[kind](rng, d)
         grads = random_quadratic_rows(rng, d, 12)
         x0 = rng.uniform(-1.5, 1.5, (12, d))
-        x, iters, residuals = _projected_descent(grads, feasible, x0, 0.1, adaptive, 1e-9, 200_000)
+        x, iters, residuals = _projected_descent(
+            by_row(grads), feasible, x0, 0.1, adaptive, 1e-9, 200_000
+        )
         for i, grad in enumerate(grads):
             ref_x, ref_iters, ref_residual = single_point_descent(
                 grad, feasible, x0[i], 0.1, adaptive, 1e-9, 200_000
@@ -314,10 +444,12 @@ def test_batched_descent_raises_when_one_row_hits_cap():
     easy = [lambda t, c=np.array(c): 200.0 * (t - c) for c in ([0.5, 0.2], [3.0, -0.1])]
     slow = lambda t: np.diag([1.0, 200.0]) @ (t - np.array([0.5, -0.25]))
     x0 = np.zeros((3, 2))
-    _, iters, _ = _projected_descent(easy, box, x0[:2], 1.0 / 200.0, False, 1e-9, 1_000)
+    _, iters, _ = _projected_descent(by_row(easy), box, x0[:2], 1.0 / 200.0, False, 1e-9, 1_000)
     assert iters.max() <= 3
     with pytest.raises(ConvergenceError):
-        _projected_descent([easy[0], slow, easy[1]], box, x0, 1.0 / 200.0, False, 1e-9, 1_000)
+        _projected_descent(
+            by_row([easy[0], slow, easy[1]]), box, x0, 1.0 / 200.0, False, 1e-9, 1_000
+        )
 
 
 # ---------------------------------------------------------------------------

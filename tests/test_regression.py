@@ -6,7 +6,6 @@ import pytest
 from gamescale.regression import (
     RegressionInstance,
     compare_model_classes,
-    large_model_best_theta,
     large_model_closed_form,
     large_model_env_objective,
     large_model_learner_loss,
@@ -15,7 +14,13 @@ from gamescale.regression import (
     small_model_loss,
     stackelberg_outcome,
 )
-from oracles import mc_env_prediction, mc_gaussian_integrals, mc_least_squares, mc_model_loss
+from oracles import (
+    large_model_best_theta,
+    mc_env_prediction,
+    mc_gaussian_integrals,
+    mc_least_squares,
+    mc_model_loss,
+)
 
 INSTANCE = RegressionInstance(np.array([1.0, 0.0]))
 
