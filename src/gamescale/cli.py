@@ -2,9 +2,11 @@
 
 Subcommands: psgd, select, restrict, markov, regression, participation,
 scaling-curve. Parameters resolve as defaults < config file < command-line
-flags; every run writes its outputs plus a manifest.json with the resolved
-config and per-file checksums. Exit codes: 0 success, 2 invalid config,
-3 solver or certification failure.
+flags. Each runner returns its output texts by file name and touches no file;
+`main` writes them only after all of them are formatted, then a manifest.json
+with the resolved config and per-file checksums, so a failed run leaves only
+manifest.json. Exit codes: 0 success, 2 invalid config (a bad --out-dir too),
+3 solver, certification or output failure.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -115,21 +118,20 @@ def certificate_record(cert: RestrictionCertificate) -> dict[str, str]:
     return {key: fmt_value(value) for key, value in fields.items()}
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> Path:
-    """Format every row, then write the file, so a value that cannot be written
-    leaves no partial CSV; the error names the file and the column."""
-    table = [header]
+def csv_text(name: str, header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """The table as CSV text; an unwritable value raises OutputError naming file and column."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
     for row in rows:
         cells = []
-        for name, v in zip(header, row, strict=True):
+        for col, v in zip(header, row, strict=True):
             try:
                 cells.append(fmt_value(v))
             except OutputError as exc:
-                raise OutputError(f"{path.name}, column {name}: {exc}") from None
-        table.append(cells)
-    with path.open("w", newline="") as fh:
-        csv.writer(fh).writerows(table)
-    return path
+                raise OutputError(f"{name}, column {col}: {exc}") from None
+        writer.writerow(cells)
+    return buf.getvalue()
 
 
 @dataclass
@@ -145,10 +147,8 @@ class PlotSpec:
     vlines: Sequence[tuple[float, str]] = ()
 
 
-def emit_plot(
-    header: Sequence[str], rows: Sequence[Sequence], spec: PlotSpec, out_path: Path
-) -> Path:
-    """Chart of the spec's columns of a table; an unknown column or no rows raise ValueError."""
+def emit_plot(header: Sequence[str], rows: Sequence[Sequence], spec: PlotSpec) -> str:
+    """SVG chart of the spec's columns of a table; an unknown column or no rows raise ValueError."""
 
     def column(name: str) -> list[float]:
         j = list(header).index(name)
@@ -159,42 +159,36 @@ def emit_plot(
         Series(name=col, x=xs, y=column(col), step=spec.step, markers=spec.markers)
         for col in spec.ys
     ]
-    out_path.write_text(
-        line_chart(series, spec.title, spec.x_label, spec.y_label, vlines=list(spec.vlines))
-    )
-    return out_path
+    return line_chart(series, spec.title, spec.x_label, spec.y_label, vlines=list(spec.vlines))
 
 
-def write_table(
-    path: Path, header: Sequence[str], rows: Sequence[Sequence], plot: PlotSpec
-) -> list[Path]:
-    """Write the table as CSV and its chart next to it."""
-    return [write_csv(path, header, rows), emit_plot(header, rows, plot, path.parent / plot.file)]
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def table(
+    name: str, header: Sequence[str], rows: Sequence[Sequence], plot: Optional[PlotSpec] = None
+) -> dict[str, str]:
+    """The table's CSV text and, given a spec, its chart, by file name."""
+    texts = {name: csv_text(name, header, rows)}
+    if plot is not None:
+        texts[plot.file] = emit_plot(header, rows, plot)
+    return texts
 
 
 def write_manifest(
     out_dir: Path,
     experiment: str,
     config: dict,
-    outputs: Sequence[Path],
+    outputs: dict[str, bytes],
     runtime: float,
     error: Optional[dict] = None,
-) -> Path:
+) -> None:
     manifest = {
         "experiment": experiment,
         "config": config,
         "version": __version__,
-        "outputs": {p.name: _sha256(p) for p in outputs},
+        "outputs": {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()},
         "runtime_seconds": runtime,
         "error": error,
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +196,7 @@ def write_manifest(
 # ---------------------------------------------------------------------------
 
 
-def run_psgd(params: dict, out_dir: Path) -> list[Path]:
+def run_psgd(params: dict) -> dict[str, str]:
     """averaged stochastic gradient Nash estimation"""
     bench = coupled_quadratic(sigma=params["sigma"])
     game = bench.game
@@ -221,10 +215,10 @@ def run_psgd(params: dict, out_dir: Path) -> list[Path]:
             residuals.append(res)
             rows.append((horizon, s, gap, res))
         summary.append((horizon, float(np.mean(gaps)), float(np.mean(residuals))))
-    return [
-        write_csv(out_dir / "psgd.csv", ["horizon", "seed", "f_l_gap", "nash_residual"], rows),
-        *write_table(
-            out_dir / "psgd_summary.csv",
+    return {
+        **table("psgd.csv", ["horizon", "seed", "f_l_gap", "nash_residual"], rows),
+        **table(
+            "psgd_summary.csv",
             ["horizon", "mean_f_l_gap", "mean_nash_residual"],
             summary,
             PlotSpec(
@@ -237,10 +231,10 @@ def run_psgd(params: dict, out_dir: Path) -> list[Path]:
                 markers=True,
             ),
         ),
-    ]
+    }
 
 
-def run_select(params: dict, out_dir: Path) -> list[Path]:
+def run_select(params: dict) -> dict[str, str]:
     """successive elimination over model classes"""
     arms, game, env_set = selection_arms(params["losses"], sigma=params["sigma"])
     rng = np.random.default_rng([params["seed"]])
@@ -268,33 +262,27 @@ def run_select(params: dict, out_dir: Path) -> list[Path]:
             report.delta,
         )
     ]
-    return [
-        write_csv(
-            out_dir / "elimination_log.csv",
-            ["epoch", "T", "arm", "estimate", "radius", "active"],
-            log_rows,
-        ),
-        write_csv(
-            out_dir / "selection_summary.csv",
+    return {
+        **table("elimination_log.csv", ["epoch", "T", "arm", "estimate", "radius", "active"], log_rows),
+        **table(
+            "selection_summary.csv",
             ["winner", "survivors", "inconclusive", "epochs", "total_steps", "delta"],
             summary,
         ),
-    ]
+    }
 
 
-def run_restrict(params: dict, out_dir: Path) -> list[Path]:
+def run_restrict(params: dict) -> dict[str, str]:
     """improving model-class restriction certificate"""
     bench = restriction_instance() if params["instance"] == "coupled" else zero_sum_instance()
     cert = certify_restriction(
         bench.game, bench.learner_set, bench.env_set, seed=params["seed"]
     )
     record = certificate_record(cert)
-    path = out_dir / "certificate.txt"
-    path.write_text("".join(f"{k}={v}\n" for k, v in record.items()))
-    return [path]
+    return {"certificate.txt": "".join(f"{k}={v}\n" for k, v in record.items())}
 
 
-def run_markov(params: dict, out_dir: Path) -> list[Path]:
+def run_markov(params: dict) -> dict[str, str]:
     """chain Markov game payoff sweep"""
     for key in ("p_min", "p_max"):
         if not 0.5 <= params[key] <= 1.0:
@@ -307,8 +295,8 @@ def run_markov(params: dict, out_dir: Path) -> list[Path]:
         (eq.p_bar, eq.learner_value, eq.env_value, eq.absorbing_state, params["gamma"])
         for eq in payoff_sweep(game, grid)
     ]
-    return write_table(
-        out_dir / "markov_sweep.csv",
+    return table(
+        "markov_sweep.csv",
         ["p_bar", "learner_value", "env_value", "absorbing_state", "gamma"],
         rows,
         PlotSpec(
@@ -323,7 +311,7 @@ def run_markov(params: dict, out_dir: Path) -> list[Path]:
     )
 
 
-def run_regression(params: dict, out_dir: Path) -> list[Path]:
+def run_regression(params: dict) -> dict[str, str]:
     """strategic regression loss comparison"""
     if not params["curve_step"] > 0:
         raise ConfigError(f"curve_step must be positive, got {params['curve_step']}")
@@ -353,9 +341,9 @@ def run_regression(params: dict, out_dir: Path) -> list[Path]:
             comparison.large.learner_loss - comparison.small.learner_loss,
         )
     ]
-    return [
-        *write_table(
-            out_dir / "regression_curve.csv",
+    return {
+        **table(
+            "regression_curve.csv",
             ["k", "small_loss", "large_loss", "env_obj_small", "env_obj_large"],
             curve_rows,
             PlotSpec(
@@ -371,20 +359,20 @@ def run_regression(params: dict, out_dir: Path) -> list[Path]:
                 ],
             ),
         ),
-        write_csv(
-            out_dir / "regression_equilibrium.csv",
+        **table(
+            "regression_equilibrium.csv",
             ["model_class", "k_star", "learner_loss", "env_objective", "loss_over_beta_sq"],
             eq_rows,
         ),
-        write_csv(
-            out_dir / "regression_summary.csv",
+        **table(
+            "regression_summary.csv",
             ["reverse_scaling", "pointwise_dominance", "loss_gap"],
             summary_rows,
         ),
-    ]
+    }
 
 
-def run_participation(params: dict, out_dir: Path) -> list[Path]:
+def run_participation(params: dict) -> dict[str, str]:
     """participation dynamics alpha sweep"""
     for key in ("alpha_min", "alpha_max"):
         if not 0.0 <= params[key] <= 1.0:
@@ -400,8 +388,8 @@ def run_participation(params: dict, out_dir: Path) -> list[Path]:
         rows.append(
             (alpha, full.loss, restricted.loss, threshold, full.loss > restricted.loss)
         )
-    return write_table(
-        out_dir / "participation_sweep.csv",
+    return table(
+        "participation_sweep.csv",
         ["alpha", "full_loss", "restricted_loss", "threshold", "reverse_scaling_flag"],
         rows,
         PlotSpec(
@@ -416,7 +404,7 @@ def run_participation(params: dict, out_dir: Path) -> list[Path]:
     )
 
 
-def run_scaling_curve(params: dict, out_dir: Path) -> list[Path]:
+def run_scaling_curve(params: dict) -> dict[str, str]:
     """equilibrium losses across a nested ladder"""
     regime = params["regime"]
     radii = params["radii"]
@@ -434,8 +422,8 @@ def run_scaling_curve(params: dict, out_dir: Path) -> list[Path]:
         (k, radii[k], rep.loss_learner, rep.loss_env, rep.nash_residual, rep.regime, rep.certified)
         for k, rep in curve
     ]
-    return write_table(
-        out_dir / "scaling_curve.csv",
+    return table(
+        "scaling_curve.csv",
         ["class_index", "radius", "learner_loss", "env_loss", "nash_residual", "regime", "certified"],
         rows,
         PlotSpec(
@@ -459,15 +447,18 @@ def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low: int) -> Callable[[str], int]:
+    def cast(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
+
+    return cast
 
 
 def _positive_ints(text: str) -> list[int]:
-    return [_positive_int(v) for v in text.split(",") if v.strip()]
+    return [_at_least(1)(v) for v in text.split(",") if v.strip()]
 
 
 def _one_of(*choices: str) -> Callable[[str], str]:
@@ -482,30 +473,30 @@ def _one_of(*choices: str) -> Callable[[str], str]:
 # experiment -> (runner, {key: (cast, default)}); the key is also the flag
 # (--n-seeds for n_seeds) and the config-file name. Defaults are written as on
 # the command line and cast like any other value.
-EXPERIMENTS: dict[str, tuple[Callable[[dict, Path], list[Path]], dict]] = {
+EXPERIMENTS: dict[str, tuple[Callable[[dict], dict[str, str]], dict]] = {
     "psgd": (run_psgd, {
         "sigma": (float, "0.3"), "horizons": (_positive_ints, "512,4096"),
-        "n_seeds": (_positive_int, "20"),
+        "n_seeds": (_at_least(1), "20"),
     }),
     "select": (run_select, {
         "losses": (_floats, "0,0.25,0.5,1.0"), "delta": (float, "0.1"), "alpha": (float, "8.0"),
-        "sigma": (float, "0.5"), "scale": (float, "1.0"), "budget": (_positive_int, "1000000"),
+        "sigma": (float, "0.5"), "scale": (float, "1.0"), "budget": (_at_least(1), "1000000"),
     }),
     "restrict": (run_restrict, {"instance": (_one_of("coupled", "zero_sum"), "coupled")}),
     "markov": (run_markov, {
         "n": (int, "50"), "gamma": (float, "0.9"), "gamma_env": (float, None),
-        "points": (_positive_int, "200"), "p_min": (float, "0.5"), "p_max": (float, "1.0"),
+        "points": (_at_least(1), "200"), "p_min": (float, "0.5"), "p_max": (float, "1.0"),
     }),
     "regression": (run_regression, {"beta": (_floats, "1,0"), "curve_step": (float, "0.01")}),
     "participation": (run_participation, {
-        "alpha_points": (_positive_int, "21"), "alpha_min": (float, "0.0"), "alpha_max": (float, "1.0"),
+        "alpha_points": (_at_least(1), "21"), "alpha_min": (float, "0.0"), "alpha_max": (float, "1.0"),
     }),
     "scaling-curve": (run_scaling_curve, {
         "regime": (_one_of(*REGIMES), "stationary"),
         "radii": (_floats, "0.2,0.4,0.6,0.8,1.0"),
     }),
 }
-COMMON = {"seed": (int, "0")}
+COMMON = {"seed": (_at_least(0), "0")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -514,23 +505,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Equilibrium scaling experiments for games under model-class restrictions",
     )
     subs = parser.add_subparsers(dest="experiment", required=True)
-    for experiment, (runner, table) in EXPERIMENTS.items():
+    for experiment, (runner, keys) in EXPERIMENTS.items():
         sub = subs.add_parser(experiment, help=runner.__doc__)
         sub.add_argument("--out-dir", help="output directory (default out/<experiment>)")
         sub.add_argument("--config", help="key=value config file")
-        for key, (_, default) in {**COMMON, **table}.items():
+        for key, (_, default) in {**COMMON, **keys}.items():
             sub.add_argument("--" + key.replace("_", "-"), help=f"default {default}")
     return parser
 
 
 def _resolve_params(args: argparse.Namespace, cfg: dict[str, str]) -> dict:
     """Command-line value wins over the config file, which wins over the default."""
-    table = {**COMMON, **EXPERIMENTS[args.experiment][1]}
-    unknown = set(cfg) - set(table) - {"out_dir"}
+    keys = {**COMMON, **EXPERIMENTS[args.experiment][1]}
+    unknown = set(cfg) - set(keys) - {"out_dir"}
     if unknown:
         raise ConfigError(f"unknown config keys for {args.experiment}: {sorted(unknown)}")
     params = {}
-    for key, (cast, default) in table.items():
+    for key, (cast, default) in keys.items():
         raw = getattr(args, key)
         if raw is None:
             raw = cfg.get(key, default)
@@ -550,23 +541,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = load_config(args.config)
         params = _resolve_params(args, cfg)
         out_dir = Path(args.out_dir or cfg.get("out_dir") or f"out/{args.experiment}")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = EXPERIMENTS[args.experiment][0](params, out_dir)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"out_dir={str(out_dir)!r}: {exc}") from exc
+        texts = EXPERIMENTS[args.experiment][0](params)
     except ValueError as exc:
         print(json.dumps({"error": {"type": "config", "message": str(exc)}}), file=sys.stderr)
         return 2
     except (RuntimeError, FloatingPointError) as exc:
-        # only the runner raises these, so out_dir is set
+        # only the runner raises these, so out_dir is set and nothing is written yet
         error = {"type": type(exc).__name__, "message": str(exc)}
         stage = getattr(exc, "stage", None)
         if stage is not None:
             error["stage"] = stage
-        write_manifest(out_dir, args.experiment, params, [], time.monotonic() - started, error)
+        write_manifest(out_dir, args.experiment, params, {}, time.monotonic() - started, error)
         print(json.dumps({"error": error}), file=sys.stderr)
         return 3
+    outputs = {name: text.encode() for name, text in texts.items()}
+    for name, data in outputs.items():
+        (out_dir / name).write_bytes(data)
     write_manifest(out_dir, args.experiment, params, outputs, time.monotonic() - started)
-    for path in outputs:
-        print(path)
+    for name in outputs:
+        print(out_dir / name)
     return 0
 
 

@@ -2,13 +2,14 @@
 
 import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gamescale.cli import EXPERIMENTS, PlotSpec, emit_plot, load_config, main, write_csv
+from gamescale.cli import EXPERIMENTS, PlotSpec, csv_text, emit_plot, load_config, main, table
 from gamescale.core import GameSpec, JointAction, box_1d
 from gamescale.equilibrium import psgd_nash
 
@@ -151,16 +152,15 @@ def test_scaling_curve_runs_all_regimes(tmp_path):
             assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
 
-def test_emit_plot_validates_columns(tmp_path):
+def test_emit_plot_validates_columns():
     # charts are drawn from the rows in memory: an unknown column or no rows
     # raise ValueError (exit 2 from main); one row still draws a chart
     spec = PlotSpec(file="o.svg", x="x", ys=["y"], title="t", x_label="x", y_label="y")
     with pytest.raises(ValueError, match="'y' is not in list"):
-        emit_plot(["x", "z"], [(0, 1.0)], spec, tmp_path / "o.svg")
+        emit_plot(["x", "z"], [(0, 1.0)], spec)
     with pytest.raises(ValueError, match="no data to plot"):
-        emit_plot(["x", "y"], [], spec, tmp_path / "o.svg")
-    svg = emit_plot(["x", "y"], [(0, 1.0)], spec, tmp_path / "ok.svg")
-    text = svg.read_text()
+        emit_plot(["x", "y"], [], spec)
+    text = emit_plot(["x", "y"], [(0, 1.0)], spec)
     assert text.startswith("<svg")
     assert "polyline" in text
 
@@ -171,11 +171,9 @@ def test_load_config_parses_comments_and_spacing(tmp_path):
     assert load_config(str(cfg)) == {"key": "value", "other": "1"}
 
 
-def test_csv_floats_are_full_precision(tmp_path):
-    path = tmp_path / "f.csv"
+def test_csv_floats_are_full_precision():
     value = 0.1234567890123456789
-    write_csv(path, ["v"], [(value,)])
-    rows = read_rows(path)
+    rows = list(csv.DictReader(io.StringIO(csv_text("f.csv", ["v"], [(value,)]))))
     assert float(rows[0]["v"]) == value
 
 
@@ -196,7 +194,9 @@ def test_every_shipped_config_runs(tmp_path):
         out = tmp_path / f"run{idx}"
         code = main([experiment, "--config", str(repo_root / config), "--out-dir", str(out)])
         assert code == expected, (experiment, config, code)
-        assert (out / "manifest.json").exists()
+        # a failed run (restrict_zero_sum.cfg) leaves manifest.json alone
+        on_disk = {p.name for p in out.iterdir()}
+        assert on_disk == {"manifest.json", *read_manifest(out)["outputs"]}, (config, on_disk)
 
 
 BAD_VALUES = [
@@ -235,6 +235,8 @@ BAD_VALUES = [
     (["psgd", "--horizons", "0"], None, "horizons"),
     (["psgd", "--horizons", "8,-1", "--n-seeds", "1"], None, "horizons"),
     (["select", "--budget", "-5"], None, "budget"),
+    (["psgd", "--seed", "-1"], None, "seed"),
+    (["markov", "--seed", "-1"], None, "seed"),
 ]
 
 
@@ -258,11 +260,11 @@ def test_bad_values_exit_with_config_error(tmp_path, capsys, argv, config, messa
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_config_of_defaults_matches_no_config(tmp_path, monkeypatch, experiment):
-    _, table = EXPERIMENTS[experiment]
-    monkeypatch.setitem(EXPERIMENTS, experiment, (lambda params, out_dir: [], table))
+    _, keys = EXPERIMENTS[experiment]
+    monkeypatch.setitem(EXPERIMENTS, experiment, (lambda params: {}, keys))
     cfg = tmp_path / "defaults.cfg"
     cfg.write_text(
-        "".join(f"{key} = {default}\n" for key, (_, default) in table.items() if default is not None)
+        "".join(f"{key} = {default}\n" for key, (_, default) in keys.items() if default is not None)
     )
     configs = []
     for name, extra in (("bare", []), ("cfg", ["--config", str(cfg)])):
@@ -270,13 +272,13 @@ def test_config_of_defaults_matches_no_config(tmp_path, monkeypatch, experiment)
         assert main([experiment, "--out-dir", str(out), *extra]) == 0
         configs.append(read_manifest(out)["config"])
     assert configs[0] == configs[1]
-    assert set(configs[0]) == {"seed", *table}
+    assert set(configs[0]) == {"seed", *keys}
 
 
 def test_non_finite_gradient_exits_with_solver_failure(tmp_path, monkeypatch, capsys):
     # gradient_operator raises FloatingPointError, an ArithmeticError rather
     # than a RuntimeError, on a non-finite gradient
-    def runner(params, out_dir):
+    def runner(params):
         raise FloatingPointError("non-finite gradient components")
 
     monkeypatch.setitem(EXPERIMENTS, "psgd", (runner, EXPERIMENTS["psgd"][1]))
@@ -301,11 +303,11 @@ def test_non_finite_gradient_in_one_batch_row_exits_with_solver_failure(tmp_path
         noise_bound=0.1,
     )
 
-    def runner(params, out_dir):
+    def runner(params):
         rngs = [np.random.default_rng(i) for i in range(2)]
         x0 = JointAction(np.zeros(1), np.zeros(1))
         psgd_nash(game, [box_1d(-1.0, 1.0), box_1d(5.0, 6.0)], box_1d(-1.0, 1.0), x0, 8, rngs)
-        return []
+        return {}
 
     monkeypatch.setitem(EXPERIMENTS, "psgd", (runner, EXPERIMENTS["psgd"][1]))
     out = tmp_path / "fpe-row"
@@ -314,8 +316,13 @@ def test_non_finite_gradient_in_one_batch_row_exits_with_solver_failure(tmp_path
 
 
 def test_non_finite_result_exits_with_output_failure(tmp_path, capsys):
-    def runner(params, out_dir):
-        return [write_csv(out_dir / "r.csv", ["x", "y"], [(0, 1.0), (1, float("nan"))])]
+    # the finite a.csv is formatted first, but no file is written before every
+    # table is: the run leaves manifest.json alone
+    def runner(params):
+        return {
+            **table("a.csv", ["x", "y"], [(0, 1.0)]),
+            **table("r.csv", ["x", "y"], [(0, 1.0), (1, float("nan"))]),
+        }
 
     out = tmp_path / "nan"
     with pytest.MonkeyPatch.context() as mp:
@@ -325,5 +332,18 @@ def test_non_finite_result_exits_with_output_failure(tmp_path, capsys):
     assert error["type"] == "OutputError"
     assert error["stage"] == "output"
     assert "r.csv" in error["message"] and "column y" in error["message"]
-    assert not (out / "r.csv").exists()
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    assert read_manifest(out)["outputs"] == {}
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {"error": error}
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below_file"])
+def test_out_dir_that_is_a_file_exits_with_config_error(tmp_path, capsys, below):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / below if below else blocker
+    assert main(["markov", "--n", "4", "--points", "3", "--out-dir", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"]["type"] == "config"
+    assert "out_dir" in record["error"]["message"]
+    assert blocker.read_text() == ""
