@@ -4,9 +4,9 @@ Subcommands: psgd, select, restrict, markov, regression, participation,
 scaling-curve. Parameters resolve as defaults < config file < command-line
 flags. Each runner returns its output texts by file name and touches no file;
 `main` writes them only after all of them are formatted, then a manifest.json
-with the resolved config and per-file checksums, so a failed run leaves only
-manifest.json. Exit codes: 0 success, 2 invalid config (a bad --out-dir too),
-3 solver, certification or output failure.
+with the resolved config and per-file checksums; a failed run, a failed write
+included, leaves only manifest.json. Exit codes: 0 success, 2 invalid config
+(a bad --out-dir too), 3 solver, certification or output failure.
 """
 
 from __future__ import annotations
@@ -39,15 +39,7 @@ from .instances import (
 )
 from .markov import build_chain_game, payoff_sweep
 from .participation import alpha_threshold, default_instance, equilibrium_pair
-from .regression import (
-    K_RANGE,
-    RegressionInstance,
-    compare_model_classes,
-    large_model_env_objective,
-    large_model_learner_loss,
-    small_model_env_objective,
-    small_model_loss,
-)
+from .regression import K_RANGE, RegressionInstance, compare_model_classes, loss_curves
 from .restriction import RestrictionCertificate, certify_restriction
 from .selection import successive_elimination
 from .svg import Series, line_chart
@@ -58,7 +50,7 @@ class ConfigError(ValueError):
 
 
 class OutputError(RuntimeError):
-    """A result value is not finite; the run fails instead of writing it."""
+    """A result value is not finite, or an output file cannot be written; the run fails."""
 
     stage = "output"
 
@@ -313,34 +305,21 @@ def run_markov(params: dict) -> dict[str, str]:
 
 def run_regression(params: dict) -> dict[str, str]:
     """strategic regression loss comparison"""
-    if not params["curve_step"] > 0:
-        raise ConfigError(f"curve_step must be positive, got {params['curve_step']}")
+    step = params["curve_step"]
+    lo, hi = K_RANGE
+    # np.arange's length is this quotient rounded up; at most the 1e-3 dominance grid's 20,001
+    if not (step > 0 and (hi + 1e-12 - lo) / step <= 20_001):
+        raise ConfigError(f"curve_step must be positive and give at most 20001 k values, got {step}")
     instance = RegressionInstance(np.array(params["beta"]))
     comparison = compare_model_classes(instance)
-    lo, hi = K_RANGE
-    ks = np.arange(lo, hi + 1e-12, params["curve_step"])
-    curve_rows = [
-        (
-            k,
-            small_model_loss(instance, k),
-            large_model_learner_loss(instance, k),
-            small_model_env_objective(instance, k),
-            large_model_env_objective(instance, k),
-        )
-        for k in ks
-    ]
+    curve_rows = loss_curves(instance, np.arange(lo, hi + 1e-12, step))
     eq_rows = [
         (o.model_class, o.k_star, o.learner_loss, o.env_objective,
          o.learner_loss / instance.beta_norm**2)
         for o in (comparison.small, comparison.large)
     ]
-    summary_rows = [
-        (
-            comparison.reverse_scaling,
-            comparison.pointwise_dominance,
-            comparison.large.learner_loss - comparison.small.learner_loss,
-        )
-    ]
+    gap = comparison.large.learner_loss - comparison.small.learner_loss
+    summary_rows = [(comparison.reverse_scaling, comparison.pointwise_dominance, gap)]
     return {
         **table(
             "regression_curve.csv",
@@ -546,11 +525,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except OSError as exc:
             raise ConfigError(f"out_dir={str(out_dir)!r}: {exc}") from exc
         texts = EXPERIMENTS[args.experiment][0](params)
+        outputs = {name: text.encode() for name, text in texts.items()}
+        opened = []
+        try:
+            for name, data in outputs.items():
+                with (out_dir / name).open("wb") as fh:
+                    opened.append(name)
+                    fh.write(data)
+        except OSError as exc:
+            for done in opened:
+                (out_dir / done).unlink(missing_ok=True)
+            raise OutputError(f"cannot write {name}: {exc}") from exc
     except ValueError as exc:
         print(json.dumps({"error": {"type": "config", "message": str(exc)}}), file=sys.stderr)
         return 2
     except (RuntimeError, FloatingPointError) as exc:
-        # only the runner raises these, so out_dir is set and nothing is written yet
+        # only the runner and the writes raise these, so out_dir is set and no output is on disk
         error = {"type": type(exc).__name__, "message": str(exc)}
         stage = getattr(exc, "stage", None)
         if stage is not None:
@@ -558,9 +548,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         write_manifest(out_dir, args.experiment, params, {}, time.monotonic() - started, error)
         print(json.dumps({"error": error}), file=sys.stderr)
         return 3
-    outputs = {name: text.encode() for name, text in texts.items()}
-    for name, data in outputs.items():
-        (out_dir / name).write_bytes(data)
     write_manifest(out_dir, args.experiment, params, outputs, time.monotonic() - started)
     for name in outputs:
         print(out_dir / name)

@@ -7,6 +7,12 @@ model plus an exp(-|x|^2) bump feature (large class). Both best responses
 have closed forms; the population leads (Stackelberg) by choosing k to
 maximize its expected prediction. The large class fits better pointwise yet
 loses more at equilibrium.
+
+Each closed form takes a scalar k or a 1-D array of k values with the scalar
+call's bits per k: + - * / round like Python floats, the scalar order stays
+(beta - e * s / t), dots are np.vecdot over (N, d) rows (a 1-D `@`'s bits),
+libm's math.exp and float ** 2 run per element (np.exp and numpy's x*x round
+differently), constants such as |beta|^2 stay Python floats; scans go by BLOCK.
 """
 
 from __future__ import annotations
@@ -17,6 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 K_RANGE = (-10.0, 10.0)  # the shift magnitudes k the population may choose
+BLOCK = 2048  # k values per array call in the grid scans; bounds their memory
+# libm's exp and pow per element, on Python floats: np.exp and numpy's q*q round differently
+_exp = np.vectorize(math.exp, otypes=[float])
+_square = np.vectorize(lambda q: q**2, otypes=[float])
+
+
+def _blocks(ks: np.ndarray):
+    return (ks[i : i + BLOCK] for i in range(0, ks.size, BLOCK))
 
 
 @dataclass(eq=False)
@@ -38,14 +52,14 @@ class RegressionInstance:
         self.dim = self.beta.shape[0]
         self.beta_norm = float(np.linalg.norm(self.beta))
 
-    def shift(self, k: float) -> np.ndarray:
-        """Perturbation vector e = k * beta / |beta|."""
-        return k * self.beta / self.beta_norm
+    def shift(self, k) -> np.ndarray:
+        """Perturbation vector e = k * beta / |beta|; one row per k for an array."""
+        return np.multiply.outer(k, self.beta) / self.beta_norm
 
 
 @dataclass
 class LargeModelClosedForm:
-    """Scalars of the bump-feature best response at shift magnitude k."""
+    """Scalars of the bump-feature best response at shift magnitude k (arrays for an array of k)."""
 
     m: float
     y: float
@@ -75,27 +89,26 @@ class ModelClassComparison:
 # ---------------------------------------------------------------------------
 
 
-def small_model_best_theta(instance: RegressionInstance, k: float) -> np.ndarray:
+def small_model_best_theta(instance: RegressionInstance, k) -> np.ndarray:
     """Population least-squares fit theta = (I - e e^T / (1 + |e|^2)) beta."""
     e = instance.shift(k)
-    beta = instance.beta
-    return beta - e * float(e @ beta) / (1.0 + float(e @ e))
+    s, t = np.vecdot(e, instance.beta), 1.0 + np.vecdot(e, e)
+    return instance.beta - e * s[..., None] / t[..., None]
 
 
-def small_model_loss(instance: RegressionInstance, k: float) -> float:
+def small_model_loss(instance: RegressionInstance, k):
     """Best-response learner loss of the small class, |beta|^2 k^2/(1+k^2).
 
     E[(beta^T x - theta^T (x + e))^2] = |beta - theta|^2 + (theta^T e)^2 at theta = theta*(e).
     """
     theta = small_model_best_theta(instance, k)
-    e = instance.shift(k)
     diff = instance.beta - theta
-    return float(diff @ diff) + float(theta @ e) ** 2
+    return np.vecdot(diff, diff) + _square(np.vecdot(theta, instance.shift(k)))
 
 
-def small_model_env_objective(instance: RegressionInstance, k: float) -> float:
+def small_model_env_objective(instance: RegressionInstance, k):
     """Expected prediction theta*(e)^T e = k |beta| / (1 + k^2)."""
-    return float(small_model_best_theta(instance, k) @ instance.shift(k))
+    return np.vecdot(small_model_best_theta(instance, k), instance.shift(k))
 
 
 # ---------------------------------------------------------------------------
@@ -103,17 +116,17 @@ def small_model_env_objective(instance: RegressionInstance, k: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def large_model_closed_form(instance: RegressionInstance, k: float) -> LargeModelClosedForm:
+def large_model_closed_form(instance: RegressionInstance, k) -> LargeModelClosedForm:
     d = instance.dim
-    m = (1.0 / 3.0) ** (d / 2.0 + 1.0) * math.exp(-k * k / 3.0)
-    y = (1.0 / 5.0) ** (d / 2.0) * math.exp(-2.0 * k * k / 5.0)
+    m = (1.0 / 3.0) ** (d / 2.0 + 1.0) * _exp(-k * k / 3.0)
+    y = (1.0 / 5.0) ** (d / 2.0) * _exp(-2.0 * k * k / 5.0)
     z = -(1.0 / (1.0 + k * k)) * (m * m / y)
     c = (1.0 / (1.0 + z * k * k)) * (1.0 / (1.0 + k * k)) * (1.0 + 2.0 * (m * m / y) * k * k)
     p = -(m / y) * k * (2.0 + c)
     return LargeModelClosedForm(m=m, y=y, z=z, c=c, p=p)
 
 
-def large_model_learner_loss(instance: RegressionInstance, k: float) -> float:
+def large_model_learner_loss(instance: RegressionInstance, k):
     cf = large_model_closed_form(instance, k)
     c, p, m, y = cf.c, cf.p, cf.m, cf.y
     k2 = k * k
@@ -121,7 +134,7 @@ def large_model_learner_loss(instance: RegressionInstance, k: float) -> float:
     return factor * instance.beta_norm**2
 
 
-def large_model_env_objective(instance: RegressionInstance, k: float) -> float:
+def large_model_env_objective(instance: RegressionInstance, k):
     """Expected prediction of the fitted bump model, |beta| (c k + 3 m p)."""
     cf = large_model_closed_form(instance, k)
     return instance.beta_norm * (cf.c * k + 3.0 * cf.m * cf.p)
@@ -139,6 +152,12 @@ CLASS_OBJECTIVES = {
 }
 
 
+def loss_curves(instance: RegressionInstance, ks: np.ndarray) -> np.ndarray:
+    """Rows (k, small loss, large loss, small objective, large objective), one per k."""
+    losses, objectives = zip(*CLASS_OBJECTIVES.values())
+    return np.column_stack([ks, *(f(instance, ks) for f in losses + objectives)])
+
+
 def stackelberg_outcome(instance: RegressionInstance, model_class: str) -> StackelbergOutcome:
     """The population leads: k* maximizes its objective against the class's best response."""
     learner_loss, env_objective = CLASS_OBJECTIVES[model_class]
@@ -146,8 +165,8 @@ def stackelberg_outcome(instance: RegressionInstance, model_class: str) -> Stack
     return StackelbergOutcome(
         model_class=model_class,
         k_star=k_star,
-        learner_loss=learner_loss(instance, k_star),
-        env_objective=env_objective(instance, k_star),
+        learner_loss=float(learner_loss(instance, k_star)),
+        env_objective=float(env_objective(instance, k_star)),
     )
 
 
@@ -159,12 +178,9 @@ def compare_model_classes(instance: RegressionInstance) -> ModelClassComparison:
     """
     small = stackelberg_outcome(instance, "small")
     large = stackelberg_outcome(instance, "large")
-    lo, hi = K_RANGE
-    ks = np.arange(lo, hi + 1e-12, 1e-3)
     pointwise = all(
-        large_model_learner_loss(instance, float(k))
-        <= small_model_loss(instance, float(k)) + 1e-9
-        for k in ks
+        np.all(large_model_learner_loss(instance, b) <= small_model_loss(instance, b) + 1e-9)
+        for b in _blocks(np.arange(K_RANGE[0], K_RANGE[1] + 1e-12, 1e-3))
     )
     return ModelClassComparison(
         small=small,
@@ -175,15 +191,12 @@ def compare_model_classes(instance: RegressionInstance) -> ModelClassComparison:
 
 
 def _argmax_1d(f, lo: float, hi: float) -> float:
-    """Grid argmax at spacing 1e-3 refined by two 10x zoom rounds; first maximizer wins ties."""
+    """Grid argmax at spacing 1e-3 refined by two 10x zoom rounds; first maximizer wins ties.
+    f maps blocks of at most BLOCK k values to their values, bit for bit as its scalar calls."""
     spacing = 1e-3
     for _ in range(3):
-        n = max(int(round((hi - lo) / spacing)) + 1, 2)
-        ks = np.linspace(lo, hi, n)
-        vals = [f(float(k)) for k in ks]
-        best = int(np.argmax(vals))
-        lo_new = max(lo, float(ks[best]) - spacing)
-        hi_new = min(hi, float(ks[best]) + spacing)
-        lo, hi = lo_new, hi_new
+        ks = np.linspace(lo, hi, max(int(round((hi - lo) / spacing)) + 1, 2))
+        best = int(np.argmax(np.concatenate([f(block) for block in _blocks(ks)])))
+        lo, hi = max(lo, float(ks[best]) - spacing), min(hi, float(ks[best]) + spacing)
         spacing /= 10.0
     return float(ks[best])

@@ -9,7 +9,8 @@ are nested, per-arm suboptimality gaps, random strongly monotone affine
 games with a known Nash point, an exhaustive-grid Nash, alternating best
 responses, a finite-difference gradient check, the strategic-regression
 game as a generic Stackelberg instance, the large regression class's
-best-response coefficients, Monte-Carlo estimates of the regression game's
+best-response coefficients, scalar references of the regression closed forms
+and grid argmax, Monte-Carlo estimates of the regression game's
 integrals, losses, predictions and least-squares fits, exact chain-game
 learner values for arbitrary per-state policies, value iteration on the
 chain's environment MDP, the chain-game dominance check by re-walking the
@@ -299,6 +300,66 @@ def large_model_best_theta(instance: RegressionInstance, k: float) -> tuple[np.n
     = (c beta, p |beta|) at shift magnitude k."""
     cf = large_model_closed_form(instance, k)
     return cf.c * instance.beta, cf.p * instance.beta_norm
+
+
+# Scalar references of the regression closed forms: the library's forms take
+# arrays of k and must give these bits at every k. Python's float ** 2 and
+# math.exp call libm, and dots are 1-D `@`.
+
+
+def scalar_shift(instance: RegressionInstance, k: float) -> np.ndarray:
+    return k * instance.beta / instance.beta_norm
+
+
+def scalar_small_best_theta(instance: RegressionInstance, k: float) -> np.ndarray:
+    e = scalar_shift(instance, k)
+    beta = instance.beta
+    return beta - e * float(e @ beta) / (1.0 + float(e @ e))
+
+
+def scalar_small_loss(instance: RegressionInstance, k: float) -> float:
+    theta = scalar_small_best_theta(instance, k)
+    diff = instance.beta - theta
+    return float(diff @ diff) + float(theta @ scalar_shift(instance, k)) ** 2
+
+
+def scalar_small_env_objective(instance: RegressionInstance, k: float) -> float:
+    return float(scalar_small_best_theta(instance, k) @ scalar_shift(instance, k))
+
+
+def scalar_large_closed_form(instance: RegressionInstance, k: float) -> tuple[float, ...]:
+    """(m, y, z, c, p) of the bump-feature best response."""
+    d = instance.dim
+    m = (1.0 / 3.0) ** (d / 2.0 + 1.0) * math.exp(-k * k / 3.0)
+    y = (1.0 / 5.0) ** (d / 2.0) * math.exp(-2.0 * k * k / 5.0)
+    z = -(1.0 / (1.0 + k * k)) * (m * m / y)
+    c = (1.0 / (1.0 + z * k * k)) * (1.0 / (1.0 + k * k)) * (1.0 + 2.0 * (m * m / y) * k * k)
+    p = -(m / y) * k * (2.0 + c)
+    return m, y, z, c, p
+
+
+def scalar_large_learner_loss(instance: RegressionInstance, k: float) -> float:
+    m, y, _, c, p = scalar_large_closed_form(instance, k)
+    k2 = k * k
+    factor = 1.0 - 2.0 * c + c * c + c * c * k2 + 2.0 * p * m * c * k + 4.0 * p * m * k + p * p * y
+    return factor * instance.beta_norm**2
+
+
+def scalar_large_env_objective(instance: RegressionInstance, k: float) -> float:
+    m, _, _, c, p = scalar_large_closed_form(instance, k)
+    return instance.beta_norm * (c * k + 3.0 * m * p)
+
+
+def scalar_argmax_1d(f, lo: float, hi: float) -> float:
+    """The regression grid argmax with one scalar call of f per k."""
+    spacing = 1e-3
+    for _ in range(3):
+        n = max(int(round((hi - lo) / spacing)) + 1, 2)
+        ks = np.linspace(lo, hi, n)
+        best = int(np.argmax([f(float(k)) for k in ks]))
+        lo, hi = max(lo, float(ks[best]) - spacing), min(hi, float(ks[best]) + spacing)
+        spacing /= 10.0
+    return float(ks[best])
 
 
 def _draw_inputs(instance: RegressionInstance, k: float, n: int, rng: np.random.Generator):

@@ -237,6 +237,8 @@ BAD_VALUES = [
     (["select", "--budget", "-5"], None, "budget"),
     (["psgd", "--seed", "-1"], None, "seed"),
     (["markov", "--seed", "-1"], None, "seed"),
+    # 22,223 k values, past the 20,001 of the 1e-3 dominance grid
+    (["regression", "--curve-step", "0.0009"], None, "curve_step"),
 ]
 
 
@@ -333,6 +335,26 @@ def test_non_finite_result_exits_with_output_failure(tmp_path, capsys):
     assert error["stage"] == "output"
     assert "r.csv" in error["message"] and "column y" in error["message"]
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    assert read_manifest(out)["outputs"] == {}
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {"error": error}
+
+
+def test_curve_step_of_dominance_grid_runs(tmp_path):
+    out = tmp_path / "fine"
+    assert main(["regression", "--curve-step", "0.001", "--out-dir", str(out)]) == 0
+    assert len(read_rows(out / "regression_curve.csv")) == 20_001
+
+
+def test_unwritable_output_exits_with_output_failure(tmp_path, capsys):
+    # markov_sweep.csv is written before the directory blocks markov_sweep.svg
+    out = tmp_path / "blocked"
+    (out / "markov_sweep.svg").mkdir(parents=True)
+    assert main(["markov", "--n", "4", "--points", "3", "--out-dir", str(out)]) == 3
+    error = read_manifest(out)["error"]
+    assert error["type"] == "OutputError"
+    assert error["stage"] == "output"
+    assert "markov_sweep.svg" in error["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "markov_sweep.svg"]
     assert read_manifest(out)["outputs"] == {}
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {"error": error}
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gamescale.regression import (
+    K_RANGE,
     RegressionInstance,
     compare_model_classes,
     large_model_closed_form,
@@ -20,6 +21,14 @@ from oracles import (
     mc_gaussian_integrals,
     mc_least_squares,
     mc_model_loss,
+    scalar_argmax_1d,
+    scalar_large_closed_form,
+    scalar_large_env_objective,
+    scalar_large_learner_loss,
+    scalar_shift,
+    scalar_small_best_theta,
+    scalar_small_env_objective,
+    scalar_small_loss,
 )
 
 INSTANCE = RegressionInstance(np.array([1.0, 0.0]))
@@ -184,3 +193,57 @@ def test_losses_scale_exactly_with_beta_norm_squared():
 def test_instance_validation():
     with pytest.raises(ValueError):
         RegressionInstance(np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# Array forms against the scalar references, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def k_grid(step):
+    lo, hi = K_RANGE
+    return np.arange(lo, hi + 1e-12, step)
+
+
+def scalar_values(scalar_form, instance, ks):
+    return np.array([scalar_form(instance, float(k)) for k in ks])
+
+
+def test_dominance_grid_matches_scalar_references_bit_for_bit():
+    ks = k_grid(1e-3)
+    # the grid holds k values whose q = theta*^T e has libm pow(q, 2) != q * q
+    assert any(q**2 != q * q for q in small_model_env_objective(INSTANCE, ks).tolist())
+    small = scalar_values(scalar_small_loss, INSTANCE, ks)
+    large = scalar_values(scalar_large_learner_loss, INSTANCE, ks)
+    assert small_model_loss(INSTANCE, ks).tobytes() == small.tobytes()
+    assert large_model_learner_loss(INSTANCE, ks).tobytes() == large.tobytes()
+    comp = compare_model_classes(INSTANCE)
+    assert comp.pointwise_dominance == bool(np.all(large <= small + 1e-9))
+    for outcome, env_objective in (
+        (comp.small, scalar_small_env_objective),
+        (comp.large, scalar_large_env_objective),
+    ):
+        assert outcome.k_star == scalar_argmax_1d(lambda k: env_objective(INSTANCE, k), *K_RANGE)
+        assert type(outcome.learner_loss) is float and type(outcome.env_objective) is float
+
+
+@pytest.mark.parametrize("beta", [(0.3, -1.7), (2.0, 1.0, 0.5), (1e-3,)])
+def test_array_forms_match_scalar_references_bit_for_bit(beta):
+    inst = RegressionInstance(np.array(beta))
+    ks = k_grid(0.01)
+    for array_form, scalar_form in (
+        (RegressionInstance.shift, scalar_shift),
+        (small_model_best_theta, scalar_small_best_theta),
+        (small_model_loss, scalar_small_loss),
+        (small_model_env_objective, scalar_small_env_objective),
+        (large_model_learner_loss, scalar_large_learner_loss),
+        (large_model_env_objective, scalar_large_env_objective),
+    ):
+        expected = scalar_values(scalar_form, inst, ks)
+        assert array_form(inst, ks).tobytes() == expected.tobytes(), array_form.__name__
+        assert np.asarray(array_form(inst, 2.5)).tobytes() == np.asarray(
+            scalar_form(inst, 2.5)
+        ).tobytes(), array_form.__name__
+    cf = large_model_closed_form(inst, ks)
+    fields = np.stack([cf.m, cf.y, cf.z, cf.c, cf.p], axis=1)
+    assert fields.tobytes() == scalar_values(scalar_large_closed_form, inst, ks).tobytes()
