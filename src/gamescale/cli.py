@@ -19,7 +19,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -42,7 +41,7 @@ from .participation import alpha_threshold, default_instance, equilibrium_pair
 from .regression import K_RANGE, RegressionInstance, compare_model_classes, loss_curves
 from .restriction import RestrictionCertificate, certify_restriction
 from .selection import successive_elimination
-from .svg import Series, line_chart
+from .svg import line_chart
 
 
 class ConfigError(ValueError):
@@ -64,11 +63,13 @@ def load_config(path: Optional[str]) -> dict[str, str]:
     """Flat key=value file; blank lines and # comments ignored."""
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        why = "not found" if isinstance(exc, FileNotFoundError) else f"unreadable ({exc.strerror})"
+        raise ConfigError(f"config file {why}: {path}") from exc
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(p.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -126,41 +127,13 @@ def csv_text(name: str, header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return buf.getvalue()
 
 
-@dataclass
-class PlotSpec:
-    file: str
-    x: str
-    ys: Sequence[str]
-    title: str
-    x_label: str
-    y_label: str
-    step: bool = False
-    markers: bool = False
-    vlines: Sequence[tuple[float, str]] = ()
-
-
-def emit_plot(header: Sequence[str], rows: Sequence[Sequence], spec: PlotSpec) -> str:
-    """SVG chart of the spec's columns of a table; an unknown column or no rows raise ValueError."""
-
-    def column(name: str) -> list[float]:
-        j = list(header).index(name)
-        return [float(row[j]) for row in rows]
-
-    xs = column(spec.x)
-    series = [
-        Series(name=col, x=xs, y=column(col), step=spec.step, markers=spec.markers)
-        for col in spec.ys
-    ]
-    return line_chart(series, spec.title, spec.x_label, spec.y_label, vlines=list(spec.vlines))
-
-
 def table(
-    name: str, header: Sequence[str], rows: Sequence[Sequence], plot: Optional[PlotSpec] = None
+    name: str, header: Sequence[str], rows: Sequence[Sequence], chart: Optional[str] = None, **spec
 ) -> dict[str, str]:
-    """The table's CSV text and, given a spec, its chart, by file name."""
+    """The table's CSV text and, given a chart file name, its `line_chart` of spec, by file name."""
     texts = {name: csv_text(name, header, rows)}
-    if plot is not None:
-        texts[plot.file] = emit_plot(header, rows, plot)
+    if chart is not None:
+        texts[chart] = line_chart(header, rows, **spec)
     return texts
 
 
@@ -213,15 +186,13 @@ def run_psgd(params: dict) -> dict[str, str]:
             "psgd_summary.csv",
             ["horizon", "mean_f_l_gap", "mean_nash_residual"],
             summary,
-            PlotSpec(
-                file="psgd.svg",
-                x="horizon",
-                ys=["mean_f_l_gap"],
-                title="Averaged-iterate loss gap vs horizon",
-                x_label="horizon T",
-                y_label="mean |f_l(avg) - f_l(nash)|",
-                markers=True,
-            ),
+            chart="psgd.svg",
+            x="horizon",
+            ys=["mean_f_l_gap"],
+            title="Averaged-iterate loss gap vs horizon",
+            x_label="horizon T",
+            y_label="mean |f_l(avg) - f_l(nash)|",
+            markers=True,
         ),
     }
 
@@ -291,15 +262,13 @@ def run_markov(params: dict) -> dict[str, str]:
         "markov_sweep.csv",
         ["p_bar", "learner_value", "env_value", "absorbing_state", "gamma"],
         rows,
-        PlotSpec(
-            file="markov_sweep.svg",
-            x="p_bar",
-            ys=["learner_value"],
-            title=f"Chain game: learner value vs policy cap (n={params['n']})",
-            x_label="policy cap p_bar",
-            y_label="equilibrium learner value",
-            step=True,
-        ),
+        chart="markov_sweep.svg",
+        x="p_bar",
+        ys=["learner_value"],
+        title=f"Chain game: learner value vs policy cap (n={params['n']})",
+        x_label="policy cap p_bar",
+        y_label="equilibrium learner value",
+        step=True,
     )
 
 
@@ -325,18 +294,16 @@ def run_regression(params: dict) -> dict[str, str]:
             "regression_curve.csv",
             ["k", "small_loss", "large_loss", "env_obj_small", "env_obj_large"],
             curve_rows,
-            PlotSpec(
-                file="regression_curve.svg",
-                x="k",
-                ys=["small_loss", "large_loss"],
-                title="Best-response losses vs shift magnitude",
-                x_label="shift magnitude k",
-                y_label="learner loss",
-                vlines=[
-                    (comparison.small.k_star, "#1f77b4"),
-                    (comparison.large.k_star, "#d62728"),
-                ],
-            ),
+            chart="regression_curve.svg",
+            x="k",
+            ys=["small_loss", "large_loss"],
+            title="Best-response losses vs shift magnitude",
+            x_label="shift magnitude k",
+            y_label="learner loss",
+            vlines=[
+                (comparison.small.k_star, "#1f77b4"),
+                (comparison.large.k_star, "#d62728"),
+            ],
         ),
         **table(
             "regression_equilibrium.csv",
@@ -371,15 +338,13 @@ def run_participation(params: dict) -> dict[str, str]:
         "participation_sweep.csv",
         ["alpha", "full_loss", "restricted_loss", "threshold", "reverse_scaling_flag"],
         rows,
-        PlotSpec(
-            file="participation_sweep.svg",
-            x="alpha",
-            ys=["full_loss", "restricted_loss"],
-            title="Participation game: equilibrium losses vs alpha",
-            x_label="manipulating fraction alpha",
-            y_label="zero-one loss",
-            markers=True,
-        ),
+        chart="participation_sweep.svg",
+        x="alpha",
+        ys=["full_loss", "restricted_loss"],
+        title="Participation game: equilibrium losses vs alpha",
+        x_label="manipulating fraction alpha",
+        y_label="zero-one loss",
+        markers=True,
     )
 
 
@@ -405,15 +370,13 @@ def run_scaling_curve(params: dict) -> dict[str, str]:
         "scaling_curve.csv",
         ["class_index", "radius", "learner_loss", "env_loss", "nash_residual", "regime", "certified"],
         rows,
-        PlotSpec(
-            file="scaling_curve.svg",
-            x="class_index",
-            ys=["learner_loss"],
-            title=f"Learner loss across the ladder ({regime})",
-            x_label="model class index",
-            y_label="equilibrium learner loss",
-            markers=True,
-        ),
+        chart="scaling_curve.svg",
+        x="class_index",
+        ys=["learner_loss"],
+        title=f"Learner loss across the ladder ({regime})",
+        x_label="model class index",
+        y_label="equilibrium learner loss",
+        markers=True,
     )
 
 

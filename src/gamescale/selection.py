@@ -103,7 +103,11 @@ def successive_elimination(
     tau = 1
     while sum(s.active for s in states) > 1:
         active = [s for s in states if s.active]
-        horizon = int(math.ceil(alpha * 2**tau))
+        try:
+            # ldexp scales by 2^tau exactly; a horizon past the float range is past any budget
+            horizon = math.ceil(math.ldexp(alpha, tau))
+        except OverflowError:
+            horizon = math.inf
         if total_steps + len(active) * horizon > max_total_steps:
             inconclusive = True
             break

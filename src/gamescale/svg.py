@@ -1,25 +1,15 @@
-"""Static SVG 1.1 line/step charts with no external dependencies.
+"""Static SVG 1.1 line/step charts of a table's columns, with no external dependencies.
 
 Deterministic text output so identical data produces identical files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-
-
-@dataclass
-class Series:
-    name: str
-    x: Sequence[float]
-    y: Sequence[float]
-    step: bool = False
-    markers: bool = False
 
 
 def _fmt(v: float) -> str:
@@ -31,19 +21,29 @@ def _ticks(lo: float, hi: float) -> list[float]:
 
 
 def line_chart(
-    series: Sequence[Series],
+    header: Sequence[str],
+    rows: Sequence[Sequence],
+    x: str,
+    ys: Sequence[str],
     title: str,
     x_label: str,
     y_label: str,
-    vlines: Optional[Sequence[tuple[float, str]]] = None,
+    step: bool = False,
+    markers: bool = False,
+    vlines: Sequence[tuple[float, str]] = (),
 ) -> str:
-    """Render the series as one SVG document string."""
-    xs = [float(v) for s in series for v in s.x]
-    ys = [float(v) for s in series for v in s.y]
+    """Columns ys of a table against its column x, as one SVG document string.
+
+    Every column is looked up before any row is read, so an unknown column
+    raises ValueError even when there are no rows; no rows raise ValueError.
+    """
+    index = [list(header).index(name) for name in (x, *ys)]
+    xs, *columns = [[float(row[j]) for row in rows] for j in index]
     if not xs:
         raise ValueError("no data to plot")
+    y_all = [v for col in columns for v in col]
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    y_lo, y_hi = min(y_all), max(y_all)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -99,26 +99,26 @@ def line_chart(
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.1f})">{y_label}</text>'
     )
-    for x_pos, color in vlines or []:
+    for x_pos, color in vlines:
         out.append(
             f'<line x1="{px(x_pos):.1f}" y1="{MARGIN_T}" x2="{px(x_pos):.1f}" '
             f'y2="{MARGIN_T + plot_h}" stroke="{color}" stroke-dasharray="4,3"/>'
         )
-    for idx, s in enumerate(series):
+    for idx, (name, col) in enumerate(zip(ys, columns)):
         color = PALETTE[idx % len(PALETTE)]
         pts: list[tuple[float, float]] = []
-        for i, (x, y) in enumerate(zip(s.x, s.y)):
-            if s.step and pts:
-                pts.append((float(x), pts[-1][1]))
-            pts.append((float(x), float(y)))
-        path = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+        for xv, yv in zip(xs, col):
+            if step and pts:
+                pts.append((xv, pts[-1][1]))
+            pts.append((xv, yv))
+        path = " ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in pts)
         out.append(f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        if s.markers:
-            for x, y in zip(s.x, s.y):
-                out.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="{color}"/>')
+        if markers:
+            for xv, yv in zip(xs, col):
+                out.append(f'<circle cx="{px(xv):.2f}" cy="{py(yv):.2f}" r="3" fill="{color}"/>')
         out.append(
             f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 16 + 15 * idx}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="{color}">{s.name}</text>'
+            f'font-family="sans-serif" font-size="11" fill="{color}">{name}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gamescale.cli import EXPERIMENTS, PlotSpec, csv_text, emit_plot, load_config, main, table
+from gamescale.cli import EXPERIMENTS, csv_text, load_config, main, table
 from gamescale.core import GameSpec, JointAction, box_1d
 from gamescale.equilibrium import psgd_nash
+from gamescale.svg import line_chart
 
 
 def read_manifest(out_dir: Path) -> dict:
@@ -100,6 +101,13 @@ def test_missing_config_file_rejected(tmp_path):
     assert main(["markov", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+def test_config_that_is_a_directory_rejected(tmp_path, capsys):
+    assert main(["markov", "--config", str(tmp_path), "--out-dir", str(tmp_path / "out")]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"]["type"] == "config"
+    assert str(tmp_path) in record["error"]["message"]
+
+
 def test_zero_sum_restriction_exits_with_certification_failure(tmp_path):
     out = tmp_path / "zs"
     assert main(["restrict", "--instance", "zero_sum", "--out-dir", str(out)]) == 3
@@ -155,12 +163,12 @@ def test_scaling_curve_runs_all_regimes(tmp_path):
 def test_emit_plot_validates_columns():
     # charts are drawn from the rows in memory: an unknown column or no rows
     # raise ValueError (exit 2 from main); one row still draws a chart
-    spec = PlotSpec(file="o.svg", x="x", ys=["y"], title="t", x_label="x", y_label="y")
+    spec = dict(x="x", ys=["y"], title="t", x_label="x", y_label="y")
     with pytest.raises(ValueError, match="'y' is not in list"):
-        emit_plot(["x", "z"], [(0, 1.0)], spec)
+        line_chart(["x", "z"], [(0, 1.0)], **spec)
     with pytest.raises(ValueError, match="no data to plot"):
-        emit_plot(["x", "y"], [], spec)
-    text = emit_plot(["x", "y"], [(0, 1.0)], spec)
+        line_chart(["x", "y"], [], **spec)
+    text = line_chart(["x", "y"], [(0, 1.0)], **spec)
     assert text.startswith("<svg")
     assert "polyline" in text
 

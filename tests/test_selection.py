@@ -171,6 +171,20 @@ def test_step_scaling_with_gap():
         assert measured >= predicted / 3.0
 
 
+def test_horizon_past_float_range_is_past_the_budget():
+    # the horizon alpha * 2^tau overflows a float at the first epoch for
+    # alpha=1e308, which ends inconclusive like a budget stop; for
+    # alpha=5e-324 it stays finite past tau=1024, where 2^tau alone does not
+    arms, game, env_set = selection_arms([0.0, 1.0])
+    for alpha, budget in ((1e308, 1_000_000), (5e-324, 2200)):
+        report = successive_elimination(
+            arms, game, env_set, delta=0.1, alpha=alpha, rng=np.random.default_rng(0),
+            max_total_steps=budget,
+        )
+        assert report.inconclusive
+        assert report.winner is None
+
+
 def test_invalid_parameters_rejected():
     arms, game, env_set = selection_arms([0.0, 0.5])
     with pytest.raises(ValueError):
