@@ -21,9 +21,9 @@ from .core import (
     Product,
     UnboundedSetError,
     box_1d,
+    gradient_noise,
     gradient_operator,
     monotonicity_audit,
-    noisy_gradient_operator,
 )
 from .equilibrium import (
     EquilibriumReport,
@@ -67,11 +67,11 @@ __all__ = [
     "box_1d",
     "certify_restriction",
     "confidence_radius",
+    "gradient_noise",
     "gradient_operator",
     "monotonicity_audit",
     "nash_report",
     "nash_residual",
-    "noisy_gradient_operator",
     "pareto_improvement_search",
     "psgd_nash",
     "scaling_curve",

@@ -64,9 +64,10 @@ def load_config(path: Optional[str]) -> dict[str, str]:
     if path is None:
         return {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        why = "not found" if isinstance(exc, FileNotFoundError) else f"unreadable ({exc.strerror})"
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        why = getattr(exc, "strerror", exc)  # a decode error has no strerror
+        why = "not found" if isinstance(exc, FileNotFoundError) else f"unreadable ({why})"
         raise ConfigError(f"config file {why}: {path}") from exc
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):

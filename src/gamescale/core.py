@@ -40,6 +40,12 @@ def _as_vector(x, dim: Optional[int] = None) -> np.ndarray:
     return v
 
 
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row. np.vecdot sums like x @ x, and so like
+    np.linalg.norm, bit for bit; einsum and (d * d).sum(-1) do not."""
+    return np.sqrt(np.vecdot(d, d))
+
+
 # ---------------------------------------------------------------------------
 # Action sets
 # ---------------------------------------------------------------------------
@@ -344,30 +350,26 @@ def gradient_operator(game: GameSpec, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def noisy_gradient_operator(
-    game: GameSpec, x: np.ndarray, rngs: Sequence[np.random.Generator]
-) -> np.ndarray:
-    """F at each row of the (B, d) array x plus mean-zero noise, almost surely
-    bounded by 1 in norm; row i draws from rngs[i] alone.
-
-    The perturbation is a uniform-on-the-sphere direction with magnitude
-    uniform on [0, min(1, sqrt(3)*sigma)], so E[noise] = 0,
-    E[|noise|^2] <= sigma^2, and |noise| <= 1 always. Each generator draws, in
-    order, standard_normal(d) (again while its norm is below 1e-12) and then
-    the uniform magnitude, so a row's draws do not depend on the other rows.
-    """
-    base = gradient_operator(game, x)
-    dim = base.shape[1]
-    direction = np.array([rng.standard_normal(dim) for rng in rngs])
-    # np.vecdot sums like np.linalg.norm does, bit for bit
-    norm = np.sqrt(np.vecdot(direction, direction))
-    for i in (norm < 1e-12).nonzero()[0]:
-        while norm[i] < 1e-12:
-            direction[i] = rngs[i].standard_normal(dim)
-            norm[i] = np.linalg.norm(direction[i])
-    high = min(1.0, math.sqrt(3.0) * game.noise_bound)
-    magnitude = np.array([rng.uniform(0.0, high) for rng in rngs])
-    return base + (magnitude / norm)[:, np.newaxis] * direction
+def gradient_noise(streams: Sequence, steps: int, dim: int, noise_bound: float) -> np.ndarray:
+    """(steps, B, dim) PSGD noise for B = len(streams) runs: a uniform direction
+    on the sphere times a magnitude uniform on [0, min(1, sqrt(3) noise_bound)],
+    so E = 0, E|.|^2 <= noise_bound^2 and |.| <= 1. Run i reads its direction,
+    magnitude and redraw (of norm < 1e-12) generators streams[i] alone; numpy's
+    give the same values read in blocks or at once, so no bit depends on blocks."""
+    direction = np.empty((steps, len(streams), dim))  # filled in place: no block-size temporaries
+    magnitude = np.empty((steps, len(streams)))
+    high = min(1.0, math.sqrt(3.0) * noise_bound)
+    for i, s in enumerate(streams):
+        direction[:, i] = s[0].standard_normal((steps, dim))
+        magnitude[:, i] = s[1].uniform(0.0, high, steps)
+    norm = _row_norms(direction)
+    for t, i in zip(*(norm < 1e-12).nonzero()):
+        while norm[t, i] < 1e-12:
+            direction[t, i] = streams[i][2].standard_normal(dim)
+            norm[t, i] = np.linalg.norm(direction[t, i])
+    magnitude /= norm
+    direction *= magnitude[..., np.newaxis]  # x * y is y * x, bit for bit
+    return direction
 
 
 @dataclass

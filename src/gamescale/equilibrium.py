@@ -24,11 +24,13 @@ from .core import (
     ModelClassLadder,
     Product,
     _batch_gradient,
+    _row_norms,
+    gradient_noise,
     gradient_operator,
-    noisy_gradient_operator,
 )
 
 REGIMES = ("stationary", "stackelberg_leader", "stackelberg_follower", "nash")
+NOISE_BLOCK = 64  # PSGD steps of noise drawn per call; sets memory, never output bits
 
 
 @dataclass(eq=False)
@@ -60,12 +62,6 @@ def natural_residual(x: np.ndarray, feasible: ActionSet, g: np.ndarray) -> float
     """Unit-step natural residual |x - P(x - g)|; zero exactly when x is a
     fixed point of the projected-gradient step."""
     return float(np.linalg.norm(x - feasible.project(x - g)))
-
-
-def _row_norms(d: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row. np.vecdot sums like x @ x, and so like
-    np.linalg.norm, bit for bit; einsum and (d * d).sum(-1) do not."""
-    return np.sqrt(np.vecdot(d, d))
 
 
 def _projected_descent(
@@ -371,10 +367,9 @@ def psgd_nash(
     returns the average that weights iterate t by t / (T(T+1)/2).
 
     Runs len(rngs) independent runs as the rows of one (B, d) array: run i
-    plays learner_sets[i] and draws its noise from rngs[i] alone, and all
-    share the game, env_set, x0 and the horizon. Each row's arithmetic is the
-    single run's, so run i returns the same bits as it would alone. Returns
-    the averaged points by run.
+    plays learner_sets[i] and draws its noise NOISE_BLOCK steps per call (no
+    bit depends on it) from three children of rngs[i]; all share the game,
+    env_set, x0 and horizon. Returns each run's average, with its bits alone.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -390,12 +385,14 @@ def psgd_nash(
 
     x = project(np.tile(x0.concat(), (len(rngs), 1)))
     acc = np.zeros_like(x)
-    mu = game.mu
-    for t in range(1, horizon + 1):
-        acc += t * x
-        fhat = noisy_gradient_operator(game, x, rngs)
-        eta = 2.0 / (mu * (t + 1))
-        x = project(x - eta * fhat)
+    streams = [rng.spawn(3) for rng in rngs]
+    for start in range(0, horizon, NOISE_BLOCK):
+        noise = gradient_noise(streams, min(NOISE_BLOCK, horizon - start), x.shape[1], game.noise_bound)
+        for t, step_noise in enumerate(noise, start + 1):
+            acc += t * x
+            fhat = gradient_operator(game, x) + step_noise
+            eta = 2.0 / (game.mu * (t + 1))
+            x = project(x - eta * fhat)
     averaged = acc * (2.0 / (horizon * (horizon + 1)))
     return [JointAction.from_concat(row, dl) for row in averaged]
 

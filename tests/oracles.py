@@ -156,22 +156,25 @@ def single_run_psgd(
     rng: np.random.Generator,
 ) -> JointAction:
     """One averaged PSGD run, one point at a time: the reference that each row
-    of the batched psgd_nash must equal bit for bit. Each step draws the
-    noise direction (redrawn while its norm is below 1e-12) and then its
-    uniform magnitude from rng."""
+    of the batched psgd_nash must equal bit for bit. It spawns the direction,
+    magnitude and redraw children from rng once; each step draws the noise
+    direction from the direction child (redrawn from the redraw child while
+    its norm is below 1e-12) and then its uniform magnitude from the
+    magnitude child."""
     joint_set = Product(learner_set, env_set)
     x = joint_set.project(x0.concat())
     acc = np.zeros_like(x)
     high = min(1.0, math.sqrt(3.0) * game.noise_bound)
+    direction_rng, magnitude_rng, redraw_rng = rng.spawn(3)
     for t in range(1, horizon + 1):
         acc += t * x
         base = gradient_operator(game, x)
-        direction = rng.standard_normal(x.shape[0])
+        direction = direction_rng.standard_normal(x.shape[0])
         norm = float(np.linalg.norm(direction))
         while norm < 1e-12:
-            direction = rng.standard_normal(x.shape[0])
+            direction = redraw_rng.standard_normal(x.shape[0])
             norm = float(np.linalg.norm(direction))
-        magnitude = rng.uniform(0.0, high)
+        magnitude = magnitude_rng.uniform(0.0, high)
         fhat = base + (magnitude / norm) * direction
         eta = 2.0 / (game.mu * (t + 1))
         x = joint_set.project(x - eta * fhat)

@@ -108,6 +108,16 @@ def test_config_that_is_a_directory_rejected(tmp_path, capsys):
     assert str(tmp_path) in record["error"]["message"]
 
 
+def test_config_that_is_not_utf8_names_its_file(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"\xd0\xd0")
+    assert main(["markov", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"]["type"] == "config"
+    assert str(cfg) in record["error"]["message"]
+    assert "utf-8" in record["error"]["message"]
+
+
 def test_zero_sum_restriction_exits_with_certification_failure(tmp_path):
     out = tmp_path / "zs"
     assert main(["restrict", "--instance", "zero_sum", "--out-dir", str(out)]) == 3

@@ -17,9 +17,9 @@ from gamescale.core import (
     UnboundedSetError,
     box_1d,
     central_difference,
+    gradient_noise,
     gradient_operator,
     monotonicity_audit,
-    noisy_gradient_operator,
 )
 from oracles import check_gradients, check_nested
 
@@ -402,9 +402,8 @@ def test_noisy_gradient_zero_sigma_is_exact():
     game = coupling_game(0.0, lipschitz=1.0, sigma=0.0)
     x = JointAction(np.array([0.3]), np.array([-0.7])).concat()
     rng = np.random.default_rng(3)
-    np.testing.assert_array_equal(
-        noisy_gradient_operator(game, x[np.newaxis], [rng])[0], gradient_operator(game, x)
-    )
+    noise = gradient_noise([rng.spawn(3)], 1, 2, game.noise_bound)
+    np.testing.assert_array_equal(gradient_operator(game, x) + noise[0, 0], gradient_operator(game, x))
 
 
 def test_noisy_gradient_mean_and_bound():
@@ -414,7 +413,7 @@ def test_noisy_gradient_mean_and_bound():
     base = gradient_operator(game, x)
     rng = np.random.default_rng(4)
     n = 100_000
-    draws = np.array([noisy_gradient_operator(game, x[np.newaxis], [rng])[0] for _ in range(n)])
+    draws = base + gradient_noise([rng.spawn(3)], n, 2, game.noise_bound)[:, 0]
     noise = draws - base
     norms = np.linalg.norm(noise, axis=1)
     assert np.all(norms <= 1.0 + 1e-12)
@@ -425,10 +424,21 @@ def test_noisy_gradient_mean_and_bound():
 
 def test_noisy_gradient_deterministic_given_seed():
     game = coupling_game(0.0, lipschitz=1.0, sigma=0.3)
-    x = JointAction(np.array([0.1]), np.array([0.2])).concat()
-    a = noisy_gradient_operator(game, x[np.newaxis], [np.random.default_rng(42)])
-    b = noisy_gradient_operator(game, x[np.newaxis], [np.random.default_rng(42)])
+    a = gradient_noise([np.random.default_rng(42).spawn(3)], 5, 2, game.noise_bound)
+    b = gradient_noise([np.random.default_rng(42).spawn(3)], 5, 2, game.noise_bound)
     np.testing.assert_array_equal(a, b)
+
+
+def test_gradient_noise_does_not_depend_on_the_block_split():
+    # each run reads its own children, so blocks of 3 and 5 steps give the
+    # bits of one 8-step block, and a run's rows do not depend on the others
+    whole = gradient_noise([np.random.default_rng(s).spawn(3) for s in (1, 2)], 8, 3, 0.4)
+    streams = [np.random.default_rng(s).spawn(3) for s in (1, 2)]
+    split = np.concatenate([gradient_noise(streams, k, 3, 0.4) for k in (3, 5)])
+    assert whole.shape == (8, 2, 3)
+    assert whole.tobytes() == split.tobytes()
+    alone = gradient_noise([np.random.default_rng(2).spawn(3)], 8, 3, 0.4)
+    assert alone[:, 0].tobytes() == whole[:, 1].tobytes()
 
 
 # ---------------------------------------------------------------------------

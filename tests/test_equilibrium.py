@@ -28,7 +28,9 @@ from gamescale.core import (
     Product,
     box_1d,
 )
+from gamescale import equilibrium
 from gamescale.equilibrium import (
+    NOISE_BLOCK,
     _projected_descent,
     best_response,
     best_responses,
@@ -657,7 +659,7 @@ def _bits(point: JointAction) -> bytes:
     return point.concat().tobytes()
 
 
-@pytest.mark.parametrize("horizon", [1, 2, 17, 512])
+@pytest.mark.parametrize("horizon", [1, 2, 17, 512, 2 * NOISE_BLOCK + 3])
 def test_psgd_batch_rows_equal_single_runs_bitwise(horizon):
     bench = coupled_quadratic(sigma=0.3)
     x0 = JointAction(np.zeros(1), np.zeros(1))
@@ -699,21 +701,51 @@ def test_psgd_batch_with_non_box_sets_equals_single_runs_bitwise():
     assert batch[0].theta[0] <= -0.25 + 1e-12
 
 
+@pytest.mark.parametrize("block", [1, 7, NOISE_BLOCK])
+def test_psgd_bits_do_not_depend_on_the_noise_block(monkeypatch, block):
+    # 40 steps: 40 blocks of 1, five of 7 and a partial one, or one block
+    bench = coupled_quadratic(sigma=0.3)
+    x0 = JointAction(np.zeros(1), np.zeros(1))
+    monkeypatch.setattr(equilibrium, "NOISE_BLOCK", block)
+    batch = psgd_nash(
+        bench.game, [bench.learner_set] * 3, bench.env_set, x0, 40,
+        [np.random.default_rng([31, s]) for s in range(3)],
+    )
+    for s, row in enumerate(batch):
+        alone = single_run_psgd(
+            bench.game, bench.learner_set, bench.env_set, x0, 40, np.random.default_rng([31, s])
+        )
+        assert _bits(row) == _bits(alone)
+
+
+class LoggedNormal:
+    """Generator wrapper that logs each standard_normal size; with zero_first,
+    its first direction (the first row of its first draw) is all zeros."""
+
+    def __init__(self, rng: np.random.Generator, zero_first: bool = False):
+        self.rng = rng
+        self.zero_first = zero_first
+        self.sizes: list = []
+
+    def standard_normal(self, size):
+        draw = self.rng.standard_normal(size)
+        if self.zero_first and not self.sizes:
+            draw.reshape(-1, draw.shape[-1])[0] = 0.0
+        self.sizes.append(size)
+        return draw
+
+
 class ZeroFirstNormal:
-    """Generator whose first standard_normal draw is all zeros; logs each draw."""
+    """Generator whose spawned direction child draws an all-zero first
+    direction; its redraw child logs each draw."""
 
     def __init__(self, seed: int):
         self.rng = np.random.default_rng(seed)
-        self.calls: list[str] = []
 
-    def standard_normal(self, size):
-        self.calls.append("standard_normal")
-        draw = self.rng.standard_normal(size)
-        return np.zeros(size) if len(self.calls) == 1 else draw
-
-    def uniform(self, low, high):
-        self.calls.append("uniform")
-        return self.rng.uniform(low, high)
+    def spawn(self, n: int):
+        direction, magnitude, redraw = self.rng.spawn(n)
+        self.redraw = LoggedNormal(redraw)
+        return [LoggedNormal(direction, zero_first=True), magnitude, self.redraw]
 
 
 def test_psgd_redraws_a_zero_noise_direction_in_the_single_run_order():
@@ -726,12 +758,17 @@ def test_psgd_redraws_a_zero_noise_direction_in_the_single_run_order():
     reference = ZeroFirstNormal(9)
     alone = single_run_psgd(bench.game, bench.learner_set, bench.env_set, x0, 5, reference)
     assert _bits(batch[1]) == _bits(alone)
-    assert stub.calls == reference.calls
-    assert stub.calls == ["standard_normal"] * 2 + ["uniform"] + ["standard_normal", "uniform"] * 4
+    # one redraw of dimension 2, from the redraw child, in both
+    assert stub.redraw.sizes == reference.redraw.sizes == [2]
     other = single_run_psgd(
         bench.game, bench.learner_set, bench.env_set, x0, 5, np.random.default_rng(8)
     )
     assert _bits(batch[0]) == _bits(other)
+    # the stub took effect: its redrawn first direction is not the plain run's
+    plain = single_run_psgd(
+        bench.game, bench.learner_set, bench.env_set, x0, 5, np.random.default_rng(9)
+    )
+    assert _bits(alone) != _bits(plain)
 
 
 # ---------------------------------------------------------------------------
