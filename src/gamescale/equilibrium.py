@@ -58,10 +58,15 @@ def _report(
 # ---------------------------------------------------------------------------
 
 
+def natural_residuals(x: np.ndarray, feasible: ActionSet, g: np.ndarray) -> np.ndarray:
+    """Unit-step natural residual |x - P(x - g)| of each row of x and g; zero
+    exactly where the row is a fixed point of the projected-gradient step."""
+    return _row_norms(x - feasible.project_rows(x - g))
+
+
 def natural_residual(x: np.ndarray, feasible: ActionSet, g: np.ndarray) -> float:
-    """Unit-step natural residual |x - P(x - g)|; zero exactly when x is a
-    fixed point of the projected-gradient step."""
-    return float(np.linalg.norm(x - feasible.project(x - g)))
+    """natural_residuals of the one point x with gradient g."""
+    return float(natural_residuals(np.atleast_2d(x), feasible, np.atleast_2d(g))[0])
 
 
 def _projected_descent(
@@ -116,7 +121,7 @@ def _projected_descent(
         dx2 = np.vecdot(d, d)
         near = np.flatnonzero(np.minimum(1.0, 1.0 / lam) * np.sqrt(dx2) <= tol * (1.0 + 1e-9))
         if near.size:
-            residual = _row_norms(x[near] - feasible.project_rows(x[near] - g[near]))
+            residual = natural_residuals(x[near], feasible, g[near])
             stop = residual <= tol
             done = near[stop]
             finished = rows[done]
@@ -343,16 +348,6 @@ def stackelberg_leader(
 # ---------------------------------------------------------------------------
 
 
-def _row_projection(sets: Sequence[ActionSet]) -> Callable[[np.ndarray], np.ndarray]:
-    """Projection of row i of a (B, d) array onto sets[i]: one np.clip against
-    the stacked bounds when every set is a Box, else row by row."""
-    if all(isinstance(s, Box) for s in sets):
-        lower = np.stack([s.lower for s in sets])
-        upper = np.stack([s.upper for s in sets])
-        return lambda points: np.clip(points, lower, upper)
-    return lambda points: np.array([s.project(p) for s, p in zip(sets, points)])
-
-
 def psgd_nash(
     game: GameSpec,
     learner_sets: Sequence[ActionSet],
@@ -376,13 +371,15 @@ def psgd_nash(
     if len(learner_sets) != len(rngs):
         raise ValueError(f"{len(learner_sets)} learner sets for {len(rngs)} generators")
     dl = game.dim_learner
-    project_learner = _row_projection(learner_sets)
-
-    def project(z: np.ndarray) -> np.ndarray:
-        z[:, :dl] = project_learner(z[:, :dl])
-        z[:, dl:] = env_set.project_rows(z[:, dl:])
-        return z
-
+    if all(isinstance(s, Box) for s in (*learner_sets, env_set)):
+        joint = [Product(s, env_set).bounding_box() for s in learner_sets]  # row i's bounds
+        lower, upper = np.stack([j.lower for j in joint]), np.stack([j.upper for j in joint])
+        project = lambda z: np.minimum(np.maximum(z, lower, out=z), upper, out=z)  # np.clip's bits
+    else:
+        def project(z: np.ndarray) -> np.ndarray:
+            z[:, :dl] = [s.project(p) for s, p in zip(learner_sets, z[:, :dl])]
+            z[:, dl:] = env_set.project_rows(z[:, dl:])
+            return z
     x = project(np.tile(x0.concat(), (len(rngs), 1)))
     acc = np.zeros_like(x)
     streams = [rng.spawn(3) for rng in rngs]

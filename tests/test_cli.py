@@ -4,11 +4,15 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gamescale
 from gamescale.cli import EXPERIMENTS, csv_text, load_config, main, table
 from gamescale.core import GameSpec, JointAction, box_1d
 from gamescale.equilibrium import psgd_nash
@@ -146,13 +150,25 @@ def test_select_writes_elimination_log(tmp_path):
     assert summary["inconclusive"] == "0"
 
 
+def test_python_dash_m_gamescale_runs_the_cli():
+    src = str(Path(gamescale.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-m", "gamescale", "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert "usage: gamescale" in done.stdout
+
+
 def test_psgd_run_small(tmp_path):
+    # 10 runs at T=64 and T=1024 keep the ratio of mean gaps below 0.35 on
+    # every --seed 0-199; 3 runs at T=64 and T=256 fail the 0.8 factor on 31
     out = tmp_path / "psgd"
     assert main(
-        ["psgd", "--horizons", "64,256", "--n-seeds", "3", "--out-dir", str(out)]
+        ["psgd", "--horizons", "64,1024", "--n-seeds", "10", "--out-dir", str(out)]
     ) == 0
     rows = read_rows(out / "psgd.csv")
-    assert len(rows) == 6
+    assert len(rows) == 20
     summary = read_rows(out / "psgd_summary.csv")
     assert float(summary[1]["mean_f_l_gap"]) < float(summary[0]["mean_f_l_gap"]) * 0.8
 

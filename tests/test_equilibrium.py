@@ -701,6 +701,57 @@ def test_psgd_batch_with_non_box_sets_equals_single_runs_bitwise():
     assert batch[0].theta[0] <= -0.25 + 1e-12
 
 
+@pytest.mark.parametrize("mixed", ["box_learners_intersection_env", "one_intersection_learner"])
+def test_psgd_batch_with_mixed_sets_equals_single_runs_bitwise(mixed):
+    # any non-Box set sends the whole batch down the row-by-row path, Box rows too
+    bench = coupled_quadratic(sigma=0.3)
+    if mixed == "box_learners_intersection_env":
+        sets = [bench.learner_set, box_1d(-0.5, 0.5), bench.learner_set]
+        env_set = Intersection([box_1d(-2.0, 2.0), Halfspace(np.array([1.0]), 0.75)])
+    else:
+        cut = Intersection([box_1d(-2.0, 2.0), Halfspace(np.array([1.0]), -0.25)])
+        sets = [bench.learner_set, cut, box_1d(-0.5, 0.5)]
+        env_set = box_1d(-0.5, 0.5)
+    x0 = JointAction(np.array([1.0]), np.array([1.0]))
+    batch = psgd_nash(bench.game, sets, env_set, x0, 40, [np.random.default_rng([32, i]) for i in range(3)])
+    for i, (learner_set, row) in enumerate(zip(sets, batch)):
+        alone = single_run_psgd(bench.game, learner_set, env_set, x0, 40, np.random.default_rng([32, i]))
+        assert _bits(row) == _bits(alone)
+
+
+# every value is also a bound somewhere, so rows land exactly on bounds too
+EDGE_VALUES = [-math.inf, -1.5, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 1.5, math.inf]
+EDGE_BOUNDS = [
+    (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0), (-math.inf, math.inf),
+    (-math.inf, -math.inf), (math.inf, math.inf), (-math.inf, -0.0), (0.0, math.inf),
+    (-1.0, 1.0), (-5e-324, 5e-324), (5e-324, 1.5),
+]
+
+
+def test_psgd_box_projection_has_np_clip_bits_at_edge_values():
+    # All-Box batches project with maximum then minimum in place; Box.project
+    # is np.clip. The first gradient call sees the projected start, x0 tiled.
+    d = len(EDGE_VALUES)
+    seen = []
+    game = GameSpec(
+        dim_learner=d, dim_env=d, loss_learner=lambda t, e: 0.0, loss_env=lambda t, e: 0.0,
+        grad_learner=lambda t, e: seen.append(np.hstack([t, e])) or np.zeros_like(t),
+        grad_env=lambda t, e: np.zeros_like(e), mu=1.0, lipschitz=1.0,
+    )
+    x0 = JointAction(np.array(EDGE_VALUES), np.array(EDGE_VALUES))
+    n = len(EDGE_BOUNDS)
+    learner_sets = [
+        Box(*(np.array([EDGE_BOUNDS[(i + j) % n][side] for j in range(d)]) for side in (0, 1)))
+        for i in range(n)
+    ]
+    for lo, hi in EDGE_BOUNDS:
+        env_set = Box(np.full(d, lo), np.full(d, hi))
+        seen.clear()
+        psgd_nash(game, learner_sets, env_set, x0, 1, [np.random.default_rng(0)] * n)
+        clipped = [np.concatenate([s.project(x0.theta), env_set.project(x0.env)]) for s in learner_sets]
+        assert seen[0].tobytes() == np.array(clipped).tobytes()
+
+
 @pytest.mark.parametrize("block", [1, 7, NOISE_BLOCK])
 def test_psgd_bits_do_not_depend_on_the_noise_block(monkeypatch, block):
     # 40 steps: 40 blocks of 1, five of 7 and a partial one, or one block
