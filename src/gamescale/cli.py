@@ -36,7 +36,7 @@ from .instances import (
     stationary_scaling_game,
     zero_sum_instance,
 )
-from .markov import build_chain_game, payoff_sweep
+from .markov import MAX_POINTS, MAX_STATES, build_chain_game, payoff_sweep
 from .participation import alpha_threshold, default_instance, equilibrium_pair
 from .regression import K_RANGE, RegressionInstance, compare_model_classes, loss_curves
 from .restriction import RestrictionCertificate, certify_restriction
@@ -251,6 +251,9 @@ def run_markov(params: dict) -> dict[str, str]:
     for key in ("p_min", "p_max"):
         if not 0.5 <= params[key] <= 1.0:
             raise ConfigError(f"{key} must lie in [0.5, 1], got {params[key]}")
+    for key, cap in (("n", MAX_STATES), ("points", MAX_POINTS)):
+        if params[key] > cap:
+            raise ConfigError(f"{key} must be at most {cap}, got {params[key]}")
     game = build_chain_game(
         params["n"], gamma_l=params["gamma"], gamma_e=params["gamma_env"]
     )

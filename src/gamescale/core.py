@@ -19,6 +19,9 @@ GradFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 DYKSTRA_MAX_SWEEPS = 10_000
 DYKSTRA_TOL = 1e-12
+# sweeps one projection's jumps may skip: corrections grown by 1e9 steps still
+# round (eps * 1e9 of a step) far below one step, so no false stop
+DYKSTRA_MAX_SKIPPED = 10**9
 
 
 class ConvergenceError(RuntimeError):
@@ -158,21 +161,44 @@ class Intersection(ActionSet):
         self.dimension = dims.pop()
 
     def project(self, point: np.ndarray) -> np.ndarray:
-        x = _as_vector(point, self.dimension).copy()
+        z = _as_vector(point, self.dimension)
+        x = z.copy()
         corrections = [np.zeros(self.dimension) for _ in self.members]
+        pattern, saved, jump, growing, budget = None, None, 1, True, DYKSTRA_MAX_SKIPPED
         for _ in range(DYKSTRA_MAX_SWEEPS):
             # stop on the members' total move, not on the sweep's net move:
             # the iterate can end a sweep where it began while the corrections
             # still change. The move is relative to |x| beyond 1, as roundings
             # are; disjoint members run to the sweep cap.
-            moved = 0.0
+            start, steps, moved = x, [], 0.0
             for i, member in enumerate(self.members):
                 y = member.project(x + corrections[i])
                 corrections[i] = x + corrections[i] - y
-                moved += float(np.linalg.norm(y - x))
+                steps.append(y - x)
+                moved += float(np.linalg.norm(steps[-1]))
                 x = y
             if moved < DYKSTRA_TOL * max(1.0, float(np.linalg.norm(x))):
                 return x
+            # far from the set sweeps can repeat the last one's member steps and
+            # end where they began for thousands of rounds, each correction
+            # drifting by minus its step; take `jump` of them at once (doubling,
+            # then halving once the next sweep shows a jump went past the
+            # repeats, which is undone). The stop test still decides.
+            repeat = pattern is not None and all(
+                float(np.linalg.norm(a - b)) <= tol for a, b in zip([x, *steps], [start, *pattern])
+            )
+            if saved is not None and not repeat:
+                (x, corrections, failed), saved = saved, None
+                jump, growing, budget = failed // 2, False, budget + failed
+                continue
+            saved = None
+            if repeat and 0 < jump <= budget:
+                saved, budget = (x, corrections, jump), budget - jump
+                corrections = [c - jump * step for c, step in zip(corrections, pattern)]
+                corrections[-1] = z - x - sum(corrections[:-1])  # keeps x + corrections = z
+                jump = 2 * jump if growing else jump // 2
+            else:
+                pattern, tol, jump, growing = steps, 1e-6 * moved, 1, True
         raise ConvergenceError(
             "Dykstra projection did not converge; intersection may be empty"
         )

@@ -18,6 +18,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .regression import BLOCK
+
+# work caps of a markov run: the build's calibration check is O(n^2) elementwise
+# work, and the sweep's points follow regression's 20,001 curve shifts
+MAX_STATES = 5000
+MAX_POINTS = 20_001
+
+
 class CalibrationError(RuntimeError):
     """Environment rewards failed to reproduce a threshold; carries the state."""
 
@@ -88,14 +96,9 @@ def build_chain_game(
     if gamma_e is None:
         gamma_e = gamma_l
 
-    learner_rewards = np.zeros((n, 2, 2))
-    for i in range(n):
-        learner_rewards[i, 0, :] = i + 1
-        learner_rewards[i, 1, :] = i
-
+    learner_rewards = np.repeat((np.arange(n)[:, None] + [1.0, 0.0])[:, :, None], 2, axis=2)
     env_rewards = np.zeros((n, 2, 2))
     env_rewards[:, 0, 0] = 1.0  # stay pays the learner's probability on action 0
-    env_rewards[:, 1, 0] = 0.0
     env_rewards[n - 1, :, 1] = env_rewards[n - 1, :, 0]  # advancing at the end self-loops
 
     if thresholds is None:
@@ -109,72 +112,103 @@ def build_chain_game(
 
 
 def _verify_calibration(game: MarkovChainGame) -> None:
-    for i in range(game.n_states - 1):
-        p_star = game.thresholds[i]
-        below, _ = env_best_response_mdp(game, p_star - 1e-6)
-        above, _ = env_best_response_mdp(game, min(p_star + 1e-6, 1.0))
-        if below[i] != 1:
-            raise CalibrationError(i, "environment does not advance just below the threshold")
-        if above[i] != 0:
-            raise CalibrationError(i, "environment does not stay just above the threshold")
+    """Check every threshold by one backward pass over 2(n-1) caps: the
+    environment advances from state i just below p*_i and stays just above."""
+    m = game.n_states - 1
+    p_star = game.thresholds[:-1]
+    caps = np.concatenate([p_star - 1e-6, np.minimum(p_star + 1e-6, 1.0)])
+    below, above = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+    for s, _, advance in _backward(game, caps):
+        if s < m:
+            below[s], above[s] = advance[s], advance[m + s]
+    failed = np.flatnonzero(above | ~below)  # the lowest state first, "below" before "above"
+    if failed.size:
+        i = int(failed[0])
+        miss = "advance just below" if not below[i] else "stay just above"
+        raise CalibrationError(i, f"environment does not {miss} the threshold")
+
+
+def _backward(game: MarkovChainGame, p: np.ndarray):
+    """Exact backward pass of the environment's MDP for each learner cap in p.
+
+    Staying is absorbing, so a state is worth the larger of staying forever
+    and advancing into the next state's value; at the last state both actions
+    self-loop. Yields (state, values, advance) from the last state to the
+    first, one entry per cap; advance is the policy, ties break toward stay.
+    Only elementwise operations touch an entry, so it has one cap's bits.
+    """
+    rewards, gamma = game.env_rewards, game.gamma_e
+    q = 1.0 - p
+    v = None
+    for s in range(game.n_states - 1, -1, -1):
+        stay = p * rewards[s, 0, 0] + q * rewards[s, 1, 0]
+        advance = p * rewards[s, 0, 1] + q * rewards[s, 1, 1]
+        if v is None:
+            v = np.maximum(stay, advance) / (1.0 - gamma)
+            go = advance + gamma * v
+        else:
+            go = advance + gamma * v
+            v = np.maximum(stay / (1.0 - gamma), go)
+        yield s, v, go > stay + gamma * v
 
 
 def env_best_response_mdp(game: MarkovChainGame, p_bar: float) -> tuple[np.ndarray, np.ndarray]:
     """Optimal environment policy and values when the learner plays p_bar
-    everywhere, by one exact backward pass over the chain.
-
-    Staying is absorbing, so a state is worth the larger of staying forever
-    and advancing into the next state's value; at the last state both actions
-    self-loop. Returns (policy, values); policy[i] = 1 advances, ties break
-    toward stay.
+    everywhere, by one exact backward pass over the chain (the one-cap case
+    of `_backward`). Returns (policy, values); policy[i] = 1 advances, ties
+    break toward stay.
     """
-    rewards, gamma = game.env_rewards, game.gamma_e
-    r_stay = p_bar * rewards[:, 0, 0] + (1.0 - p_bar) * rewards[:, 1, 0]
-    r_adv = p_bar * rewards[:, 0, 1] + (1.0 - p_bar) * rewards[:, 1, 1]
-    v = [max(r_stay[-1], r_adv[-1]) / (1.0 - gamma)]
-    for stay, advance in zip(r_stay[-2::-1].tolist(), r_adv[-2::-1].tolist()):
-        v.append(max(stay / (1.0 - gamma), advance + gamma * v[-1]))
-    values = np.array(v[::-1])
-    v_next = np.append(values[1:], values[-1])
-    policy = (r_adv + gamma * v_next > r_stay + gamma * values).astype(int)
+    policy, values = np.empty(game.n_states, dtype=int), np.empty(game.n_states)
+    for s, v, advance in _backward(game, np.array([float(p_bar)])):
+        values[s], policy[s] = v[0], advance[0]
     return policy, values
 
 
 def absorbing_state(game: MarkovChainGame, env_policy: np.ndarray) -> int:
     """First state (from 0) where the environment stays; the end if it never does."""
-    for s in range(game.n_states):
-        if env_policy[s] == 0:
-            return s
-    return game.n_states - 1
+    policy = np.asarray(env_policy).tolist()
+    return policy.index(0) if 0 in policy else game.n_states - 1
 
 
-def _walk_value(
-    rewards: np.ndarray, gamma: float, p_by_state: np.ndarray, env_policy: np.ndarray, n: int
-) -> float:
-    value = 0.0
-    discount = 1.0
-    s = 0
-    while True:
-        b = int(env_policy[s])
-        stage = p_by_state[s] * rewards[s, 0, b] + (1.0 - p_by_state[s]) * rewards[s, 1, b]
-        if b == 1 and s < n - 1:
-            value += discount * stage
-            discount *= gamma
-            s += 1
-        else:
-            value += discount * stage / (1.0 - gamma)
-            return value
+def _walk(
+    rewards: np.ndarray, gamma: float, p: np.ndarray, advance: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Discounted value from state 0 and absorbing state per cap in p, where
+    advance[s, r] (bool) is the environment's action at state s for cap r.
+
+    All rows move one state at a time, and a row stops at its first stay or
+    at the last state. Each row keeps the one-row walk's order of operations,
+    so its bits: value += discount * stage and discount *= gamma per state
+    passed, then discount * stage / (1 - gamma) at the absorbing state.
+    """
+    n = advance.shape[0]
+    last = np.argmin(advance, axis=0)  # the first stay
+    last[np.all(advance, axis=0)] = n - 1
+    q = 1.0 - p
+    value, discount, passing = np.zeros(p.size), np.ones(p.size), np.ones(p.size, dtype=bool)
+    for s in range(n - 1):
+        passing &= advance[s]
+        if not passing.any():
+            break
+        stage = p * rewards[s, 0, 1] + q * rewards[s, 1, 1]
+        value = np.where(passing, value + discount * stage, value)
+        discount = np.where(passing, discount * gamma, discount)
+    b = advance[last, np.arange(p.size)]
+    stage = p * np.where(b, rewards[last, 0, 1], rewards[last, 0, 0]) + q * np.where(
+        b, rewards[last, 1, 1], rewards[last, 1, 0]
+    )
+    return value + discount * stage / (1.0 - gamma), last
 
 
 def learner_value(game: MarkovChainGame, p_bar: float, env_policy: np.ndarray) -> float:
     """Exact discounted learner value from the start state under (p_bar, policy)."""
-    p = np.full(game.n_states, p_bar)
-    return _walk_value(game.learner_rewards, game.gamma_l, p, env_policy, game.n_states)
+    walk = _walk(game.learner_rewards, game.gamma_l, np.array([float(p_bar)]), np.c_[env_policy] == 1)
+    return float(walk[0][0])
 
 
 def env_value(game: MarkovChainGame, p_bar: float, env_policy: np.ndarray) -> float:
-    p = np.full(game.n_states, p_bar)
-    return _walk_value(game.env_rewards, game.gamma_e, p, env_policy, game.n_states)
+    walk = _walk(game.env_rewards, game.gamma_e, np.array([float(p_bar)]), np.c_[env_policy] == 1)
+    return float(walk[0][0])
 
 
 def verify_dominance(
@@ -210,29 +244,38 @@ class ChainEquilibrium:
 
 
 def chain_equilibrium(game: MarkovChainGame, p_bar: float) -> ChainEquilibrium:
-    """Markov-perfect equilibrium for the capped policy class.
-
-    Action-0 dominance pins the learner to p_bar in every state; the
-    environment then best-responds through its induced MDP.
-    """
-    if not 0.5 <= p_bar <= 1.0:
-        raise ValueError("p_bar must lie in [0.5, 1]")
-    policy, _ = env_best_response_mdp(game, p_bar)
-    ok, margin = verify_dominance(game, p_bar, policy)
-    if not ok:
-        raise CalibrationError(-1, f"learner dominance violated (margin {margin:.3e})")
-    return ChainEquilibrium(
-        p_bar=p_bar,
-        learner_policy=np.full(game.n_states, p_bar),
-        env_policy=policy,
-        learner_value=learner_value(game, p_bar, policy),
-        env_value=env_value(game, p_bar, policy),
-        absorbing_state=absorbing_state(game, policy),
-    )
+    """Markov-perfect equilibrium for the capped policy class (one-cap sweep)."""
+    return payoff_sweep(game, [p_bar])[0]
 
 
 def payoff_sweep(
     game: MarkovChainGame, p_bar_grid: Sequence[float]
 ) -> list[ChainEquilibrium]:
-    """Equilibrium per grid point; the reverse-scaling curve of the chain game."""
-    return [chain_equilibrium(game, float(p)) for p in p_bar_grid]
+    """Markov-perfect equilibrium per grid cap; the reverse-scaling curve.
+
+    Action-0 dominance pins the learner to p_bar in every state; the
+    environment then best-responds through its induced MDP. The caps go
+    BLOCK at a time through one backward pass and two forward walks, so the
+    sweep holds one (n, BLOCK) bool policy; each cap gets the bits of its
+    own one-cap solve.
+    """
+    grid = np.asarray(p_bar_grid, dtype=float)
+    if not np.all((0.5 <= grid) & (grid <= 1.0)):
+        raise ValueError("p_bar must lie in [0.5, 1]")
+    n, sweep = game.n_states, []
+    for start in range(0, grid.size, BLOCK):
+        p = grid[start : start + BLOCK]
+        advance = np.empty((n, p.size), dtype=bool)
+        for s, _, column in _backward(game, p):
+            advance[s] = column
+        learner, absorbing = _walk(game.learner_rewards, game.gamma_l, p, advance)
+        env, _ = _walk(game.env_rewards, game.gamma_e, p, advance)
+        for r, p_bar in enumerate(p.tolist()):
+            policy = advance[:, r].astype(int)
+            ok, margin = verify_dominance(game, p_bar, policy)
+            if not ok:
+                raise CalibrationError(-1, f"learner dominance violated (margin {margin:.3e})")
+            sweep.append(ChainEquilibrium(
+                p_bar, np.full(n, p_bar), policy, float(learner[r]), float(env[r]), int(absorbing[r]),
+            ))
+    return sweep

@@ -1,20 +1,22 @@
 """Reference oracles used only by the test suite.
 
 Brute-force or independent computations that cross-check the library's
-solvers: fixed-step projected descent with a residual at every iterate,
-single-point adaptive projected descent, an oracle wrapper that refuses
-batches (the per-row reference of a best-response solve), a single averaged
-PSGD run, a sampling check (box corners included) that a ladder's classes
-are nested, per-arm suboptimality gaps, random strongly monotone affine
-games with a known Nash point, an exhaustive-grid Nash, alternating best
-responses, a finite-difference gradient check, the strategic-regression
-game as a generic Stackelberg instance, the large regression class's
-best-response coefficients, scalar references of the regression closed forms
-and grid argmax, Monte-Carlo estimates of the regression game's
-integrals, losses, predictions and least-squares fits, exact chain-game
-learner values for arbitrary per-state policies, value iteration on the
-chain's environment MDP, the chain-game dominance check by re-walking the
-chain once per deviation, and a Monte-Carlo rollout of the learner value.
+solvers: Dykstra's projection without skipped sweeps, fixed-step projected
+descent with a residual at every iterate, single-point adaptive projected
+descent, an oracle wrapper that refuses batches (the per-row reference of a
+best-response solve), a single averaged PSGD run, a sampling check (box
+corners included) that a ladder's classes are nested, per-arm suboptimality
+gaps, random strongly monotone affine games with a known Nash point, an
+exhaustive-grid Nash, alternating best responses, a finite-difference
+gradient check, the strategic-regression game as a generic Stackelberg
+instance, the large regression class's best-response coefficients, scalar
+references of the regression closed forms and grid argmax, Monte-Carlo
+estimates of the regression game's integrals, losses, predictions and
+least-squares fits, exact chain-game learner values for arbitrary per-state
+policies, scalar references of the chain game's backward pass, calibration
+check and forward walk, value iteration on the chain's environment MDP, the
+chain-game dominance check by re-walking the chain once per deviation, and a
+Monte-Carlo rollout of the learner value.
 """
 
 from __future__ import annotations
@@ -32,12 +34,13 @@ from gamescale.core import (
     JointAction,
     ModelClassLadder,
     Product,
+    Intersection,
     box_1d,
     central_difference,
     gradient_operator,
 )
 from gamescale.equilibrium import best_response, grid_points
-from gamescale.markov import MarkovChainGame, _walk_value, absorbing_state
+from gamescale.markov import CalibrationError, MarkovChainGame, absorbing_state
 from gamescale.regression import RegressionInstance, large_model_closed_form
 
 
@@ -93,6 +96,22 @@ def single_point_only(grad):
         return grad(*args)
 
     return oracle
+
+
+def plain_dykstra(region: Intersection, point: np.ndarray, max_sweeps: int = 1_000_000) -> np.ndarray:
+    """Dykstra's projection sweep by sweep, with the library's stop test and no jumps."""
+    x = np.asarray(point, dtype=float).copy()
+    corrections = [np.zeros_like(x) for _ in region.members]
+    for _ in range(max_sweeps):
+        moved = 0.0
+        for i, member in enumerate(region.members):
+            y = member.project(x + corrections[i])
+            corrections[i] = x + corrections[i] - y
+            moved += float(np.linalg.norm(y - x))
+            x = y
+        if moved < 1e-12 * max(1.0, float(np.linalg.norm(x))):
+            return x
+    raise ConvergenceError("plain Dykstra hit its sweep cap")
 
 
 def check_nested(ladder: ModelClassLadder, rng: np.random.Generator) -> bool:
@@ -444,11 +463,56 @@ def mc_least_squares(
 
 
 
+def scalar_env_best_response(game: MarkovChainGame, p_bar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar reference of the chain's backward pass at one cap: (policy, values)."""
+    rewards, gamma = game.env_rewards, game.gamma_e
+    r_stay = p_bar * rewards[:, 0, 0] + (1.0 - p_bar) * rewards[:, 1, 0]
+    r_adv = p_bar * rewards[:, 0, 1] + (1.0 - p_bar) * rewards[:, 1, 1]
+    v = [max(r_stay[-1], r_adv[-1]) / (1.0 - gamma)]
+    for stay, advance in zip(r_stay[-2::-1].tolist(), r_adv[-2::-1].tolist()):
+        v.append(max(stay / (1.0 - gamma), advance + gamma * v[-1]))
+    values = np.array(v[::-1])
+    v_next = np.append(values[1:], values[-1])
+    policy = (r_adv + gamma * v_next > r_stay + gamma * values).astype(int)
+    return policy, values
+
+
+def scalar_verify_calibration(game: MarkovChainGame) -> None:
+    """Scalar reference of the build's calibration check: two solves per threshold."""
+    for i in range(game.n_states - 1):
+        p_star = game.thresholds[i]
+        below, _ = scalar_env_best_response(game, p_star - 1e-6)
+        above, _ = scalar_env_best_response(game, min(p_star + 1e-6, 1.0))
+        if below[i] != 1:
+            raise CalibrationError(i, "environment does not advance just below the threshold")
+        if above[i] != 0:
+            raise CalibrationError(i, "environment does not stay just above the threshold")
+
+
+def scalar_walk_value(
+    rewards: np.ndarray, gamma: float, p_by_state: np.ndarray, env_policy: np.ndarray, n: int
+) -> float:
+    """Scalar reference of the chain's forward walk: discounted value from state 0."""
+    value = 0.0
+    discount = 1.0
+    s = 0
+    while True:
+        b = int(env_policy[s])
+        stage = p_by_state[s] * rewards[s, 0, b] + (1.0 - p_by_state[s]) * rewards[s, 1, b]
+        if b == 1 and s < n - 1:
+            value += discount * stage
+            discount *= gamma
+            s += 1
+        else:
+            value += discount * stage / (1.0 - gamma)
+            return value
+
+
 def learner_value_for_policy(
     game: MarkovChainGame, p_by_state: np.ndarray, env_policy: np.ndarray
 ) -> float:
     """Exact learner value for a per-state probability vector on action 0."""
-    return _walk_value(
+    return scalar_walk_value(
         game.learner_rewards, game.gamma_l, np.asarray(p_by_state, dtype=float), env_policy, game.n_states
     )
 
@@ -484,12 +548,12 @@ def rewalk_dominance(
     deviation to 1 - p_bar; returns (ok, worst margin) like verify_dominance."""
     n = game.n_states
     base_p = np.full(n, p_bar)
-    base = _walk_value(game.learner_rewards, game.gamma_l, base_p, env_policy, n)
+    base = scalar_walk_value(game.learner_rewards, game.gamma_l, base_p, env_policy, n)
     margin = math.inf
     for s in range(absorbing_state(game, env_policy) + 1):
         deviated = base_p.copy()
         deviated[s] = 1.0 - p_bar
-        margin = min(margin, base - _walk_value(game.learner_rewards, game.gamma_l, deviated, env_policy, n))
+        margin = min(margin, base - scalar_walk_value(game.learner_rewards, game.gamma_l, deviated, env_policy, n))
     return margin >= -1e-12, margin
 
 

@@ -273,6 +273,9 @@ BAD_VALUES = [
     (["markov", "--seed", "-1"], None, "seed"),
     # 22,223 k values, past the 20,001 of the 1e-3 dominance grid
     (["regression", "--curve-step", "0.0009"], None, "curve_step"),
+    # one past each markov work cap
+    (["markov", "--n", "5001"], None, "n must be at most 5000"),
+    (["markov", "--points", "20002"], None, "points must be at most 20001"),
 ]
 
 
@@ -292,6 +295,19 @@ def test_bad_values_exit_with_config_error(tmp_path, capsys, argv, config, messa
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"]["type"] == "config"
     assert message in record["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "flag, value, code",
+    [("--n", "5001", 2), ("--points", "20002", 2), ("--n", "5000", 3), ("--points", "20001", 3)],
+)
+def test_markov_caps_are_checked_before_the_game_is_built(tmp_path, monkeypatch, flag, value, code):
+    # a build stands in for the run: exit 3 when it is reached, exit 2 past a cap
+    def build(*args, **kwargs):
+        raise RuntimeError("build reached")
+
+    monkeypatch.setattr("gamescale.cli.build_chain_game", build)
+    assert main(["markov", flag, value, "--out-dir", str(tmp_path / "out")]) == code
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))

@@ -21,7 +21,7 @@ from gamescale.core import (
     gradient_operator,
     monotonicity_audit,
 )
-from oracles import check_gradients, check_nested
+from oracles import check_gradients, check_nested, plain_dykstra
 
 
 def coupling_game(c: float, mu: float = 1.0, lipschitz: float = 2.0, sigma: float = 0.0) -> GameSpec:
@@ -161,6 +161,36 @@ def test_dykstra_runs_on_while_corrections_move():
     region = Intersection([Box(-np.ones(3), np.ones(3)), Halfspace(np.ones(3), 0.5)])
     got = region.project(np.array([48.0, 9.0, 41.0]))
     np.testing.assert_allclose(got, [1.0, -1.0, 0.5], atol=1e-9)
+
+
+def test_dykstra_skips_repeating_sweeps_from_a_far_point():
+    # from here the plain iteration needs ~10,600 sweeps: the iterate cycles
+    # between two points while the corrections drift ~1 per sweep toward
+    # |x - P(x)| ~ 1.7e4; KKT gives clip(x - 4378.2, -1, 1) = (0.5, 1, -1)
+    region = Intersection([Box(-np.ones(3), np.ones(3)), Halfspace(np.ones(3), 0.5)])
+    x = np.array([4378.70, 15599.43, 3279.14])
+    px = region.project(x)
+    np.testing.assert_allclose(px, [0.5, 1.0, -1.0], atol=1e-9)
+    for member in region.members:  # the stop test's 1e-12 move, relative to |P(x)|
+        assert np.linalg.norm(px - member.project(px)) <= 1e-11
+    # <x - P(x), y - P(x)> <= 0 at the box corners' and random draws' projections
+    corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * 3)).reshape(3, -1).T
+    draws = np.random.default_rng(66).standard_normal((50, 3)) * 3.0
+    scale = 1.0 + np.linalg.norm(x - px)
+    for w in np.vstack([corners, draws]):
+        y = region.project(w)
+        assert float((x - px) @ (y - px)) <= 1e-9 * scale * (1.0 + np.linalg.norm(y - px))
+
+
+def test_dykstra_jumps_agree_with_plain_sweeps_at_far_points():
+    # norms up to 1e3 keep the plain iteration within its cap; the skipped
+    # sweeps must not move the answer beyond the stop test's rounding
+    rng = np.random.default_rng(67)
+    for trial in range(40):
+        d = 2 + trial % 3
+        region = random_intersection(rng, d)
+        x = rng.standard_normal(d) * 10.0 ** rng.uniform(1.0, 3.0)
+        np.testing.assert_allclose(region.project(x), plain_dykstra(region, x), rtol=0, atol=1e-9)
 
 
 def test_invalid_sets_rejected():

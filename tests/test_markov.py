@@ -8,6 +8,7 @@ import pytest
 from gamescale.markov import (
     CalibrationError,
     MarkovChainGame,
+    _verify_calibration,
     absorbing_state,
     build_chain_game,
     chain_equilibrium,
@@ -18,10 +19,14 @@ from gamescale.markov import (
     payoff_sweep,
     verify_dominance,
 )
+from gamescale.regression import BLOCK
 from oracles import (
     learner_value_for_policy,
     rewalk_dominance,
     rollout_value,
+    scalar_env_best_response,
+    scalar_verify_calibration,
+    scalar_walk_value,
     value_iteration_env_response,
 )
 
@@ -317,3 +322,115 @@ def test_env_discount_defaults_to_learner_discount():
     assert game.gamma_e == 0.7
     game2 = build_chain_game(3, gamma_l=0.7, gamma_e=0.2)
     assert game2.gamma_e == 0.2
+
+
+# ---------------------------------------------------------------------------
+# Batched passes against the scalar references, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def calibration_caps(game: MarkovChainGame) -> np.ndarray:
+    p_star = game.thresholds[:-1]
+    return np.concatenate([p_star - 1e-6, np.minimum(p_star + 1e-6, 1.0)])
+
+
+def assert_sweep_matches_scalar(game: MarkovChainGame, grid) -> list:
+    hexes = lambda values: [float(v).hex() for v in np.ravel(values)]
+    sweep = payoff_sweep(game, grid)
+    assert len(sweep) == len(grid)
+    for index, (p_bar, eq) in enumerate(zip(np.asarray(grid, dtype=float).tolist(), sweep)):
+        policy, values = scalar_env_best_response(game, p_bar)
+        p = np.full(game.n_states, p_bar)
+        assert eq.p_bar == p_bar
+        np.testing.assert_array_equal(eq.env_policy, policy)
+        assert eq.absorbing_state == absorbing_state(game, policy)
+        assert hexes(eq.learner_value) == hexes(
+            scalar_walk_value(game.learner_rewards, game.gamma_l, p, policy, game.n_states)
+        )
+        assert hexes(eq.env_value) == hexes(
+            scalar_walk_value(game.env_rewards, game.gamma_e, p, policy, game.n_states)
+        )
+        if index % 5:  # the one-cap entry points on every fifth cap
+            continue
+        one_policy, one_values = env_best_response_mdp(game, p_bar)
+        np.testing.assert_array_equal(one_policy, policy)
+        assert hexes(one_values) == hexes(values)
+        assert hexes(learner_value(game, p_bar, policy)) == hexes(eq.learner_value)
+        assert hexes(env_value(game, p_bar, policy)) == hexes(eq.env_value)
+    return sweep
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 200])
+def test_batched_sweep_has_scalar_bits_at_calibration_and_grid_points(n):
+    game = build_chain_game(n, gamma_l=0.9)
+    assert_sweep_matches_scalar(game, calibration_caps(game))
+    assert_sweep_matches_scalar(game, np.linspace(0.5, 1.0, 200))
+
+
+def test_batched_sweep_edges_have_scalar_bits():
+    game = build_chain_game(10, gamma_l=0.9)
+    t = game.thresholds
+    sweep = assert_sweep_matches_scalar(game, [*t, 0.5, 1.0])
+    # at p_bar = p*_i the environment is indifferent at state i; where the two
+    # action values tie in floating point too (not at every threshold), it stays
+    rewards, gamma, ties = game.env_rewards, game.gamma_e, 0
+    for i in range(game.n_states - 1):
+        _, values = scalar_env_best_response(game, t[i])
+        stay = t[i] * rewards[i, 0, 0] + (1.0 - t[i]) * rewards[i, 1, 0] + gamma * values[i]
+        go = t[i] * rewards[i, 0, 1] + (1.0 - t[i]) * rewards[i, 1, 1] + gamma * values[i + 1]
+        if go == stay:
+            ties += 1
+            assert sweep[i].env_policy[i] == 0
+            assert sweep[i].absorbing_state == i
+    assert ties > (game.n_states - 1) // 2
+    assert sweep[-2].absorbing_state == game.n_states - 1  # p_bar = 0.5 advances to the end
+    assert sweep[-1].absorbing_state == 0  # p_bar = 1.0 stays at the start
+
+
+def test_batched_sweep_crosses_row_blocks_with_scalar_bits():
+    game = build_chain_game(20, gamma_l=0.85, gamma_e=0.8)
+    assert_sweep_matches_scalar(game, np.linspace(0.5, 1.0, BLOCK + 3))
+
+
+def test_batched_passes_match_scalar_on_random_games():
+    # arbitrary rewards: policies need not be advance-then-stay, rows leave
+    # the walk at scattered states, and the grid is unsorted
+    rng = np.random.default_rng(15)
+    for _ in range(30):
+        n = int(rng.integers(1, 12))
+        learner_rewards = rng.normal(size=(n, 2, 2))
+        learner_rewards[:, 0, :] = learner_rewards[:, 1, :] + rng.uniform(0.1, 2.0, size=(n, 2))
+        game = MarkovChainGame(
+            n, learner_rewards, rng.normal(size=(n, 2, 2)), float(rng.uniform(0.0, 0.95)),
+            float(rng.uniform(0.0, 0.95)), default_thresholds(n),
+        )
+        assert_sweep_matches_scalar(game, rng.uniform(0.5, 1.0, size=25))
+
+
+def test_batched_calibration_agrees_with_scalar_check():
+    for n in (1, 2, 3, 50):
+        game = build_chain_game(n, gamma_l=0.9)
+        scalar_verify_calibration(game)
+
+
+@pytest.mark.parametrize("branch, shift", [("advance just below", -1e-3), ("stay just above", 1e-3)])
+def test_calibration_failure_names_the_state(branch, shift):
+    game = build_chain_game(8, gamma_l=0.9)
+    state = 4
+    # a cheaper advance at state 4 moves its threshold down, a dearer one up;
+    # caps near shallower thresholds stay at state 4 either way
+    game.env_rewards[state, :, 1] += shift
+    for check in (_verify_calibration, scalar_verify_calibration):
+        with pytest.raises(CalibrationError) as err:
+            check(game)
+        assert err.value.state == state
+        assert branch in str(err.value)
+
+
+@pytest.mark.parametrize("p_bar", [0.4999, 1.0001, float("nan")])
+def test_payoff_sweep_rejects_caps_outside_the_class(p_bar):
+    game = build_chain_game(5)
+    with pytest.raises(ValueError, match="p_bar"):
+        payoff_sweep(game, [0.7, p_bar])
+    with pytest.raises(ValueError, match="p_bar"):
+        chain_equilibrium(game, p_bar)
