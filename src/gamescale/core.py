@@ -69,9 +69,13 @@ class ActionSet:
             out[i] = self.project(p)
         return out
 
+    def contains_rows(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        """Whether each row of a (B, dimension) array lies within tol of the set."""
+        return _row_norms(points - self.project_rows(points)) <= tol
+
     def contains(self, point: np.ndarray, tol: float = 1e-9) -> bool:
         p = _as_vector(point, self.dimension)
-        return float(np.linalg.norm(p - self.project(p))) <= tol
+        return bool(self.contains_rows(p[np.newaxis], tol)[0])
 
     def is_interior(self, point: np.ndarray, margin: float = 1e-9) -> bool:
         raise NotImplementedError
@@ -275,15 +279,18 @@ def central_difference(f: Callable[[np.ndarray], float], x: np.ndarray, step: fl
 class GameSpec:
     """Two-player game: losses, gradient oracles, and regularity constants.
 
-    One oracle contract serves PSGD and best responses: grad(theta, env) gets
-    one joint point (two vectors; it returns a vector, or a float in dimension
-    1) or a batch, theta of shape (B, dim_learner) and env of shape
-    (B, dim_env) with row i joint point i, for which it must return shape
-    (B, dim) exactly: any other shape is an error, not broadcast. Oracles that
-    broadcast over rows, such as t - 1.0 + e, serve both solvers with one call
-    per step. One that serves single points only (it indexes t[0] or calls
-    float()), or an omitted one (central differences of the loss, step 1e-6),
-    makes PSGD raise, while best responses fall back to one point at a time.
+    One oracle contract serves PSGD, best responses and the Pareto grid: a
+    gradient or loss f(theta, env) gets one joint point (two vectors; a loss
+    returns a float, a gradient a vector or, in dimension 1, a float) or a
+    batch, theta (B, dim_learner) and env (B, dim_env), row i joint point i, for
+    which a gradient must return shape (B, dim) and a loss (B,) exactly: any
+    other shape is an error, not broadcast. Best responses check every row at
+    one iterate, and the Pareto grid row 0 of each call, against the single
+    point's bits. Oracles that broadcast over rows, such as t - 1.0 + e or the
+    shipped losses' t.T[0], take one call per step or grid row. One that takes
+    single points only (it indexes t[0] or calls float()), or an omitted
+    gradient (central differences, step 1e-6), makes PSGD raise, while best
+    responses and the Pareto grid rerun the whole search one point at a time.
     """
 
     dim_learner: int
@@ -332,6 +339,14 @@ def _batch_gradient(
             f"expected {(theta.shape[0], dim)}"
         )
     return g
+
+
+def _batch_loss(loss: LossFn, name: str, theta: np.ndarray, env: np.ndarray) -> np.ndarray:
+    """One loss call on a batch of joint points, held to shape (B,) and to row 0's single-point bits."""
+    f = np.asarray(loss(theta, env), dtype=float)
+    if f.shape != theta.shape[:1] or f[:1].tobytes() != np.float64(float(loss(theta[0], env[0]))).tobytes():
+        raise ValueError(f"{name} returned shape {f.shape} or row-0 bits unlike a single point's")
+    return f
 
 
 @dataclass(eq=False)

@@ -24,6 +24,7 @@ from .core import (
     ModelClassLadder,
     Product,
     _batch_gradient,
+    _batch_loss,
     _row_norms,
     gradient_noise,
     gradient_operator,
@@ -219,7 +220,7 @@ def grid_points(feasible: ActionSet, resolution: int, box: Optional[Box] = None)
     box = box if box is not None else feasible.bounding_box()
     axes = [np.linspace(lo, hi, resolution) for lo, hi in zip(box.lower, box.upper)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, box.dimension)
-    return mesh[_row_norms(mesh - feasible.project_rows(mesh)) <= 1e-9]
+    return mesh[feasible.contains_rows(mesh)]
 
 
 RowObjective = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -453,28 +454,39 @@ def pareto_improvement_search(
 
     Returns a grid point strictly improving the learner loss without raising
     the environment loss, preferring the largest learner improvement; None if
-    the grid contains no such point.
+    the grid contains no such point. Each learner grid point's pairs go through
+    each loss in one batch call (see GameSpec); the scan one pair at a time then
+    visits only those within a few ulps of its cuts, or all after a failed batch.
     """
-    joint_dim = learner_set.dimension + env_set.dimension
-    if joint_dim > 4:
+    if learner_set.dimension + env_set.dimension > 4:
         raise ValueError("exhaustive grid limited to joint dimension <= 4")
-    theta_pts = grid_points(learner_set, 201)
-    env_pts = grid_points(env_set, 201)
+    theta_pts, env_pts = grid_points(learner_set, 201), grid_points(env_set, 201)
     if theta_pts.shape[0] * env_pts.shape[0] > 20_000_000:
         raise ValueError("grid too large; lower the resolution")
-    f_l_ref = float(game.loss_learner(x.theta, x.env))
-    f_e_ref = float(game.loss_env(x.theta, x.env))
-    best: Optional[JointAction] = None
-    best_val = f_l_ref - 1e-9
-    for t in theta_pts:
-        for e in env_pts:
-            if float(game.loss_env(t, e)) > f_e_ref + 1e-12:
-                continue
-            v = float(game.loss_learner(t, e))
-            if v < best_val - 1e-15:
-                best_val = v
-                best = JointAction(t, e)
-    return best
+    f_l_ref, f_e_ref = (float(loss(x.theta, x.env)) for loss in (game.loss_learner, game.loss_env))
+    cut = lambda v: v + 8 * math.ulp(v)  # a few ulps of batch-vs-single rounding
+    rows = np.empty((len(env_pts), learner_set.dimension))  # t repeated: one block per t
+    for batched in (True, False):
+        best, best_val = None, f_l_ref - 1e-9
+        try:
+            for t in theta_pts:
+                envs = env_pts
+                if batched:
+                    rows[...] = t
+                    fe = _batch_loss(game.loss_env, "loss_env", rows, env_pts)
+                    fl = _batch_loss(game.loss_learner, "loss_learner", rows, env_pts)
+                    # NaN fails `>` and is kept, as the rule keeps it; no NaN passes `<`
+                    envs = env_pts[(fl < cut(best_val - 1e-15)) & ~(fe > cut(f_e_ref + 1e-12))]
+                for e in envs:
+                    if float(game.loss_env(t, e)) > f_e_ref + 1e-12:
+                        continue
+                    v = float(game.loss_learner(t, e))
+                    if v < best_val - 1e-15:
+                        best_val, best = v, JointAction(t, e)
+            return best
+        except Exception:  # a loss written for single points may raise anything on a batch
+            if not batched:
+                raise
 
 
 # ---------------------------------------------------------------------------

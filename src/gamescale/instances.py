@@ -2,7 +2,9 @@
 
 Each builder returns closed-form-verifiable objects: quadratic games with
 known Nash points and constants, nested box ladders, and arm constructions
-with prescribed per-class equilibrium losses.
+with prescribed per-class equilibrium losses. The games' gradients and losses
+broadcast over a batch of points (rows): a loss reads t.T[0], which is t[0]
+for one point and the first column of a batch.
 """
 
 from __future__ import annotations
@@ -27,13 +29,12 @@ class NashBenchmark:
 def coupled_quadratic(sigma: float = 0.0) -> NashBenchmark:
     """Skew-coupled quadratic with Nash at (0, 1): f_l = (theta-1)^2/2 + theta e,
     f_e = (e-1)^2/2 - theta e. The skew coupling cancels in the monotonicity
-    quotient, so mu = 1 and L = sqrt(2). The gradients broadcast over a batch
-    of points (rows)."""
+    quotient, so mu = 1 and L = sqrt(2)."""
     game = GameSpec(
         dim_learner=1,
         dim_env=1,
-        loss_learner=lambda t, e: 0.5 * (t[0] - 1.0) ** 2 + t[0] * e[0],
-        loss_env=lambda t, e: 0.5 * (e[0] - 1.0) ** 2 - t[0] * e[0],
+        loss_learner=lambda t, e: 0.5 * (t.T[0] - 1.0) ** 2 + t.T[0] * e.T[0],
+        loss_env=lambda t, e: 0.5 * (e.T[0] - 1.0) ** 2 - t.T[0] * e.T[0],
         grad_learner=lambda t, e: t - 1.0 + e,
         grad_env=lambda t, e: e - 1.0 - t,
         mu=1.0,
@@ -52,8 +53,8 @@ def restriction_instance() -> NashBenchmark:
     game = GameSpec(
         dim_learner=1,
         dim_env=1,
-        loss_learner=lambda t, e: 0.5 * t[0] ** 2 + t[0] * e[0] + 0.5 * e[0] ** 2 + e[0],
-        loss_env=lambda t, e: 0.5 * (e[0] - t[0]) ** 2,
+        loss_learner=lambda t, e: 0.5 * t.T[0] ** 2 + t.T[0] * e.T[0] + 0.5 * e.T[0] ** 2 + e.T[0],
+        loss_env=lambda t, e: 0.5 * (e.T[0] - t.T[0]) ** 2,
         grad_learner=lambda t, e: t + e,
         grad_env=lambda t, e: e - t,
         mu=1.0,
@@ -69,8 +70,8 @@ def zero_sum_instance() -> NashBenchmark:
     game = GameSpec(
         dim_learner=1,
         dim_env=1,
-        loss_learner=lambda t, e: 0.5 * t[0] ** 2 + t[0] * e[0] - 0.5 * e[0] ** 2,
-        loss_env=lambda t, e: -(0.5 * t[0] ** 2 + t[0] * e[0] - 0.5 * e[0] ** 2),
+        loss_learner=lambda t, e: 0.5 * t.T[0] ** 2 + t.T[0] * e.T[0] - 0.5 * e.T[0] ** 2,
+        loss_env=lambda t, e: -(0.5 * t.T[0] ** 2 + t.T[0] * e.T[0] - 0.5 * e.T[0] ** 2),
         grad_learner=lambda t, e: t + e,
         grad_env=lambda t, e: e - t,
         mu=1.0,
@@ -81,13 +82,12 @@ def zero_sum_instance() -> NashBenchmark:
 
 
 def decoupled_quadratic(sigma: float = 0.0) -> GameSpec:
-    """Independent scalar quadratics f_l = theta^2/2, f_e = e^2/2 (mu = L = 1);
-    the gradients broadcast over a batch of points (rows)."""
+    """Independent scalar quadratics f_l = theta^2/2, f_e = e^2/2 (mu = L = 1)."""
     return GameSpec(
         dim_learner=1,
         dim_env=1,
-        loss_learner=lambda t, e: 0.5 * t[0] ** 2,
-        loss_env=lambda t, e: 0.5 * e[0] ** 2,
+        loss_learner=lambda t, e: 0.5 * t.T[0] ** 2,
+        loss_env=lambda t, e: 0.5 * e.T[0] ** 2,
         grad_learner=lambda t, e: t,
         grad_env=lambda t, e: e,
         mu=1.0,
@@ -141,8 +141,8 @@ def stackelberg_scaling_game() -> tuple[GameSpec, ActionSet]:
     game = GameSpec(
         dim_learner=1,
         dim_env=1,
-        loss_learner=lambda t, e: 0.5 * (t[0] - 2.0) ** 2 + t[0] * e[0],
-        loss_env=lambda t, e: 0.5 * (e[0] - t[0]) ** 2,
+        loss_learner=lambda t, e: 0.5 * (t.T[0] - 2.0) ** 2 + t.T[0] * e.T[0],
+        loss_env=lambda t, e: 0.5 * (e.T[0] - t.T[0]) ** 2,
         grad_learner=lambda t, e: t - 2.0 + e,
         grad_env=lambda t, e: e - t,
         mu=1.0,

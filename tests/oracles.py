@@ -7,9 +7,9 @@ descent, an oracle wrapper that refuses batches (the per-row reference of a
 best-response solve), a single averaged PSGD run, a sampling check (box
 corners included) that a ladder's classes are nested, per-arm suboptimality
 gaps, random strongly monotone affine games with a known Nash point, an
-exhaustive-grid Nash, alternating best responses, a finite-difference
-gradient check, the strategic-regression game as a generic Stackelberg
-instance, the large regression class's best-response coefficients, scalar
+exhaustive-grid Nash, the Pareto grid search one pair at a time,
+alternating best responses, a finite-difference gradient check, the
+strategic-regression game as a generic Stackelberg instance, the large regression class's best-response coefficients, scalar
 references of the regression closed forms and grid argmax, Monte-Carlo
 estimates of the regression game's integrals, losses, predictions and
 least-squares fits, exact chain-game learner values for arbitrary per-state
@@ -164,6 +164,37 @@ def grid_nash(
     total = regret_l + regret_e
     i, j = np.unravel_index(int(np.argmin(total)), total.shape)
     return JointAction(theta_pts[i], env_pts[j]), float(total[i, j])
+
+
+def scalar_pareto_search(
+    game: GameSpec,
+    x: JointAction,
+    learner_set: ActionSet,
+    env_set: ActionSet,
+) -> Optional[JointAction]:
+    """The Pareto grid search one pair at a time, with single-point loss calls
+    in a double loop: the reference whose witness the batched
+    pareto_improvement_search must return byte for byte."""
+    joint_dim = learner_set.dimension + env_set.dimension
+    if joint_dim > 4:
+        raise ValueError("exhaustive grid limited to joint dimension <= 4")
+    theta_pts = grid_points(learner_set, 201)
+    env_pts = grid_points(env_set, 201)
+    if theta_pts.shape[0] * env_pts.shape[0] > 20_000_000:
+        raise ValueError("grid too large; lower the resolution")
+    f_l_ref = float(game.loss_learner(x.theta, x.env))
+    f_e_ref = float(game.loss_env(x.theta, x.env))
+    best: Optional[JointAction] = None
+    best_val = f_l_ref - 1e-9
+    for t in theta_pts:
+        for e in env_pts:
+            if float(game.loss_env(t, e)) > f_e_ref + 1e-12:
+                continue
+            v = float(game.loss_learner(t, e))
+            if v < best_val - 1e-15:
+                best_val = v
+                best = JointAction(t, e)
+    return best
 
 
 def single_run_psgd(

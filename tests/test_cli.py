@@ -7,12 +7,14 @@ import json
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gamescale
+import gamescale.cli
 from gamescale.cli import EXPERIMENTS, csv_text, load_config, main, table
 from gamescale.core import GameSpec, JointAction, box_1d
 from gamescale.equilibrium import psgd_nash
@@ -158,6 +160,31 @@ def test_python_dash_m_gamescale_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert "usage: gamescale" in done.stdout
+
+
+def parser_tokens(source: str) -> int:
+    """Tokens of source as tokenize gives them on Python 3.10 and 3.11: no
+    COMMENT or NL, and each f-string one token (3.12+ splits it into
+    FSTRING_START ... FSTRING_END, nested ones inside)."""
+    count, depth = 0, 0
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        name = tokenize.tok_name[tok.type]
+        if name == "FSTRING_START":
+            count += depth == 0
+            depth += 1
+        elif name == "FSTRING_END":
+            depth -= 1
+        elif depth == 0 and tok.type not in (tokenize.COMMENT, tokenize.NL):
+            count += 1
+    return count
+
+
+def test_cli_stays_under_the_parser_token_line():
+    """CPython's parser doubles its token array at 4,096 tokens. Past that
+    line, compiling cli.py at import (as a process without bytecode caches
+    does) peaks ~0.25 MB higher, which psgd-seeds' peak_rss_mb shows."""
+    assert parser_tokens('x = f"{a} b {c!r:>{w}}"  # note\n\ny = f"{f\'{a}\'}"\n') == 9
+    assert parser_tokens(Path(gamescale.cli.__file__).read_text(encoding="utf-8")) < 4096
 
 
 def test_psgd_run_small(tmp_path):

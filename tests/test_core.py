@@ -241,6 +241,27 @@ def test_project_rows_matches_project_bitwise(case):
     assert rows.tobytes() == np.array([region.project(p) for p in points]).tobytes()
 
 
+@pytest.mark.parametrize("case", ["box", *sorted(SET_CASES)])
+def test_contains_rows_is_the_norm_filter_of_each_row(case):
+    region = Box(np.array([-1.0, -0.5]), np.array([0.5, 2.0])) if case == "box" else SET_CASES[case][0]
+    rng = np.random.default_rng(66)
+    points = rng.standard_normal((40, region.dimension)) * 2.0
+    base = region.project_rows(points)
+    away = points - base
+    away /= np.maximum(np.linalg.norm(away, axis=1, keepdims=True), 1e-300)
+    # on the set and around the tolerance out of it, where the last bits decide
+    near = np.concatenate([base + s * away for s in (0.0, 5e-10, 1e-9, 1.0000001e-9, 2e-9)])
+    for tol in (1e-9, 1e-12):
+        expected = [float(np.linalg.norm(p - region.project(p))) <= tol for p in near]
+        assert region.contains_rows(near, tol).tolist() == expected
+        assert [region.contains(p, tol) for p in near] == expected
+        assert set(expected) == {True, False}
+    distances = [float(np.linalg.norm(p - region.project(p))) for p in near]
+    assert all(region.contains(p, d) for p, d in zip(near, distances))  # at tol counts as in
+    with pytest.raises(ValueError, match="dimension"):
+        region.contains(np.zeros(region.dimension + 1))
+
+
 @pytest.mark.parametrize("case", sorted(SET_CASES))
 def test_interiority_sampling_and_bounding_box(case):
     region, rows, offsets, box = SET_CASES[case]

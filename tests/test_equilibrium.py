@@ -1,5 +1,6 @@
 """Equilibrium solvers: the four regimes, PSGD averaging, and the oracles."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -50,6 +51,7 @@ from oracles import (
     grid_nash,
     random_affine_game,
     regression_stackelberg_game,
+    scalar_pareto_search,
     single_point_descent,
     single_point_only,
     single_run_psgd,
@@ -879,8 +881,9 @@ def test_pareto_zero_sum_nash_has_no_improvement():
     assert pareto_improvement_search(bench.game, bench.nash, bench.learner_set, bench.env_set) is None
 
 
-def test_pareto_coupled_game_finds_witness():
-    game = GameSpec(
+def pareto_coupled_game() -> GameSpec:
+    """Losses written for single points: on a batch, t[0] is row 0, shape (1,)."""
+    return GameSpec(
         dim_learner=1,
         dim_env=1,
         loss_learner=lambda t, e: 0.5 * t[0] ** 2 + t[0] * e[0],
@@ -890,6 +893,10 @@ def test_pareto_coupled_game_finds_witness():
         mu=1.0,
         lipschitz=2.0,
     )
+
+
+def test_pareto_coupled_game_finds_witness():
+    game = pareto_coupled_game()
     box = box_1d(-1.0, 1.0)
     witness = pareto_improvement_search(game, JointAction(np.zeros(1), np.zeros(1)), box, box)
     assert witness is not None
@@ -901,6 +908,187 @@ def test_pareto_none_at_joint_minimum():
     game = quadratic_target_game([0.0])
     x = JointAction(np.zeros(1), np.zeros(1))
     assert pareto_improvement_search(game, x, box_1d(-1, 1), box_1d(-1, 1)) is None
+
+
+def witness_bytes(witness):
+    return None if witness is None else (witness.theta.tobytes(), witness.env.tobytes())
+
+
+def checked_witness(game, x, learner_set, env_set):
+    """The search's witness, asserted equal to the one-pair-at-a-time
+    oracle's byte for byte, and whether the search kept to its batch path
+    (for a 1-dim learner): one loss_env batch call per learner grid point and
+    no rerun, which would go back to the first grid point's single calls."""
+    log = []  # (batch call, first theta coordinate) of each loss_env call
+
+    def loss_env(t, e):
+        log.append((np.ndim(t) == 2, float(np.asarray(t).flat[0])))
+        return game.loss_env(t, e)
+
+    spied = dataclasses.replace(game, loss_env=loss_env)
+    witness = pareto_improvement_search(spied, x, learner_set, env_set)
+    assert witness_bytes(witness) == witness_bytes(scalar_pareto_search(game, x, learner_set, env_set))
+    thetas = [t for _, t in log[1:]]  # after the reference point's call
+    batched = sum(batch for batch, _ in log) == len(grid_points(learner_set, 201)) and thetas == sorted(thetas)
+    return witness, batched
+
+
+PARETO_POINTS = [(0.0, 0.0), (0.3, -0.2), (1.1, 0.4), (-1.5, 1.98), (2.0, -2.0)]
+
+
+@pytest.mark.parametrize("instance", [restriction_instance, zero_sum_instance])
+def test_shipped_restrict_losses_have_single_point_bits_on_every_grid_pair(instance):
+    bench = instance()
+    theta_pts, env_pts = grid_points(bench.learner_set, 201), grid_points(bench.env_set, 201)
+    for loss in (bench.game.loss_learner, bench.game.loss_env):
+        for t in theta_pts:
+            batch = loss(np.broadcast_to(t, env_pts.shape), env_pts)
+            assert batch.tobytes() == np.array([loss(t, e) for e in env_pts]).tobytes()
+
+
+@pytest.mark.parametrize("point", PARETO_POINTS)
+@pytest.mark.parametrize("instance", [restriction_instance, zero_sum_instance])
+def test_pareto_search_matches_scalar_oracle_on_shipped_instances(instance, point):
+    bench = instance()
+    x = JointAction(np.array([point[0]]), np.array([point[1]]))
+    assert checked_witness(bench.game, x, bench.learner_set, bench.env_set)[1]  # the losses broadcast
+
+
+@pytest.mark.parametrize("point", PARETO_POINTS[:3])
+def test_pareto_search_matches_scalar_oracle_on_single_point_losses(point):
+    box = box_1d(-1.0, 1.0)
+    x = JointAction(np.array([point[0]]), np.array([point[1]]))
+    assert not checked_witness(pareto_coupled_game(), x, box, box)[1]
+
+
+def random_quadratic_game(rng: np.random.Generator) -> GameSpec:
+    """f = a t^2 + b t e + c e^2 + d t + g e per player with random
+    coefficients; the losses broadcast over rows with the single-point bits.
+    They square by multiplying: a numpy float64's ** 2 calls pow, which rounds
+    differently from an array's ** 2 (a product) on ~0.1% of inputs."""
+    cl, ce = rng.normal(size=5), rng.normal(size=5)
+    quad = lambda c: lambda t, e: (
+        c[0] * t.T[0] * t.T[0] + c[1] * t.T[0] * e.T[0] + c[2] * e.T[0] * e.T[0] + c[3] * t.T[0] + c[4] * e.T[0]
+    )
+    return GameSpec(dim_learner=1, dim_env=1, loss_learner=quad(cl), loss_env=quad(ce), mu=1.0, lipschitz=1.0)
+
+
+@dataclasses.dataclass(eq=False)
+class LooseInterval(Box):
+    """An interval whose bounding box is `width` times as wide, so about
+    201 / width of the search's 201 grid points fall in it and the
+    one-pair-at-a-time oracle stays cheap."""
+
+    width: float = 1.0
+
+    def bounding_box(self) -> Box:
+        mid, half = (self.lower + self.upper) / 2, self.width * (self.upper - self.lower) / 2
+        return Box(mid - half, mid + half)
+
+
+def random_loose_interval(rng: np.random.Generator) -> LooseInterval:
+    lo, hi = np.sort(rng.uniform(-2.0, 2.0, 2))
+    return LooseInterval(np.array([lo]), np.array([hi]), rng.uniform(4.0, 20.0))
+
+
+def test_pareto_search_matches_scalar_oracle_on_random_quadratics():
+    rng = np.random.default_rng(18)
+    found = 0
+    for k in range(50):
+        game = random_quadratic_game(rng)
+        learner_set, env_set = random_loose_interval(rng), random_loose_interval(rng)
+        theta_pts, env_pts = grid_points(learner_set, 201), grid_points(env_set, 201)
+        if k % 3 == 0:  # a grid point: ties with the reference's own values
+            t, e = rng.choice(theta_pts), rng.choice(env_pts)
+        elif k % 3 == 1:
+            t, e = learner_set.sample(rng), env_set.sample(rng)
+        else:  # the learner's best grid point: no witness, after ties at the reference
+            losses = [[game.loss_learner(t, e) for e in env_pts] for t in theta_pts]
+            i, j = np.unravel_index(np.argmin(losses), (len(theta_pts), len(env_pts)))
+            t, e = theta_pts[i], env_pts[j]
+        witness, batched = checked_witness(game, JointAction(t, e), learner_set, env_set)
+        assert batched
+        found += witness is not None
+    assert 15 <= found <= 40
+
+
+@pytest.mark.parametrize("below", ["ulp_above", "nan"])
+@pytest.mark.parametrize("f_e_ref", [0.0, 0.37, -5.25])
+def test_pareto_search_keeps_the_scalar_rule_at_ties_and_on_the_threshold(f_e_ref, below):
+    """Along each learner row the learner loss falls by less than 1e-15 in
+    total, so the rule keeps the row's first admissible pair, not its argmin.
+    The env loss sits exactly on f_e_ref + 1e-12 for e in [-0.5, 0); below
+    -0.5 it is one ulp above that, which the rule skips, or NaN, which it
+    does not. So the witness is (1, -0.5) or (1, -1)."""
+    on = f_e_ref + 1e-12
+    far = float(np.nextafter(on, np.inf)) if below == "ulp_above" else math.nan
+
+    def loss_env(t, e):
+        e0 = e.T[0]
+        return np.where(e0 < -0.5, far, np.where(e0 < 0.0, on, f_e_ref)) + 0.0 * t.T[0]
+
+    game = GameSpec(
+        dim_learner=1,
+        dim_env=1,
+        loss_learner=lambda t, e: -0.25 * t.T[0] - 3e-16 * e.T[0],
+        loss_env=loss_env,
+        mu=1.0,
+        lipschitz=1.0,
+    )
+    box = LooseInterval(-np.ones(1), np.ones(1), 5.0)  # grid step 0.05
+    x = JointAction(np.array([-1.0]), np.array([0.0]))
+    witness, batched = checked_witness(game, x, box, box)
+    assert batched
+    assert (float(witness.theta[0]), float(witness.env[0])) == (1.0, -0.5 if below == "ulp_above" else -1.0)
+
+
+def row0_ulp_off(loss):
+    def f(t, e):
+        v = loss(t, e)
+        if np.ndim(t) == 2:
+            v = v.copy()
+            v[0] = np.nextafter(v[0], np.inf)
+        return v
+
+    return f
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        "raises",
+        lambda base: lambda t, e: 0.5 * (e[0] - t[0]) ** 2,  # row 0 only, shape (1,)
+        lambda base: lambda t, e: base(t, e).sum() if t.ndim == 2 else base(t, e),  # a 0-d scalar
+        row0_ulp_off,
+    ],
+    ids=["raises", "row0", "scalar", "ulp"],
+)
+def test_pareto_search_reruns_one_pair_at_a_time_on_a_broken_batch(broken):
+    if broken == "raises":  # float(... @ ...) of a batch raises
+        game = quadratic_target_game([0.3])
+        sets = (box_1d(-1.0, 1.0), box_1d(-1.0, 1.0))
+        x = JointAction(np.array([-0.5]), np.array([0.0]))
+    else:
+        bench = restriction_instance()
+        game = dataclasses.replace(bench.game, loss_env=broken(bench.game.loss_env))
+        sets = (bench.learner_set, bench.env_set)
+        x = JointAction(np.array([0.3]), np.array([-0.2]))
+    witness, batched = checked_witness(game, x, *sets)
+    assert witness is not None and not batched
+
+
+def test_pareto_search_rejects_joint_dimension_above_4():
+    game = quadratic_target_game([0.0, 0.0, 0.0])
+    x = JointAction(np.zeros(3), np.zeros(2))
+    with pytest.raises(ValueError, match="joint dimension <= 4"):
+        pareto_improvement_search(game, x, Box(-np.ones(3), np.ones(3)), Box(-np.ones(2), np.ones(2)))
+
+
+def test_pareto_search_rejects_more_than_20_million_pairs():
+    game = quadratic_target_game([0.0, 0.0])
+    square = Box(-np.ones(2), np.ones(2))  # 201^2 grid points, 201^4 pairs
+    with pytest.raises(ValueError, match="grid too large"):
+        pareto_improvement_search(game, JointAction(np.zeros(2), np.zeros(2)), square, square)
 
 
 # ---------------------------------------------------------------------------
