@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .core import JointAction
-from .equilibrium import REGIMES, nash_residual, psgd_nash, scaling_curve
+from .equilibrium import MAX_RUNS, MAX_STEPS, REGIMES, nash_residual, psgd_nash, scaling_curve
 from .instances import (
     coupled_quadratic,
     nested_box_ladder,
@@ -138,6 +138,13 @@ def table(
     return texts
 
 
+def check_caps(caps: dict) -> None:
+    """Each key's value against its work cap, before any work: {key: (value, cap)}."""
+    for key, (value, cap) in caps.items():
+        if value > cap:
+            raise ConfigError(f"{key} must be at most {cap}, got {value}")
+
+
 def write_manifest(
     out_dir: Path,
     experiment: str,
@@ -164,12 +171,13 @@ def write_manifest(
 
 def run_psgd(params: dict) -> dict[str, str]:
     """averaged stochastic gradient Nash estimation"""
+    n_seeds = params["n_seeds"]
+    steps = n_seeds * sum(params["horizons"])
+    check_caps({"n_seeds": (n_seeds, MAX_RUNS), "n_seeds * sum(horizons)": (steps, MAX_STEPS)})
     bench = coupled_quadratic(sigma=params["sigma"])
     game = bench.game
     x0 = JointAction(np.zeros(1), np.zeros(1))
-    rows = []
-    summary = []
-    n_seeds = params["n_seeds"]
+    rows, summary = [], []
     for h_idx, horizon in enumerate(params["horizons"]):
         gaps, residuals = [], []
         rngs = [np.random.default_rng([params["seed"], h_idx, s]) for s in range(n_seeds)]
@@ -200,6 +208,7 @@ def run_psgd(params: dict) -> dict[str, str]:
 
 def run_select(params: dict) -> dict[str, str]:
     """successive elimination over model classes"""
+    check_caps({"len(losses)": (len(params["losses"]), MAX_RUNS), "budget": (params["budget"], MAX_STEPS)})
     arms, game, env_set = selection_arms(params["losses"], sigma=params["sigma"])
     rng = np.random.default_rng([params["seed"]])
     report = successive_elimination(
@@ -251,9 +260,7 @@ def run_markov(params: dict) -> dict[str, str]:
     for key in ("p_min", "p_max"):
         if not 0.5 <= params[key] <= 1.0:
             raise ConfigError(f"{key} must lie in [0.5, 1], got {params[key]}")
-    for key, cap in (("n", MAX_STATES), ("points", MAX_POINTS)):
-        if params[key] > cap:
-            raise ConfigError(f"{key} must be at most {cap}, got {params[key]}")
+    check_caps({"n": (params["n"], MAX_STATES), "points": (params["points"], MAX_POINTS)})
     game = build_chain_game(
         params["n"], gamma_l=params["gamma"], gamma_e=params["gamma_env"]
     )

@@ -371,46 +371,39 @@ class JointAction:
 
 def gradient_operator(game: GameSpec, x: np.ndarray) -> np.ndarray:
     """Stacked own-action gradients F(x) = (grad_theta f_l; grad_e f_e) at the
-    stacked joint point x = (theta; env), or at each row of a (B, d) array of
-    such points with one call of each oracle for the whole batch."""
-    dl = game.dim_learner
-    if x.ndim == 2:
-        theta, env = x[:, :dl], x[:, dl:]
-        out = np.concatenate(
-            [
-                _batch_gradient(game.grad_learner, "grad_learner", theta, env, dl),
-                _batch_gradient(game.grad_env, "grad_env", theta, env, game.dim_env),
-            ],
-            axis=1,
-        )
-    else:
-        theta, env = x[:dl], x[dl:]
-        out = np.concatenate([game.grad_l(theta, env), game.grad_e(theta, env)])
-    if not np.isfinite(out).all():
+    stacked joint point x = (theta; env)."""
+    theta, env = x[: game.dim_learner], x[game.dim_learner :]
+    return _finite(np.concatenate([game.grad_l(theta, env), game.grad_e(theta, env)]))
+
+
+def _finite(g: np.ndarray) -> np.ndarray:
+    # count_nonzero, not .all(): .all() over a PSGD block's flags raised peak memory 64 KB
+    if np.count_nonzero(np.isfinite(g)) != g.size:
         raise FloatingPointError("non-finite gradient components")
-    return out
+    return g
 
 
-def gradient_noise(streams: Sequence, steps: int, dim: int, noise_bound: float) -> np.ndarray:
-    """(steps, B, dim) PSGD noise for B = len(streams) runs: a uniform direction
-    on the sphere times a magnitude uniform on [0, min(1, sqrt(3) noise_bound)],
-    so E = 0, E|.|^2 <= noise_bound^2 and |.| <= 1. Run i reads its direction,
-    magnitude and redraw (of norm < 1e-12) generators streams[i] alone; numpy's
-    give the same values read in blocks or at once, so no bit depends on blocks."""
-    direction = np.empty((steps, len(streams), dim))  # filled in place: no block-size temporaries
+def gradient_noise(streams: Sequence, noise_bound: float, out: np.ndarray) -> np.ndarray:
+    """Fills and returns out, (steps, B, dim), with PSGD noise for B = len(streams)
+    runs: a uniform direction on the sphere times a magnitude uniform on
+    [0, min(1, sqrt(3) noise_bound)], so E = 0, E|.|^2 <= noise_bound^2 and
+    |.| <= 1. Run i reads its direction, magnitude and redraw (of norm < 1e-12)
+    generators streams[i] alone; numpy's give the same values read in blocks or
+    at once, so no bit depends on blocks."""
+    steps, _, dim = out.shape
     magnitude = np.empty((steps, len(streams)))
     high = min(1.0, math.sqrt(3.0) * noise_bound)
     for i, s in enumerate(streams):
-        direction[:, i] = s[0].standard_normal((steps, dim))
+        out[:, i] = s[0].standard_normal((steps, dim))
         magnitude[:, i] = s[1].uniform(0.0, high, steps)
-    norm = _row_norms(direction)
+    norm = _row_norms(out)
     for t, i in zip(*(norm < 1e-12).nonzero()):
         while norm[t, i] < 1e-12:
-            direction[t, i] = streams[i][2].standard_normal(dim)
-            norm[t, i] = np.linalg.norm(direction[t, i])
+            out[t, i] = streams[i][2].standard_normal(dim)
+            norm[t, i] = np.linalg.norm(out[t, i])
     magnitude /= norm
-    direction *= magnitude[..., np.newaxis]  # x * y is y * x, bit for bit
-    return direction
+    out *= magnitude[..., np.newaxis]  # x * y is y * x, bit for bit
+    return out
 
 
 @dataclass

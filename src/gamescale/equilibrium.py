@@ -25,6 +25,7 @@ from .core import (
     Product,
     _batch_gradient,
     _batch_loss,
+    _finite,
     _row_norms,
     gradient_noise,
     gradient_operator,
@@ -32,6 +33,7 @@ from .core import (
 
 REGIMES = ("stationary", "stackelberg_leader", "stackelberg_follower", "nash")
 NOISE_BLOCK = 64  # PSGD steps of noise drawn per call; sets memory, never output bits
+MAX_RUNS, MAX_STEPS = 10_000, 10**8  # psgd/select caps: rows of one PSGD batch; run steps in all
 
 
 @dataclass(eq=False)
@@ -366,13 +368,19 @@ def psgd_nash(
     plays learner_sets[i] and draws its noise NOISE_BLOCK steps per call (no
     bit depends on it) from three children of rngs[i]; all share the game,
     env_set, x0 and horizon. Returns each run's average, with its bits alone.
+
+    A block works in place in path (its iterates) and fhat (its noise plus the
+    oracles' (B, dim) results), checked finite at the block's end (each step if
+    a set is not a Box: Dykstra's projection spins on NaN); fhat then holds
+    t * x_t, summed into the average in step order.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if len(learner_sets) != len(rngs):
         raise ValueError(f"{len(learner_sets)} learner sets for {len(rngs)} generators")
-    dl = game.dim_learner
-    if all(isinstance(s, Box) for s in (*learner_sets, env_set)):
+    dl, de = game.dim_learner, game.dim_env
+    box = all(isinstance(s, Box) for s in (*learner_sets, env_set))
+    if box:
         joint = [Product(s, env_set).bounding_box() for s in learner_sets]  # row i's bounds
         lower, upper = np.stack([j.lower for j in joint]), np.stack([j.upper for j in joint])
         project = lambda z: np.minimum(np.maximum(z, lower, out=z), upper, out=z)  # np.clip's bits
@@ -381,16 +389,28 @@ def psgd_nash(
             z[:, :dl] = [s.project(p) for s, p in zip(learner_sets, z[:, :dl])]
             z[:, dl:] = env_set.project_rows(z[:, dl:])
             return z
-    x = project(np.tile(x0.concat(), (len(rngs), 1)))
-    acc = np.zeros_like(x)
+    path, fhat = np.empty((2, NOISE_BLOCK + 1, len(rngs), dl + de))
+    path[0] = project(np.tile(x0.concat(), (len(rngs), 1)))
+    acc = np.zeros_like(path[0])
     streams = [rng.spawn(3) for rng in rngs]
+    # iterated per block; lists of every step's views were faster but peaked higher
+    views = path, path[:, :, :dl], path[:, :, dl:], fhat, fhat[:, :, :dl], fhat[:, :, dl:], path[1:]
     for start in range(0, horizon, NOISE_BLOCK):
-        noise = gradient_noise(streams, min(NOISE_BLOCK, horizon - start), x.shape[1], game.noise_bound)
-        for t, step_noise in enumerate(noise, start + 1):
-            acc += t * x
-            fhat = gradient_operator(game, x) + step_noise
-            eta = 2.0 / (game.mu * (t + 1))
-            x = project(x - eta * fhat)
+        n = min(NOISE_BLOCK, horizon - start)
+        gradient_noise(streams, game.noise_bound, fhat[:n])
+        for t, x, theta, env, f, fl, fe, nxt in zip(range(start + 1, start + n + 1), *views):
+            fl += _batch_gradient(game.grad_learner, "grad_learner", theta, env, dl)
+            fe += _batch_gradient(game.grad_env, "grad_env", theta, env, de)
+            if not box:
+                _finite(f)
+            np.multiply(f, -2.0 / (game.mu * (t + 1)), out=nxt)
+            nxt += x  # x + (-eta f): the bits of x - eta f
+            project(nxt)
+        weighted = _finite(fhat[:n])
+        np.multiply(path[:n], np.arange(start + 1.0, start + n + 1.0)[:, np.newaxis, np.newaxis], out=weighted)
+        weighted[0] += acc
+        acc[...] = np.add.accumulate(weighted, out=path[:n])[-1]  # acc += t * x_t, step by step
+        path[0] = path[n]
     averaged = acc * (2.0 / (horizon * (horizon + 1)))
     return [JointAction.from_concat(row, dl) for row in averaged]
 

@@ -4,7 +4,8 @@ Brute-force or independent computations that cross-check the library's
 solvers: Dykstra's projection without skipped sweeps, fixed-step projected
 descent with a residual at every iterate, single-point adaptive projected
 descent, an oracle wrapper that refuses batches (the per-row reference of a
-best-response solve), a single averaged PSGD run, a sampling check (box
+best-response solve), a single averaged PSGD run, a game whose learner
+gradient turns non-finite at one PSGD step, a sampling check (box
 corners included) that a ladder's classes are nested, per-arm suboptimality
 gaps, random strongly monotone affine games with a known Nash point, an
 exhaustive-grid Nash, the Pareto grid search one pair at a time,
@@ -21,6 +22,7 @@ Monte-Carlo rollout of the learner value.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Optional, Sequence
 
@@ -230,6 +232,18 @@ def single_run_psgd(
         x = joint_set.project(x - eta * fhat)
     averaged = acc * (2.0 / (horizon * (horizon + 1)))
     return JointAction.from_concat(averaged, game.dim_learner)
+
+
+def gradient_bad_at(game: GameSpec, bad_step: int, value: float, calls: list) -> GameSpec:
+    """game whose learner gradient is value in every row at batch step bad_step
+    (1-based); calls logs one entry per learner oracle call."""
+
+    def grad_learner(t, e):
+        calls.append(len(calls) + 1)
+        g = game.grad_learner(t, e)
+        return np.full_like(g, value) if len(calls) == bad_step else g
+
+    return dataclasses.replace(game, grad_learner=grad_learner)
 
 
 def best_response_dynamics(

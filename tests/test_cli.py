@@ -17,8 +17,10 @@ import gamescale
 import gamescale.cli
 from gamescale.cli import EXPERIMENTS, csv_text, load_config, main, table
 from gamescale.core import GameSpec, JointAction, box_1d
-from gamescale.equilibrium import psgd_nash
+from gamescale.equilibrium import NOISE_BLOCK, psgd_nash
+from gamescale.instances import coupled_quadratic
 from gamescale.svg import line_chart
+from oracles import gradient_bad_at
 
 
 def read_manifest(out_dir: Path) -> dict:
@@ -303,6 +305,11 @@ BAD_VALUES = [
     # one past each markov work cap
     (["markov", "--n", "5001"], None, "n must be at most 5000"),
     (["markov", "--points", "20002"], None, "points must be at most 20001"),
+    # one past each psgd and select work cap; before the caps the first psgd argv ran without end
+    (["psgd", "--horizons", "100000000000", "--n-seeds", "1"], None, "n_seeds * sum(horizons)"),
+    (["psgd", "--n-seeds", "10001", "--horizons", "1"], None, "n_seeds must be at most 10000"),
+    (["select", "--losses", ",".join(["0"] * 10001)], None, "len(losses) must be at most 10000"),
+    (["select", "--budget", "100000001"], None, "budget must be at most 100000000"),
 ]
 
 
@@ -337,6 +344,28 @@ def test_markov_caps_are_checked_before_the_game_is_built(tmp_path, monkeypatch,
     assert main(["markov", flag, value, "--out-dir", str(tmp_path / "out")]) == code
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["psgd", "--n-seeds", "10001", "--horizons", "1"], 2),
+        (["psgd", "--n-seeds", "10000", "--horizons", "5000,5001"], 2),
+        (["psgd", "--n-seeds", "10000", "--horizons", "5000,5000"], 3),
+        (["select", "--losses", ",".join(["1"] * 10001)], 2),
+        (["select", "--losses", ",".join(["1"] * 10000)], 3),
+        (["select", "--budget", "100000001"], 2),
+        (["select", "--budget", "100000000"], 3),
+    ],
+)
+def test_psgd_and_select_caps_are_checked_before_any_run(tmp_path, monkeypatch, argv, code):
+    # a stub stands in for the runs: exit 3 when it is reached, exit 2 past a cap
+    def stub(*args, **kwargs):
+        raise RuntimeError("psgd_nash reached")
+
+    monkeypatch.setattr("gamescale.cli.psgd_nash", stub)
+    monkeypatch.setattr("gamescale.selection.psgd_nash", stub)
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == code
+
+
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_config_of_defaults_matches_no_config(tmp_path, monkeypatch, experiment):
     _, keys = EXPERIMENTS[experiment]
@@ -355,8 +384,8 @@ def test_config_of_defaults_matches_no_config(tmp_path, monkeypatch, experiment)
 
 
 def test_non_finite_gradient_exits_with_solver_failure(tmp_path, monkeypatch, capsys):
-    # gradient_operator raises FloatingPointError, an ArithmeticError rather
-    # than a RuntimeError, on a non-finite gradient
+    # psgd_nash and gradient_operator raise FloatingPointError, an
+    # ArithmeticError rather than a RuntimeError, on a non-finite gradient
     def runner(params):
         raise FloatingPointError("non-finite gradient components")
 
@@ -392,6 +421,26 @@ def test_non_finite_gradient_in_one_batch_row_exits_with_solver_failure(tmp_path
     out = tmp_path / "fpe-row"
     assert main(["psgd", "--out-dir", str(out)]) == 3
     assert read_manifest(out)["error"]["type"] == "FloatingPointError"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad_step", [30, 2 * NOISE_BLOCK + 3])  # mid-block; last of a partial block
+def test_non_finite_gradient_at_one_step_exits_with_solver_failure(tmp_path, monkeypatch, capsys, bad_step):
+    bench = coupled_quadratic(sigma=0.3)
+    game = gradient_bad_at(bench.game, bad_step, np.nan, [])
+
+    def runner(params):
+        x0 = JointAction(np.zeros(1), np.zeros(1))
+        rngs = np.random.default_rng(0).spawn(2)
+        psgd_nash(game, [bench.learner_set] * 2, bench.env_set, x0, 2 * NOISE_BLOCK + 3, rngs)
+        return {}
+
+    monkeypatch.setitem(EXPERIMENTS, "psgd", (runner, EXPERIMENTS["psgd"][1]))
+    out = tmp_path / "fpe-step"
+    assert main(["psgd", "--out-dir", str(out)]) == 3
+    error = {"type": "FloatingPointError", "message": "non-finite gradient components"}
+    assert read_manifest(out)["error"] == error
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {"error": error}
 
 
 def test_non_finite_result_exits_with_output_failure(tmp_path, capsys):

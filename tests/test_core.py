@@ -323,73 +323,6 @@ def test_gradient_operator_rejects_nonfinite():
         gradient_operator(game, JointAction(np.zeros(1), np.zeros(1)).concat())
 
 
-def test_gradient_operator_on_a_batch_equals_each_row():
-    game = coupling_game(0.5)
-    x = np.random.default_rng(5).uniform(-2.0, 2.0, size=(6, 2))
-    batch = gradient_operator(game, x)
-    assert batch.shape == (6, 2)
-    for row, point in zip(batch, x):
-        assert row.tobytes() == gradient_operator(game, point).tobytes()
-
-
-@pytest.mark.parametrize(
-    "grad_learner",
-    [
-        lambda t, e: np.array([t[0] + e[0]]),  # row 0 as a (1, 1) array
-        lambda t, e: t[0] + e[0],  # row 0 as a (1,) array
-        lambda t, e: float(t[0, 0] + e[0, 0]),  # row 0 as a float
-        lambda t, e: t[:, 0] + e[:, 0],  # every row, but flattened to (B,)
-    ],
-    ids=["row0-array", "row0-vector", "row0-float", "flat"],
-)
-def test_gradient_operator_rejects_a_batch_result_of_the_wrong_shape(grad_learner):
-    game = GameSpec(
-        dim_learner=1,
-        dim_env=1,
-        loss_learner=lambda t, e: 0.0,
-        loss_env=lambda t, e: 0.0,
-        grad_learner=grad_learner,
-        grad_env=lambda t, e: e,
-        mu=1.0,
-        lipschitz=1.0,
-    )
-    with pytest.raises(ValueError, match=r"grad_learner returned shape .* expected \(3, 1\)"):
-        gradient_operator(game, np.arange(6.0).reshape(3, 2))
-
-
-@pytest.mark.parametrize("missing", ["grad_learner", "grad_env"])
-def test_gradient_operator_batch_names_the_missing_oracle(missing):
-    oracles = {"grad_learner": lambda t, e: t, "grad_env": lambda t, e: e}
-    del oracles[missing]
-    game = GameSpec(
-        dim_learner=1,
-        dim_env=1,
-        loss_learner=lambda t, e: 0.5 * t[0] ** 2,
-        loss_env=lambda t, e: 0.5 * e[0] ** 2,
-        mu=1.0,
-        lipschitz=1.0,
-        **oracles,
-    )
-    with pytest.raises(ValueError, match=f"no {missing} oracle"):
-        gradient_operator(game, np.zeros((2, 2)))
-
-
-def test_gradient_operator_batch_rejects_a_non_finite_row():
-    game = GameSpec(
-        dim_learner=1,
-        dim_env=1,
-        loss_learner=lambda t, e: 0.0,
-        loss_env=lambda t, e: 0.0,
-        grad_learner=lambda t, e: np.where(t > 1.0, np.inf, t),
-        grad_env=lambda t, e: e,
-        mu=1.0,
-        lipschitz=1.0,
-    )
-    gradient_operator(game, np.zeros((2, 2)))
-    with pytest.raises(FloatingPointError):
-        gradient_operator(game, np.array([[0.0, 0.0], [2.0, 0.0]]))
-
-
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(2)
     for trial in range(5):
@@ -453,7 +386,7 @@ def test_noisy_gradient_zero_sigma_is_exact():
     game = coupling_game(0.0, lipschitz=1.0, sigma=0.0)
     x = JointAction(np.array([0.3]), np.array([-0.7])).concat()
     rng = np.random.default_rng(3)
-    noise = gradient_noise([rng.spawn(3)], 1, 2, game.noise_bound)
+    noise = gradient_noise([rng.spawn(3)], game.noise_bound, np.empty((1, 1, 2)))
     np.testing.assert_array_equal(gradient_operator(game, x) + noise[0, 0], gradient_operator(game, x))
 
 
@@ -464,7 +397,7 @@ def test_noisy_gradient_mean_and_bound():
     base = gradient_operator(game, x)
     rng = np.random.default_rng(4)
     n = 100_000
-    draws = base + gradient_noise([rng.spawn(3)], n, 2, game.noise_bound)[:, 0]
+    draws = base + gradient_noise([rng.spawn(3)], game.noise_bound, np.empty((n, 1, 2)))[:, 0]
     noise = draws - base
     norms = np.linalg.norm(noise, axis=1)
     assert np.all(norms <= 1.0 + 1e-12)
@@ -475,20 +408,20 @@ def test_noisy_gradient_mean_and_bound():
 
 def test_noisy_gradient_deterministic_given_seed():
     game = coupling_game(0.0, lipschitz=1.0, sigma=0.3)
-    a = gradient_noise([np.random.default_rng(42).spawn(3)], 5, 2, game.noise_bound)
-    b = gradient_noise([np.random.default_rng(42).spawn(3)], 5, 2, game.noise_bound)
+    a = gradient_noise([np.random.default_rng(42).spawn(3)], game.noise_bound, np.empty((5, 1, 2)))
+    b = gradient_noise([np.random.default_rng(42).spawn(3)], game.noise_bound, np.empty((5, 1, 2)))
     np.testing.assert_array_equal(a, b)
 
 
 def test_gradient_noise_does_not_depend_on_the_block_split():
     # each run reads its own children, so blocks of 3 and 5 steps give the
     # bits of one 8-step block, and a run's rows do not depend on the others
-    whole = gradient_noise([np.random.default_rng(s).spawn(3) for s in (1, 2)], 8, 3, 0.4)
+    whole = gradient_noise([np.random.default_rng(s).spawn(3) for s in (1, 2)], 0.4, np.empty((8, 2, 3)))
     streams = [np.random.default_rng(s).spawn(3) for s in (1, 2)]
-    split = np.concatenate([gradient_noise(streams, k, 3, 0.4) for k in (3, 5)])
+    split = np.concatenate([gradient_noise(streams, 0.4, np.empty((k, 2, 3))) for k in (3, 5)])
     assert whole.shape == (8, 2, 3)
     assert whole.tobytes() == split.tobytes()
-    alone = gradient_noise([np.random.default_rng(2).spawn(3)], 8, 3, 0.4)
+    alone = gradient_noise([np.random.default_rng(2).spawn(3)], 0.4, np.empty((8, 1, 3)))
     assert alone[:, 0].tobytes() == whole[:, 1].tobytes()
 
 

@@ -28,6 +28,7 @@ from gamescale.core import (
     ModelClassLadder,
     Product,
     box_1d,
+    gradient_operator,
 )
 from gamescale import equilibrium
 from gamescale.equilibrium import (
@@ -48,6 +49,7 @@ from gamescale.equilibrium import (
 )
 from oracles import (
     best_response_dynamics,
+    gradient_bad_at,
     grid_nash,
     random_affine_game,
     regression_stackelberg_game,
@@ -677,18 +679,24 @@ def test_psgd_batch_rows_equal_single_runs_bitwise(horizon):
         assert _bits(row) == _bits(alone)
 
 
+@pytest.mark.parametrize("horizon", [NOISE_BLOCK, 2 * NOISE_BLOCK + 3])
 @pytest.mark.parametrize("n_arms", [1, 2, 3, 4])
-def test_psgd_batch_of_selection_arms_equals_single_runs_bitwise(n_arms):
+def test_psgd_batch_of_selection_arms_equals_single_runs_bitwise(n_arms, horizon):
     arms, game, env_set = selection_arms([0.0, 0.25, 0.5, 1.0], sigma=0.5)
     sets = arms[:n_arms]
     x0 = JointAction(np.zeros(1), np.zeros(1))
-    batch = psgd_nash(game, sets, env_set, x0, 64, np.random.default_rng([5, n_arms]).spawn(n_arms))
+    batch = psgd_nash(game, sets, env_set, x0, horizon, np.random.default_rng([5, n_arms]).spawn(n_arms))
     streams = np.random.default_rng([5, n_arms]).spawn(n_arms)
     for arm, stream, row in zip(sets, streams, batch):
-        assert _bits(row) == _bits(single_run_psgd(game, arm, env_set, x0, 64, stream))
+        assert _bits(row) == _bits(single_run_psgd(game, arm, env_set, x0, horizon, stream))
 
 
-def test_psgd_batch_with_non_box_sets_equals_single_runs_bitwise():
+# within one noise block, ending on and just past its boundary, and into a partial third block
+BLOCK_EDGES = [40, NOISE_BLOCK - 1, NOISE_BLOCK, NOISE_BLOCK + 1, 2 * NOISE_BLOCK + 3]
+
+
+@pytest.mark.parametrize("horizon", BLOCK_EDGES)
+def test_psgd_batch_with_non_box_sets_equals_single_runs_bitwise(horizon):
     # an Intersection learner row sends the learner block row by row, and the
     # Intersection environment set projects each row on its own
     bench = coupled_quadratic(sigma=0.3)
@@ -696,15 +704,16 @@ def test_psgd_batch_with_non_box_sets_equals_single_runs_bitwise():
     env_set = Intersection([box_1d(-2.0, 2.0), Halfspace(np.array([1.0]), 0.75)])
     sets = [cut, bench.learner_set, cut]
     x0 = JointAction(np.array([1.0]), np.array([1.0]))
-    batch = psgd_nash(bench.game, sets, env_set, x0, 40, [np.random.default_rng(i) for i in range(3)])
+    batch = psgd_nash(bench.game, sets, env_set, x0, horizon, [np.random.default_rng(i) for i in range(3)])
     for i, (learner_set, row) in enumerate(zip(sets, batch)):
-        alone = single_run_psgd(bench.game, learner_set, env_set, x0, 40, np.random.default_rng(i))
+        alone = single_run_psgd(bench.game, learner_set, env_set, x0, horizon, np.random.default_rng(i))
         assert _bits(row) == _bits(alone)
     assert batch[0].theta[0] <= -0.25 + 1e-12
 
 
+@pytest.mark.parametrize("horizon", BLOCK_EDGES)
 @pytest.mark.parametrize("mixed", ["box_learners_intersection_env", "one_intersection_learner"])
-def test_psgd_batch_with_mixed_sets_equals_single_runs_bitwise(mixed):
+def test_psgd_batch_with_mixed_sets_equals_single_runs_bitwise(mixed, horizon):
     # any non-Box set sends the whole batch down the row-by-row path, Box rows too
     bench = coupled_quadratic(sigma=0.3)
     if mixed == "box_learners_intersection_env":
@@ -715,10 +724,121 @@ def test_psgd_batch_with_mixed_sets_equals_single_runs_bitwise(mixed):
         sets = [bench.learner_set, cut, box_1d(-0.5, 0.5)]
         env_set = box_1d(-0.5, 0.5)
     x0 = JointAction(np.array([1.0]), np.array([1.0]))
-    batch = psgd_nash(bench.game, sets, env_set, x0, 40, [np.random.default_rng([32, i]) for i in range(3)])
+    batch = psgd_nash(
+        bench.game, sets, env_set, x0, horizon, [np.random.default_rng([32, i]) for i in range(3)]
+    )
     for i, (learner_set, row) in enumerate(zip(sets, batch)):
-        alone = single_run_psgd(bench.game, learner_set, env_set, x0, 40, np.random.default_rng([32, i]))
+        alone = single_run_psgd(
+            bench.game, learner_set, env_set, x0, horizon, np.random.default_rng([32, i])
+        )
         assert _bits(row) == _bits(alone)
+
+
+def test_psgd_oracle_rows_have_the_one_point_gradient_bits():
+    # each batch oracle call's row i is gradient_operator at row i's joint point
+    game = coupling_game(0.5, sigma=0.3)
+    calls = []
+
+    def logged(oracle):
+        def grad(t, e):
+            calls.append((np.hstack([t, e]), oracle(t, e)))
+            return calls[-1][1]
+
+        return grad
+
+    batched = dataclasses.replace(game, grad_learner=logged(game.grad_learner), grad_env=logged(game.grad_env))
+    x0 = JointAction(np.array([1.5]), np.array([-0.5]))
+    psgd_nash(batched, [BOX2] * 6, BOX2, x0, 5, np.random.default_rng(5).spawn(6))
+    assert len(calls) == 10
+    for (points, g_learner), (same, g_env) in zip(calls[::2], calls[1::2]):
+        assert points.shape == (6, 2) and points.tobytes() == same.tobytes()
+        for point, row in zip(points, np.hstack([g_learner, g_env])):
+            assert row.tobytes() == gradient_operator(game, point).tobytes()
+    assert len({row.tobytes() for row in calls[-1][0]}) == 6  # the noise set the rows apart
+
+
+@pytest.mark.parametrize(
+    "grad_learner",
+    [
+        lambda t, e: np.array([t[0] + e[0]]),  # row 0 as a (1, 1) array
+        lambda t, e: t[0] + e[0],  # row 0 as a (1,) array
+        lambda t, e: float(t[0, 0] + e[0, 0]),  # row 0 as a float
+        lambda t, e: t[:, 0] + e[:, 0],  # every row, but flattened to (B,)
+    ],
+    ids=["row0-array", "row0-vector", "row0-float", "flat"],
+)
+def test_psgd_rejects_an_oracle_result_of_the_wrong_shape(grad_learner):
+    game = GameSpec(
+        dim_learner=1,
+        dim_env=1,
+        loss_learner=lambda t, e: 0.0,
+        loss_env=lambda t, e: 0.0,
+        grad_learner=grad_learner,
+        grad_env=lambda t, e: e,
+        mu=1.0,
+        lipschitz=1.0,
+    )
+    x0 = JointAction(np.zeros(1), np.zeros(1))
+    with pytest.raises(ValueError, match=r"grad_learner returned shape .* expected \(3, 1\)"):
+        psgd_nash(game, [BOX2] * 3, BOX2, x0, 4, np.random.default_rng(0).spawn(3))
+
+
+@pytest.mark.parametrize("missing", ["grad_learner", "grad_env"])
+def test_psgd_names_the_missing_oracle(missing):
+    oracles = {"grad_learner": lambda t, e: t, "grad_env": lambda t, e: e}
+    del oracles[missing]
+    game = GameSpec(
+        dim_learner=1,
+        dim_env=1,
+        loss_learner=lambda t, e: 0.5 * t[0] ** 2,
+        loss_env=lambda t, e: 0.5 * e[0] ** 2,
+        mu=1.0,
+        lipschitz=1.0,
+        **oracles,
+    )
+    x0 = JointAction(np.zeros(1), np.zeros(1))
+    with pytest.raises(ValueError, match=f"no {missing} oracle"):
+        psgd_nash(game, [BOX2] * 2, BOX2, x0, 4, np.random.default_rng(0).spawn(2))
+
+
+def test_psgd_rejects_a_non_finite_gradient_row():
+    # row 1's box starts it where its gradient is inf; row 0 stays finite
+    game = GameSpec(
+        dim_learner=1,
+        dim_env=1,
+        loss_learner=lambda t, e: 0.0,
+        loss_env=lambda t, e: 0.0,
+        grad_learner=lambda t, e: np.where(t > 1.0, np.inf, t),
+        grad_env=lambda t, e: e,
+        mu=1.0,
+        lipschitz=1.0,
+    )
+    x0 = JointAction(np.zeros(1), np.zeros(1))
+    unit = box_1d(-1.0, 1.0)
+    psgd_nash(game, [unit] * 2, unit, x0, 8, np.random.default_rng(0).spawn(2))
+    with pytest.raises(FloatingPointError, match="non-finite gradient components"):
+        psgd_nash(game, [unit, box_1d(2.0, 3.0)], unit, x0, 8, np.random.default_rng(0).spawn(2))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sets", ["box", "intersection"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad_step", [30, 2 * NOISE_BLOCK + 3])  # mid-block; last of a partial block
+def test_psgd_non_finite_gradient_at_one_step_raises(bad_step, value, sets):
+    # the steps stepped after the bad gradient, on nan or clipped iterates, add no warning
+    bench = coupled_quadratic(sigma=0.3)
+    calls = []
+    game = gradient_bad_at(bench.game, bad_step, value, calls)
+    env_set = bench.env_set
+    if sets == "intersection":
+        env_set = Intersection([box_1d(-2.0, 2.0), Halfspace(np.array([1.0]), 0.75)])
+    x0 = JointAction(np.zeros(1), np.zeros(1))
+    horizon = 2 * NOISE_BLOCK + 3
+    with pytest.raises(FloatingPointError, match="^non-finite gradient components$"):
+        psgd_nash(game, [bench.learner_set] * 2, env_set, x0, horizon, np.random.default_rng(4).spawn(2))
+    # an all-Box batch raises at the end of the bad step's block, any other at the step
+    block_end = min(-(-bad_step // NOISE_BLOCK) * NOISE_BLOCK, horizon)
+    assert len(calls) == (block_end if sets == "box" else bad_step)
 
 
 # every value is also a bound somewhere, so rows land exactly on bounds too
