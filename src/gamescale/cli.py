@@ -363,6 +363,7 @@ def run_scaling_curve(params: dict) -> dict[str, str]:
     """equilibrium losses across a nested ladder"""
     regime = params["regime"]
     radii = params["radii"]
+    check_caps({"len(radii)": (len(radii), MAX_RUNS)})
     if not all(0.0 <= r < math.inf for r in radii):
         raise ConfigError(f"radii must be finite and nonnegative, got {radii}")
     if any(b <= a for a, b in zip(radii, radii[1:])):

@@ -9,6 +9,7 @@ brute-force grid oracles for small instances.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -18,22 +19,24 @@ import numpy as np
 from .core import (
     ActionSet,
     Box,
-    ConvergenceError,
     GameSpec,
     JointAction,
     ModelClassLadder,
     Product,
     _batch_gradient,
     _batch_loss,
+    _box_rows,
+    _clip,
     _finite,
-    _row_norms,
     gradient_noise,
     gradient_operator,
 )
+from .descent import _projected_descent, _single_point_checked, natural_residuals
 
 REGIMES = ("stationary", "stackelberg_leader", "stackelberg_follower", "nash")
 NOISE_BLOCK = 64  # PSGD steps of noise drawn per call; sets memory, never output bits
 MAX_RUNS, MAX_STEPS = 10_000, 10**8  # psgd/select caps: rows of one PSGD batch; run steps in all
+ROW_BLOCK = 512  # rows of one batched descent over whole classes; sets memory, never output bits
 
 
 @dataclass(eq=False)
@@ -56,86 +59,17 @@ def _report(
     return EquilibriumReport(regime, joint, *losses, float(residual), int(iterations), certified)
 
 
-# ---------------------------------------------------------------------------
-# Single-player projected descent
-# ---------------------------------------------------------------------------
-
-
-def natural_residuals(x: np.ndarray, feasible: ActionSet, g: np.ndarray) -> np.ndarray:
-    """Unit-step natural residual |x - P(x - g)| of each row of x and g; zero
-    exactly where the row is a fixed point of the projected-gradient step."""
-    return _row_norms(x - feasible.project_rows(x - g))
-
-
 def natural_residual(x: np.ndarray, feasible: ActionSet, g: np.ndarray) -> float:
     """natural_residuals of the one point x with gradient g."""
-    return float(natural_residuals(np.atleast_2d(x), feasible, np.atleast_2d(g))[0])
+    return float(natural_residuals(np.atleast_2d(x), feasible.project_rows, np.atleast_2d(g))[0])
 
 
-def _projected_descent(
-    grad: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    feasible: ActionSet,
-    x0: np.ndarray,
-    step: float,
-    adaptive: bool,
-    tol: float,
-    max_iters: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Projected gradient descent of each row of x0 along its own gradient, to
-    unit-step natural residual <= tol. Each iteration makes one call
-    grad(x, rows) for the (len(rows), d) gradients at the active rows x of x0.
-
-    With adaptive=False every step is `step`. With adaptive=True (each row's
-    gradient must be that of a convex function) `step` = 1/L is only the first
-    step; later ones follow Malitsky & Mishchenko, "Adaptive Gradient Descent
-    without Descent" (ICML 2020): the smaller of sqrt(1 + theta) times the last
-    step (theta the ratio of the last two steps) and |dx| / (2 |dg|), the
-    inverse local curvature along the last move; 1/L where the gradient did
-    not change.
-
-    Each iteration projects once. |x - P(x - t g)| is nondecreasing in t and
-    |x - P(x - t g)| / t is nonincreasing, so min(1, 1/step) |x - x_next|
-    bounds the unit-step residual from below; the residual (a second
-    projection) is evaluated only when that bound reaches tol.
-
-    Rows share no state: each keeps its own step and stops on its own test,
-    and a stopped row leaves the batch, so every row ends bit for bit where it
-    would alone. Returns the final points, iteration counts and residuals by
-    row; raises ConvergenceError if a row is still running after max_iters.
-    """
-    x = feasible.project_rows(np.asarray(x0, dtype=float))
-    n = x.shape[0]
-    points, iters, residuals = np.empty_like(x), np.zeros(n, dtype=int), np.empty(n)
-    rows = np.arange(n)
-    lam, theta = np.full(n, step), np.full(n, math.inf)
-    for it in range(1, max_iters + 1):
-        if rows.size == 0:
-            break
-        g = grad(x, rows)
-        if adaptive and it > 1:
-            dg = _row_norms(g - g_prev)
-            curvature_step = np.divide(
-                np.sqrt(dx2), 2.0 * dg, out=np.full(rows.size, step), where=dg > 0.0
-            )
-            lam, lam_prev = np.minimum(np.sqrt(1.0 + theta) * lam, curvature_step), lam
-            theta = lam / lam_prev
-        x_next = feasible.project_rows(x - lam[:, None] * g)
-        d = x - x_next
-        dx2 = np.vecdot(d, d)
-        near = np.flatnonzero(np.minimum(1.0, 1.0 / lam) * np.sqrt(dx2) <= tol * (1.0 + 1e-9))
-        if near.size:
-            residual = natural_residuals(x[near], feasible, g[near])
-            stop = residual <= tol
-            done = near[stop]
-            finished = rows[done]
-            points[finished], iters[finished], residuals[finished] = x[done], it, residual[stop]
-            keep = np.ones(rows.size, dtype=bool)
-            keep[done] = False
-            rows, x_next, g, lam, theta, dx2 = (a[keep] for a in (rows, x_next, g, lam, theta, dx2))
-        x, g_prev = x_next, g
-    if rows.size:
-        raise ConvergenceError(f"projected descent: residual > {tol} after {max_iters} iterations")
-    return points, iters, residuals
+def _blocks(sizes: Sequence[int]) -> list[slice]:
+    """Consecutive slices of whole problems, problem k of sizes[k] rows: ROW_BLOCK rows at
+    most (one problem at least). A slice starts where its running total is one size."""
+    totals = itertools.accumulate(sizes, lambda rows, size: size if rows + size > ROW_BLOCK else rows + size)
+    starts = [k for k, (total, size) in enumerate(zip(totals, sizes)) if total == size]
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], len(sizes)])]
 
 
 def stationary_optimum(
@@ -153,51 +87,28 @@ def best_responses(
     game: GameSpec,
     player: str,
     opponent_actions: np.ndarray,
-    own_set: ActionSet,
+    own_sets: ActionSet | Sequence[ActionSet],
     tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best responses of one player to each row of opponent_actions, solved as
-    one batched adaptive descent from the origin; every best response in the
-    package is solved here. Returns the points, iteration counts and natural
-    residuals by row.
-
-    Each iteration makes one oracle call on all active rows. It must return
-    shape (B, dim), and at the first moved iterate (iteration 2, or 1 for a
-    row that stopped there) every row must equal the single-point oracle's
-    bits. If not, or if the oracle is missing or the batch solve raises, the
-    solve is rerun one point at a time, giving the per-row result exactly.
-    """
+    """Best responses of one player to each row of opponent_actions, on own_sets
+    (one for all rows, or one per row), solved as one batched adaptive descent
+    from the origin; every best response in the package is solved here. Returns
+    the points, iteration counts and natural residuals by row. Each iteration
+    makes one oracle call on all active rows, held to the single-point bits by
+    _single_point_checked."""
     opp = np.asarray(opponent_actions, dtype=float)
     if player == "learner":
-        oracle, single = game.grad_learner, game.grad_l
-        batch = lambda x, o: _batch_gradient(oracle, "grad_learner", x, o, game.dim_learner)
+        single, dim = game.grad_l, game.dim_learner
+        batch = lambda x, rows: _batch_gradient(game.grad_learner, "grad_learner", x, opp[rows], dim)
     elif player == "env":
-        oracle, single = game.grad_env, lambda x, o: game.grad_e(o, x)
-        batch = lambda x, o: _batch_gradient(oracle, "grad_env", o, x, game.dim_env)
+        single, dim = lambda x, o: game.grad_e(o, x), game.dim_env
+        batch = lambda x, rows: _batch_gradient(game.grad_env, "grad_env", opp[rows], x, dim)
     else:
         raise ValueError(f"unknown player {player!r}")
-    x0 = np.zeros((len(opp), own_set.dimension))
-    solve = lambda grad: _projected_descent(grad, own_set, x0, 1.0 / game.lipschitz, True, tol, 200_000)
+    x0 = np.zeros((len(opp), dim))
+    solve = lambda grad: _projected_descent(grad, own_sets, x0, 1.0 / game.lipschitz, True, tol, 200_000)
     per_row = lambda x, rows: np.array([single(xi, opp[i]) for i, xi in zip(rows.tolist(), x)])
-    seen = []  # the batch gradients of iterations 1 and 2; row i of the first is row i of opp
-
-    def checked(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        g = batch(x, opp[rows])
-        if len(seen) < 2:
-            seen.append(g)
-            if len(seen) == 2 and g.tobytes() != per_row(x, rows).tobytes():
-                raise ValueError("batch gradients differ from the single-point ones")
-        return g
-
-    if oracle is not None and len(opp):
-        try:
-            points, iters, residuals = solve(checked)
-            stopped = np.flatnonzero(iters == 1)
-            if seen[0][stopped].tobytes() == per_row(points[stopped], stopped).tobytes():
-                return points, iters, residuals
-        except Exception:
-            pass  # an oracle written for single points may raise anything on a batch
-    return solve(per_row)
+    return _single_point_checked(solve, batch, per_row)
 
 
 def best_response(
@@ -225,57 +136,45 @@ def grid_points(feasible: ActionSet, resolution: int, box: Optional[Box] = None)
     return mesh[feasible.contains_rows(mesh)]
 
 
-RowObjective = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-
-def _grid_minimize(
-    objective: RowObjective,
-    feasible: ActionSet,
-    resolution: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Grid search refined by two zoom rounds; lexicographically first tie-break.
-
-    objective maps a (B, d) array of points to their B values and the B rows
-    that came with them (the follower's responses); each round evaluates its
-    whole grid in one call. Returns the best point and its row."""
-    outer = feasible.bounding_box()
-    box = outer
-    best_point, best_row, best_value = None, None, math.inf
-    evals = 0
+def _grid_minimize(objective: Callable, feasibles: Sequence[ActionSet], resolution: int) -> list[tuple]:
+    """Grid search of each problem's feasible set, refined by two zoom rounds;
+    lexicographically first tie-break. The problems run in lockstep, each with
+    its own grid, running argmin and zoom box: a round calls objective(grids,
+    problems) on each of _blocks for the values of the problems' grid rows and
+    the rows that came with them (the follower's responses). Returns each
+    problem's best point, its row and its evaluations."""
+    outer = [f.bounding_box() for f in feasibles]
+    boxes, live = list(outer), list(range(len(feasibles)))
+    best = [[None, None, math.inf, 0] for _ in feasibles]  # point, row, value, evaluations
     for _ in range(3):
-        pts = grid_points(feasible, resolution, box)
-        if pts.shape[0] == 0:
-            break
-        values, rows = objective(pts)
-        for p, r, v in zip(pts, rows, values):
-            if v < best_value - 1e-15:
-                best_value, best_point, best_row = float(v), p, r
-        evals += pts.shape[0]
-        spacing = (box.upper - box.lower) / max(resolution - 1, 1)
-        lo = np.maximum(outer.lower, best_point - spacing)
-        hi = np.minimum(outer.upper, best_point + spacing)
-        box = Box(lo, hi)
-    if best_point is None:
+        grids = [grid_points(feasibles[k], resolution, boxes[k]) for k in live]
+        live, grids = [k for k, g in zip(live, grids) if len(g)], [g for g in grids if len(g)]
+        for block in _blocks([len(g) for g in grids]):
+            values, rows = objective(grids[block], live[block])
+            pairs = zip(rows, values)  # taken problem by problem: zip(pts, pairs) stops at the end of pts
+            for k, pts in zip(live[block], grids[block]):
+                b = best[k]
+                for p, (r, v) in zip(pts, pairs):
+                    if v < b[2] - 1e-15:
+                        b[:3] = p, r, float(v)
+                b[3] += pts.shape[0]
+                spacing = (boxes[k].upper - boxes[k].lower) / max(resolution - 1, 1)
+                boxes[k] = Box(np.maximum(outer[k].lower, b[0] - spacing), np.minimum(outer[k].upper, b[0] + spacing))
+    if any(b[0] is None for b in best):
         raise ValueError("empty grid: feasible set has no grid points")
-    return best_point, best_row, evals
+    return [(point, row, evals) for point, row, _, evals in best]
 
 
-def _pattern_search(
-    objective: RowObjective,
-    feasible: ActionSet,
-    x0: np.ndarray,
-    initial_step: float,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Compass search with shrinking steps; local, used beyond grid dimensions.
-
-    objective is the grid's row objective, called with one row at a time.
-    Returns the best point and its row."""
-    x = feasible.project(x0)
+def _pattern_search(objective: Callable, feasible: ActionSet) -> tuple[np.ndarray, np.ndarray, int]:
+    """Compass search with shrinking steps from the bounding box's center, the
+    first a quarter of its widest side; local, used beyond grid dimensions.
+    objective(points) is one problem's grid objective, called one row at a time."""
+    box = feasible.bounding_box()
+    x = feasible.project((box.lower + box.upper) / 2.0)
     values, rows = objective(x[np.newaxis])
     fx, row = float(values[0]), rows[0]
-    h = initial_step
-    evals = 1
-    d = x.shape[0]
+    h = float(np.max(box.upper - box.lower)) / 4.0
+    evals, d = 1, x.shape[0]
     for _ in range(10_000):
         improved = False
         for j in range(d):
@@ -308,42 +207,35 @@ def stackelberg_leader(
     rounds (certified to grid resolution); higher dimensions fall back to a
     local pattern search and the report is flagged non-certified.
     """
-    if leader == "learner":
-        follower = "env"
-        leader_loss = game.loss_learner
-    elif leader == "env":
-        follower = "learner"
-        leader_loss = lambda a, f: game.loss_env(f, a)
-    else:
+    return _stackelberg(game, leader, [leader_set], [follower_set], grid_resolution)[0]
+
+
+def _stackelberg(game: GameSpec, leader: str, leader_sets: list, follower_sets: list, resolution: int) -> list:
+    """stackelberg_leader of each problem k, leader_sets[k] (all of one dimension)
+    against follower_sets[k]. Grid problems run in lockstep: each zoom round
+    solves the follower's responses in blocks of whole problems (_blocks)."""
+    if leader not in ("learner", "env"):
         raise ValueError(f"unknown leader {leader!r}")
+    leads = leader == "learner"
+    follower, regime = ("env", "stackelberg_leader") if leads else ("learner", "stackelberg_follower")
+    leader_loss = game.loss_learner if leads else lambda a, f: game.loss_env(f, a)
 
-    def objective(actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Leader loss at each row of actions, and the follower's best
-        responses that give it."""
-        responses, _, _ = best_responses(game, follower, actions, follower_set, 1e-9)
-        losses = np.array([float(leader_loss(a, f)) for a, f in zip(actions, responses)])
-        return losses, responses
+    def objective(grids: list, problems: list) -> tuple[np.ndarray, np.ndarray]:
+        """Leader loss at each grid row, and the follower's best responses that give it."""
+        actions = np.concatenate(grids)
+        sets = [follower_sets[k] for k, g in zip(problems, grids) for _ in g]
+        responses = best_responses(game, follower, actions, sets, 1e-9)[0]
+        return np.array([float(leader_loss(a, f)) for a, f in zip(actions, responses)]), responses
 
-    certified = leader_set.dimension <= 2
+    certified = leader_sets[0].dimension <= 2
     if certified:
-        action, follower_action, evals = _grid_minimize(objective, leader_set, grid_resolution)
+        found = _grid_minimize(objective, leader_sets, resolution)
     else:
-        box = leader_set.bounding_box()
-        span = float(np.max(box.upper - box.lower))
-        x0 = leader_set.project((box.lower + box.upper) / 2.0)
-        action, follower_action, evals = _pattern_search(objective, leader_set, x0, span / 4.0)
-
-    if leader == "learner":
-        theta, env = action, follower_action
-        learner_set, env_set = leader_set, follower_set
-        regime = "stackelberg_leader"
-    else:
-        theta, env = follower_action, action
-        learner_set, env_set = follower_set, leader_set
-        regime = "stackelberg_follower"
-    joint = JointAction(theta, env)
-    residual = nash_residual(game, joint, learner_set, env_set)
-    return _report(game, regime, joint, residual, evals, certified)
+        found = [_pattern_search(lambda a, k=k: objective([a], [k]), s) for k, s in enumerate(leader_sets)]
+    joints = [JointAction(*((action, response) if leads else (response, action))) for action, response, _ in found]
+    sets = zip(leader_sets, follower_sets) if leads else zip(follower_sets, leader_sets)  # (learner, env)
+    residuals = [nash_residual(game, x, *learner_env) for x, learner_env in zip(joints, sets)]
+    return [_report(game, regime, *row, certified) for row in zip(joints, residuals, (f[2] for f in found))]
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +263,7 @@ def psgd_nash(
 
     A block works in place in path (its iterates) and fhat (its noise plus the
     oracles' (B, dim) results), checked finite at the block's end (each step if
-    a set is not a Box: Dykstra's projection spins on NaN); fhat then holds
+    a set is not a Box, so that the failing step raises); fhat then holds
     t * x_t, summed into the average in step order.
     """
     if horizon < 1:
@@ -379,15 +271,14 @@ def psgd_nash(
     if len(learner_sets) != len(rngs):
         raise ValueError(f"{len(learner_sets)} learner sets for {len(rngs)} generators")
     dl, de = game.dim_learner, game.dim_env
-    box = all(isinstance(s, Box) for s in (*learner_sets, env_set))
+    sets = [Product(s, env_set) for s in learner_sets]  # row i's joint set
+    box = (bounds := _box_rows(sets)) is not None
     if box:
-        joint = [Product(s, env_set).bounding_box() for s in learner_sets]  # row i's bounds
-        lower, upper = np.stack([j.lower for j in joint]), np.stack([j.upper for j in joint])
-        project = lambda z: np.minimum(np.maximum(z, lower, out=z), upper, out=z)  # np.clip's bits
+        lower, upper = bounds
+        project = lambda z: _clip(z, lower, upper, out=z)  # one call per step: no branch or unpacking here
     else:
         def project(z: np.ndarray) -> np.ndarray:
-            z[:, :dl] = [s.project(p) for s, p in zip(learner_sets, z[:, :dl])]
-            z[:, dl:] = env_set.project_rows(z[:, dl:])
+            z[...] = [s.project(p) for s, p in zip(sets, z)]
             return z
     path, fhat = np.empty((2, NOISE_BLOCK + 1, len(rngs), dl + de))
     path[0] = project(np.tile(x0.concat(), (len(rngs), 1)))
@@ -425,6 +316,18 @@ def nash_residual(
     return natural_residual(z, Product(learner_set, env_set), gradient_operator(game, z))
 
 
+def _nash_rows(game: GameSpec, learner_sets: Sequence[ActionSet], env_set: ActionSet, tol: float) -> tuple:
+    """solve_nash of each learner set as a row of one descent; each iteration makes one
+    batched oracle call per player, held to gradient_operator's bits by _single_point_checked."""
+    dl, de = game.dim_learner, game.dim_env
+    sets, x0 = [Product(s, env_set) for s in learner_sets], np.zeros((len(learner_sets), dl + de))
+    solve = lambda grad: _projected_descent(grad, sets, x0, game.mu / (game.lipschitz**2), False, tol, 500_000)
+    per_row = lambda x, rows: np.array([gradient_operator(game, xi) for xi in x])
+    part = lambda name, x, dim: _batch_gradient(getattr(game, name), name, x[:, :dl], x[:, dl:], dim)
+    batch = lambda x, rows: _finite(np.concatenate([part("grad_learner", x, dl), part("grad_env", x, de)], axis=1))
+    return _single_point_checked(solve, batch, per_row)
+
+
 def solve_nash(
     game: GameSpec,
     learner_set: ActionSet,
@@ -436,16 +339,7 @@ def solve_nash(
     Step mu/L^2 contracts the distance to the unique Nash point of a strongly
     monotone game; stops at unit-step natural residual <= tol.
     """
-    joint_set = Product(learner_set, env_set)
-    x, iters, _ = _projected_descent(
-        lambda x, rows: gradient_operator(game, x[0])[np.newaxis],
-        joint_set,
-        np.zeros((1, joint_set.dimension)),
-        game.mu / (game.lipschitz**2),
-        False,
-        tol,
-        500_000,
-    )
+    x, iters, _ = _nash_rows(game, [learner_set], env_set, tol)
     return JointAction.from_concat(x[0], game.dim_learner), int(iters[0])
 
 
@@ -526,18 +420,24 @@ def scaling_curve(
     action; the others against env_set. The learner-loss sequence is non-increasing in class
     index for the stationary and learner-leading Stackelberg regimes; the
     Nash regime can break monotonicity, which is the phenomenon under study.
+    All classes are solved together (each descent takes whole classes,
+    ROW_BLOCK rows at most), bit for bit as one at a time.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
-    out = []
-    for k, cls in enumerate(ladder):
-        if regime == "stationary":
-            report = stationary_optimum(game, cls, np.zeros(game.dim_env))
-        elif regime == "stackelberg_leader":
-            report = stackelberg_leader(game, "learner", cls, env_set)
-        elif regime == "stackelberg_follower":
-            report = stackelberg_leader(game, "env", env_set, cls)
-        else:
-            report = nash_report(game, cls, env_set, tol=1e-9)
-        out.append((k, report))
-    return out
+    classes, envs, ones = ladder.classes, [env_set] * len(ladder), [1] * len(ladder)
+    if regime == "stackelberg_leader":
+        return list(enumerate(_stackelberg(game, "learner", classes, envs, 101)))
+    if regime == "stackelberg_follower":
+        return list(enumerate(_stackelberg(game, "env", envs, classes, 101)))
+    if regime == "stationary":
+        e = np.zeros((len(classes), game.dim_env))
+        parts = [best_responses(game, "learner", e[b], classes[b], 1e-8) for b in _blocks(ones)]
+        thetas, iters, residuals = map(np.concatenate, zip(*parts))
+        joints = [JointAction(theta, env) for theta, env in zip(thetas, e)]
+    else:
+        parts = [_nash_rows(game, classes[b], env_set, 1e-9) for b in _blocks(ones)]
+        points, iters, _ = map(np.concatenate, zip(*parts))
+        joints = [JointAction.from_concat(x, game.dim_learner) for x in points]
+        residuals = [nash_residual(game, x, cls, env_set) for x, cls in zip(joints, classes)]
+    return list(enumerate(_report(game, regime, *row) for row in zip(joints, residuals, iters)))

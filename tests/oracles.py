@@ -4,7 +4,8 @@ Brute-force or independent computations that cross-check the library's
 solvers: Dykstra's projection without skipped sweeps, fixed-step projected
 descent with a residual at every iterate, single-point adaptive projected
 descent, an oracle wrapper that refuses batches (the per-row reference of a
-best-response solve), a single averaged PSGD run, a game whose learner
+best-response solve), the scaling curve one class at a time, a single
+averaged PSGD run, a game whose learner
 gradient turns non-finite at one PSGD step, a sampling check (box
 corners included) that a ladder's classes are nested, per-arm suboptimality
 gaps, random strongly monotone affine games with a known Nash point, an
@@ -41,7 +42,14 @@ from gamescale.core import (
     central_difference,
     gradient_operator,
 )
-from gamescale.equilibrium import best_response, grid_points
+from gamescale.equilibrium import (
+    EquilibriumReport,
+    best_response,
+    grid_points,
+    nash_report,
+    stackelberg_leader,
+    stationary_optimum,
+)
 from gamescale.markov import CalibrationError, MarkovChainGame, absorbing_state
 from gamescale.regression import RegressionInstance, large_model_closed_form
 
@@ -98,6 +106,25 @@ def single_point_only(grad):
         return grad(*args)
 
     return oracle
+
+
+def per_class_scaling_curve(
+    game: GameSpec, ladder: ModelClassLadder, regime: str, env_set: Optional[ActionSet] = None
+) -> list[tuple[int, EquilibriumReport]]:
+    """scaling_curve one class at a time, each through the one-class solver of
+    its regime; the batched curve must equal it bit for bit."""
+    out = []
+    for k, cls in enumerate(ladder):
+        if regime == "stationary":
+            report = stationary_optimum(game, cls, np.zeros(game.dim_env))
+        elif regime == "stackelberg_leader":
+            report = stackelberg_leader(game, "learner", cls, env_set)
+        elif regime == "stackelberg_follower":
+            report = stackelberg_leader(game, "env", env_set, cls)
+        else:
+            report = nash_report(game, cls, env_set, tol=1e-9)
+        out.append((k, report))
+    return out
 
 
 def plain_dykstra(region: Intersection, point: np.ndarray, max_sweeps: int = 1_000_000) -> np.ndarray:

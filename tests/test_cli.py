@@ -181,12 +181,14 @@ def parser_tokens(source: str) -> int:
     return count
 
 
-def test_cli_stays_under_the_parser_token_line():
+def test_every_module_stays_under_the_parser_token_line():
     """CPython's parser doubles its token array at 4,096 tokens. Past that
-    line, compiling cli.py at import (as a process without bytecode caches
-    does) peaks ~0.25 MB higher, which psgd-seeds' peak_rss_mb shows."""
+    line, compiling a module at import (as a process without bytecode caches
+    does) peaks higher: ~0.25 MB for cli.py, which psgd-seeds' peak_rss_mb
+    shows, and ~0.3 MB in the ladder's ru_maxrss for equilibrium.py."""
     assert parser_tokens('x = f"{a} b {c!r:>{w}}"  # note\n\ny = f"{f\'{a}\'}"\n') == 9
-    assert parser_tokens(Path(gamescale.cli.__file__).read_text(encoding="utf-8")) < 4096
+    for path in sorted(Path(gamescale.cli.__file__).parent.glob("*.py")):
+        assert parser_tokens(path.read_text(encoding="utf-8")) < 4096, path.name
 
 
 def test_psgd_run_small(tmp_path):
@@ -354,16 +356,21 @@ def test_markov_caps_are_checked_before_the_game_is_built(tmp_path, monkeypatch,
         (["select", "--losses", ",".join(["1"] * 10000)], 3),
         (["select", "--budget", "100000001"], 2),
         (["select", "--budget", "100000000"], 3),
+        (["scaling-curve", "--radii", ",".join(str(r) for r in range(1, 10002))], 2),
+        (["scaling-curve", "--radii", ",".join(str(r) for r in range(1, 10001))], 3),
     ],
 )
-def test_psgd_and_select_caps_are_checked_before_any_run(tmp_path, monkeypatch, argv, code):
+def test_run_caps_are_checked_before_any_run(tmp_path, monkeypatch, argv, code, capsys):
     # a stub stands in for the runs: exit 3 when it is reached, exit 2 past a cap
     def stub(*args, **kwargs):
-        raise RuntimeError("psgd_nash reached")
+        raise RuntimeError("solver reached")
 
     monkeypatch.setattr("gamescale.cli.psgd_nash", stub)
     monkeypatch.setattr("gamescale.selection.psgd_nash", stub)
+    monkeypatch.setattr("gamescale.cli.scaling_curve", stub)
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == code
+    if argv[0] == "scaling-curve" and code == 2:
+        assert "len(radii) must be at most 10000, got 10001" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))

@@ -1,6 +1,7 @@
 """Equilibrium solvers: the four regimes, PSGD averaging, and the oracles."""
 
 import dataclasses
+import functools
 import math
 import warnings
 from fractions import Fraction
@@ -31,9 +32,9 @@ from gamescale.core import (
     gradient_operator,
 )
 from gamescale import equilibrium
+from gamescale.descent import _projected_descent
 from gamescale.equilibrium import (
     NOISE_BLOCK,
-    _projected_descent,
     best_response,
     best_responses,
     grid_points,
@@ -48,6 +49,7 @@ from gamescale.equilibrium import (
     stationary_optimum,
 )
 from oracles import (
+    per_class_scaling_curve,
     best_response_dynamics,
     gradient_bad_at,
     grid_nash,
@@ -850,9 +852,10 @@ EDGE_BOUNDS = [
 ]
 
 
-def test_psgd_box_projection_has_np_clip_bits_at_edge_values():
-    # All-Box batches project with maximum then minimum in place; Box.project
-    # is np.clip. The first gradient call sees the projected start, x0 tiled.
+def test_box_projections_have_np_clip_bits_at_edge_values():
+    # All-Box PSGD batches project with maximum then minimum in place, and so
+    # do Box.project and Box.project_rows; each must give np.clip's bits. The
+    # first gradient call sees the projected start, x0 tiled.
     d = len(EDGE_VALUES)
     seen = []
     game = GameSpec(
@@ -870,8 +873,13 @@ def test_psgd_box_projection_has_np_clip_bits_at_edge_values():
         env_set = Box(np.full(d, lo), np.full(d, hi))
         seen.clear()
         psgd_nash(game, learner_sets, env_set, x0, 1, [np.random.default_rng(0)] * n)
-        clipped = [np.concatenate([s.project(x0.theta), env_set.project(x0.env)]) for s in learner_sets]
-        assert seen[0].tobytes() == np.array(clipped).tobytes()
+        clip = lambda s, x: np.clip(x, s.lower, s.upper)
+        clipped = np.array([np.concatenate([clip(s, x0.theta), clip(env_set, x0.env)]) for s in learner_sets])
+        assert seen[0].tobytes() == clipped.tobytes()
+        for s in (*learner_sets, env_set):
+            assert s.project(x0.theta).tobytes() == clip(s, x0.theta).tobytes()
+            rows = np.array([x0.theta, x0.env[::-1]])
+            assert s.project_rows(rows).tobytes() == clip(s, rows).tobytes()
 
 
 @pytest.mark.parametrize("block", [1, 7, NOISE_BLOCK])
@@ -1268,6 +1276,97 @@ def test_scaling_curve_nash_restriction_improves():
     restricted_loss = curve[0][1].loss_learner
     full_loss = curve[1][1].loss_learner
     assert restricted_loss < full_loss - 1e-4
+
+
+def tilted_tracking_game(dim):
+    """f_l = |theta - c|^2 / 2 + e (a . theta), f_e = (e - a . theta)^2 / 2 on a
+    dim-dimensional learner: the coupling is skew, so mu = 1. The gradients
+    broadcast over rows with the single-point bits (a . theta summed in one
+    order); the losses take single points only."""
+    c, a = np.linspace(0.8, -0.4, dim), np.linspace(0.5, -0.3, dim)
+    dot = lambda t: sum(t[..., j : j + 1] * a[j] for j in range(dim))  # shape (1,) or (B, 1)
+    return GameSpec(
+        dim_learner=dim,
+        dim_env=1,
+        loss_learner=lambda t, e: 0.5 * float((t - c) @ (t - c)) + float(e[0]) * float(a @ t),
+        loss_env=lambda t, e: 0.5 * (float(e[0]) - float(a @ t)) ** 2,
+        grad_learner=lambda t, e: t - c + e * a,
+        grad_env=lambda t, e: e - dot(t),
+        mu=1.0,
+        lipschitz=math.sqrt(1.0 + float(a @ a)),
+    )
+
+
+def restricted_ladder():
+    """The certified restricted set (an Intersection) below the full class."""
+    bench = restriction_instance()
+    from gamescale.restriction import certify_restriction
+
+    cert = certify_restriction(bench.game, bench.learner_set, bench.env_set)
+    return bench.game, ModelClassLadder([cert.restricted_set, bench.learner_set]), bench.env_set
+
+
+BENCH_RADII = [0.05 * i for i in range(1, 21)]  # the ladder workload's --radii
+ALL_REGIMES = ("stationary", "stackelberg_leader", "stackelberg_follower", "nash")
+
+
+def bench_ladder():
+    game, env_set = stackelberg_scaling_game()
+    return game, nested_box_ladder(BENCH_RADII), env_set, ALL_REGIMES
+
+
+# name -> (game, ladder, env set, regimes)
+CURVE_CASES = {
+    "bench_radii": bench_ladder,
+    "bench_radii_stationary": lambda: (
+        stationary_scaling_game(np.array([2.0, 0.0])), nested_box_ladder(BENCH_RADII, dim=2), None, ("stationary",)
+    ),
+    "intersection": lambda: (*restricted_ladder(), ALL_REGIMES),
+    # oracles that refuse batches: every solve reruns one point at a time
+    "single_point_only": lambda: (
+        with_oracles(random_affine_game(np.random.default_rng(90), 1, 1)[0], single_point_only),
+        nested_box_ladder([0.3, 1.0]),
+        box_1d(-1.0, 1.0),
+        ALL_REGIMES,
+    ),
+    "leader_2d": lambda: (tilted_tracking_game(2), nested_box_ladder([0.3, 1.0], dim=2), box_1d(-1.0, 1.0), ALL_REGIMES),
+    "leader_3d_pattern": lambda: (
+        tilted_tracking_game(3), nested_box_ladder([0.4, 1.0], dim=3), box_1d(-1.0, 1.0), ALL_REGIMES
+    ),
+}
+# ROW_BLOCK 1 gives blocks of one class, 10**9 one block of all classes. A 2-D
+# leader's grid has 101^2 rows, over ROW_BLOCK: only the one block of all differs
+BLOCKS = {"default_block": None, "one_class": 1, "all_classes": 10**9}
+CURVE_RUNS = [
+    (case, block) for case in sorted(CURVE_CASES) for block in BLOCKS
+    if case not in ("leader_2d", "leader_3d_pattern") or block == "all_classes"
+]
+
+
+def report_bits(report):
+    return (
+        report.regime, report.joint.theta.tobytes(), report.joint.env.tobytes(), report.loss_learner.hex(),
+        report.loss_env.hex(), report.nash_residual.hex(), report.iterations, report.certified,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def per_class_curve_bits(case, regime):
+    """The per-class loop's reports; one class is one block at any ROW_BLOCK."""
+    game, ladder, env_set, _ = CURVE_CASES[case]()
+    return [(k, report_bits(r)) for k, r in per_class_scaling_curve(game, ladder, regime, env_set)]
+
+
+@pytest.mark.parametrize("case, block", CURVE_RUNS)
+def test_scaling_curve_equals_per_class_loop_bitwise(monkeypatch, case, block):
+    if BLOCKS[block] is not None:
+        monkeypatch.setattr(equilibrium, "ROW_BLOCK", BLOCKS[block])
+    game, ladder, env_set, regimes = CURVE_CASES[case]()
+    for regime in regimes:
+        got = scaling_curve(game, ladder, regime, env_set)
+        assert [(k, report_bits(r)) for k, r in got] == per_class_curve_bits(case, regime)
+        if regime == "stackelberg_leader":
+            assert all(r.certified == (ladder[0].dimension <= 2) for _, r in got)
 
 
 def test_scaling_curve_single_class_trivial():
