@@ -12,9 +12,7 @@ included, leaves only manifest.json. Exit codes: 0 success, 2 invalid config
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import math
 import sys
@@ -41,17 +39,11 @@ from .participation import alpha_threshold, default_instance, equilibrium_pair
 from .regression import K_RANGE, RegressionInstance, compare_model_classes, loss_curves
 from .restriction import RestrictionCertificate, certify_restriction
 from .selection import successive_elimination
-from .svg import line_chart
+from .tables import OutputError, csv_text, fmt_value, table  # csv_text kept importable from here
 
 
 class ConfigError(ValueError):
     pass
-
-
-class OutputError(RuntimeError):
-    """A result value is not finite, or an output file cannot be written; the run fails."""
-
-    stage = "output"
 
 
 # ---------------------------------------------------------------------------
@@ -81,20 +73,6 @@ def load_config(path: Optional[str]) -> dict[str, str]:
     return out
 
 
-def fmt_value(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        if not math.isfinite(v):
-            raise OutputError(f"non-finite result value {float(v)}")
-        return f"{float(v):.17g}"
-    if isinstance(v, np.ndarray):
-        return ",".join(fmt_value(float(c)) for c in v)
-    return str(v)
-
-
 def certificate_record(cert: RestrictionCertificate) -> dict[str, str]:
     """Flat key-value serialization (vectors as comma-separated decimals)."""
     fields = {
@@ -110,32 +88,6 @@ def certificate_record(cert: RestrictionCertificate) -> dict[str, str]:
         "restricted_residual": cert.restricted_residual,
     }
     return {key: fmt_value(value) for key, value in fields.items()}
-
-
-def csv_text(name: str, header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """The table as CSV text; an unwritable value raises OutputError naming file and column."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        cells = []
-        for col, v in zip(header, row, strict=True):
-            try:
-                cells.append(fmt_value(v))
-            except OutputError as exc:
-                raise OutputError(f"{name}, column {col}: {exc}") from None
-        writer.writerow(cells)
-    return buf.getvalue()
-
-
-def table(
-    name: str, header: Sequence[str], rows: Sequence[Sequence], chart: Optional[str] = None, **spec
-) -> dict[str, str]:
-    """The table's CSV text and, given a chart file name, its `line_chart` of spec, by file name."""
-    texts = {name: csv_text(name, header, rows)}
-    if chart is not None:
-        texts[chart] = line_chart(header, rows, **spec)
-    return texts
 
 
 def check_caps(caps: dict) -> None:
@@ -265,10 +217,10 @@ def run_markov(params: dict) -> dict[str, str]:
         params["n"], gamma_l=params["gamma"], gamma_e=params["gamma_env"]
     )
     grid = np.linspace(params["p_min"], params["p_max"], params["points"])
-    rows = [
+    rows = np.array([
         (eq.p_bar, eq.learner_value, eq.env_value, eq.absorbing_state, params["gamma"])
         for eq in payoff_sweep(game, grid)
-    ]
+    ])  # the state index as a float, which '%.17g' writes as the int
     return table(
         "markov_sweep.csv",
         ["p_bar", "learner_value", "env_value", "absorbing_state", "gamma"],
@@ -334,6 +286,7 @@ def run_participation(params: dict) -> dict[str, str]:
     for key in ("alpha_min", "alpha_max"):
         if not 0.0 <= params[key] <= 1.0:
             raise ConfigError(f"{key} must lie in [0, 1], got {params[key]}")
+    check_caps({"alpha_points": (params["alpha_points"], MAX_POINTS)})
     base, phi = default_instance()
     threshold = alpha_threshold(base, phi)
     rows = []
@@ -438,7 +391,7 @@ EXPERIMENTS: dict[str, tuple[Callable[[dict], dict[str, str]], dict]] = {
     }),
     "restrict": (run_restrict, {"instance": (_one_of("coupled", "zero_sum"), "coupled")}),
     "markov": (run_markov, {
-        "n": (int, "50"), "gamma": (float, "0.9"), "gamma_env": (float, None),
+        "n": (_at_least(1), "50"), "gamma": (float, "0.9"), "gamma_env": (float, None),
         "points": (_at_least(1), "200"), "p_min": (float, "0.5"), "p_max": (float, "1.0"),
     }),
     "regression": (run_regression, {"beta": (_floats, "1,0"), "curve_step": (float, "0.01")}),

@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ActionSet, ConvergenceError, _box_rows, _clip, _row_norms
+from .core import ActionSet, ConvergenceError, _box_rows, _clip, _finite, _row_norms
 
 
 def natural_residuals(x: np.ndarray, project: Callable[[np.ndarray], np.ndarray], g: np.ndarray) -> np.ndarray:
@@ -46,7 +46,8 @@ def _projected_descent(
     Rows share no state: each keeps its own step and stops on its own test,
     and a stopped row leaves the batch, so every row ends bit for bit where it
     would alone. Returns the final points, iteration counts and residuals by
-    row; raises ConvergenceError if a row is still running after max_iters.
+    row; raises FloatingPointError at the first gradient that is not finite,
+    and ConvergenceError if a row is still running after max_iters.
     """
     if isinstance(sets, ActionSet):
         project = lambda z, rows: sets.project_rows(z)  # rows: the rows of x0 that z holds
@@ -62,7 +63,7 @@ def _projected_descent(
     for it in range(1, max_iters + 1):
         if rows.size == 0:
             break
-        g = grad(x, rows)
+        g = _finite(grad(x, rows))
         if adaptive and it > 1:
             dg = _row_norms(g - g_prev)
             curvature_step = np.divide(
@@ -90,9 +91,9 @@ def _projected_descent(
 
 
 def _single_point_checked(solve: Callable, batch: Callable, per_row: Callable) -> tuple:
-    """solve(batch), kept if every row has per_row's single-point bits at the first
-    moved iterate (iteration 2, or 1 for a row that stopped there); else, or if
-    it raises (a missing oracle does at once), solve(per_row), the per-row result."""
+    """solve(batch), kept if every row has per_row's single-point bits at the first moved
+    iterate (iteration 2, or 1 for a row that stopped there); else, or if a batch call raises
+    (a missing oracle does at once), solve(per_row). Solver errors of solve(batch) propagate."""
     seen = []  # the batch gradients of iterations 1 and 2; row i of the first is row i of x0
 
     def checked(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -108,6 +109,8 @@ def _single_point_checked(solve: Callable, batch: Callable, per_row: Callable) -
         stopped = np.flatnonzero(iters == 1)
         if seen[0][stopped].tobytes() == per_row(points[stopped], stopped).tobytes():
             return points, iters, residuals
+    except (ConvergenceError, FloatingPointError):
+        raise
     except Exception:
         pass  # an oracle written for single points may raise anything on a batch
     return solve(per_row)

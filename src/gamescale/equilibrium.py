@@ -324,7 +324,7 @@ def _nash_rows(game: GameSpec, learner_sets: Sequence[ActionSet], env_set: Actio
     solve = lambda grad: _projected_descent(grad, sets, x0, game.mu / (game.lipschitz**2), False, tol, 500_000)
     per_row = lambda x, rows: np.array([gradient_operator(game, xi) for xi in x])
     part = lambda name, x, dim: _batch_gradient(getattr(game, name), name, x[:, :dl], x[:, dl:], dim)
-    batch = lambda x, rows: _finite(np.concatenate([part("grad_learner", x, dl), part("grad_env", x, de)], axis=1))
+    batch = lambda x, rows: np.concatenate([part("grad_learner", x, dl), part("grad_env", x, de)], axis=1)
     return _single_point_checked(solve, batch, per_row)
 
 

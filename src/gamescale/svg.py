@@ -1,4 +1,4 @@
-"""Static SVG 1.1 line/step charts of a table's columns, with no external dependencies.
+"""Static SVG 1.1 line/step charts of a table's columns, with no plotting library.
 
 Deterministic text output so identical data produces identical files.
 """
@@ -6,6 +6,8 @@ Deterministic text output so identical data produces identical files.
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
@@ -38,12 +40,13 @@ def line_chart(
     raises ValueError even when there are no rows; no rows raise ValueError.
     """
     index = [list(header).index(name) for name in (x, *ys)]
-    xs, *columns = [[float(row[j]) for row in rows] for j in index]
-    if not xs:
+    if len(rows) == 0:
         raise ValueError("no data to plot")
-    y_all = [v for col in columns for v in col]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(y_all), max(y_all)
+    picked = rows[:, index] if isinstance(rows, np.ndarray) else [[row[j] for j in index] for row in rows]
+    data = np.array(picked, dtype=float)
+    xs, columns = data[:, 0], data[:, 1:]
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = float(columns.min()), float(columns.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -104,18 +107,17 @@ def line_chart(
             f'<line x1="{px(x_pos):.1f}" y1="{MARGIN_T}" x2="{px(x_pos):.1f}" '
             f'y2="{MARGIN_T + plot_h}" stroke="{color}" stroke-dasharray="4,3"/>'
         )
-    for idx, (name, col) in enumerate(zip(ys, columns)):
+    x_px = px(xs)
+    for idx, name in enumerate(ys):
         color = PALETTE[idx % len(PALETTE)]
-        pts: list[tuple[float, float]] = []
-        for xv, yv in zip(xs, col):
-            if step and pts:
-                pts.append((xv, pts[-1][1]))
-            pts.append((xv, yv))
-        path = " ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in pts)
+        pts = np.column_stack((x_px, py(columns[:, idx])))
+        # a step chart moves to each point's x at the last point's height first
+        path = np.column_stack((np.repeat(pts[:, 0], 2)[1:], np.repeat(pts[:, 1], 2)[:-1])) if step else pts
+        path = " ".join(["%.2f,%.2f"] * len(path)) % tuple(path.ravel().tolist())
         out.append(f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         if markers:
-            for xv, yv in zip(xs, col):
-                out.append(f'<circle cx="{px(xv):.2f}" cy="{py(yv):.2f}" r="3" fill="{color}"/>')
+            circle = f'<circle cx="%.2f" cy="%.2f" r="3" fill="{color}"/>'
+            out.append("\n".join([circle] * len(pts)) % tuple(pts.ravel().tolist()))
         out.append(
             f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 16 + 15 * idx}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11" fill="{color}">{name}</text>'

@@ -6,7 +6,8 @@ descent with a residual at every iterate, single-point adaptive projected
 descent, an oracle wrapper that refuses batches (the per-row reference of a
 best-response solve), the scaling curve one class at a time, a single
 averaged PSGD run, a game whose learner
-gradient turns non-finite at one PSGD step, a sampling check (box
+gradient turns non-finite at one PSGD step and one whose learner gradient is
+never finite, a sampling check (box
 corners included) that a ladder's classes are nested, per-arm suboptimality
 gaps, random strongly monotone affine games with a known Nash point, an
 exhaustive-grid Nash, the Pareto grid search one pair at a time,
@@ -17,13 +18,16 @@ estimates of the regression game's integrals, losses, predictions and
 least-squares fits, exact chain-game learner values for arbitrary per-state
 policies, scalar references of the chain game's backward pass, calibration
 check and forward walk, value iteration on the chain's environment MDP, the
-chain-game dominance check by re-walking the chain once per deviation, and a
-Monte-Carlo rollout of the learner value.
+chain-game dominance check by re-walking the chain once per deviation, a
+Monte-Carlo rollout of the learner value, and the per-cell CSV writer that
+a float-array table's rows are held to.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import math
 from typing import Optional, Sequence
 
@@ -52,6 +56,7 @@ from gamescale.equilibrium import (
 )
 from gamescale.markov import CalibrationError, MarkovChainGame, absorbing_state
 from gamescale.regression import RegressionInstance, large_model_closed_form
+from gamescale.tables import OutputError, fmt_value
 
 
 def two_projection_descent(grad, feasible: ActionSet, x0, step: float, tol: float, max_iters: int):
@@ -271,6 +276,20 @@ def gradient_bad_at(game: GameSpec, bad_step: int, value: float, calls: list) ->
         return np.full_like(g, value) if len(calls) == bad_step else g
 
     return dataclasses.replace(game, grad_learner=grad_learner)
+
+
+def non_finite_game(value: float, calls: list) -> GameSpec:
+    """A game whose learner gradient is value everywhere; calls gets the shape of
+    each learner-oracle call's points."""
+
+    def grad(t, e):
+        calls.append(np.shape(t))
+        return np.full(np.shape(t), value)
+
+    return GameSpec(
+        dim_learner=1, dim_env=1, loss_learner=lambda t, e: 0.0, loss_env=lambda t, e: float(e @ e),
+        grad_learner=grad, grad_env=lambda t, e: 2.0 * e, mu=1.0, lipschitz=2.0,
+    )
 
 
 def best_response_dynamics(
@@ -668,3 +687,20 @@ def rollout_value(
     mean = total / episodes
     var = max(total_sq / episodes - mean * mean, 0.0)
     return mean, math.sqrt(var / episodes)
+
+
+def per_cell_csv(name: str, header: Sequence[str], rows) -> str:
+    """A table as CSV text one cell at a time: csv.writer over fmt_value of each
+    cell, naming the file and column of the first unwritable value in row order."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        cells = []
+        for col, v in zip(header, row, strict=True):
+            try:
+                cells.append(fmt_value(v))
+            except OutputError as exc:
+                raise OutputError(f"{name}, column {col}: {exc}") from None
+        writer.writerow(cells)
+    return buf.getvalue()

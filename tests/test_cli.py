@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tokenize
 from pathlib import Path
 
@@ -17,10 +18,10 @@ import gamescale
 import gamescale.cli
 from gamescale.cli import EXPERIMENTS, csv_text, load_config, main, table
 from gamescale.core import GameSpec, JointAction, box_1d
-from gamescale.equilibrium import NOISE_BLOCK, psgd_nash
+from gamescale.equilibrium import NOISE_BLOCK, best_response, psgd_nash
 from gamescale.instances import coupled_quadratic
 from gamescale.svg import line_chart
-from oracles import gradient_bad_at
+from oracles import gradient_bad_at, non_finite_game
 
 
 def read_manifest(out_dir: Path) -> dict:
@@ -270,7 +271,7 @@ BAD_VALUES = [
     (["select", "--losses", "a,b"], None, "losses"),
     (["regression", "--beta", "x"], None, "beta"),
     (["scaling-curve", "--radii", "1,x"], None, "radii"),
-    (["markov", "--n", "0"], None, "at least one state"),
+    (["markov", "--n", "0"], None, "n='0': must be at least 1"),
     (["regression", "--curve-step", "0"], None, "curve_step"),
     (["psgd", "--n-seeds", "0", "--horizons", "8"], None, "n_seeds"),
     (["psgd", "--sigma", "nan", "--horizons", "8", "--n-seeds", "1"], None, "noise_bound"),
@@ -358,6 +359,8 @@ def test_markov_caps_are_checked_before_the_game_is_built(tmp_path, monkeypatch,
         (["select", "--budget", "100000000"], 3),
         (["scaling-curve", "--radii", ",".join(str(r) for r in range(1, 10002))], 2),
         (["scaling-curve", "--radii", ",".join(str(r) for r in range(1, 10001))], 3),
+        (["participation", "--alpha-points", "20002"], 2),
+        (["participation", "--alpha-points", "20001"], 3),
     ],
 )
 def test_run_caps_are_checked_before_any_run(tmp_path, monkeypatch, argv, code, capsys):
@@ -368,9 +371,12 @@ def test_run_caps_are_checked_before_any_run(tmp_path, monkeypatch, argv, code, 
     monkeypatch.setattr("gamescale.cli.psgd_nash", stub)
     monkeypatch.setattr("gamescale.selection.psgd_nash", stub)
     monkeypatch.setattr("gamescale.cli.scaling_curve", stub)
+    monkeypatch.setattr("gamescale.cli.default_instance", stub)
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == code
     if argv[0] == "scaling-curve" and code == 2:
         assert "len(radii) must be at most 10000, got 10001" in capsys.readouterr().err
+    if argv[0] == "participation" and code == 2:
+        assert "alpha_points must be at most 20001, got 20002" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
@@ -399,6 +405,23 @@ def test_non_finite_gradient_exits_with_solver_failure(tmp_path, monkeypatch, ca
     monkeypatch.setitem(EXPERIMENTS, "psgd", (runner, EXPERIMENTS["psgd"][1]))
     out = tmp_path / "fpe"
     assert main(["psgd", "--out-dir", str(out)]) == 3
+    error = {"type": "FloatingPointError", "message": "non-finite gradient components"}
+    assert read_manifest(out)["error"] == error
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {"error": error}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_best_response_gradient_exits_with_solver_failure(tmp_path, monkeypatch, capsys, value):
+    # the descent checks each gradient before it steps, so the first call fails the run
+    def runner(params):
+        best_response(non_finite_game(value, []), "learner", np.zeros(1), box_1d(-1.0, 1.0))
+        return {}
+
+    monkeypatch.setitem(EXPERIMENTS, "psgd", (runner, EXPERIMENTS["psgd"][1]))
+    out = tmp_path / "fpe-best-response"
+    started = time.perf_counter()
+    assert main(["psgd", "--out-dir", str(out)]) == 3
+    assert time.perf_counter() - started < 0.05
     error = {"type": "FloatingPointError", "message": "non-finite gradient components"}
     assert read_manifest(out)["error"] == error
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {"error": error}

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from gamescale.core import (
     gradient_operator,
 )
 from gamescale import equilibrium
-from gamescale.descent import _projected_descent
+from gamescale.descent import _projected_descent, _single_point_checked
 from gamescale.equilibrium import (
     NOISE_BLOCK,
     best_response,
@@ -53,6 +54,7 @@ from oracles import (
     best_response_dynamics,
     gradient_bad_at,
     grid_nash,
+    non_finite_game,
     random_affine_game,
     regression_stackelberg_game,
     scalar_pareto_search,
@@ -458,6 +460,45 @@ def test_batched_descent_raises_when_one_row_hits_cap():
         _projected_descent(
             by_row([easy[0], slow, easy[1]]), box, x0, 1.0 / 200.0, False, 1e-9, 1_000
         )
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_gradient_raises_at_once_through_best_response(value):
+    # the descent checks each gradient before it steps: one oracle call, no per-row rerun
+    calls = []
+    started = time.perf_counter()
+    with pytest.raises(FloatingPointError, match="non-finite gradient components"):
+        best_response(non_finite_game(value, calls), "learner", np.zeros(1), box_1d(-1.0, 1.0))
+    assert time.perf_counter() - started < 0.05
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("regime", equilibrium.REGIMES)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_gradient_raises_at_once_through_scaling_curve(regime, value):
+    calls = []
+    started = time.perf_counter()
+    with pytest.raises(FloatingPointError, match="non-finite gradient components"):
+        ladder = nested_box_ladder([0.5, 1.0])
+        scaling_curve(non_finite_game(value, calls), ladder, regime, env_set=box_1d(-1.0, 1.0))
+    assert time.perf_counter() - started < 0.05
+    assert len(calls) <= 2
+
+
+def test_batch_solve_that_does_not_converge_raises_without_a_per_row_rerun():
+    hessian = np.diag([1.0, 200.0])
+    grad = lambda t: hessian @ (t - np.array([0.5, -0.25]))
+    calls = []
+
+    def counted(x, rows):
+        calls.append(len(rows))
+        return by_row([grad])(x, rows)
+
+    box = Box(-np.ones(2), np.ones(2))
+    solve = lambda g: _projected_descent(g, box, np.zeros((1, 2)), 1.0 / 200.0, False, 1e-9, 50)
+    with pytest.raises(ConvergenceError):
+        _single_point_checked(solve, counted, counted)
+    assert len(calls) <= 50 + 1  # the batch at each iteration, the per-row check once
 
 
 # ---------------------------------------------------------------------------

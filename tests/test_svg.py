@@ -36,3 +36,22 @@ def test_line_chart_bytes_are_pinned(case):
     header, rows, spec, digest = CHARTS[case]
     text = line_chart(header, rows, title="t", x_label="x", y_label="y", **spec)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# every option, alone and together, on an ndarray table and on its rows as tuples
+SPECS = {
+    "plain": {},
+    "step": dict(step=True),
+    "markers": dict(markers=True),
+    "vlines": dict(vlines=[(0.25, "#1f77b4"), (1.5, "#d62728")]),
+    "all": dict(step=True, markers=True, vlines=[(0.0, "#2ca02c")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPECS))
+def test_line_chart_of_an_array_matches_its_rows_as_tuples(case):
+    rng = np.random.default_rng(14)
+    data = np.column_stack((np.sort(rng.uniform(-1.0, 2.0, 60)), rng.standard_normal((60, 2)) * 1e3))
+    header, spec = ["x", "u", "v"], dict(x="x", ys=["u", "v"], title="t", x_label="x", y_label="y", **SPECS[case])
+    tuples = [tuple(row) for row in data.tolist()]
+    assert line_chart(header, data, **spec) == line_chart(header, tuples, **spec)
