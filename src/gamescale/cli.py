@@ -2,11 +2,14 @@
 
 Subcommands: psgd, select, restrict, markov, regression, participation,
 scaling-curve. Parameters resolve as defaults < config file < command-line
-flags. Each runner returns its output texts by file name and touches no file;
-`main` writes them only after all of them are formatted, then a manifest.json
-with the resolved config and per-file checksums; a failed run, a failed write
-included, leaves only manifest.json. Exit codes: 0 success, 2 invalid config
-(a bad --out-dir too), 3 solver, certification or output failure.
+flags. Each key's cast in EXPERIMENTS checks its whole domain, so a runner
+gets only values it can run; the one cross-key rule, psgd's step cap, is
+checked in run_psgd. Each runner returns its output texts by file name and
+touches no file; `main` writes them only after all of them are formatted,
+then a manifest.json with the resolved config and per-file checksums.
+Exit codes: 0 success; 2 a value outside its key's domain, named (a bad
+--out-dir or --config file too); 3 any failure after the config is accepted,
+a failed write included, which leaves only manifest.json with an error record.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .participation import alpha_threshold, default_instance, equilibrium_pair
 from .regression import K_RANGE, RegressionInstance, compare_model_classes, loss_curves
 from .restriction import RestrictionCertificate, certify_restriction
 from .selection import successive_elimination
-from .tables import OutputError, csv_text, fmt_value, table  # csv_text kept importable from here
+from .tables import OutputError, fmt_value, table
 
 
 class ConfigError(ValueError):
@@ -57,7 +60,7 @@ def load_config(path: Optional[str]) -> dict[str, str]:
         return {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         why = getattr(exc, "strerror", exc)  # a decode error has no strerror
         why = "not found" if isinstance(exc, FileNotFoundError) else f"unreadable ({why})"
         raise ConfigError(f"config file {why}: {path}") from exc
@@ -90,13 +93,6 @@ def certificate_record(cert: RestrictionCertificate) -> dict[str, str]:
     return {key: fmt_value(value) for key, value in fields.items()}
 
 
-def check_caps(caps: dict) -> None:
-    """Each key's value against its work cap, before any work: {key: (value, cap)}."""
-    for key, (value, cap) in caps.items():
-        if value > cap:
-            raise ConfigError(f"{key} must be at most {cap}, got {value}")
-
-
 def write_manifest(
     out_dir: Path,
     experiment: str,
@@ -125,7 +121,8 @@ def run_psgd(params: dict) -> dict[str, str]:
     """averaged stochastic gradient Nash estimation"""
     n_seeds = params["n_seeds"]
     steps = n_seeds * sum(params["horizons"])
-    check_caps({"n_seeds": (n_seeds, MAX_RUNS), "n_seeds * sum(horizons)": (steps, MAX_STEPS)})
+    if steps > MAX_STEPS:
+        raise ConfigError(f"n_seeds * sum(horizons) must be at most {MAX_STEPS}, got {steps}")
     bench = coupled_quadratic(sigma=params["sigma"])
     game = bench.game
     x0 = JointAction(np.zeros(1), np.zeros(1))
@@ -160,7 +157,6 @@ def run_psgd(params: dict) -> dict[str, str]:
 
 def run_select(params: dict) -> dict[str, str]:
     """successive elimination over model classes"""
-    check_caps({"len(losses)": (len(params["losses"]), MAX_RUNS), "budget": (params["budget"], MAX_STEPS)})
     arms, game, env_set = selection_arms(params["losses"], sigma=params["sigma"])
     rng = np.random.default_rng([params["seed"]])
     report = successive_elimination(
@@ -209,10 +205,6 @@ def run_restrict(params: dict) -> dict[str, str]:
 
 def run_markov(params: dict) -> dict[str, str]:
     """chain Markov game payoff sweep"""
-    for key in ("p_min", "p_max"):
-        if not 0.5 <= params[key] <= 1.0:
-            raise ConfigError(f"{key} must lie in [0.5, 1], got {params[key]}")
-    check_caps({"n": (params["n"], MAX_STATES), "points": (params["points"], MAX_POINTS)})
     game = build_chain_game(
         params["n"], gamma_l=params["gamma"], gamma_e=params["gamma_env"]
     )
@@ -237,14 +229,10 @@ def run_markov(params: dict) -> dict[str, str]:
 
 def run_regression(params: dict) -> dict[str, str]:
     """strategic regression loss comparison"""
-    step = params["curve_step"]
     lo, hi = K_RANGE
-    # np.arange's length is this quotient rounded up; at most the 1e-3 dominance grid's 20,001
-    if not (step > 0 and (hi + 1e-12 - lo) / step <= 20_001):
-        raise ConfigError(f"curve_step must be positive and give at most 20001 k values, got {step}")
     instance = RegressionInstance(np.array(params["beta"]))
     comparison = compare_model_classes(instance)
-    curve_rows = loss_curves(instance, np.arange(lo, hi + 1e-12, step))
+    curve_rows = loss_curves(instance, np.arange(lo, hi + 1e-12, params["curve_step"]))
     eq_rows = [
         (o.model_class, o.k_star, o.learner_loss, o.env_objective,
          o.learner_loss / instance.beta_norm**2)
@@ -283,10 +271,6 @@ def run_regression(params: dict) -> dict[str, str]:
 
 def run_participation(params: dict) -> dict[str, str]:
     """participation dynamics alpha sweep"""
-    for key in ("alpha_min", "alpha_max"):
-        if not 0.0 <= params[key] <= 1.0:
-            raise ConfigError(f"{key} must lie in [0, 1], got {params[key]}")
-    check_caps({"alpha_points": (params["alpha_points"], MAX_POINTS)})
     base, phi = default_instance()
     threshold = alpha_threshold(base, phi)
     rows = []
@@ -316,11 +300,6 @@ def run_scaling_curve(params: dict) -> dict[str, str]:
     """equilibrium losses across a nested ladder"""
     regime = params["regime"]
     radii = params["radii"]
-    check_caps({"len(radii)": (len(radii), MAX_RUNS)})
-    if not all(0.0 <= r < math.inf for r in radii):
-        raise ConfigError(f"radii must be finite and nonnegative, got {radii}")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ConfigError("radii must be strictly increasing (small class first)")
     if regime == "stationary":
         game = stationary_scaling_game(np.array([2.0, 0.0]))
         curve = scaling_curve(game, nested_box_ladder(radii, dim=2), regime)
@@ -350,60 +329,79 @@ def run_scaling_curve(params: dict) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
-def _at_least(low: int) -> Callable[[str], int]:
-    def cast(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise ValueError(f"must be at least {low}, got {value}")
+def _checked(cast: Callable[[str], object], ok: Callable, rule: str) -> Callable[[str], object]:
+    """cast, then a ValueError stating the rule unless ok(value)"""
+    def checked(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise ValueError(f"must {rule}")
         return value
 
-    return cast
+    return checked
 
 
-def _positive_ints(text: str) -> list[int]:
-    return [_at_least(1)(v) for v in text.split(",") if v.strip()]
+def _listed(cast: Callable[[str], object]) -> Callable[[str], list]:
+    """Comma-separated values, each cast; no value at all is an error."""
+    return _checked(lambda text: [cast(v) for v in text.split(",") if v.strip()], bool, "list a value")
 
 
-def _one_of(*choices: str) -> Callable[[str], str]:
-    def cast(text: str) -> str:
-        if text not in choices:
-            raise ValueError(f"expected one of {list(choices)}, got {text!r}")
-        return text
+def _count(cap: int) -> Callable[[str], int]:
+    return _checked(int, lambda v: 1 <= v <= cap, f"be at least 1 and at most {cap}")
 
-    return cast
 
+@np.errstate(over="ignore")
+def _finite_nonzero_norm(values: list[float]) -> bool:
+    """0 < |beta|^2 < inf, with |beta|^2 computed as RegressionInstance computes it"""
+    return 0.0 < float(np.array(values) @ np.array(values)) < math.inf
+
+
+_NONNEGATIVE = _checked(float, lambda v: 0.0 <= v < math.inf, "be finite and nonnegative")
+_POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "be finite and positive")
+_DISCOUNT = _checked(float, lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
+_POLICY_CAP = _checked(float, lambda v: 0.5 <= v <= 1.0, "lie in [0.5, 1]")
+_FRACTION = _checked(float, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+_RUNS = f"have at most {MAX_RUNS} values"
 
 # experiment -> (runner, {key: (cast, default)}); the key is also the flag
-# (--n-seeds for n_seeds) and the config-file name. Defaults are written as on
-# the command line and cast like any other value.
+# (--n-seeds for n_seeds) and the config-file name. Each cast checks the key's
+# whole domain, work caps included; defaults are cast like any other value.
 EXPERIMENTS: dict[str, tuple[Callable[[dict], dict[str, str]], dict]] = {
     "psgd": (run_psgd, {
-        "sigma": (float, "0.3"), "horizons": (_positive_ints, "512,4096"),
-        "n_seeds": (_at_least(1), "20"),
+        "sigma": (_NONNEGATIVE, "0.3"),
+        "horizons": (_listed(_checked(int, lambda v: v >= 1, "be at least 1")), "512,4096"),
+        "n_seeds": (_count(MAX_RUNS), "20"),
     }),
     "select": (run_select, {
-        "losses": (_floats, "0,0.25,0.5,1.0"), "delta": (float, "0.1"), "alpha": (float, "8.0"),
-        "sigma": (float, "0.5"), "scale": (float, "1.0"), "budget": (_at_least(1), "1000000"),
+        "losses": (_checked(_listed(_NONNEGATIVE), lambda v: len(v) <= MAX_RUNS, _RUNS), "0,0.25,0.5,1.0"),
+        "delta": (_checked(float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)"), "0.1"),
+        "alpha": (_POSITIVE, "8.0"), "sigma": (_NONNEGATIVE, "0.5"), "scale": (_POSITIVE, "1.0"),
+        "budget": (_count(MAX_STEPS), "1000000"),
     }),
-    "restrict": (run_restrict, {"instance": (_one_of("coupled", "zero_sum"), "coupled")}),
+    "restrict": (run_restrict, {
+        "instance": (_checked(str, lambda v: v in ("coupled", "zero_sum"), "be coupled or zero_sum"),
+                     "coupled"),
+    }),
     "markov": (run_markov, {
-        "n": (_at_least(1), "50"), "gamma": (float, "0.9"), "gamma_env": (float, None),
-        "points": (_at_least(1), "200"), "p_min": (float, "0.5"), "p_max": (float, "1.0"),
+        "n": (_count(MAX_STATES), "50"), "gamma": (_DISCOUNT, "0.9"), "gamma_env": (_DISCOUNT, None),
+        "points": (_count(MAX_POINTS), "200"), "p_min": (_POLICY_CAP, "0.5"), "p_max": (_POLICY_CAP, "1.0"),
     }),
-    "regression": (run_regression, {"beta": (_floats, "1,0"), "curve_step": (float, "0.01")}),
+    "regression": (run_regression, {
+        "beta": (_checked(_listed(float), _finite_nonzero_norm, "have a finite, nonzero |beta|^2"), "1,0"),
+        # np.arange's length is this quotient rounded up; at most the 1e-3 dominance grid's 20,001
+        "curve_step": (_checked(float, lambda v: v > 0 and (K_RANGE[1] + 1e-12 - K_RANGE[0]) / v <= 20_001,
+                                "be positive and give at most 20001 k values"), "0.01"),
+    }),
     "participation": (run_participation, {
-        "alpha_points": (_at_least(1), "21"), "alpha_min": (float, "0.0"), "alpha_max": (float, "1.0"),
+        "alpha_points": (_count(MAX_POINTS), "21"),
+        "alpha_min": (_FRACTION, "0.0"), "alpha_max": (_FRACTION, "1.0"),
     }),
     "scaling-curve": (run_scaling_curve, {
-        "regime": (_one_of(*REGIMES), "stationary"),
-        "radii": (_floats, "0.2,0.4,0.6,0.8,1.0"),
+        "regime": (_checked(str, lambda v: v in REGIMES, f"be one of {list(REGIMES)}"), "stationary"),
+        "radii": (_checked(_listed(_NONNEGATIVE), lambda v: len(v) <= MAX_RUNS and v == sorted(set(v)),
+                           _RUNS + ", strictly increasing"), "0.2,0.4,0.6,0.8,1.0"),
     }),
 }
-COMMON = {"seed": (_at_least(0), "0")}
+COMMON = {"seed": (_checked(int, lambda v: v >= 0, "be at least 0"), "0")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,10 +432,9 @@ def _resolve_params(args: argparse.Namespace, cfg: dict[str, str]) -> dict:
             raw = cfg.get(key, default)
         try:
             params[key] = None if raw is None else cast(raw)
-            if params[key] == []:
-                raise ValueError("needs at least one value")
         except ValueError as exc:
-            raise ConfigError(f"{key}={raw!r}: {exc}") from exc
+            shown = f"{key}={raw!r}" if len(raw) <= 80 else key  # a long list is named, not echoed
+            raise ConfigError(f"{shown}: {exc}") from exc
     return params
 
 
@@ -450,7 +447,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out_dir = Path(args.out_dir or cfg.get("out_dir") or f"out/{args.experiment}")
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             raise ConfigError(f"out_dir={str(out_dir)!r}: {exc}") from exc
         texts = EXPERIMENTS[args.experiment][0](params)
         outputs = {name: text.encode() for name, text in texts.items()}
@@ -464,11 +461,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for done in opened:
                 (out_dir / done).unlink(missing_ok=True)
             raise OutputError(f"cannot write {name}: {exc}") from exc
-    except ValueError as exc:
+    except ConfigError as exc:
         print(json.dumps({"error": {"type": "config", "message": str(exc)}}), file=sys.stderr)
         return 2
-    except (RuntimeError, FloatingPointError) as exc:
-        # only the runner and the writes raise these, so out_dir is set and no output is on disk
+    except Exception as exc:
+        # the config stage raises only ConfigError, so out_dir is set and no output is on disk
         error = {"type": type(exc).__name__, "message": str(exc)}
         stage = getattr(exc, "stage", None)
         if stage is not None:

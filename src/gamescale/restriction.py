@@ -100,12 +100,6 @@ def br_jacobian(
     return np.ascontiguousarray(((plus - minus) / (2.0 * FD_STEP)).T)
 
 
-def composed_loss(game: GameSpec, theta: np.ndarray, env_set: ActionSet) -> float:
-    """Learner loss along the environment's best response: f_l(theta, BR(theta))."""
-    e = best_response(game, "env", theta, env_set, tol=BR_SOLVE_TOL)
-    return float(game.loss_learner(theta, e))
-
-
 def fbar_gradient(
     game: GameSpec, theta: np.ndarray, env_set: ActionSet, e: np.ndarray
 ) -> np.ndarray:
@@ -136,21 +130,23 @@ def delta_search(
     env_set: ActionSet,
     learner_set: ActionSet,
     reference: float,
-) -> float:
+) -> tuple[float, np.ndarray]:
     """Backtracking step: first delta with a certified composed-loss drop.
 
-    Halves delta from 1, at most 60 times, until theta* - delta v is
+    Halves delta from 1, at most 60 times, until theta' = theta* - delta v is
     interior to the learner set and f_l(theta', BR(theta')) < reference - 1e-10,
-    where reference = f_l(theta*, BR(theta*)).
-    Terminates for smooth games because the first-order term dominates.
+    where reference = f_l(theta*, BR(theta*)). Returns delta and BR(theta'),
+    solved at BR_SOLVE_TOL. Terminates for smooth games because the
+    first-order term dominates.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     delta = 1.0
     for _ in range(60):
         cand = theta_star - delta * v
         if learner_set.is_interior(cand, 1e-9):
-            if composed_loss(game, cand, env_set) < reference - 1e-10:
-                return delta
+            response = best_response(game, "env", cand, env_set, tol=BR_SOLVE_TOL)
+            if float(game.loss_learner(cand, response)) < reference - 1e-10:
+                return delta, response
         delta *= 0.5
     raise ConvergenceError("no improving step found: composed gradient too small along v")
 
@@ -219,12 +215,11 @@ def certify_restriction(
     v = choose_direction(grad_fbar)
     reference = float(game.loss_learner(x_star.theta, e_star))
     try:
-        delta = delta_search(game, x_star.theta, v, env_set, learner_set, reference)
+        delta, e_prime = delta_search(game, x_star.theta, v, env_set, learner_set, reference)
     except ConvergenceError as exc:
         raise RestrictionStageError("delta_search", str(exc)) from exc
 
     theta_prime = x_star.theta - delta * v
-    e_prime = best_response(game, "env", theta_prime, env_set, tol=BR_SOLVE_TOL)
     restricted_set = construct_restriction(game, theta_prime, e_prime, v, learner_set)
     restricted_point = JointAction(theta_prime, e_prime)
 

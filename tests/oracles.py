@@ -11,7 +11,8 @@ never finite, a sampling check (box
 corners included) that a ladder's classes are nested, per-arm suboptimality
 gaps, random strongly monotone affine games with a known Nash point, an
 exhaustive-grid Nash, the Pareto grid search one pair at a time,
-alternating best responses, a finite-difference gradient check, the
+alternating best responses, the restriction pipeline's composed loss
+f_l(theta, BR(theta)), a finite-difference gradient check, the
 strategic-regression game as a generic Stackelberg instance, the large regression class's best-response coefficients, scalar
 references of the regression closed forms and grid argmax, Monte-Carlo
 estimates of the regression game's integrals, losses, predictions and
@@ -56,6 +57,7 @@ from gamescale.equilibrium import (
 )
 from gamescale.markov import CalibrationError, MarkovChainGame, absorbing_state
 from gamescale.regression import RegressionInstance, large_model_closed_form
+from gamescale.restriction import BR_SOLVE_TOL
 from gamescale.tables import OutputError, fmt_value
 
 
@@ -310,6 +312,13 @@ def best_response_dynamics(
         if move <= tol:
             return JointAction(theta, env), rounds
     raise ConvergenceError("best-response dynamics did not converge (map may not contract)")
+
+
+def composed_loss(game: GameSpec, theta: np.ndarray, env_set: ActionSet) -> float:
+    """Learner loss along the environment's best response: f_l(theta, BR(theta)),
+    BR solved at the restriction pipeline's tolerance."""
+    e = best_response(game, "env", theta, env_set, tol=BR_SOLVE_TOL)
+    return float(game.loss_learner(theta, e))
 
 
 def random_affine_game(rng: np.random.Generator, dim_learner: int, dim_env: int):

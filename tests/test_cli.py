@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -16,11 +17,12 @@ import pytest
 
 import gamescale
 import gamescale.cli
-from gamescale.cli import EXPERIMENTS, csv_text, load_config, main, table
+from gamescale.cli import COMMON, EXPERIMENTS, load_config, main, table
 from gamescale.core import GameSpec, JointAction, box_1d
 from gamescale.equilibrium import NOISE_BLOCK, best_response, psgd_nash
 from gamescale.instances import coupled_quadratic
 from gamescale.svg import line_chart
+from gamescale.tables import csv_text
 from oracles import gradient_bad_at, non_finite_game
 
 
@@ -125,6 +127,16 @@ def test_config_that_is_not_utf8_names_its_file(tmp_path, capsys):
     assert record["error"]["type"] == "config"
     assert str(cfg) in record["error"]["message"]
     assert "utf-8" in record["error"]["message"]
+
+
+@pytest.mark.parametrize("flag, named", [("--out-dir", "out_dir"), ("--config", "config file")])
+def test_a_path_with_a_nul_exits_with_config_error(tmp_path, capsys, flag, named):
+    # open() raises ValueError, not OSError, for a NUL in a path
+    argv = ["restrict", "--out-dir", str(tmp_path / "out"), flag, str(tmp_path / "a\0b")]
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"]["type"] == "config"
+    assert named in record["error"]["message"]
 
 
 def test_zero_sum_restriction_exits_with_certification_failure(tmp_path):
@@ -274,12 +286,14 @@ BAD_VALUES = [
     (["markov", "--n", "0"], None, "n='0': must be at least 1"),
     (["regression", "--curve-step", "0"], None, "curve_step"),
     (["psgd", "--n-seeds", "0", "--horizons", "8"], None, "n_seeds"),
-    (["psgd", "--sigma", "nan", "--horizons", "8", "--n-seeds", "1"], None, "noise_bound"),
-    (["psgd", "--sigma", "inf", "--horizons", "8", "--n-seeds", "1"], None, "noise_bound"),
+    (["psgd", "--sigma", "nan", "--horizons", "8", "--n-seeds", "1"], None,
+     "sigma='nan': must be finite and nonnegative"),
+    (["psgd", "--sigma", "inf", "--horizons", "8", "--n-seeds", "1"], None,
+     "sigma='inf': must be finite and nonnegative"),
     (["select", "--losses", "-1"], None, "losses"),
     (["markov", "--points", "0"], None, "points"),
     (["participation", "--alpha-points", "0"], None, "alpha_points"),
-    (["markov", "--gamma", "1"], None, "discount"),
+    (["markov", "--gamma", "1"], None, "gamma='1': must lie in [0, 1)"),
     (["select", "--losses", ""], None, "losses"),
     (["psgd", "--horizons", ""], None, "horizons"),
     (["scaling-curve", "--radii", ""], None, "radii"),
@@ -306,13 +320,26 @@ BAD_VALUES = [
     # 22,223 k values, past the 20,001 of the 1e-3 dominance grid
     (["regression", "--curve-step", "0.0009"], None, "curve_step"),
     # one past each markov work cap
-    (["markov", "--n", "5001"], None, "n must be at most 5000"),
-    (["markov", "--points", "20002"], None, "points must be at most 20001"),
+    (["markov", "--n", "5001"], None, "n='5001': must be at least 1 and at most 5000"),
+    (["markov", "--points", "20002"], None, "points='20002': must be at least 1 and at most 20001"),
     # one past each psgd and select work cap; before the caps the first psgd argv ran without end
     (["psgd", "--horizons", "100000000000", "--n-seeds", "1"], None, "n_seeds * sum(horizons)"),
-    (["psgd", "--n-seeds", "10001", "--horizons", "1"], None, "n_seeds must be at most 10000"),
-    (["select", "--losses", ",".join(["0"] * 10001)], None, "len(losses) must be at most 10000"),
-    (["select", "--budget", "100000001"], None, "budget must be at most 100000000"),
+    (["psgd", "--n-seeds", "10001", "--horizons", "1"], None,
+     "n_seeds='10001': must be at least 1 and at most 10000"),
+    # a value too long to echo is named by its key alone
+    (["select", "--losses", ",".join(["0"] * 10001)], None, "losses: must have at most 10000 values"),
+    (["select", "--budget", "100000001"], None,
+     "budget='100000001': must be at least 1 and at most 100000000"),
+    # keys whose range the library checked, in its own wording
+    (["psgd", "--sigma", "-1"], None, "sigma='-1': must be finite and nonnegative"),
+    (["select", "--sigma", "-1"], None, "sigma='-1': must be finite and nonnegative"),
+    (["markov", "--gamma", "1.5"], None, "gamma='1.5': must lie in [0, 1)"),
+    (["markov", "--gamma-env", "-0.5"], None, "gamma_env='-0.5': must lie in [0, 1)"),
+    (["select", "--delta", "2"], None, "delta='2': must lie in (0, 1)"),
+    (["select", "--delta", "0"], None, "delta='0': must lie in (0, 1)"),
+    (["select", "--scale", "-1"], None, "scale='-1': must be finite and positive"),
+    (["select", "--alpha", "0"], None, "alpha='0': must be finite and positive"),
+    (["regression", "--beta", "0,0"], None, "beta='0,0': must have a finite, nonzero |beta|^2"),
 ]
 
 
@@ -332,6 +359,37 @@ def test_bad_values_exit_with_config_error(tmp_path, capsys, argv, config, messa
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"]["type"] == "config"
     assert message in record["error"]["message"]
+
+
+def test_every_key_has_a_bad_value_row():
+    # a row names a key when its argv or config sets the key and its message starts with it
+    def named(experiment, key):
+        flag = "--" + key.replace("_", "-")
+        return any(
+            experiment in (None, argv[0])
+            and (flag in argv or (config or "").startswith(f"{key} ="))
+            and re.match(rf"{key}\b", message)
+            for argv, config, message in BAD_VALUES
+        )
+
+    unnamed = [(e, key) for e, (_, keys) in EXPERIMENTS.items() for key in keys if not named(e, key)]
+    assert unnamed + [key for key in COMMON if not named(None, key)] == []
+
+
+def test_a_value_at_an_included_bound_runs(tmp_path):
+    assert main(["markov", "--gamma", "0", "--n", "4", "--points", "3", "--out-dir", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError, MemoryError])
+def test_any_runner_failure_exits_3_with_a_manifest(tmp_path, monkeypatch, capsys, error):
+    def runner(params):
+        raise error("runner failed")
+
+    monkeypatch.setitem(EXPERIMENTS, "restrict", (runner, EXPERIMENTS["restrict"][1]))
+    assert main(["restrict", "--out-dir", str(tmp_path)]) == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"]["type"] == read_manifest(tmp_path)["error"]["type"] == error.__name__
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
 @pytest.mark.parametrize(
@@ -374,9 +432,9 @@ def test_run_caps_are_checked_before_any_run(tmp_path, monkeypatch, argv, code, 
     monkeypatch.setattr("gamescale.cli.default_instance", stub)
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == code
     if argv[0] == "scaling-curve" and code == 2:
-        assert "len(radii) must be at most 10000, got 10001" in capsys.readouterr().err
+        assert "radii: must have at most 10000 values, strictly increasing" in capsys.readouterr().err
     if argv[0] == "participation" and code == 2:
-        assert "alpha_points must be at most 20001, got 20002" in capsys.readouterr().err
+        assert "alpha_points='20002': must be at least 1 and at most 20001" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))

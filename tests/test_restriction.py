@@ -18,11 +18,11 @@ from gamescale.restriction import (
     br_jacobian,
     certify_restriction,
     choose_direction,
-    composed_loss,
     construct_restriction,
     delta_search,
     fbar_gradient,
 )
+from oracles import composed_loss
 
 ENV_BOX = box_1d(-3.0, 3.0)
 
@@ -204,20 +204,22 @@ def affine_composed_game():
 def test_delta_search_accepts_unit_step_on_affine_loss():
     game = affine_composed_game()
     reference = composed_loss(game, np.array([0.0]), ENV_BOX)
-    delta = delta_search(
+    delta, response = delta_search(
         game, np.array([0.0]), np.array([1.0]), ENV_BOX, box_1d(-2.0, 2.0), reference
     )
     assert delta == 1.0
+    assert response.tobytes() == env_br(game, np.array([-1.0]), ENV_BOX).tobytes()
 
 
 def test_delta_search_quadratic_instance():
     bench = restriction_instance()
     # composed loss is 2 theta^2 + theta: descent from 0 along +1 needs delta < 1/2
     reference = composed_loss(bench.game, np.array([0.0]), bench.env_set)
-    delta = delta_search(
+    delta, response = delta_search(
         bench.game, np.array([0.0]), np.array([1.0]), bench.env_set, bench.learner_set, reference
     )
     assert delta == 0.25
+    assert response.tobytes() == env_br(bench.game, np.array([-delta]), bench.env_set).tobytes()
     assert composed_loss(bench.game, np.array([-delta]), bench.env_set) < 0.0
 
 
