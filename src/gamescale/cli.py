@@ -209,10 +209,8 @@ def run_markov(params: dict) -> dict[str, str]:
         params["n"], gamma_l=params["gamma"], gamma_e=params["gamma_env"]
     )
     grid = np.linspace(params["p_min"], params["p_max"], params["points"])
-    rows = np.array([
-        (eq.p_bar, eq.learner_value, eq.env_value, eq.absorbing_state, params["gamma"])
-        for eq in payoff_sweep(game, grid)
-    ])  # the state index as a float, which '%.17g' writes as the int
+    # the state index as a float, which '%.17g' writes as the int
+    rows = np.column_stack([*payoff_sweep(game, grid), np.full(grid.size, params["gamma"])])
     return table(
         "markov_sweep.csv",
         ["p_bar", "learner_value", "env_value", "absorbing_state", "gamma"],
@@ -361,6 +359,8 @@ _DISCOUNT = _checked(float, lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
 _POLICY_CAP = _checked(float, lambda v: 0.5 <= v <= 1.0, "lie in [0.5, 1]")
 _FRACTION = _checked(float, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
 _RUNS = f"have at most {MAX_RUNS} values"
+# successive elimination divides delta by 2 n T^2; above this floor the quotient stays normal at the caps
+_DELTA_FLOOR = 2 * MAX_RUNS * MAX_STEPS**2 * sys.float_info.min
 
 # experiment -> (runner, {key: (cast, default)}); the key is also the flag
 # (--n-seeds for n_seeds) and the config-file name. Each cast checks the key's
@@ -373,7 +373,8 @@ EXPERIMENTS: dict[str, tuple[Callable[[dict], dict[str, str]], dict]] = {
     }),
     "select": (run_select, {
         "losses": (_checked(_listed(_NONNEGATIVE), lambda v: len(v) <= MAX_RUNS, _RUNS), "0,0.25,0.5,1.0"),
-        "delta": (_checked(float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)"), "0.1"),
+        "delta": (_checked(float, lambda v: _DELTA_FLOOR <= v < 1.0,
+                           f"lie in (0, 1) and be at least {_DELTA_FLOOR:.3g}"), "0.1"),
         "alpha": (_POSITIVE, "8.0"), "sigma": (_NONNEGATIVE, "0.5"), "scale": (_POSITIVE, "1.0"),
         "budget": (_count(MAX_STEPS), "1000000"),
     }),

@@ -14,7 +14,7 @@ states pay the learner more.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -57,13 +57,16 @@ class MarkovChainGame:
         n = self.n_states
         if self.learner_rewards.shape != (n, 2, 2) or self.env_rewards.shape != (n, 2, 2):
             raise ValueError("reward tensors must have shape (n_states, 2, 2)")
+        if not (np.all(np.isfinite(self.learner_rewards)) and np.all(np.isfinite(self.env_rewards))):
+            raise ValueError("reward tensors must be finite")
         if not (0.0 <= self.gamma_l < 1.0 and 0.0 <= self.gamma_e < 1.0):
             raise ValueError("discount factors must lie in [0, 1)")
         if self.thresholds.shape != (n,):
             raise ValueError("need one threshold per state")
-        if np.any(np.diff(self.thresholds) >= 0) or self.thresholds[-1] <= 0.5:
+        # each check is written to fail on NaN
+        if not (np.all(np.diff(self.thresholds) < 0) and self.thresholds[-1] > 0.5):
             raise ValueError("thresholds must be strictly decreasing and > 0.5")
-        if np.any(self.learner_rewards[:, 0, :] <= self.learner_rewards[:, 1, :]):
+        if not np.all(self.learner_rewards[:, 0, :] > self.learner_rewards[:, 1, :]):
             raise ValueError("learner action 0 must strictly dominate in every state")
 
 
@@ -164,12 +167,6 @@ def env_best_response_mdp(game: MarkovChainGame, p_bar: float) -> tuple[np.ndarr
     return policy, values
 
 
-def absorbing_state(game: MarkovChainGame, env_policy: np.ndarray) -> int:
-    """First state (from 0) where the environment stays; the end if it never does."""
-    policy = np.asarray(env_policy).tolist()
-    return policy.index(0) if 0 in policy else game.n_states - 1
-
-
 def _walk(
     rewards: np.ndarray, gamma: float, p: np.ndarray, advance: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -200,82 +197,53 @@ def _walk(
     return value + discount * stage / (1.0 - gamma), last
 
 
-def learner_value(game: MarkovChainGame, p_bar: float, env_policy: np.ndarray) -> float:
-    """Exact discounted learner value from the start state under (p_bar, policy)."""
-    walk = _walk(game.learner_rewards, game.gamma_l, np.array([float(p_bar)]), np.c_[env_policy] == 1)
-    return float(walk[0][0])
+class PayoffSweep(NamedTuple):
+    """The equilibrium at each grid cap, as columns in grid order."""
+
+    p_bar: np.ndarray
+    learner_value: np.ndarray
+    env_value: np.ndarray
+    absorbing_state: np.ndarray
 
 
-def env_value(game: MarkovChainGame, p_bar: float, env_policy: np.ndarray) -> float:
-    walk = _walk(game.env_rewards, game.gamma_e, np.array([float(p_bar)]), np.c_[env_policy] == 1)
-    return float(walk[0][0])
-
-
-def verify_dominance(
-    game: MarkovChainGame, p_bar: float, env_policy: np.ndarray
-) -> tuple[bool, float]:
-    """Check that no single visited-state deviation to 1 - p_bar helps.
-
-    Transitions ignore the learner, so deviating at state s changes only that
-    state's stage reward, by (1 - 2 p_bar)(R_l[s, 0, b_s] - R_l[s, 1, b_s]),
-    weighted by gamma_l^s and by 1 / (1 - gamma_l) at the absorbing state.
-    Unvisited states cannot change the value, so the margin is taken over the
-    states actually reached before absorption. Returns (ok, worst margin);
-    ok means no deviation strictly improves the learner value.
-    """
-    last = absorbing_state(game, env_policy)
-    visited = np.arange(last + 1)
-    b = np.asarray(env_policy, dtype=int)[visited]
-    gap = game.learner_rewards[visited, 0, b] - game.learner_rewards[visited, 1, b]
-    weight = float(game.gamma_l) ** visited
-    weight[last] /= 1.0 - game.gamma_l
-    margin = float(np.min((2.0 * p_bar - 1.0) * gap * weight))
-    return margin >= -1e-12, margin
-
-
-@dataclass(eq=False)
-class ChainEquilibrium:
-    p_bar: float
-    learner_policy: np.ndarray
-    env_policy: np.ndarray
-    learner_value: float
-    env_value: float
-    absorbing_state: int
-
-
-def chain_equilibrium(game: MarkovChainGame, p_bar: float) -> ChainEquilibrium:
-    """Markov-perfect equilibrium for the capped policy class (one-cap sweep)."""
-    return payoff_sweep(game, [p_bar])[0]
-
-
-def payoff_sweep(
-    game: MarkovChainGame, p_bar_grid: Sequence[float]
-) -> list[ChainEquilibrium]:
+def payoff_sweep(game: MarkovChainGame, p_bar_grid: Sequence[float]) -> PayoffSweep:
     """Markov-perfect equilibrium per grid cap; the reverse-scaling curve.
 
     Action-0 dominance pins the learner to p_bar in every state; the
     environment then best-responds through its induced MDP. The caps go
     BLOCK at a time through one backward pass and two forward walks, so the
     sweep holds one (n, BLOCK) bool policy; each cap gets the bits of its
-    own one-cap solve.
+    own one-cap solve. Each block then certifies that dominance holds:
+    deviating to 1 - p_bar at a visited state s changes the learner value by
+    (1 - 2 p_bar) gap[s, b_s] gamma_l^s, over 1 - gamma_l at the absorbing
+    state. The states before it advance, so a cap's worst margin takes a
+    prefix minimum over b = 1 and the absorbing term; the first failing cap
+    in grid order raises CalibrationError.
     """
-    grid = np.asarray(p_bar_grid, dtype=float)
+    grid = np.array(p_bar_grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError("p_bar_grid must be one-dimensional")
     if not np.all((0.5 <= grid) & (grid <= 1.0)):
         raise ValueError("p_bar must lie in [0.5, 1]")
-    n, sweep = game.n_states, []
+    n = game.n_states
+    gap = game.learner_rewards[:, 0, :] - game.learner_rewards[:, 1, :]
+    weight = float(game.gamma_l) ** np.arange(n)
+    # worst term over states 0..s-1, all advancing; inf before state 0
+    advancing = np.minimum.accumulate(np.append(np.inf, gap[:-1, 1] * weight[:-1]))
+    absorbed = gap * (weight / (1.0 - game.gamma_l))[:, None]
+    sweep = PayoffSweep(grid, np.empty(grid.size), np.empty(grid.size), np.empty(grid.size, dtype=int))
     for start in range(0, grid.size, BLOCK):
-        p = grid[start : start + BLOCK]
+        block = slice(start, start + BLOCK)
+        p = grid[block]
         advance = np.empty((n, p.size), dtype=bool)
         for s, _, column in _backward(game, p):
             advance[s] = column
-        learner, absorbing = _walk(game.learner_rewards, game.gamma_l, p, advance)
-        env, _ = _walk(game.env_rewards, game.gamma_e, p, advance)
-        for r, p_bar in enumerate(p.tolist()):
-            policy = advance[:, r].astype(int)
-            ok, margin = verify_dominance(game, p_bar, policy)
-            if not ok:
-                raise CalibrationError(-1, f"learner dominance violated (margin {margin:.3e})")
-            sweep.append(ChainEquilibrium(
-                p_bar, np.full(n, p_bar), policy, float(learner[r]), float(env[r]), int(absorbing[r]),
-            ))
+        sweep.learner_value[block], last = _walk(game.learner_rewards, game.gamma_l, p, advance)
+        sweep.env_value[block], _ = _walk(game.env_rewards, game.gamma_e, p, advance)
+        sweep.absorbing_state[block] = last
+        b = advance[last, np.arange(p.size)].astype(int)  # the absorbing state's action
+        margin = (2.0 * p - 1.0) * np.minimum(advancing[last], absorbed[last, b])
+        failed = np.flatnonzero(~(margin >= -1e-12))
+        if failed.size:
+            raise CalibrationError(-1, f"learner dominance violated (margin {margin[failed[0]]:.3e})")
     return sweep

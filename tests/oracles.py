@@ -19,7 +19,8 @@ estimates of the regression game's integrals, losses, predictions and
 least-squares fits, exact chain-game learner values for arbitrary per-state
 policies, scalar references of the chain game's backward pass, calibration
 check and forward walk, value iteration on the chain's environment MDP, the
-chain-game dominance check by re-walking the chain once per deviation, a
+chain game's absorbing state and per-cap dominance check for one policy, the
+dominance check by re-walking the chain once per deviation, a
 Monte-Carlo rollout of the learner value, and the per-cell CSV writer that
 a float-array table's rows are held to.
 """
@@ -55,7 +56,7 @@ from gamescale.equilibrium import (
     stackelberg_leader,
     stationary_optimum,
 )
-from gamescale.markov import CalibrationError, MarkovChainGame, absorbing_state
+from gamescale.markov import CalibrationError, MarkovChainGame
 from gamescale.regression import RegressionInstance, large_model_closed_form
 from gamescale.restriction import BR_SOLVE_TOL
 from gamescale.tables import OutputError, fmt_value
@@ -639,6 +640,33 @@ def value_iteration_env_response(
     q_stay = r[:, 0] + game.gamma_e * v
     q_adv = r[:, 1] + game.gamma_e * v[nxt]
     return (q_adv > q_stay).astype(int), v
+
+
+def absorbing_state(game: MarkovChainGame, env_policy: np.ndarray) -> int:
+    """First state (from 0) where the environment stays; the end if it never does."""
+    policy = np.asarray(env_policy).tolist()
+    return policy.index(0) if 0 in policy else game.n_states - 1
+
+
+def verify_dominance(
+    game: MarkovChainGame, p_bar: float, env_policy: np.ndarray
+) -> tuple[bool, float]:
+    """Per-cap reference of the sweep's dominance check: no single visited-state
+    deviation to 1 - p_bar helps.
+
+    Transitions ignore the learner, so deviating at state s changes only that
+    state's stage reward, by (1 - 2 p_bar)(R_l[s, 0, b_s] - R_l[s, 1, b_s]),
+    weighted by gamma_l^s and by 1 / (1 - gamma_l) at the absorbing state.
+    Returns (ok, worst margin over the states reached before absorption).
+    """
+    last = absorbing_state(game, env_policy)
+    visited = np.arange(last + 1)
+    b = np.asarray(env_policy, dtype=int)[visited]
+    gap = game.learner_rewards[visited, 0, b] - game.learner_rewards[visited, 1, b]
+    weight = float(game.gamma_l) ** visited
+    weight[last] /= 1.0 - game.gamma_l
+    margin = float(np.min((2.0 * p_bar - 1.0) * gap * weight))
+    return margin >= -1e-12, margin
 
 
 def rewalk_dominance(

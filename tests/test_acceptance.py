@@ -21,7 +21,7 @@ from gamescale.instances import (
 from gamescale.cli import main
 from gamescale.core import JointAction
 from gamescale.equilibrium import psgd_nash, scaling_curve
-from gamescale.markov import build_chain_game, chain_equilibrium, payoff_sweep
+from gamescale.markov import build_chain_game, env_best_response_mdp, payoff_sweep
 from gamescale.participation import alpha_threshold, default_instance, equilibrium_pair
 from gamescale.regression import (
     RegressionInstance,
@@ -204,21 +204,19 @@ def test_criterion_5_restriction_certificate():
 def test_criterion_6_markov_reverse_scaling():
     started = time.monotonic()
     game = build_chain_game(50, gamma_l=0.9)
-    restricted = chain_equilibrium(game, 0.55)
-    unrestricted = chain_equilibrium(game, 1.0)
-    sweep = payoff_sweep(game, np.linspace(0.5, 1.0, 200))
-    absorbs = [eq.absorbing_state for eq in sweep]
+    restricted, unrestricted = payoff_sweep(game, [0.55, 1.0]).learner_value
+    absorbs = payoff_sweep(game, np.linspace(0.5, 1.0, 200)).absorbing_state
     monotone = all(a >= b for a, b in zip(absorbs, absorbs[1:]))
     mc_mean, mc_se = rollout_value(
-        game, 0.55, restricted.env_policy, episodes=100_000, horizon=500,
+        game, 0.55, env_best_response_mdp(game, 0.55)[0], episodes=100_000, horizon=500,
         rng=np.random.default_rng(60),
     )
-    mc_ok = abs(mc_mean - restricted.learner_value) <= 3 * mc_se
-    ok = restricted.learner_value > unrestricted.learner_value and monotone and mc_ok
+    mc_ok = abs(mc_mean - restricted) <= 3 * mc_se
+    ok = restricted > unrestricted and monotone and mc_ok
     report(
         6,
         ok,
-        f"value(0.55)={restricted.learner_value:.3f} > value(1.0)={unrestricted.learner_value:.3f}; "
+        f"value(0.55)={restricted:.3f} > value(1.0)={unrestricted:.3f}; "
         f"absorbing index non-increasing: {monotone}; DP vs MC within 3 SE: {mc_ok}",
         started,
         budget=60.0,

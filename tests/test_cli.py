@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -19,8 +20,9 @@ import gamescale
 import gamescale.cli
 from gamescale.cli import COMMON, EXPERIMENTS, load_config, main, table
 from gamescale.core import GameSpec, JointAction, box_1d
-from gamescale.equilibrium import NOISE_BLOCK, best_response, psgd_nash
+from gamescale.equilibrium import MAX_RUNS, MAX_STEPS, NOISE_BLOCK, best_response, psgd_nash
 from gamescale.instances import coupled_quadratic
+from gamescale.selection import confidence_radius
 from gamescale.svg import line_chart
 from gamescale.tables import csv_text
 from oracles import gradient_bad_at, non_finite_game
@@ -340,6 +342,9 @@ BAD_VALUES = [
     (["select", "--scale", "-1"], None, "scale='-1': must be finite and positive"),
     (["select", "--alpha", "0"], None, "alpha='0': must be finite and positive"),
     (["regression", "--beta", "0,0"], None, "beta='0,0': must have a finite, nonzero |beta|^2"),
+    # in (0, 1), but delta / (2 n T^2) would underflow inside successive elimination
+    (["select", "--delta", "1e-320", "--budget", "1000"], None,
+     "delta='1e-320': must lie in (0, 1) and be at least 4.45e-288"),
 ]
 
 
@@ -378,6 +383,15 @@ def test_every_key_has_a_bad_value_row():
 
 def test_a_value_at_an_included_bound_runs(tmp_path):
     assert main(["markov", "--gamma", "0", "--n", "4", "--points", "3", "--out-dir", str(tmp_path)]) == 0
+
+
+def test_delta_floor_keeps_every_epoch_radius_finite(tmp_path):
+    # the smallest per-test budget the caps allow is still a normal float
+    worst = gamescale.cli._DELTA_FLOOR / (2.0 * MAX_RUNS * MAX_STEPS * MAX_STEPS)
+    assert worst >= sys.float_info.min
+    assert math.isfinite(confidence_radius(2.0, 1.0, MAX_STEPS, worst))
+    argv = ["select", "--delta", repr(gamescale.cli._DELTA_FLOOR), "--budget", "1000"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("error", [ValueError, KeyError, MemoryError])

@@ -1,26 +1,26 @@
 """Chain Markov game: calibration, MDP solves, dominance, reverse scaling."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gamescale import markov
 from gamescale.markov import (
     CalibrationError,
     MarkovChainGame,
+    PayoffSweep,
+    _backward,
     _verify_calibration,
-    absorbing_state,
     build_chain_game,
-    chain_equilibrium,
     default_thresholds,
     env_best_response_mdp,
-    env_value,
-    learner_value,
     payoff_sweep,
-    verify_dominance,
 )
 from gamescale.regression import BLOCK
 from oracles import (
+    absorbing_state,
     learner_value_for_policy,
     rewalk_dominance,
     rollout_value,
@@ -28,7 +28,13 @@ from oracles import (
     scalar_verify_calibration,
     scalar_walk_value,
     value_iteration_env_response,
+    verify_dominance,
 )
+
+
+def walk_value(game: MarkovChainGame, p_bar: float, env_policy: np.ndarray) -> float:
+    """The learner's scalar-walk value when it plays p_bar in every state."""
+    return learner_value_for_policy(game, np.full(game.n_states, p_bar), env_policy)
 
 
 def enumerate_env_optimum(game: MarkovChainGame, p_bar: float) -> tuple[np.ndarray, np.ndarray]:
@@ -86,6 +92,26 @@ def test_three_state_policy_matches_enumeration():
 def test_learner_dominance_by_construction():
     game = build_chain_game(5)
     assert np.all(game.learner_rewards[:, 0, :] - game.learner_rewards[:, 1, :] > 0)
+
+
+@pytest.mark.parametrize("field, index, value, message", [
+    ("learner_rewards", (1, 0, 0), np.nan, "finite"),
+    ("learner_rewards", (1, 1, 1), np.nan, "finite"),  # the dominated action
+    ("env_rewards", (0, 1, 1), np.nan, "finite"),
+    ("env_rewards", (2, 0, 0), np.inf, "finite"),
+    ("thresholds", (0,), np.nan, "thresholds"),
+    ("thresholds", (2,), np.nan, "thresholds"),
+])
+def test_non_finite_field_rejected(field, index, value, message):
+    base = build_chain_game(3)
+    fields = {
+        "learner_rewards": base.learner_rewards.copy(),
+        "env_rewards": base.env_rewards.copy(),
+        "thresholds": base.thresholds.copy(),
+    }
+    fields[field][index] = value
+    with pytest.raises(ValueError, match=message):
+        MarkovChainGame(3, fields["learner_rewards"], fields["env_rewards"], 0.9, 0.9, fields["thresholds"])
 
 
 def test_bad_thresholds_rejected():
@@ -157,21 +183,21 @@ def test_single_state_geometric_series():
     policy = np.array([0])
     p_bar = 0.75
     stage = p_bar * 1.0 + (1 - p_bar) * 0.0  # R_l(s_1, 0, b) = 1, R_l(s_1, 1, b) = 0
-    assert learner_value(game, p_bar, policy) == pytest.approx(stage / (1 - 0.9))
+    assert walk_value(game, p_bar, policy) == pytest.approx(stage / (1 - 0.9))
 
 
 def test_zero_discount_gives_immediate_reward():
     game = build_chain_game(4, gamma_l=0.0, gamma_e=0.5)
     policy, _ = env_best_response_mdp(game, 0.8)
     stage = 0.8 * game.learner_rewards[0, 0, policy[0]] + 0.2 * game.learner_rewards[0, 1, policy[0]]
-    assert learner_value(game, 0.8, policy) == pytest.approx(stage)
+    assert walk_value(game, 0.8, policy) == pytest.approx(stage)
 
 
 def test_three_state_value_matches_monte_carlo():
     game = build_chain_game(3, gamma_l=0.85, gamma_e=0.85)
     p_bar = 0.72
     policy, _ = env_best_response_mdp(game, p_bar)
-    exact = learner_value(game, p_bar, policy)
+    exact = walk_value(game, p_bar, policy)
     mean, se = rollout_value(game, p_bar, policy, episodes=100_000, horizon=300,
                              rng=np.random.default_rng(11))
     assert abs(mean - exact) <= 3 * se
@@ -185,7 +211,7 @@ def test_dp_matches_monte_carlo_on_random_instances():
         game = build_chain_game(n, gamma_l=gamma, gamma_e=gamma)
         p_bar = float(rng.uniform(0.5, 1.0))
         policy, _ = env_best_response_mdp(game, p_bar)
-        exact = learner_value(game, p_bar, policy)
+        exact = walk_value(game, p_bar, policy)
         mean, se = rollout_value(game, p_bar, policy, episodes=30_000, horizon=400,
                                  rng=np.random.default_rng([13, trial]))
         assert abs(mean - exact) <= 3 * max(se, 1e-9)
@@ -195,7 +221,10 @@ def test_env_value_consistent_with_value_iteration():
     game = build_chain_game(6, gamma_l=0.9, gamma_e=0.9)
     p_bar = 0.66
     policy, values = env_best_response_mdp(game, p_bar)
-    assert env_value(game, p_bar, policy) == pytest.approx(values[0], abs=1e-9)
+    p = np.full(game.n_states, p_bar)
+    env_value = scalar_walk_value(game.env_rewards, game.gamma_e, p, policy, game.n_states)
+    assert env_value == pytest.approx(values[0], abs=1e-9)
+    assert payoff_sweep(game, [p_bar]).env_value[0] == pytest.approx(values[0], abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -208,31 +237,26 @@ def test_threshold_segments_share_absorbing_state():
     t = game.thresholds
     for i in range(3):
         lo, hi = t[i + 1], t[i]
-        absorbs = {
-            chain_equilibrium(game, lo + frac * (hi - lo)).absorbing_state
-            for frac in (0.25, 0.5, 0.75)
-        }
+        absorbs = set(payoff_sweep(game, lo + np.array([0.25, 0.5, 0.75]) * (hi - lo)).absorbing_state.tolist())
         assert len(absorbs) == 1
     # crossing one threshold moves the absorbing state by exactly one
     eps = 1e-4
     for i in range(1, 4):
-        below = chain_equilibrium(game, t[i] - eps).absorbing_state
-        above = chain_equilibrium(game, t[i] + eps).absorbing_state
+        below, above = payoff_sweep(game, [t[i] - eps, t[i] + eps]).absorbing_state
         assert below - above == 1
 
 
 def test_absorbing_state_non_increasing_in_p_bar():
     game = build_chain_game(50, gamma_l=0.9)
     sweep = payoff_sweep(game, np.linspace(0.5, 1.0, 200))
-    absorbs = [eq.absorbing_state for eq in sweep]
+    absorbs = sweep.absorbing_state
     assert all(a >= b for a, b in zip(absorbs, absorbs[1:]))
 
 
 def test_reverse_scaling_on_default_chain():
     game = build_chain_game(50, gamma_l=0.9)
-    restricted = chain_equilibrium(game, 0.55)
-    unrestricted = chain_equilibrium(game, 1.0)
-    assert restricted.learner_value > unrestricted.learner_value
+    restricted, unrestricted = payoff_sweep(game, [0.55, 1.0]).learner_value
+    assert restricted > unrestricted
 
 
 def test_value_linear_within_segment():
@@ -240,18 +264,20 @@ def test_value_linear_within_segment():
     t = game.thresholds
     lo, hi = t[4], t[3]
     ps = np.linspace(lo + 1e-3, hi - 1e-3, 7)
-    values = [chain_equilibrium(game, float(p)).learner_value for p in ps]
+    values = payoff_sweep(game, ps).learner_value
     second_diff = np.diff(values, n=2)
     assert np.all(np.abs(second_diff) <= 1e-9)
     # value jumps upward when crossing into the deeper segment
-    assert chain_equilibrium(game, lo - 1e-3).learner_value > values[0]
+    assert payoff_sweep(game, [lo - 1e-3]).learner_value[0] > values[0]
 
 
 def test_uniform_cap_forces_single_policy():
     game = build_chain_game(5, gamma_l=0.9)
-    eq = chain_equilibrium(game, 0.5)
-    assert eq.absorbing_state == game.n_states - 1
-    np.testing.assert_allclose(eq.learner_policy, 0.5)
+    sweep = payoff_sweep(game, [0.5])
+    assert sweep.absorbing_state[0] == game.n_states - 1
+    # the value is that of the learner playing 0.5 in every state
+    policy, _ = env_best_response_mdp(game, 0.5)
+    assert sweep.learner_value[0] == learner_value_for_policy(game, np.full(game.n_states, 0.5), policy)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +309,54 @@ def test_reversed_dominance_detected():
     assert not ok
     assert margin < 0
     with pytest.raises(CalibrationError) as err:
-        chain_equilibrium(game, 0.8)
+        payoff_sweep(game, [0.8])
     assert err.value.state == -1
+    assert f"margin {margin:.3e}" in str(err.value)
+
+
+@pytest.mark.parametrize("block", [3, BLOCK])
+def test_block_dominance_check_agrees_with_per_cap_reference(monkeypatch, block):
+    # random rewards, reversed dominance at one state in every other game, and
+    # unsorted caps, so the first failing cap can sit in any block
+    monkeypatch.setattr(markov, "BLOCK", block)
+    rng = np.random.default_rng(16)
+    raised = 0
+    for trial in range(60):
+        n = int(rng.integers(1, 10))
+        learner_rewards = rng.normal(size=(n, 2, 2))
+        learner_rewards[:, 0, :] = learner_rewards[:, 1, :] + rng.uniform(0.1, 2.0, size=(n, 2))
+        game = MarkovChainGame(
+            n, learner_rewards, rng.normal(size=(n, 2, 2)), float(rng.uniform(0.0, 0.95)),
+            float(rng.uniform(0.0, 0.95)), default_thresholds(n),
+        )
+        if trial % 2 == 0:  # past the constructor check
+            s = int(rng.integers(n))
+            game.learner_rewards[s] = game.learner_rewards[s, ::-1].copy()
+        grid = rng.uniform(0.5, 1.0, size=12)
+        references = [verify_dominance(game, p, env_best_response_mdp(game, p)[0]) for p in grid.tolist()]
+        failing = [margin for ok, margin in references if not ok]
+        if not failing:
+            payoff_sweep(game, grid)
+            continue
+        raised += 1
+        with pytest.raises(CalibrationError) as err:
+            payoff_sweep(game, grid)
+        assert err.value.state == -1
+        reported = float(str(err.value).rsplit("margin ", 1)[1].rstrip(")"))
+        assert reported == pytest.approx(failing[0], rel=1e-3)
+    assert raised > 10
+
+
+def test_sweep_memory_is_bounded_by_the_block():
+    game = build_chain_game(200)
+    grid = np.linspace(0.5, 1.0, 4097)
+    tracemalloc.start()
+    try:
+        payoff_sweep(game, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_dominance_margin_scales_with_reward_gap():
@@ -304,7 +376,7 @@ def test_deviation_evaluation_uses_per_state_probabilities():
     game = build_chain_game(3, gamma_l=0.9)
     policy, _ = env_best_response_mdp(game, 0.8)
     full = learner_value_for_policy(game, np.full(3, 0.8), policy)
-    assert full == pytest.approx(learner_value(game, 0.8, policy))
+    assert full == pytest.approx(payoff_sweep(game, [0.8]).learner_value[0])
 
 
 def test_value_jumps_upward_across_every_threshold():
@@ -312,8 +384,7 @@ def test_value_jumps_upward_across_every_threshold():
     eps = 1e-4
     for i in range(game.n_states - 1):
         t = game.thresholds[i]
-        deeper = chain_equilibrium(game, t - eps).learner_value
-        shallower = chain_equilibrium(game, t + eps).learner_value
+        deeper, shallower = payoff_sweep(game, [t - eps, t + eps]).learner_value
         assert deeper > shallower
 
 
@@ -334,20 +405,24 @@ def calibration_caps(game: MarkovChainGame) -> np.ndarray:
     return np.concatenate([p_star - 1e-6, np.minimum(p_star + 1e-6, 1.0)])
 
 
-def assert_sweep_matches_scalar(game: MarkovChainGame, grid) -> list:
+def assert_sweep_matches_scalar(game: MarkovChainGame, grid) -> PayoffSweep:
     hexes = lambda values: [float(v).hex() for v in np.ravel(values)]
+    caps = np.asarray(grid, dtype=float)
     sweep = payoff_sweep(game, grid)
-    assert len(sweep) == len(grid)
-    for index, (p_bar, eq) in enumerate(zip(np.asarray(grid, dtype=float).tolist(), sweep)):
+    assert all(column.shape == caps.shape for column in sweep)
+    advance = np.empty((game.n_states, caps.size), dtype=bool)  # the batched policies
+    for s, _, column in _backward(game, caps):
+        advance[s] = column
+    for index, p_bar in enumerate(caps.tolist()):
         policy, values = scalar_env_best_response(game, p_bar)
         p = np.full(game.n_states, p_bar)
-        assert eq.p_bar == p_bar
-        np.testing.assert_array_equal(eq.env_policy, policy)
-        assert eq.absorbing_state == absorbing_state(game, policy)
-        assert hexes(eq.learner_value) == hexes(
+        assert sweep.p_bar[index] == p_bar
+        np.testing.assert_array_equal(advance[:, index], policy)
+        assert sweep.absorbing_state[index] == absorbing_state(game, policy)
+        assert hexes(sweep.learner_value[index]) == hexes(
             scalar_walk_value(game.learner_rewards, game.gamma_l, p, policy, game.n_states)
         )
-        assert hexes(eq.env_value) == hexes(
+        assert hexes(sweep.env_value[index]) == hexes(
             scalar_walk_value(game.env_rewards, game.gamma_e, p, policy, game.n_states)
         )
         if index % 5:  # the one-cap entry points on every fifth cap
@@ -355,8 +430,9 @@ def assert_sweep_matches_scalar(game: MarkovChainGame, grid) -> list:
         one_policy, one_values = env_best_response_mdp(game, p_bar)
         np.testing.assert_array_equal(one_policy, policy)
         assert hexes(one_values) == hexes(values)
-        assert hexes(learner_value(game, p_bar, policy)) == hexes(eq.learner_value)
-        assert hexes(env_value(game, p_bar, policy)) == hexes(eq.env_value)
+        one = payoff_sweep(game, [p_bar])
+        assert hexes(one.learner_value) == hexes(sweep.learner_value[index])
+        assert hexes(one.env_value) == hexes(sweep.env_value[index])
     return sweep
 
 
@@ -380,11 +456,11 @@ def test_batched_sweep_edges_have_scalar_bits():
         go = t[i] * rewards[i, 0, 1] + (1.0 - t[i]) * rewards[i, 1, 1] + gamma * values[i + 1]
         if go == stay:
             ties += 1
-            assert sweep[i].env_policy[i] == 0
-            assert sweep[i].absorbing_state == i
+            assert env_best_response_mdp(game, t[i])[0][i] == 0
+            assert sweep.absorbing_state[i] == i
     assert ties > (game.n_states - 1) // 2
-    assert sweep[-2].absorbing_state == game.n_states - 1  # p_bar = 0.5 advances to the end
-    assert sweep[-1].absorbing_state == 0  # p_bar = 1.0 stays at the start
+    assert sweep.absorbing_state[-2] == game.n_states - 1  # p_bar = 0.5 advances to the end
+    assert sweep.absorbing_state[-1] == 0  # p_bar = 1.0 stays at the start
 
 
 def test_batched_sweep_crosses_row_blocks_with_scalar_bits():
@@ -433,4 +509,10 @@ def test_payoff_sweep_rejects_caps_outside_the_class(p_bar):
     with pytest.raises(ValueError, match="p_bar"):
         payoff_sweep(game, [0.7, p_bar])
     with pytest.raises(ValueError, match="p_bar"):
-        chain_equilibrium(game, p_bar)
+        payoff_sweep(game, [p_bar])
+
+
+@pytest.mark.parametrize("grid", [0.7, [[0.6, 0.7]]])
+def test_payoff_sweep_takes_a_one_dimensional_grid(grid):
+    with pytest.raises(ValueError, match="one-dimensional"):
+        payoff_sweep(build_chain_game(5), grid)
