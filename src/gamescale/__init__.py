@@ -28,14 +28,12 @@ from .core import (
 from .equilibrium import (
     EquilibriumReport,
     best_response,
-    nash_report,
     nash_residual,
     pareto_improvement_search,
     psgd_nash,
     scaling_curve,
     solve_nash,
     stackelberg_leader,
-    stationary_optimum,
 )
 from .restriction import (
     HypothesisNotSatisfiedError,
@@ -70,14 +68,12 @@ __all__ = [
     "gradient_noise",
     "gradient_operator",
     "monotonicity_audit",
-    "nash_report",
     "nash_residual",
     "pareto_improvement_search",
     "psgd_nash",
     "scaling_curve",
     "solve_nash",
     "stackelberg_leader",
-    "stationary_optimum",
     "successive_elimination",
     "__version__",
 ]

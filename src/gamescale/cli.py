@@ -39,7 +39,7 @@ from .instances import (
 )
 from .markov import MAX_POINTS, MAX_STATES, build_chain_game, payoff_sweep
 from .participation import alpha_threshold, default_instance, equilibrium_pair
-from .regression import K_RANGE, RegressionInstance, compare_model_classes, loss_curves
+from .regression import K_RANGE, MAX_DIM, RegressionInstance, compare_model_classes, loss_curves
 from .restriction import RestrictionCertificate, certify_restriction
 from .selection import successive_elimination
 from .tables import OutputError, fmt_value, table
@@ -387,7 +387,8 @@ EXPERIMENTS: dict[str, tuple[Callable[[dict], dict[str, str]], dict]] = {
         "points": (_count(MAX_POINTS), "200"), "p_min": (_POLICY_CAP, "0.5"), "p_max": (_POLICY_CAP, "1.0"),
     }),
     "regression": (run_regression, {
-        "beta": (_checked(_listed(float), _finite_nonzero_norm, "have a finite, nonzero |beta|^2"), "1,0"),
+        "beta": (_checked(_checked(_listed(float), lambda v: len(v) <= MAX_DIM, f"have at most {MAX_DIM} values"),
+                          _finite_nonzero_norm, "have a finite, nonzero |beta|^2"), "1,0"),
         # np.arange's length is this quotient rounded up; at most the 1e-3 dominance grid's 20,001
         "curve_step": (_checked(float, lambda v: v > 0 and (K_RANGE[1] + 1e-12 - K_RANGE[0]) / v <= 20_001,
                                 "be positive and give at most 20001 k values"), "0.01"),

@@ -438,12 +438,17 @@ def monotonicity_audit(
     """Sample pairs from the joint region and check the monotonicity quotient.
 
     The quotient <F(x)-F(x'), x-x'> / |x-x'|^2 must stay at or above mu for a
-    mu-strongly monotone game. A failed audit is reported, not raised.
+    mu-strongly monotone game. A failed audit is reported, not raised. Pairs
+    closer than 1e-9 are redrawn; a ValueError is raised once 10 * samples
+    pairs are drawn without samples of them far enough apart.
     """
     min_q = math.inf
     worst = None
-    done = 0
+    done = drawn = 0
     while done < samples:
+        if drawn == 10 * samples:
+            raise ValueError(f"{drawn} pairs drawn, {done} of them more than 1e-9 apart; the region is too small")
+        drawn += 1
         a = region.sample(rng)
         b = region.sample(rng)
         diff = a - b

@@ -36,7 +36,7 @@ from .descent import _projected_descent, _single_point_checked, natural_residual
 REGIMES = ("stationary", "stackelberg_leader", "stackelberg_follower", "nash")
 NOISE_BLOCK = 64  # PSGD steps of noise drawn per call; sets memory, never output bits
 MAX_RUNS, MAX_STEPS = 10_000, 10**8  # psgd/select caps: rows of one PSGD batch; run steps in all
-ROW_BLOCK = 512  # rows of one batched descent over whole classes; sets memory, never output bits
+ROW_BLOCK = 512  # rows of one Stackelberg grid descent over whole classes; sets memory, never output bits
 
 
 @dataclass(eq=False)
@@ -59,28 +59,12 @@ def _report(
     return EquilibriumReport(regime, joint, *losses, float(residual), int(iterations), certified)
 
 
-def natural_residual(x: np.ndarray, feasible: ActionSet, g: np.ndarray) -> float:
-    """natural_residuals of the one point x with gradient g."""
-    return float(natural_residuals(np.atleast_2d(x), feasible.project_rows, np.atleast_2d(g))[0])
-
-
 def _blocks(sizes: Sequence[int]) -> list[slice]:
     """Consecutive slices of whole problems, problem k of sizes[k] rows: ROW_BLOCK rows at
     most (one problem at least). A slice starts where its running total is one size."""
     totals = itertools.accumulate(sizes, lambda rows, size: size if rows + size > ROW_BLOCK else rows + size)
     starts = [k for k, (total, size) in enumerate(zip(totals, sizes)) if total == size]
     return [slice(a, b) for a, b in zip(starts, [*starts[1:], len(sizes)])]
-
-
-def stationary_optimum(
-    game: GameSpec,
-    model_class: ActionSet,
-    fixed_env: np.ndarray,
-) -> EquilibriumReport:
-    """Minimize the learner loss against a single fixed environment action."""
-    e = np.asarray(fixed_env, dtype=float)
-    theta, iters, residual = best_responses(game, "learner", e[np.newaxis], model_class, 1e-8)
-    return _report(game, "stationary", JointAction(theta[0], e), residual[0], iters[0])
 
 
 def best_responses(
@@ -313,7 +297,8 @@ def nash_residual(
     step (both players' own-action blocks); zero exactly at a Nash point of
     the convex game."""
     z = x.concat()
-    return natural_residual(z, Product(learner_set, env_set), gradient_operator(game, z))
+    g = gradient_operator(game, z)
+    return float(natural_residuals(z[np.newaxis], Product(learner_set, env_set).project_rows, g[np.newaxis])[0])
 
 
 def _nash_rows(game: GameSpec, learner_sets: Sequence[ActionSet], env_set: ActionSet, tol: float) -> tuple:
@@ -341,16 +326,6 @@ def solve_nash(
     """
     x, iters, _ = _nash_rows(game, [learner_set], env_set, tol)
     return JointAction.from_concat(x[0], game.dim_learner), int(iters[0])
-
-
-def nash_report(
-    game: GameSpec,
-    learner_set: ActionSet,
-    env_set: ActionSet,
-    tol: float = 1e-10,
-) -> EquilibriumReport:
-    x, iters = solve_nash(game, learner_set, env_set, tol)
-    return _report(game, "nash", x, nash_residual(game, x, learner_set, env_set), iters)
 
 
 # ---------------------------------------------------------------------------
@@ -420,24 +395,25 @@ def scaling_curve(
     action; the others against env_set. The learner-loss sequence is non-increasing in class
     index for the stationary and learner-leading Stackelberg regimes; the
     Nash regime can break monotonicity, which is the phenomenon under study.
-    All classes are solved together (each descent takes whole classes,
-    ROW_BLOCK rows at most), bit for bit as one at a time.
+    All classes are solved together, bit for bit as one at a time: one descent
+    for the stationary and Nash regimes (a class is one row there), Stackelberg
+    grids in blocks of whole classes of at most ROW_BLOCK rows.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
-    classes, envs, ones = ladder.classes, [env_set] * len(ladder), [1] * len(ladder)
+    if regime != "stationary" and env_set is None:
+        raise ValueError(f"regime {regime!r} needs an env_set")
+    classes, envs = ladder.classes, [env_set] * len(ladder)
     if regime == "stackelberg_leader":
         return list(enumerate(_stackelberg(game, "learner", classes, envs, 101)))
     if regime == "stackelberg_follower":
         return list(enumerate(_stackelberg(game, "env", envs, classes, 101)))
     if regime == "stationary":
         e = np.zeros((len(classes), game.dim_env))
-        parts = [best_responses(game, "learner", e[b], classes[b], 1e-8) for b in _blocks(ones)]
-        thetas, iters, residuals = map(np.concatenate, zip(*parts))
+        thetas, iters, residuals = best_responses(game, "learner", e, classes, 1e-8)
         joints = [JointAction(theta, env) for theta, env in zip(thetas, e)]
     else:
-        parts = [_nash_rows(game, classes[b], env_set, 1e-9) for b in _blocks(ones)]
-        points, iters, _ = map(np.concatenate, zip(*parts))
+        points, iters, _ = _nash_rows(game, classes, env_set, 1e-9)
         joints = [JointAction.from_concat(x, game.dim_learner) for x in points]
         residuals = [nash_residual(game, x, cls, env_set) for x, cls in zip(joints, classes)]
     return list(enumerate(_report(game, regime, *row) for row in zip(joints, residuals, iters)))

@@ -64,8 +64,8 @@ class MarkovChainGame:
         if self.thresholds.shape != (n,):
             raise ValueError("need one threshold per state")
         # each check is written to fail on NaN
-        if not (np.all(np.diff(self.thresholds) < 0) and self.thresholds[-1] > 0.5):
-            raise ValueError("thresholds must be strictly decreasing and > 0.5")
+        if not (np.all(np.diff(self.thresholds) < 0) and 1.0 >= self.thresholds[0] and self.thresholds[-1] > 0.5):
+            raise ValueError("thresholds must be strictly decreasing, at most 1 and > 0.5")
         if not np.all(self.learner_rewards[:, 0, :] > self.learner_rewards[:, 1, :]):
             raise ValueError("learner action 0 must strictly dominate in every state")
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 K_RANGE = (-10.0, 10.0)  # the shift magnitudes k the population may choose
+MAX_DIM = 512  # CLI cap on len(beta); the bump-class closed form is NaN from ~880 entries
 BLOCK = 2048  # k values per array call in the grid scans; bounds their memory
 # libm's exp and pow per element, on Python floats: np.exp and numpy's q*q round differently
 _exp = np.vectorize(math.exp, otypes=[float])

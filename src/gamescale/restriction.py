@@ -186,7 +186,10 @@ def certify_restriction(
     stage tag; a Pareto-optimal Nash raises HypothesisNotSatisfiedError.
     """
     rng = np.random.default_rng(seed)
-    report = monotonicity_audit(game, Product(learner_set, env_set), 128, rng)
+    try:
+        report = monotonicity_audit(game, Product(learner_set, env_set), 128, rng)
+    except ValueError as exc:
+        raise RestrictionStageError("monotonicity_audit", str(exc)) from exc
     if not report.passed:
         raise RestrictionStageError(
             "monotonicity_audit",

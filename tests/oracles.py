@@ -51,10 +51,11 @@ from gamescale.core import (
 from gamescale.equilibrium import (
     EquilibriumReport,
     best_response,
+    best_responses,
     grid_points,
-    nash_report,
+    nash_residual,
+    solve_nash,
     stackelberg_leader,
-    stationary_optimum,
 )
 from gamescale.markov import CalibrationError, MarkovChainGame
 from gamescale.regression import RegressionInstance, large_model_closed_form
@@ -120,18 +121,27 @@ def per_class_scaling_curve(
     game: GameSpec, ladder: ModelClassLadder, regime: str, env_set: Optional[ActionSet] = None
 ) -> list[tuple[int, EquilibriumReport]]:
     """scaling_curve one class at a time, each through the one-class solver of
-    its regime; the batched curve must equal it bit for bit."""
+    its regime (a one-row best response against the zero environment action,
+    stackelberg_leader, or solve_nash with nash_residual); the batched curve
+    must equal it bit for bit."""
+
+    def report(joint: JointAction, residual: float, iterations: int) -> EquilibriumReport:
+        losses = (float(loss(joint.theta, joint.env)) for loss in (game.loss_learner, game.loss_env))
+        return EquilibriumReport(regime, joint, *losses, float(residual), int(iterations))
+
     out = []
     for k, cls in enumerate(ladder):
         if regime == "stationary":
-            report = stationary_optimum(game, cls, np.zeros(game.dim_env))
+            env = np.zeros(game.dim_env)
+            theta, iters, residual = best_responses(game, "learner", env[np.newaxis], cls, 1e-8)
+            out.append((k, report(JointAction(theta[0], env), residual[0], iters[0])))
         elif regime == "stackelberg_leader":
-            report = stackelberg_leader(game, "learner", cls, env_set)
+            out.append((k, stackelberg_leader(game, "learner", cls, env_set)))
         elif regime == "stackelberg_follower":
-            report = stackelberg_leader(game, "env", env_set, cls)
+            out.append((k, stackelberg_leader(game, "env", env_set, cls)))
         else:
-            report = nash_report(game, cls, env_set, tol=1e-9)
-        out.append((k, report))
+            joint, iters = solve_nash(game, cls, env_set, tol=1e-9)
+            out.append((k, report(joint, nash_residual(game, joint, cls, env_set), iters)))
     return out
 
 

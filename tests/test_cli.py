@@ -22,6 +22,8 @@ from gamescale.cli import COMMON, EXPERIMENTS, load_config, main, table
 from gamescale.core import GameSpec, JointAction, box_1d
 from gamescale.equilibrium import MAX_RUNS, MAX_STEPS, NOISE_BLOCK, best_response, psgd_nash
 from gamescale.instances import coupled_quadratic
+from gamescale.participation import EquilibriumOutcome, equilibrium_pair
+from gamescale.regression import MAX_DIM
 from gamescale.selection import confidence_radius
 from gamescale.svg import line_chart
 from gamescale.tables import csv_text
@@ -169,14 +171,29 @@ def test_select_writes_elimination_log(tmp_path):
     assert summary["inconclusive"] == "0"
 
 
-def test_python_dash_m_gamescale_runs_the_cli():
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """python -m gamescale argv, in a fresh interpreter that imports this tree's package."""
     src = str(Path(gamescale.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run(
-        [sys.executable, "-m", "gamescale", "--help"], env=env, capture_output=True, text=True, timeout=60
-    )
+    return subprocess.run([sys.executable, "-m", "gamescale", *argv], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_gamescale_runs_the_cli():
+    done = run_module("--help")
     assert done.returncode == 0, done.stderr
     assert "usage: gamescale" in done.stdout
+
+
+def test_python_dash_m_gamescale_returns_the_run_exit_code(tmp_path):
+    done = run_module("markov", "--n", "2", "--points", "2", "--out-dir", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert read_manifest(tmp_path)["error"] is None
+
+
+def test_every_export_resolves():
+    # a function removed from the package must leave no name behind in __all__
+    assert len(set(gamescale.__all__)) == len(gamescale.__all__)
+    assert [name for name in gamescale.__all__ if not hasattr(gamescale, name)] == []
 
 
 def parser_tokens(source: str) -> int:
@@ -345,6 +362,8 @@ BAD_VALUES = [
     # in (0, 1), but delta / (2 n T^2) would underflow inside successive elimination
     (["select", "--delta", "1e-320", "--budget", "1000"], None,
      "delta='1e-320': must lie in (0, 1) and be at least 4.45e-288"),
+    # one past the beta cap; the bump-class closed form is NaN from ~880 entries
+    (["regression", "--beta", ",".join(["1"] * (MAX_DIM + 1))], None, "beta: must have at most 512 values"),
 ]
 
 
@@ -449,6 +468,23 @@ def test_run_caps_are_checked_before_any_run(tmp_path, monkeypatch, argv, code, 
         assert "radii: must have at most 10000 values, strictly increasing" in capsys.readouterr().err
     if argv[0] == "participation" and code == 2:
         assert "alpha_points='20002': must be at least 1 and at most 20001" in capsys.readouterr().err
+
+
+def test_regression_at_the_beta_cap_runs(tmp_path):
+    assert main(["regression", "--beta", ",".join(["1"] * MAX_DIM), "--out-dir", str(tmp_path)]) == 0
+    assert read_manifest(tmp_path)["config"]["beta"] == [1.0] * MAX_DIM
+
+
+def test_participation_certificate_failure_exits_3_without_outputs(tmp_path, monkeypatch, capsys):
+    def uncertified(model_class, *args):
+        return EquilibriumOutcome(equilibrium_pair(model_class, *args).loss, model_class == "full")
+
+    monkeypatch.setattr("gamescale.cli.equilibrium_pair", uncertified)
+    assert main(["participation", "--alpha-points", "2", "--out-dir", str(tmp_path)]) == 3
+    error = read_manifest(tmp_path)["error"]
+    assert error["type"] == "RuntimeError"
+    assert error["message"] == "equilibrium certificate failed at alpha=0.0"
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))

@@ -471,6 +471,44 @@ def test_audit_flags_concave_player():
     assert report.violating_pair is not None
 
 
+class ScriptedRegion:
+    """A region whose samples are the given points, in order."""
+
+    def __init__(self, points):
+        self.points = [np.array(p, dtype=float) for p in points]
+        self.drawn = 0
+
+    def sample(self, rng):
+        self.drawn += 1
+        return self.points[self.drawn - 1]
+
+
+def test_audit_redraws_a_coincident_pair_and_keeps_the_draw_order():
+    # F(t, e) = (t + e^3, e): the quotient depends on the pair, so the pair used shows
+    game = GameSpec(
+        dim_learner=1, dim_env=1, loss_learner=lambda t, e: 0.5 * t[0] ** 2 + t[0] * e[0] ** 3,
+        loss_env=lambda t, e: 0.5 * e[0] ** 2, grad_learner=lambda t, e: t + e**3, grad_env=lambda t, e: e,
+        mu=0.1, lipschitz=10.0,
+    )
+    pairs = [([0.5, 0.5], [0.5, 0.5]), ([1.0, -1.0], [0.0, 1.0]), ([0.2, 0.3], [0.2, 0.3]), ([0.0, 0.5], [1.0, 0.0])]
+    region = ScriptedRegion([p for pair in pairs for p in pair])
+    report = monotonicity_audit(game, region, 2, np.random.default_rng(0))
+    quotients = []
+    for a, b in (pairs[1], pairs[3]):
+        diff = np.subtract(a, b)
+        g = gradient_operator(game, np.array(a)) - gradient_operator(game, np.array(b))
+        quotients.append(float(g @ diff) / float(diff @ diff))
+    assert region.drawn == 8
+    assert report.min_modulus == min(quotients) != max(quotients)
+
+
+def test_audit_of_a_point_region_raises_at_its_draw_limit():
+    # before the limit this loop never returned: every pair coincides
+    region = Product(box_1d(0.5, 0.5), box_1d(1.0, 1.0))
+    with pytest.raises(ValueError, match="30 pairs drawn, 0 of them more than 1e-9 apart"):
+        monotonicity_audit(coupling_game(0.0), region, 3, np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # Ladders
 # ---------------------------------------------------------------------------

@@ -33,21 +33,18 @@ from gamescale.core import (
     gradient_operator,
 )
 from gamescale import equilibrium
-from gamescale.descent import _projected_descent, _single_point_checked
+from gamescale.descent import _projected_descent, _single_point_checked, natural_residuals
 from gamescale.equilibrium import (
     NOISE_BLOCK,
     best_response,
     best_responses,
     grid_points,
-    nash_report,
     nash_residual,
-    natural_residual,
     pareto_improvement_search,
     psgd_nash,
     scaling_curve,
     solve_nash,
     stackelberg_leader,
-    stationary_optimum,
 )
 from oracles import (
     per_class_scaling_curve,
@@ -87,24 +84,29 @@ def quadratic_target_game(target):
     )
 
 
+def stationary_report(game: GameSpec, model_class) -> equilibrium.EquilibriumReport:
+    """The stationary report of one class, against the zero environment action."""
+    return scaling_curve(game, ModelClassLadder([model_class]), "stationary")[0][1]
+
+
 def test_stationary_interior_minimum():
     game = quadratic_target_game([0.0, 0.0])
-    report = stationary_optimum(game, Box(-np.ones(2), np.ones(2)), np.zeros(1))
+    report = stationary_report(game, Box(-np.ones(2), np.ones(2)))
     np.testing.assert_allclose(report.joint.theta, [0.0, 0.0], atol=1e-8)
     assert abs(report.loss_learner) <= 1e-12
 
 
 def test_stationary_clamped_minimum():
     game = quadratic_target_game([2.0, 0.0])
-    report = stationary_optimum(game, Box(-np.ones(2), np.ones(2)), np.zeros(1))
+    report = stationary_report(game, Box(-np.ones(2), np.ones(2)))
     np.testing.assert_allclose(report.joint.theta, [1.0, 0.0], atol=1e-8)
     assert abs(report.loss_learner - 0.5) <= 1e-10
 
 
 def test_stationary_nested_classes_monotone():
     game = quadratic_target_game([2.0, 0.0])
-    small = stationary_optimum(game, Box(-0.5 * np.ones(2), 0.5 * np.ones(2)), np.zeros(1))
-    large = stationary_optimum(game, Box(-np.ones(2), np.ones(2)), np.zeros(1))
+    small = stationary_report(game, Box(-0.5 * np.ones(2), 0.5 * np.ones(2)))
+    large = stationary_report(game, Box(-np.ones(2), np.ones(2)))
     assert large.loss_learner <= small.loss_learner
 
 
@@ -320,7 +322,7 @@ def test_adaptive_best_response_matches_fixed_step_reference():
         x = best_response(game, "learner", np.zeros(1), box, tol=1e-9)
         assert float(np.linalg.norm(x - reference)) <= 1e-7
         # the skip never delays the stop: it is the first iterate with residual <= tol
-        residuals = [natural_residual(p, box, grad(p)) for p in iterates]
+        residuals = natural_residuals(np.array(iterates), box.project_rows, np.array([grad(p) for p in iterates]))
         np.testing.assert_array_equal(iterates[-1], x)
         assert residuals[-1] <= 1e-9 < min(residuals[:-1], default=math.inf)
         if np.any(np.abs(reference) >= 1.0 - 1e-12):
@@ -567,9 +569,9 @@ def test_stackelberg_follower_is_best_response_bitwise(leader, dim_leader, dim_f
 def test_stackelberg_zero_sum_coincides_with_nash():
     bench = zero_sum_instance()
     report = stackelberg_leader(bench.game, "learner", bench.learner_set, bench.env_set)
-    nash = nash_report(bench.game, bench.learner_set, bench.env_set)
-    np.testing.assert_allclose(report.joint.theta, nash.joint.theta, atol=1e-4)
-    assert abs(report.loss_learner - nash.loss_learner) <= 1e-6
+    nash, _ = solve_nash(bench.game, bench.learner_set, bench.env_set, tol=1e-10)
+    np.testing.assert_allclose(report.joint.theta, nash.theta, atol=1e-4)
+    assert abs(report.loss_learner - float(bench.game.loss_learner(nash.theta, nash.env))) <= 1e-6
 
 
 def test_stackelberg_singleton_leader_degenerates_to_follower_optimum():
@@ -592,8 +594,8 @@ def test_stackelberg_env_leads_regression_game():
 def test_stackelberg_leader_advantage_over_nash():
     game, env_set = stackelberg_scaling_game()
     leader = stackelberg_leader(game, "learner", box_1d(-1.0, 1.0), env_set)
-    nash = nash_report(game, box_1d(-1.0, 1.0), env_set)
-    assert leader.loss_learner <= nash.loss_learner + 1e-6
+    nash, _ = solve_nash(game, box_1d(-1.0, 1.0), env_set, tol=1e-10)
+    assert leader.loss_learner <= float(game.loss_learner(nash.theta, nash.env)) + 1e-6
 
 
 def test_stackelberg_grid_tie_goes_to_lexicographically_first_point():
@@ -1408,6 +1410,19 @@ def test_scaling_curve_equals_per_class_loop_bitwise(monkeypatch, case, block):
         assert [(k, report_bits(r)) for k, r in got] == per_class_curve_bits(case, regime)
         if regime == "stackelberg_leader":
             assert all(r.certified == (ladder[0].dimension <= 2) for _, r in got)
+
+
+@pytest.mark.parametrize("regime", ["nash", "stackelberg_leader", "stackelberg_follower"])
+def test_scaling_curve_without_env_set_names_it_before_any_solve(monkeypatch, regime):
+    # these regimes once failed deep inside with an AttributeError on None
+    def solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    for name in ("best_responses", "_nash_rows", "_stackelberg"):
+        monkeypatch.setattr(equilibrium, name, solve)
+    game, _ = stackelberg_scaling_game()
+    with pytest.raises(ValueError, match="env_set"):
+        scaling_curve(game, nested_box_ladder([0.5, 1.0]), regime)
 
 
 def test_scaling_curve_single_class_trivial():

@@ -121,6 +121,18 @@ def test_bad_thresholds_rejected():
         build_chain_game(3, thresholds=[0.9, 0.8, 0.4])
 
 
+@pytest.mark.parametrize("top", [np.inf, 1.5])
+def test_thresholds_above_one_rejected(top):
+    # a cap never exceeds 1; these once ran on into RuntimeWarnings and a CalibrationError
+    with pytest.raises(ValueError, match="at most 1"):
+        build_chain_game(2, thresholds=[top, 0.7])
+
+
+def test_threshold_of_one_builds():
+    game = build_chain_game(2, thresholds=[1.0, 0.7])
+    assert game.thresholds.tolist() == [1.0, 0.7]
+
+
 def test_default_thresholds_valid():
     t = default_thresholds(50)
     assert np.all(np.diff(t) < 0)

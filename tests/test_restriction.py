@@ -367,6 +367,29 @@ def test_weakly_monotone_game_rejected_at_audit():
     assert "5.000e-01" in str(err.value)
 
 
+def test_point_region_fails_at_audit_stage():
+    # every sampled pair coincides; the audit once redrew them without end
+    game = restriction_instance().game
+    with pytest.raises(RestrictionStageError) as err:
+        certify_restriction(game, box_1d(0.5, 0.5), box_1d(1.0, 1.0))
+    assert err.value.stage == "monotonicity_audit"
+    assert "1280 pairs drawn, 0 of them" in str(err.value)
+
+
+@pytest.mark.parametrize("solver, stage", [("solve_nash", "nash_solve"), ("delta_search", "delta_search")])
+def test_solver_failure_is_tagged_with_its_stage(monkeypatch, solver, stage):
+    def fail(*args, **kwargs):
+        raise ConvergenceError(f"{solver} did not converge")
+
+    monkeypatch.setattr(f"gamescale.restriction.{solver}", fail)
+    bench = restriction_instance()
+    with pytest.raises(RestrictionStageError) as err:
+        certify_restriction(bench.game, bench.learner_set, bench.env_set)
+    assert err.value.stage == stage
+    assert str(err.value) == f"[{stage}] {solver} did not converge"
+    assert isinstance(err.value.__cause__, ConvergenceError)
+
+
 def test_certificate_record_round_trips():
     bench = restriction_instance()
     cert = certify_restriction(bench.game, bench.learner_set, bench.env_set)
