@@ -440,6 +440,16 @@ def _resolve_params(args: argparse.Namespace, cfg: dict[str, str]) -> dict:
     return params
 
 
+def _where(exc: BaseException) -> str:
+    """file:function of the root cause's innermost frame (through __cause__); no line, so edits keep records."""
+    while exc.__cause__ is not None and exc.__cause__.__traceback__ is not None:
+        exc = exc.__cause__
+    tb = exc.__traceback__
+    while tb.tb_next is not None:  # walked by hand: traceback.extract_tb would read and cache the source
+        tb = tb.tb_next
+    return f"{Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_frame.f_code.co_name}"
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
@@ -472,6 +482,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         stage = getattr(exc, "stage", None)
         if stage is not None:
             error["stage"] = stage
+        error["where"] = _where(exc)
         write_manifest(out_dir, args.experiment, params, {}, time.monotonic() - started, error)
         print(json.dumps({"error": error}), file=sys.stderr)
         return 3

@@ -98,7 +98,7 @@ class Box(ActionSet):
     def __post_init__(self):
         self.lower = _as_vector(self.lower)
         self.upper = _as_vector(self.upper, self.lower.shape[0])
-        if np.any(self.lower > self.upper):
+        if not np.all(self.lower <= self.upper):  # fails on NaN; infinite bounds pass
             raise ValueError("box requires lower <= upper componentwise")
         self.dimension = self.lower.shape[0]
 
@@ -127,8 +127,8 @@ class Halfspace(ActionSet):
         self.normal = _as_vector(self.normal)
         self.offset = float(self.offset)
         self._norm_sq = float(self.normal @ self.normal)
-        if self._norm_sq == 0.0:
-            raise ValueError("halfspace normal must be nonzero")
+        if not (0.0 < self._norm_sq < math.inf and math.isfinite(self.offset)):  # fails on NaN
+            raise ValueError("halfspace needs a finite nonzero normal and a finite offset")
         self.dimension = self.normal.shape[0]
 
     def project(self, point: np.ndarray) -> np.ndarray:
@@ -422,28 +422,20 @@ def gradient_noise(streams: Sequence, noise_bound: float, out: np.ndarray) -> np
     return out
 
 
-@dataclass
-class MonotonicityReport:
-    min_modulus: float
-    passed: bool
-    violating_pair: Optional[tuple[np.ndarray, np.ndarray]] = None
-
-
 def monotonicity_audit(
     game: GameSpec,
     region: ActionSet,
     samples: int,
     rng: np.random.Generator,
-) -> MonotonicityReport:
-    """Sample pairs from the joint region and check the monotonicity quotient.
+) -> float:
+    """Smallest monotonicity quotient over sampled pairs of the joint region.
 
-    The quotient <F(x)-F(x'), x-x'> / |x-x'|^2 must stay at or above mu for a
-    mu-strongly monotone game. A failed audit is reported, not raised. Pairs
-    closer than 1e-9 are redrawn; a ValueError is raised once 10 * samples
-    pairs are drawn without samples of them far enough apart.
+    The quotient <F(x)-F(x'), x-x'> / |x-x'|^2 stays at or above mu for a
+    mu-strongly monotone game; the caller compares, and one NaN quotient makes
+    the result NaN. Pairs closer than 1e-9 are redrawn; a ValueError is raised
+    once 10 * samples pairs are drawn without samples of them far enough apart.
     """
     min_q = math.inf
-    worst = None
     done = drawn = 0
     while done < samples:
         if drawn == 10 * samples:
@@ -455,19 +447,11 @@ def monotonicity_audit(
         nsq = float(diff @ diff)
         if nsq < 1e-18:
             continue
-        fa = gradient_operator(game, a)
-        fb = gradient_operator(game, b)
-        q = float((fa - fb) @ diff) / nsq
-        if q < min_q:
+        q = (gradient_operator(game, a) - gradient_operator(game, b)) @ diff / nsq
+        if q < min_q or math.isnan(q):
             min_q = q
-            worst = (a, b)
         done += 1
-    passed = min_q >= game.mu - 1e-7
-    return MonotonicityReport(
-        min_modulus=min_q,
-        passed=passed,
-        violating_pair=None if passed else worst,
-    )
+    return min_q
 
 
 # ---------------------------------------------------------------------------

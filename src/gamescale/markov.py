@@ -55,6 +55,8 @@ class MarkovChainGame:
         self.env_rewards = np.asarray(self.env_rewards, dtype=float)
         self.thresholds = np.asarray(self.thresholds, dtype=float)
         n = self.n_states
+        if not n >= 1:
+            raise ValueError("the chain needs at least one state")
         if self.learner_rewards.shape != (n, 2, 2) or self.env_rewards.shape != (n, 2, 2):
             raise ValueError("reward tensors must have shape (n_states, 2, 2)")
         if not (np.all(np.isfinite(self.learner_rewards)) and np.all(np.isfinite(self.env_rewards))):

@@ -33,9 +33,9 @@ class DiscreteDistribution:
         n_cells = int(np.prod(self.feature_sizes))
         if self.probs.ndim != 2 or self.probs.shape[0] != n_cells:
             raise ValueError("probs must have shape (n_cells, n_labels)")
-        if np.any(self.probs < 0):
+        if not np.all(self.probs >= 0):  # fails on NaN, as the sum check does
             raise ValueError("probabilities must be nonnegative")
-        if abs(float(self.probs.sum()) - 1.0) > 1e-12:
+        if not abs(float(self.probs.sum()) - 1.0) <= 1e-12:
             raise ValueError("probabilities must sum to 1")
 
     @property

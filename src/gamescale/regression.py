@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 K_RANGE = (-10.0, 10.0)  # the shift magnitudes k the population may choose
-MAX_DIM = 512  # CLI cap on len(beta); the bump-class closed form is NaN from ~880 entries
+MAX_DIM = 512  # cap on len(beta), here and in the CLI: at k = 1, m*m is subnormal from ~643, NaN from ~880
 BLOCK = 2048  # k values per array call in the grid scans; bounds their memory
 # libm's exp and pow per element, on Python floats: np.exp and numpy's q*q round differently
 _exp = np.vectorize(math.exp, otypes=[float])
@@ -44,6 +44,8 @@ class RegressionInstance:
         self.beta = np.asarray(self.beta, dtype=float)
         if self.beta.ndim != 1:
             raise ValueError("beta must be a nonzero vector")
+        if self.beta.shape[0] > MAX_DIM:
+            raise ValueError(f"beta must have at most MAX_DIM = {MAX_DIM} entries, got {self.beta.shape[0]}")
         with np.errstate(over="ignore"):
             squared_norm = float(self.beta @ self.beta)
         if squared_norm == 0.0:

@@ -9,6 +9,7 @@ step numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -51,20 +52,6 @@ class HypothesisNotSatisfiedError(RestrictionStageError):
         super().__init__("pareto_check", message)
 
 
-class ParetoStationaryError(RestrictionStageError):
-    """The composed-loss gradient vanishes at the Nash point."""
-
-    def __init__(self, message: str):
-        super().__init__("direction", message)
-
-
-class BoundaryResponseError(RestrictionStageError):
-    """Best response sits on the boundary, where it need not be smooth."""
-
-    def __init__(self, message: str):
-        super().__init__("br_jacobian", message)
-
-
 @dataclass(eq=False)
 class RestrictionCertificate:
     original_nash: JointAction
@@ -90,7 +77,7 @@ def br_jacobian(
     """
     theta = np.asarray(theta, dtype=float)
     if not env_set.is_interior(base, margin=FD_STEP):
-        raise BoundaryResponseError("best response on the boundary of the environment set")
+        raise RestrictionStageError("br_jacobian", "best response on the boundary of the environment set")
     steps = FD_STEP * np.eye(game.dim_learner)
     responses, _, _ = best_responses(
         game, "env", np.concatenate([theta + steps, theta - steps]), env_set, BR_SOLVE_TOL
@@ -118,8 +105,8 @@ def fbar_gradient(
 def choose_direction(grad_fbar: np.ndarray) -> np.ndarray:
     """Unit vector with positive inner product against the composed gradient."""
     norm = float(np.linalg.norm(grad_fbar))
-    if norm <= 1e-10:
-        raise ParetoStationaryError("composed gradient vanishes; Nash appears Pareto-stationary")
+    if not norm > 1e-10:
+        raise RestrictionStageError("direction", "composed gradient vanishes; Nash appears Pareto-stationary")
     return np.asarray(grad_fbar, dtype=float) / norm
 
 
@@ -171,6 +158,14 @@ def construct_restriction(
     return Intersection([learner_set, first, second])
 
 
+def _stage(stage: str, step: Callable, *args):
+    """step(*args), with a solver or numeric failure in it re-raised tagged with stage."""
+    try:
+        return step(*args)
+    except (ConvergenceError, FloatingPointError, ValueError) as exc:
+        raise RestrictionStageError(stage, str(exc)) from exc
+
+
 def certify_restriction(
     game: GameSpec,
     learner_set: ActionSet,
@@ -179,66 +174,47 @@ def certify_restriction(
 ) -> RestrictionCertificate:
     """Run the full pipeline and return a verified improvement certificate.
 
-    Stages: monotonicity audit, full-game Nash solve, interiority check,
-    Pareto-improvement witness, direction and step choice, restricted-set
-    construction, and final verification that the restricted point is a Nash
-    of the cut game with strictly lower learner loss. Failures carry the
-    stage tag; a Pareto-optimal Nash raises HypothesisNotSatisfiedError.
+    Stages, by tag: monotonicity_audit, nash_solve, interior_check,
+    pareto_check (the Pareto-improvement witness), br_jacobian (BR(theta*)
+    and the composed gradient), direction, delta_search, construction (the
+    restricted set) and verification that the restricted point is a Nash of
+    the cut game with strictly lower learner loss. Every stage failure is a
+    RestrictionStageError carrying its tag; a Pareto-optimal Nash raises
+    HypothesisNotSatisfiedError.
     """
     rng = np.random.default_rng(seed)
-    try:
-        report = monotonicity_audit(game, Product(learner_set, env_set), 128, rng)
-    except ValueError as exc:
-        raise RestrictionStageError("monotonicity_audit", str(exc)) from exc
-    if not report.passed:
-        raise RestrictionStageError(
-            "monotonicity_audit",
-            f"min observed modulus {report.min_modulus:.3e} below mu={game.mu}",
-        )
+    modulus = _stage("monotonicity_audit", monotonicity_audit, game, Product(learner_set, env_set), 128, rng)
+    if not modulus >= game.mu - 1e-7:
+        raise RestrictionStageError("monotonicity_audit", f"min observed modulus {modulus:.3e} below mu={game.mu}")
 
-    try:
-        x_star, _ = solve_nash(game, learner_set, env_set, tol=1e-8)
-    except ConvergenceError as exc:
-        raise RestrictionStageError("nash_solve", str(exc)) from exc
-
-    if not learner_set.is_interior(x_star.theta, margin=1e-8):
-        raise RestrictionStageError(
-            "interior_check", "Nash learner action on the boundary of its model class"
-        )
-
-    witness = pareto_improvement_search(game, x_star, learner_set, env_set)
-    if witness is None:
-        raise HypothesisNotSatisfiedError(
-            "no Pareto-improving joint action found: Nash appears Pareto optimal"
-        )
+    x_star, _ = _stage("nash_solve", solve_nash, game, learner_set, env_set, 1e-8)
+    if not _stage("interior_check", learner_set.is_interior, x_star.theta, 1e-8):
+        raise RestrictionStageError("interior_check", "Nash learner action on the boundary of its model class")
+    if _stage("pareto_check", pareto_improvement_search, game, x_star, learner_set, env_set) is None:
+        raise HypothesisNotSatisfiedError("no Pareto-improving joint action found: Nash appears Pareto optimal")
 
     # BR(theta*) at BR_SOLVE_TOL, not x_star.env (solved at the Nash tolerance)
-    e_star = best_response(game, "env", x_star.theta, env_set, tol=BR_SOLVE_TOL)
-    grad_fbar = fbar_gradient(game, x_star.theta, env_set, e_star)
-    v = choose_direction(grad_fbar)
+    e_star = _stage("br_jacobian", best_response, game, "env", x_star.theta, env_set, BR_SOLVE_TOL)
+    grad_fbar = _stage("br_jacobian", fbar_gradient, game, x_star.theta, env_set, e_star)
+    v = _stage("direction", choose_direction, grad_fbar)
     reference = float(game.loss_learner(x_star.theta, e_star))
-    try:
-        delta, e_prime = delta_search(game, x_star.theta, v, env_set, learner_set, reference)
-    except ConvergenceError as exc:
-        raise RestrictionStageError("delta_search", str(exc)) from exc
+    delta, e_prime = _stage("delta_search", delta_search, game, x_star.theta, v, env_set, learner_set, reference)
 
     theta_prime = x_star.theta - delta * v
-    restricted_set = construct_restriction(game, theta_prime, e_prime, v, learner_set)
+    restricted_set = _stage("construction", construct_restriction, game, theta_prime, e_prime, v, learner_set)
     restricted_point = JointAction(theta_prime, e_prime)
 
-    if not restricted_set.contains(theta_prime, tol=1e-9):
+    if not _stage("verification", restricted_set.contains, theta_prime, 1e-9):
         raise RestrictionStageError("verification", "theta' fell outside the restricted set")
-    if restricted_set.contains(x_star.theta, tol=1e-9):
+    if _stage("verification", restricted_set.contains, x_star.theta, 1e-9):
         raise RestrictionStageError("verification", "theta* was not removed by the restriction")
-    residual = nash_residual(game, restricted_point, restricted_set, env_set)
-    if residual > 1e-6:
-        raise RestrictionStageError(
-            "verification", f"restricted point is not a Nash point (residual {residual:.3e})"
-        )
+    residual = _stage("verification", nash_residual, game, restricted_point, restricted_set, env_set)
+    if not residual <= 1e-6:
+        raise RestrictionStageError("verification", f"restricted point is not a Nash point (residual {residual:.3e})")
     original_loss = float(game.loss_learner(x_star.theta, x_star.env))
     restricted_loss = float(game.loss_learner(theta_prime, e_prime))
     improvement = original_loss - restricted_loss
-    if improvement <= 0:
+    if not improvement > 0:
         raise RestrictionStageError("verification", "restricted equilibrium did not improve the loss")
 
     return RestrictionCertificate(
@@ -252,4 +228,3 @@ def certify_restriction(
         restricted_loss=restricted_loss,
         restricted_residual=residual,
     )
-

@@ -19,7 +19,7 @@ import pytest
 import gamescale
 import gamescale.cli
 from gamescale.cli import COMMON, EXPERIMENTS, load_config, main, table
-from gamescale.core import GameSpec, JointAction, box_1d
+from gamescale.core import ConvergenceError, GameSpec, JointAction, box_1d
 from gamescale.equilibrium import MAX_RUNS, MAX_STEPS, NOISE_BLOCK, best_response, psgd_nash
 from gamescale.instances import coupled_quadratic
 from gamescale.participation import EquilibriumOutcome, equilibrium_pair
@@ -149,6 +149,20 @@ def test_zero_sum_restriction_exits_with_certification_failure(tmp_path):
     manifest = read_manifest(out)
     assert manifest["error"]["type"] == "HypothesisNotSatisfiedError"
     assert manifest["error"]["stage"] == "pareto_check"
+    assert manifest["error"]["where"] == "restriction.py:certify_restriction"
+
+
+def test_stage_failure_record_names_where_its_cause_was_raised(tmp_path, monkeypatch, capsys):
+    # the stage error is raised in restriction.py; `where` follows __cause__ to the solver
+    def solve_nash(*args):
+        raise ConvergenceError("no convergence")
+
+    monkeypatch.setattr("gamescale.restriction.solve_nash", solve_nash)
+    assert main(["restrict", "--out-dir", str(tmp_path)]) == 3
+    error = {"type": "RestrictionStageError", "message": "[nash_solve] no convergence", "stage": "nash_solve",
+             "where": "test_cli.py:solve_nash"}
+    assert read_manifest(tmp_path)["error"] == error
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {"error": error}
 
 
 def test_restrict_coupled_writes_certificate(tmp_path):
@@ -422,6 +436,7 @@ def test_any_runner_failure_exits_3_with_a_manifest(tmp_path, monkeypatch, capsy
     assert main(["restrict", "--out-dir", str(tmp_path)]) == 3
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"]["type"] == read_manifest(tmp_path)["error"]["type"] == error.__name__
+    assert record["error"]["where"] == "test_cli.py:runner"
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
@@ -513,7 +528,7 @@ def test_non_finite_gradient_exits_with_solver_failure(tmp_path, monkeypatch, ca
     monkeypatch.setitem(EXPERIMENTS, "psgd", (runner, EXPERIMENTS["psgd"][1]))
     out = tmp_path / "fpe"
     assert main(["psgd", "--out-dir", str(out)]) == 3
-    error = {"type": "FloatingPointError", "message": "non-finite gradient components"}
+    error = {"type": "FloatingPointError", "message": "non-finite gradient components", "where": "test_cli.py:runner"}
     assert read_manifest(out)["error"] == error
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {"error": error}
 
@@ -530,7 +545,7 @@ def test_non_finite_best_response_gradient_exits_with_solver_failure(tmp_path, m
     started = time.perf_counter()
     assert main(["psgd", "--out-dir", str(out)]) == 3
     assert time.perf_counter() - started < 0.05
-    error = {"type": "FloatingPointError", "message": "non-finite gradient components"}
+    error = {"type": "FloatingPointError", "message": "non-finite gradient components", "where": "core.py:_finite"}
     assert read_manifest(out)["error"] == error
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {"error": error}
 
@@ -576,7 +591,7 @@ def test_non_finite_gradient_at_one_step_exits_with_solver_failure(tmp_path, mon
     monkeypatch.setitem(EXPERIMENTS, "psgd", (runner, EXPERIMENTS["psgd"][1]))
     out = tmp_path / "fpe-step"
     assert main(["psgd", "--out-dir", str(out)]) == 3
-    error = {"type": "FloatingPointError", "message": "non-finite gradient components"}
+    error = {"type": "FloatingPointError", "message": "non-finite gradient components", "where": "core.py:_finite"}
     assert read_manifest(out)["error"] == error
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {"error": error}
 

@@ -215,6 +215,32 @@ def test_invalid_sets_rejected():
         Halfspace(np.ones(2), 0.0).bounding_box()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Box([np.nan], [1.0]), "lower <= upper"),
+        (lambda: Box([0.0], [np.nan]), "lower <= upper"),
+        (lambda: Box(np.zeros((1, 1)), np.ones((1, 1))), "expected a vector"),
+        (lambda: Halfspace(1.0, np.nan), "finite offset"),  # a scalar normal is a 1-vector
+        (lambda: Halfspace([np.nan], 1.0), "finite nonzero normal"),
+        (lambda: Halfspace([np.inf, 0.0], 1.0), "finite nonzero normal"),
+        (lambda: Intersection([]), "at least one member"),
+        (lambda: GameSpec(0, 1, lambda t, e: 0.0, lambda t, e: 0.0, 1.0, 1.0), "dimensions must be positive"),
+        (lambda: GameSpec(1, 1, lambda t, e: 0.0, lambda t, e: 0.0, math.nan, 1.0), "must be finite"),
+        (lambda: ModelClassLadder([]), "at least one class"),
+        (lambda: ModelClassLadder([box_1d(0, 1), Box(np.zeros(2), np.ones(2))]), "share the learner dimension"),
+    ],
+)
+def test_bad_constructor_input_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_infinite_box_bounds_build_and_project():
+    box = Box([-np.inf, 0.0], [np.inf, 1.0])
+    np.testing.assert_array_equal(box.project(np.array([-1e300, 2.0])), [-1e300, 1.0])
+
+
 def test_product_projects_componentwise():
     joint = Product(box_1d(0.0, 1.0), box_1d(-1.0, 0.0))
     np.testing.assert_allclose(joint.project(np.array([2.0, 0.5])), [1.0, 0.0])
@@ -444,15 +470,13 @@ JOINT_BOX = Product(box_1d(-2.0, 2.0), box_1d(-2.0, 2.0))
 
 
 def test_audit_decoupled_quadratics():
-    report = monotonicity_audit(coupling_game(0.0, lipschitz=1.0), JOINT_BOX, 200, np.random.default_rng(5))
-    assert report.passed
-    assert report.min_modulus >= 1.0 - 1e-7
+    modulus = monotonicity_audit(coupling_game(0.0, lipschitz=1.0), JOINT_BOX, 200, np.random.default_rng(5))
+    assert modulus >= 1.0 - 1e-7
 
 
 def test_audit_skew_coupling_cancels():
-    report = monotonicity_audit(coupling_game(1.0), JOINT_BOX, 200, np.random.default_rng(6))
-    assert report.passed
-    assert report.min_modulus >= 1.0 - 1e-7
+    modulus = monotonicity_audit(coupling_game(1.0), JOINT_BOX, 200, np.random.default_rng(6))
+    assert modulus >= 1.0 - 1e-7
 
 
 def test_audit_flags_concave_player():
@@ -466,9 +490,8 @@ def test_audit_flags_concave_player():
         mu=0.5,
         lipschitz=1.0,
     )
-    report = monotonicity_audit(game, JOINT_BOX, 200, np.random.default_rng(7))
-    assert not report.passed
-    assert report.violating_pair is not None
+    modulus = monotonicity_audit(game, JOINT_BOX, 200, np.random.default_rng(7))
+    assert modulus < 0.5 - 1e-7
 
 
 class ScriptedRegion:
@@ -492,14 +515,22 @@ def test_audit_redraws_a_coincident_pair_and_keeps_the_draw_order():
     )
     pairs = [([0.5, 0.5], [0.5, 0.5]), ([1.0, -1.0], [0.0, 1.0]), ([0.2, 0.3], [0.2, 0.3]), ([0.0, 0.5], [1.0, 0.0])]
     region = ScriptedRegion([p for pair in pairs for p in pair])
-    report = monotonicity_audit(game, region, 2, np.random.default_rng(0))
+    modulus = monotonicity_audit(game, region, 2, np.random.default_rng(0))
     quotients = []
     for a, b in (pairs[1], pairs[3]):
         diff = np.subtract(a, b)
         g = gradient_operator(game, np.array(a)) - gradient_operator(game, np.array(b))
         quotients.append(float(g @ diff) / float(diff @ diff))
     assert region.drawn == 8
-    assert report.min_modulus == min(quotients) != max(quotients)
+    assert modulus == min(quotients) != max(quotients)
+
+
+def test_audit_of_nan_points_is_nan():
+    # finite gradients at a NaN point give a NaN quotient, which the running minimum once skipped
+    game = coupling_game(0.0, lipschitz=1.0)
+    game.grad_learner = game.grad_env = lambda t, e: np.zeros(1)
+    region = ScriptedRegion([[0.0, 0.0], [1.0, 0.0], [np.nan, 0.0], [0.0, 1.0], [0.0, 0.0], [0.5, 0.0]])
+    assert math.isnan(monotonicity_audit(game, region, 3, np.random.default_rng(0)))
 
 
 def test_audit_of_a_point_region_raises_at_its_draw_limit():

@@ -1248,6 +1248,30 @@ def test_pareto_search_reruns_one_pair_at_a_time_on_a_broken_batch(broken):
     assert witness is not None and not batched
 
 
+# [5e-5, 1e-4] of [0, 1]: between two points of the 101-point grid
+BETWEEN_GRID_POINTS = Intersection([box_1d(0.0, 1.0), Halfspace([1.0], 1e-4), Halfspace([-1.0], -5e-5)])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda game: best_responses(game, "nobody", np.zeros((1, 1)), box_1d(-1, 1), 1e-8), "unknown player"),
+        (lambda game: stackelberg_leader(game, "nobody", box_1d(-1, 1), box_1d(-1, 1)), "unknown leader"),
+        (lambda game: stackelberg_leader(game, "learner", BETWEEN_GRID_POINTS, box_1d(-1, 1)), "empty grid"),
+        (lambda game: psgd_nash(game, [box_1d(-1, 1)], box_1d(-1, 1), JointAction([0.0], [0.0]), 8, []),
+         "1 learner sets for 0 generators"),
+        (lambda game: scaling_curve(game, ModelClassLadder([box_1d(-1, 1)]), "nobody"), "unknown regime"),
+        # a loss that raises on a batch and on single points too: the single-point rerun raises
+        (lambda game: pareto_improvement_search(
+            dataclasses.replace(game, loss_env=lambda t, e: math.sqrt(e.item(0))),
+            JointAction([0.0], [0.25]), box_1d(-1, 1), box_1d(-1, 1)), "math domain error"),
+    ],
+)
+def test_bad_solver_input_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(quadratic_target_game([0.0]))
+
+
 def test_pareto_search_rejects_joint_dimension_above_4():
     game = quadratic_target_game([0.0, 0.0, 0.0])
     x = JointAction(np.zeros(3), np.zeros(2))

@@ -114,6 +114,31 @@ def test_non_finite_field_rejected(field, index, value, message):
         MarkovChainGame(3, fields["learner_rewards"], fields["env_rewards"], 0.9, 0.9, fields["thresholds"])
 
 
+def chain_game_with(**changes) -> MarkovChainGame:
+    """MarkovChainGame(3, ...) with the fields of build_chain_game(3), some changed."""
+    base = build_chain_game(3)
+    fields = {name: getattr(base, name) for name in
+              ("n_states", "learner_rewards", "env_rewards", "gamma_l", "gamma_e", "thresholds")}
+    return MarkovChainGame(**{**fields, **changes})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: chain_game_with(n_states=0), "at least one state"),
+        (lambda: build_chain_game(0), "at least one state"),
+        (lambda: chain_game_with(env_rewards=np.zeros((2, 2, 2))), r"shape \(n_states, 2, 2\)"),
+        (lambda: chain_game_with(gamma_l=1.0), "discount"),
+        (lambda: chain_game_with(gamma_e=np.nan), "discount"),
+        (lambda: chain_game_with(thresholds=[0.9, 0.8]), "one threshold per state"),
+        (lambda: chain_game_with(learner_rewards=build_chain_game(3).learner_rewards[:, ::-1]), "dominate"),
+    ],
+)
+def test_bad_chain_game_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_bad_thresholds_rejected():
     with pytest.raises(ValueError):
         build_chain_game(3, thresholds=[0.7, 0.7, 0.6])

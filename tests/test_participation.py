@@ -253,6 +253,20 @@ def test_distribution_validation():
         DiscreteDistribution((2, 2), bad)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DiscreteDistribution((2,), [[0.5, np.nan], [0.25, 0.25]]), "nonnegative"),
+        (lambda: FeatureMap((2, 2), retained=(2,)), "out of range"),
+        (lambda: env_response(np.zeros(4, dtype=int), *two_feature_instance(0.9), 1.5), r"alpha must lie"),
+        (lambda: equilibrium_pair("nobody", *two_feature_instance(0.9), 0.5), "unknown model class"),
+    ],
+)
+def test_bad_participation_input_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_mix_weights():
     base, _ = default_instance()
     u = uniform_distribution(base.feature_sizes, base.n_labels)

@@ -195,6 +195,28 @@ def test_instance_validation():
         RegressionInstance(np.zeros(2))
 
 
+@pytest.mark.parametrize(
+    "beta, message",
+    [
+        (np.ones((2, 2)), "nonzero vector"),
+        (np.ones(513), "at most MAX_DIM = 512 entries, got 513"),
+        (np.array([1e200, 1e200]), "finite"),
+        (np.array([np.nan, 1.0]), "finite"),
+    ],
+)
+def test_bad_beta_rejected(beta, message):
+    with pytest.raises(ValueError, match=message):
+        RegressionInstance(beta)
+
+
+def test_beta_at_the_cap_has_finite_losses():
+    # the bump-class closed form is NaN from ~880 entries; the cap keeps it well clear
+    instance = RegressionInstance(np.ones(512))
+    ks = np.linspace(*K_RANGE, 81)
+    for form in (small_model_loss, large_model_learner_loss, small_model_env_objective, large_model_env_objective):
+        assert np.all(np.isfinite(form(instance, ks)))
+
+
 # ---------------------------------------------------------------------------
 # Array forms against the scalar references, bit for bit
 # ---------------------------------------------------------------------------

@@ -5,15 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import gamescale.restriction
 from gamescale.instances import restriction_instance, zero_sum_instance
 from gamescale.cli import certificate_record
-from gamescale.core import Box, ConvergenceError, GameSpec, box_1d, central_difference
+from gamescale.core import Box, ConvergenceError, GameSpec, Halfspace, box_1d, central_difference
 from gamescale.equilibrium import best_response
 from gamescale.restriction import (
     BR_SOLVE_TOL,
-    BoundaryResponseError,
     HypothesisNotSatisfiedError,
-    ParetoStationaryError,
     RestrictionStageError,
     br_jacobian,
     certify_restriction,
@@ -102,7 +101,7 @@ def test_br_jacobian_flags_boundary_response():
         mu=1.0,
         lipschitz=1.0,
     )
-    with pytest.raises(BoundaryResponseError):
+    with pytest.raises(RestrictionStageError, match=r"^\[br_jacobian\]"):
         br_jacobian(game, np.array([0.0]), ENV_BOX, env_br(game, np.array([0.0]), ENV_BOX))
 
 
@@ -183,8 +182,13 @@ def test_choose_direction_normalizes():
 
 
 def test_choose_direction_rejects_zero():
-    with pytest.raises(ParetoStationaryError):
+    with pytest.raises(RestrictionStageError, match=r"^\[direction\]"):
         choose_direction(np.zeros(2))
+
+
+def test_choose_direction_rejects_a_nan_norm():
+    with pytest.raises(RestrictionStageError, match=r"^\[direction\] composed gradient vanishes"):
+        choose_direction(np.array([np.nan, 1.0]))
 
 
 def affine_composed_game():
@@ -376,18 +380,65 @@ def test_point_region_fails_at_audit_stage():
     assert "1280 pairs drawn, 0 of them" in str(err.value)
 
 
-@pytest.mark.parametrize("solver, stage", [("solve_nash", "nash_solve"), ("delta_search", "delta_search")])
-def test_solver_failure_is_tagged_with_its_stage(monkeypatch, solver, stage):
+def _raising(error: type):
     def fail(*args, **kwargs):
-        raise ConvergenceError(f"{solver} did not converge")
+        raise error("step failed")
 
-    monkeypatch.setattr(f"gamescale.restriction.{solver}", fail)
+    return fail
+
+
+def _delta_search_then_zero_loss(game, *args):
+    """The real step; then every learner loss reads 0, so no improvement is left to verify."""
+    found = delta_search(game, *args)
+    game.loss_learner = lambda t, e: 0.0
+    return found
+
+
+# each case replaces one step of the pipeline (a gamescale.restriction name, or
+# an oracle of the game) and expects the stage tag, the cause's type and the message
+STAGE_FAILURES = {
+    "solve_nash-nash_solve": (
+        "solve_nash", _raising(ConvergenceError), "nash_solve", ConvergenceError, "step failed"),
+    "delta_search-delta_search": (
+        "delta_search", _raising(ConvergenceError), "delta_search", ConvergenceError, "step failed"),
+    "nan_gradient-monotonicity_audit": (
+        "grad_learner", lambda t, e: np.full(np.shape(t), np.nan), "monotonicity_audit", FloatingPointError,
+        "non-finite gradient components"),
+    "pareto_improvement_search-pareto_check": (
+        "pareto_improvement_search", _raising(ValueError), "pareto_check", ValueError, "step failed"),
+    "best_response-br_jacobian": (
+        "best_response", _raising(ConvergenceError), "br_jacobian", ConvergenceError, "step failed"),
+    "fbar_gradient-br_jacobian": (
+        "fbar_gradient", _raising(FloatingPointError), "br_jacobian", FloatingPointError, "step failed"),
+    "construct_restriction-construction": (
+        "construct_restriction", _raising(ValueError), "construction", ValueError, "step failed"),
+    "nash_residual-verification": (
+        "nash_residual", _raising(ConvergenceError), "verification", ConvergenceError, "step failed"),
+    "theta_prime_cut_off-verification": (
+        "construct_restriction", lambda game, theta, e, v, learner_set: Halfspace(v, float(v @ theta) - 1.0),
+        "verification", type(None), "theta' fell outside the restricted set"),
+    "theta_star_kept-verification": (
+        "construct_restriction", lambda game, theta, e, v, learner_set: learner_set, "verification", type(None),
+        "theta* was not removed by the restriction"),
+    "not_nash-verification": (
+        "nash_residual", lambda *args: 1.0, "verification", type(None),
+        "restricted point is not a Nash point (residual 1.000e+00)"),
+    "no_improvement-verification": (
+        "delta_search", _delta_search_then_zero_loss, "verification", type(None),
+        "restricted equilibrium did not improve the loss"),
+}
+
+
+@pytest.mark.parametrize("step, replacement, stage, cause, message", STAGE_FAILURES.values(), ids=STAGE_FAILURES)
+def test_solver_failure_is_tagged_with_its_stage(monkeypatch, step, replacement, stage, cause, message):
     bench = restriction_instance()
+    target = bench.game if hasattr(bench.game, step) else gamescale.restriction
+    monkeypatch.setattr(target, step, replacement)
     with pytest.raises(RestrictionStageError) as err:
         certify_restriction(bench.game, bench.learner_set, bench.env_set)
     assert err.value.stage == stage
-    assert str(err.value) == f"[{stage}] {solver} did not converge"
-    assert isinstance(err.value.__cause__, ConvergenceError)
+    assert str(err.value) == f"[{stage}] {message}"
+    assert type(err.value.__cause__) is cause
 
 
 def test_certificate_record_round_trips():

@@ -185,6 +185,19 @@ def test_horizon_past_float_range_is_past_the_budget():
         assert report.winner is None
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: confidence_radius(0.0, 1.0, 10, 0.1), "positive and finite"),
+        (lambda: confidence_radius(1.0, math.nan, 10, 0.1), "positive and finite"),
+        (lambda: selection_arms([0.0, -1.0]), "finite and nonnegative"),
+    ],
+)
+def test_bad_selection_input_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_invalid_parameters_rejected():
     arms, game, env_set = selection_arms([0.0, 0.5])
     with pytest.raises(ValueError):
