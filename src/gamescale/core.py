@@ -126,7 +126,8 @@ class Halfspace(ActionSet):
     def __post_init__(self):
         self.normal = _as_vector(self.normal)
         self.offset = float(self.offset)
-        self._norm_sq = float(self.normal @ self.normal)
+        with np.errstate(over="ignore"):  # an infinite norm is rejected below
+            self._norm_sq = float(self.normal @ self.normal)
         if not (0.0 < self._norm_sq < math.inf and math.isfinite(self.offset)):  # fails on NaN
             raise ValueError("halfspace needs a finite nonzero normal and a finite offset")
         self.dimension = self.normal.shape[0]
@@ -248,6 +249,10 @@ class Product(ActionSet):
         theta, env = self.split(point)
         return np.concatenate([self.learner.project(theta), self.env.project(env)])
 
+    def project_rows(self, points: np.ndarray) -> np.ndarray:
+        dl = self.learner.dimension
+        return np.concatenate([self.learner.project_rows(points[:, :dl]), self.env.project_rows(points[:, dl:])], 1)
+
     def is_interior(self, point: np.ndarray, margin: float = 1e-9) -> bool:
         theta, env = self.split(point)
         return self.learner.is_interior(theta, margin) and self.env.is_interior(env, margin)
@@ -265,9 +270,10 @@ def _clip(z: np.ndarray, lower, upper, out: Optional[np.ndarray] = None) -> np.n
 def _box_rows(sets: Sequence[ActionSet]) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Stacked (B, d) bounds of B sets, each a Box or a Product of Boxes (else None), made once per set."""
     boxed = lambda s: isinstance(s, Box) or isinstance(s, Product) and boxed(s.learner) and boxed(s.env)
-    distinct = {id(s): (i, s) for i, s in enumerate({id(s): s for s in sets}.values())}
+    distinct = {}  # id -> (its row among the distinct sets, set), in one pass
+    rows = [distinct.setdefault(id(s), (len(distinct), s))[0] for s in sets]
     if all(boxed(s) for _, s in distinct.values()):
-        boxes, rows = [s.bounding_box() for _, s in distinct.values()], [distinct[id(s)][0] for s in sets]
+        boxes = [s.bounding_box() for _, s in distinct.values()]
         return np.stack([b.lower for b in boxes])[rows], np.stack([b.upper for b in boxes])[rows]
 
 
@@ -295,18 +301,22 @@ def central_difference(f: Callable[[np.ndarray], float], x: np.ndarray, step: fl
 class GameSpec:
     """Two-player game: losses, gradient oracles, and regularity constants.
 
-    One oracle contract serves PSGD, best responses and the Pareto grid: a
-    gradient or loss f(theta, env) gets one joint point (two vectors; a loss
-    returns a float, a gradient a vector or, in dimension 1, a float) or a
-    batch, theta (B, dim_learner) and env (B, dim_env), row i joint point i, for
-    which a gradient must return shape (B, dim) and a loss (B,) exactly: any
-    other shape is an error, not broadcast. Best responses check every row at
-    one iterate, and the Pareto grid row 0 of each call, against the single
-    point's bits. Oracles that broadcast over rows, such as t - 1.0 + e or the
-    shipped losses' t.T[0], take one call per step or grid row. One that takes
-    single points only (it indexes t[0] or calls float()), or an omitted
-    gradient (central differences, step 1e-6), makes PSGD raise, while best
-    responses and the Pareto grid rerun the whole search one point at a time.
+    One oracle contract serves PSGD, best responses and the Pareto and
+    Stackelberg grids: a gradient or loss f(theta, env) gets one joint point
+    (two vectors; a loss returns a float, a gradient a vector or, in dimension
+    1, a float) or a batch, theta (B, dim_learner) and env (B, dim_env), row i
+    joint point i, for which a gradient must return shape (B, dim) and a loss
+    (B,) exactly: any other shape is an error, not broadcast. Best responses
+    check every row at one iterate, and the grids row 0 of each call, against
+    the single point's bits; the Stackelberg grid also calls the single points
+    where the batch values, taken as 8-16 ulps from them, do not decide its
+    rule, and at each round's winner. Oracles that broadcast over rows, such as
+    t - 1.0 + e or the shipped losses' t.T[0], take one call per step, Pareto
+    grid row or Stackelberg block. One that takes single points only (it
+    indexes t[0] or calls float()), or an omitted gradient (central
+    differences, step 1e-6), makes PSGD raise, while best responses and the
+    Pareto grid rerun the whole search one point at a time, and the
+    Stackelberg grid each block.
     """
 
     dim_learner: int
@@ -435,22 +445,26 @@ def monotonicity_audit(
     the result NaN. Pairs closer than 1e-9 are redrawn; a ValueError is raised
     once 10 * samples pairs are drawn without samples of them far enough apart.
     """
-    min_q = math.inf
-    done = drawn = 0
+    batched = type(region).sample is ActionSet.sample  # a uniform draw in the bounding box, projected
+    min_q, done, drawn = math.inf, 0, 0
     while done < samples:
         if drawn == 10 * samples:
             raise ValueError(f"{drawn} pairs drawn, {done} of them more than 1e-9 apart; the region is too small")
-        drawn += 1
-        a = region.sample(rng)
-        b = region.sample(rng)
-        diff = a - b
-        nsq = float(diff @ diff)
-        if nsq < 1e-18:
-            continue
-        q = (gradient_operator(game, a) - gradient_operator(game, b)) @ diff / nsq
-        if q < min_q or math.isnan(q):
-            min_q = q
-        done += 1
+        if batched:  # the pairs still needed, at most: one (2n, d) draw has the bits of 2n draws of d
+            n, box = min(samples - done, 10 * samples - drawn), region.bounding_box()
+            points = region.project_rows(rng.uniform(box.lower, box.upper, (2 * n, box.dimension)))
+        else:
+            n, points = 1, [region.sample(rng), region.sample(rng)]
+        drawn += n
+        for a, b in zip(points[::2], points[1::2]):
+            diff = a - b
+            nsq = float(diff @ diff)
+            if nsq < 1e-18:
+                continue
+            q = (gradient_operator(game, a) - gradient_operator(game, b)) @ diff / nsq
+            if q < min_q or math.isnan(q):
+                min_q = q
+            done += 1
     return min_q
 
 

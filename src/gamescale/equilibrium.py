@@ -9,16 +9,15 @@ brute-force grid oracles for small instances.
 
 from __future__ import annotations
 
-import itertools
+import contextlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import (
     ActionSet,
-    Box,
     GameSpec,
     JointAction,
     ModelClassLadder,
@@ -32,11 +31,11 @@ from .core import (
     gradient_operator,
 )
 from .descent import _projected_descent, _single_point_checked, natural_residuals
+from .grid import _grid_minimize, _pattern_search, grid_points
 
 REGIMES = ("stationary", "stackelberg_leader", "stackelberg_follower", "nash")
 NOISE_BLOCK = 64  # PSGD steps of noise drawn per call; sets memory, never output bits
 MAX_RUNS, MAX_STEPS = 10_000, 10**8  # psgd/select caps: rows of one PSGD batch; run steps in all
-ROW_BLOCK = 512  # rows of one Stackelberg grid descent over whole classes; sets memory, never output bits
 
 
 @dataclass(eq=False)
@@ -59,14 +58,6 @@ def _report(
     return EquilibriumReport(regime, joint, *losses, float(residual), int(iterations), certified)
 
 
-def _blocks(sizes: Sequence[int]) -> list[slice]:
-    """Consecutive slices of whole problems, problem k of sizes[k] rows: ROW_BLOCK rows at
-    most (one problem at least). A slice starts where its running total is one size."""
-    totals = itertools.accumulate(sizes, lambda rows, size: size if rows + size > ROW_BLOCK else rows + size)
-    starts = [k for k, (total, size) in enumerate(zip(totals, sizes)) if total == size]
-    return [slice(a, b) for a, b in zip(starts, [*starts[1:], len(sizes)])]
-
-
 def best_responses(
     game: GameSpec,
     player: str,
@@ -82,16 +73,25 @@ def best_responses(
     _single_point_checked."""
     opp = np.asarray(opponent_actions, dtype=float)
     if player == "learner":
-        single, dim = game.grad_l, game.dim_learner
+        single, raw, dim = game.grad_l, game.grad_learner, game.dim_learner
         batch = lambda x, rows: _batch_gradient(game.grad_learner, "grad_learner", x, opp[rows], dim)
     elif player == "env":
-        single, dim = lambda x, o: game.grad_e(o, x), game.dim_env
+        single, raw, dim = lambda x, o: game.grad_e(o, x), lambda x, o: game.grad_env(o, x), game.dim_env
         batch = lambda x, rows: _batch_gradient(game.grad_env, "grad_env", opp[rows], x, dim)
     else:
         raise ValueError(f"unknown player {player!r}")
     x0 = np.zeros((len(opp), dim))
     solve = lambda grad: _projected_descent(grad, own_sets, x0, 1.0 / game.lipschitz, True, tol, 200_000)
-    per_row = lambda x, rows: np.array([single(xi, opp[i]) for i, xi in zip(rows.tolist(), x)])
+
+    def per_row(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """One oracle call per row, stacked as it is if that is (B, dim), or (B,) in dimension 1;
+        else, or after an exception, through single, which raises as _as_vector does."""
+        with contextlib.suppress(Exception):
+            g = np.array([raw(xi, opp[i]) for i, xi in zip(rows.tolist(), x)], dtype=float)
+            if g.shape == (len(x), dim) or dim == 1 and g.shape == (len(x),):
+                return g.reshape(len(x), dim)
+        return np.array([single(xi, opp[i]) for i, xi in zip(rows.tolist(), x)])
+
     return _single_point_checked(solve, batch, per_row)
 
 
@@ -105,77 +105,6 @@ def best_response(
     """Loss-minimizing action of one player against a fixed opponent action."""
     opp = np.asarray(opponent_action, dtype=float)
     return best_responses(game, player, opp[np.newaxis], own_set, tol)[0][0]
-
-
-# ---------------------------------------------------------------------------
-# Grid search
-# ---------------------------------------------------------------------------
-
-
-def grid_points(feasible: ActionSet, resolution: int, box: Optional[Box] = None) -> np.ndarray:
-    """Lexicographically ordered mesh over the bounding box, feasibility-filtered."""
-    box = box if box is not None else feasible.bounding_box()
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in zip(box.lower, box.upper)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, box.dimension)
-    return mesh[feasible.contains_rows(mesh)]
-
-
-def _grid_minimize(objective: Callable, feasibles: Sequence[ActionSet], resolution: int) -> list[tuple]:
-    """Grid search of each problem's feasible set, refined by two zoom rounds;
-    lexicographically first tie-break. The problems run in lockstep, each with
-    its own grid, running argmin and zoom box: a round calls objective(grids,
-    problems) on each of _blocks for the values of the problems' grid rows and
-    the rows that came with them (the follower's responses). Returns each
-    problem's best point, its row and its evaluations."""
-    outer = [f.bounding_box() for f in feasibles]
-    boxes, live = list(outer), list(range(len(feasibles)))
-    best = [[None, None, math.inf, 0] for _ in feasibles]  # point, row, value, evaluations
-    for _ in range(3):
-        grids = [grid_points(feasibles[k], resolution, boxes[k]) for k in live]
-        live, grids = [k for k, g in zip(live, grids) if len(g)], [g for g in grids if len(g)]
-        for block in _blocks([len(g) for g in grids]):
-            values, rows = objective(grids[block], live[block])
-            pairs = zip(rows, values)  # taken problem by problem: zip(pts, pairs) stops at the end of pts
-            for k, pts in zip(live[block], grids[block]):
-                b = best[k]
-                for p, (r, v) in zip(pts, pairs):
-                    if v < b[2] - 1e-15:
-                        b[:3] = p, r, float(v)
-                b[3] += pts.shape[0]
-                spacing = (boxes[k].upper - boxes[k].lower) / max(resolution - 1, 1)
-                boxes[k] = Box(np.maximum(outer[k].lower, b[0] - spacing), np.minimum(outer[k].upper, b[0] + spacing))
-    if any(b[0] is None for b in best):
-        raise ValueError("empty grid: feasible set has no grid points")
-    return [(point, row, evals) for point, row, _, evals in best]
-
-
-def _pattern_search(objective: Callable, feasible: ActionSet) -> tuple[np.ndarray, np.ndarray, int]:
-    """Compass search with shrinking steps from the bounding box's center, the
-    first a quarter of its widest side; local, used beyond grid dimensions.
-    objective(points) is one problem's grid objective, called one row at a time."""
-    box = feasible.bounding_box()
-    x = feasible.project((box.lower + box.upper) / 2.0)
-    values, rows = objective(x[np.newaxis])
-    fx, row = float(values[0]), rows[0]
-    h = float(np.max(box.upper - box.lower)) / 4.0
-    evals, d = 1, x.shape[0]
-    for _ in range(10_000):
-        improved = False
-        for j in range(d):
-            for sign in (+1.0, -1.0):
-                cand = x.copy()
-                cand[j] += sign * h
-                cand = feasible.project(cand)
-                values, rows = objective(cand[np.newaxis])
-                evals += 1
-                if values[0] < fx - 1e-15:
-                    x, fx, row = cand, float(values[0]), rows[0]
-                    improved = True
-        if not improved:
-            h *= 0.5
-            if h < 1e-8:
-                break
-    return x, row, evals
 
 
 def stackelberg_leader(
@@ -197,25 +126,20 @@ def stackelberg_leader(
 def _stackelberg(game: GameSpec, leader: str, leader_sets: list, follower_sets: list, resolution: int) -> list:
     """stackelberg_leader of each problem k, leader_sets[k] (all of one dimension)
     against follower_sets[k]. Grid problems run in lockstep: each zoom round
-    solves the follower's responses in blocks of whole problems (_blocks)."""
+    solves the follower's responses, and reads the leader loss, in blocks of
+    whole problems (grid._grid_minimize)."""
     if leader not in ("learner", "env"):
         raise ValueError(f"unknown leader {leader!r}")
     leads = leader == "learner"
     follower, regime = ("env", "stackelberg_leader") if leads else ("learner", "stackelberg_follower")
-    leader_loss = game.loss_learner if leads else lambda a, f: game.loss_env(f, a)
-
-    def objective(grids: list, problems: list) -> tuple[np.ndarray, np.ndarray]:
-        """Leader loss at each grid row, and the follower's best responses that give it."""
-        actions = np.concatenate(grids)
-        sets = [follower_sets[k] for k, g in zip(problems, grids) for _ in g]
-        responses = best_responses(game, follower, actions, sets, 1e-9)[0]
-        return np.array([float(leader_loss(a, f)) for a, f in zip(actions, responses)]), responses
-
+    leader_loss, name = (game.loss_learner, "loss_learner") if leads else (lambda a, f: game.loss_env(f, a), "loss_env")
+    respond = lambda actions, ks: best_responses(game, follower, actions, [follower_sets[k] for k in ks], 1e-9)[0]
     certified = leader_sets[0].dimension <= 2
     if certified:
-        found = _grid_minimize(objective, leader_sets, resolution)
+        found = _grid_minimize(respond, leader_loss, name, leader_sets, resolution)
     else:
-        found = [_pattern_search(lambda a, k=k: objective([a], [k]), s) for k, s in enumerate(leader_sets)]
+        found = [_pattern_search(lambda a, k=k: respond(a[np.newaxis], [k])[0], leader_loss, name, s)
+                 for k, s in enumerate(leader_sets)]
     joints = [JointAction(*((action, response) if leads else (response, action))) for action, response, _ in found]
     sets = zip(leader_sets, follower_sets) if leads else zip(follower_sets, leader_sets)  # (learner, env)
     residuals = [nash_residual(game, x, *learner_env) for x, learner_env in zip(joints, sets)]
@@ -353,6 +277,8 @@ def pareto_improvement_search(
     if theta_pts.shape[0] * env_pts.shape[0] > 20_000_000:
         raise ValueError("grid too large; lower the resolution")
     f_l_ref, f_e_ref = (float(loss(x.theta, x.env)) for loss in (game.loss_learner, game.loss_env))
+    if not (math.isfinite(f_l_ref) and math.isfinite(f_e_ref)):  # else no witness, as if Pareto optimal
+        raise FloatingPointError(f"{'loss_env' if math.isfinite(f_l_ref) else 'loss_learner'} is not finite at x")
     cut = lambda v: v + 8 * math.ulp(v)  # a few ulps of batch-vs-single rounding
     rows = np.empty((len(env_pts), learner_set.dimension))  # t repeated: one block per t
     for batched in (True, False):

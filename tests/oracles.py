@@ -10,7 +10,9 @@ gradient turns non-finite at one PSGD step and one whose learner gradient is
 never finite, a sampling check (box
 corners included) that a ladder's classes are nested, per-arm suboptimality
 gaps, random strongly monotone affine games with a known Nash point, an
-exhaustive-grid Nash, the Pareto grid search one pair at a time,
+exhaustive-grid Nash, the Pareto grid search one pair at a time, the
+Stackelberg grid search with one leader-loss call per grid row, the
+monotonicity audit with one region.sample call per point,
 alternating best responses, the restriction pipeline's composed loss
 f_l(theta, BR(theta)), a finite-difference gradient check, the
 strategic-regression game as a generic Stackelberg instance, the large regression class's best-response coefficients, scalar
@@ -57,6 +59,7 @@ from gamescale.equilibrium import (
     solve_nash,
     stackelberg_leader,
 )
+from gamescale.grid import _blocks
 from gamescale.markov import CalibrationError, MarkovChainGame
 from gamescale.regression import RegressionInstance, large_model_closed_form
 from gamescale.restriction import BR_SOLVE_TOL
@@ -242,6 +245,73 @@ def scalar_pareto_search(
                 best_val = v
                 best = JointAction(t, e)
     return best
+
+
+def per_row_stackelberg(
+    game: GameSpec, leader: str, leader_sets: list, follower_sets: list, resolution: int
+) -> list[EquilibriumReport]:
+    """The Stackelberg grid search of leader sets of dimension <= 2 with one
+    leader-loss call per grid row and the scan row by row: the same blocks of
+    whole problems, follower responses, tie rule and zoom. The library, which
+    reads the leader loss one batch call per block, must give the same
+    reports bit for bit."""
+    leads = leader == "learner"
+    follower, regime = ("env", "stackelberg_leader") if leads else ("learner", "stackelberg_follower")
+    leader_loss = game.loss_learner if leads else lambda a, f: game.loss_env(f, a)
+
+    def objective(grids: list, problems: list) -> tuple[np.ndarray, np.ndarray]:
+        actions = np.concatenate(grids)
+        sets = [follower_sets[k] for k, g in zip(problems, grids) for _ in g]
+        responses = best_responses(game, follower, actions, sets, 1e-9)[0]
+        return np.array([float(leader_loss(a, f)) for a, f in zip(actions, responses)]), responses
+
+    outer = [f.bounding_box() for f in leader_sets]
+    boxes, live = list(outer), list(range(len(leader_sets)))
+    best = [[None, None, math.inf, 0] for _ in leader_sets]  # point, row, value, evaluations
+    for _ in range(3):
+        grids = [grid_points(leader_sets[k], resolution, boxes[k]) for k in live]
+        live, grids = [k for k, g in zip(live, grids) if len(g)], [g for g in grids if len(g)]
+        for block in _blocks([len(g) for g in grids]):
+            values, rows = objective(grids[block], live[block])
+            pairs = zip(rows, values)
+            for k, pts in zip(live[block], grids[block]):
+                b = best[k]
+                for p, (r, v) in zip(pts, pairs):
+                    if v < b[2] - 1e-15:
+                        b[:3] = p, r, float(v)
+                b[3] += pts.shape[0]
+                spacing = (boxes[k].upper - boxes[k].lower) / max(resolution - 1, 1)
+                boxes[k] = Box(np.maximum(outer[k].lower, b[0] - spacing), np.minimum(outer[k].upper, b[0] + spacing))
+    reports = []
+    for (point, row, _, evals), leader_set, follower_set in zip(best, leader_sets, follower_sets):
+        joint = JointAction(point, row) if leads else JointAction(row, point)
+        sets = (leader_set, follower_set) if leads else (follower_set, leader_set)
+        losses = (float(loss(joint.theta, joint.env)) for loss in (game.loss_learner, game.loss_env))
+        reports.append(EquilibriumReport(regime, joint, *losses, nash_residual(game, joint, *sets), evals))
+    return reports
+
+
+def loop_monotonicity_audit(game: GameSpec, region: ActionSet, samples: int, rng: np.random.Generator) -> float:
+    """monotonicity_audit with one region.sample call per point, pair by pair:
+    the library, which draws the pairs a chunk at a time, must return the same
+    quotient bits, raise at the same draw and leave rng in the same state."""
+    min_q = math.inf
+    done = drawn = 0
+    while done < samples:
+        if drawn == 10 * samples:
+            raise ValueError(f"{drawn} pairs drawn, {done} of them more than 1e-9 apart; the region is too small")
+        drawn += 1
+        a = region.sample(rng)
+        b = region.sample(rng)
+        diff = a - b
+        nsq = float(diff @ diff)
+        if nsq < 1e-18:
+            continue
+        q = (gradient_operator(game, a) - gradient_operator(game, b)) @ diff / nsq
+        if q < min_q or math.isnan(q):
+            min_q = q
+        done += 1
+    return min_q
 
 
 def single_run_psgd(

@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from gamescale.core import (
     gradient_operator,
     monotonicity_audit,
 )
-from oracles import check_gradients, check_nested, plain_dykstra
+from oracles import check_gradients, check_nested, loop_monotonicity_audit, plain_dykstra
 
 
 def coupling_game(c: float, mu: float = 1.0, lipschitz: float = 2.0, sigma: float = 0.0) -> GameSpec:
@@ -224,6 +225,7 @@ def test_invalid_sets_rejected():
         (lambda: Halfspace(1.0, np.nan), "finite offset"),  # a scalar normal is a 1-vector
         (lambda: Halfspace([np.nan], 1.0), "finite nonzero normal"),
         (lambda: Halfspace([np.inf, 0.0], 1.0), "finite nonzero normal"),
+        (lambda: Halfspace([1e200], 1.0), "finite nonzero normal"),  # its squared norm overflows
         (lambda: Intersection([]), "at least one member"),
         (lambda: GameSpec(0, 1, lambda t, e: 0.0, lambda t, e: 0.0, 1.0, 1.0), "dimensions must be positive"),
         (lambda: GameSpec(1, 1, lambda t, e: 0.0, lambda t, e: 0.0, math.nan, 1.0), "must be finite"),
@@ -232,8 +234,10 @@ def test_invalid_sets_rejected():
     ],
 )
 def test_bad_constructor_input_rejected(build, message):
-    with pytest.raises(ValueError, match=message):
-        build()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ValueError only, with no warning before it
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def test_infinite_box_bounds_build_and_project():
@@ -276,6 +280,24 @@ def test_project_rows_matches_project_bitwise(case):
     rows = region.project_rows(points)
     assert rows.shape == points.shape
     assert rows.tobytes() == np.array([region.project(p) for p in points]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "region",
+    [
+        Product(CUT, box_1d(-1.0, 0.5)),
+        Product(Product(box_1d(0.0, 1.0), CUT), Intersection([SQUARE, CUT])),
+        Product(box_1d(-0.5, 0.5), box_1d(0.25, 0.25)),
+    ],
+    ids=["halfspace_box", "nested_products", "boxes"],
+)
+@pytest.mark.parametrize("rows", [0, 1, 40])
+def test_product_project_rows_has_per_row_project_bits(region, rows):
+    # the members' project_rows side by side, on non-contiguous column slices
+    points = np.random.default_rng(rows).standard_normal((rows, region.dimension)) * 2.0
+    got = region.project_rows(points)
+    assert got.shape == points.shape
+    assert got.tobytes() == np.array([region.project(p) for p in points]).tobytes()
 
 
 @pytest.mark.parametrize("case", ["box", *sorted(SET_CASES)])
@@ -538,6 +560,66 @@ def test_audit_of_a_point_region_raises_at_its_draw_limit():
     region = Product(box_1d(0.5, 0.5), box_1d(1.0, 1.0))
     with pytest.raises(ValueError, match="30 pairs drawn, 0 of them more than 1e-9 apart"):
         monotonicity_audit(coupling_game(0.0), region, 3, np.random.default_rng(0))
+
+
+def cubic_coupling_game():
+    """F(t, e) = (t + e^3, e): the quotient depends on the pair, so the pair used shows."""
+    return GameSpec(
+        dim_learner=1, dim_env=1, loss_learner=lambda t, e: 0.5 * t[0] ** 2 + t[0] * e[0] ** 3,
+        loss_env=lambda t, e: 0.5 * e[0] ** 2, grad_learner=lambda t, e: t + e**3, grad_env=lambda t, e: e,
+        mu=0.1, lipschitz=10.0,
+    )
+
+
+class SampledBox(Box):
+    """A box with its own sample (a normal draw, clipped): the audit draws it point by point."""
+
+    def sample(self, rng):
+        return self.project(rng.standard_normal(self.dimension))
+
+
+# name -> (region, samples); the audit draws a chunk of pairs per call only for
+# regions that keep ActionSet.sample
+AUDIT_REGIONS = {
+    "box": (JOINT_BOX, 128),
+    "intersection": (Product(Intersection([box_1d(-2.0, 2.0), Halfspace([1.0], 0.3)]), box_1d(-1.0, 1.0)), 64),
+    # pairs within 1e-9 of each other, one in five or so, are skipped and redrawn
+    "thin_skips": (Product(box_1d(0.0, 1e-8), box_1d(0.5, 0.5)), 50),
+    # three of four pairs skipped: some seeds reach the 10 * samples limit
+    "thinner_limit": (Product(box_1d(0.0, 1.5e-9), box_1d(0.5, 0.5)), 8),
+    "point_limit": (Product(box_1d(0.5, 0.5), box_1d(1.0, 1.0)), 3),
+    "own_sample": (SampledBox(-np.ones(2), np.ones(2)), 40),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AUDIT_REGIONS))
+def test_audit_has_the_point_by_point_loops_bits_and_rng_state(case):
+    region, samples = AUDIT_REGIONS[case]
+    outcomes = set()
+    for seed in range(6):
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+        results = []
+        for audit, rng in zip((monotonicity_audit, loop_monotonicity_audit), rngs):
+            try:
+                results.append(float(audit(cubic_coupling_game(), region, samples, rng)).hex())
+            except ValueError as err:
+                results.append(str(err))
+        assert results[0] == results[1]
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        outcomes.add(results[0].endswith("too small"))
+        if case != "own_sample":  # more draws than samples pairs: some were skipped
+            exact = np.random.default_rng(seed)
+            exact.uniform(size=(2 * samples, 2))
+            assert (rngs[0].bit_generator.state != exact.bit_generator.state) == case.startswith(("thin", "point"))
+    assert outcomes == ({True} if case == "point_limit" else {True, False} if case == "thinner_limit" else {False})
+
+
+def test_audit_of_a_matrix_valued_point_oracle_raises():
+    game = cubic_coupling_game()
+    game.grad_learner = lambda t, e: np.array([[t[0] + e[0] ** 3]])  # shape (1, 1) at a point
+    for region in (JOINT_BOX, AUDIT_REGIONS["own_sample"][0]):
+        with pytest.raises(ValueError, match="expected a vector"):
+            monotonicity_audit(game, region, 4, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from gamescale.core import (
     box_1d,
     gradient_operator,
 )
-from gamescale import equilibrium
+from gamescale import equilibrium, grid
 from gamescale.descent import _projected_descent, _single_point_checked, natural_residuals
 from gamescale.equilibrium import (
     NOISE_BLOCK,
@@ -227,6 +227,14 @@ PER_ROW_CASES = {
         UNIT,
         np.array([[-1.0], [0.5], [0.8]]),
     ),
+    # a float at a point and shape (B, 1) on a batch: the check at iteration 2
+    # stacks the floats as shape (B,), which it takes in dimension 1
+    "float_per_point": lambda: (
+        with_oracles(tracking_game(), lambda f: lambda t, e: e - t if np.ndim(t) == 2 else float(e[0] - t[0])),
+        "env",
+        UNIT,
+        TRACKED,
+    ),
     # broadcasts correctly, so the batch path is kept; it must give the same bits
     "broadcast": lambda: (
         restriction_instance().game, "env", box_1d(-2.0, 2.0), np.linspace(-3.0, 3.0, 13)[:, None]
@@ -253,6 +261,31 @@ def test_wrong_broadcast_oracle_passes_the_shape_check_but_not_the_values():
         assert got.shape == (2, 2)
         expected = np.array([game.grad_learner(ti, oi) for ti, oi in zip(t, opponents)])
         assert np.array_equal(got, expected) == (not t.any())
+
+
+def test_best_responses_reject_a_matrix_valued_point_oracle():
+    # right on a batch, shape (1, 1) at a point: the check at iteration 2 finds
+    # shape (B, 1, 1), and the per-row rerun raises as one point does
+    grad = lambda t, e: e - t if np.ndim(t) == 2 else np.array([[e[0] - t[0]]])
+    game = with_oracles(tracking_game(), lambda f: grad)
+    with pytest.raises(ValueError, match=r"expected a vector, got shape \(1, 1\)"):
+        best_responses(game, "env", TRACKED, UNIT, 1e-9)
+
+
+@pytest.mark.parametrize("player", ["learner", "env"])
+def test_best_responses_check_makes_one_oracle_call_per_row(player):
+    calls = []
+
+    def grad(t, e):
+        calls.append(np.ndim(t))
+        return e - t if player == "env" else t - e
+
+    game = with_oracles(tracking_game(), lambda f: grad)
+    opponents = np.linspace(-0.5, 1.5, 7)[:, np.newaxis] + 0.1
+    points, iters, _ = best_responses(game, player, opponents, UNIT, 1e-9)
+    assert 0 < np.count_nonzero(iters == 1) < len(opponents)
+    assert calls.count(1) == len(opponents)  # each row once: at iteration 2, or at 1 where it stopped
+    assert calls.count(2) == iters.max()
 
 
 def test_best_responses_raise_the_single_point_oracles_error():
@@ -1272,6 +1305,13 @@ def test_bad_solver_input_rejected(call, message):
         call(quadratic_target_game([0.0]))
 
 
+@pytest.mark.parametrize("name", ["loss_learner", "loss_env"])
+def test_pareto_search_with_a_non_finite_reference_raises(name):
+    game = dataclasses.replace(quadratic_target_game([0.3]), **{name: lambda t, e: math.nan})
+    with pytest.raises(FloatingPointError, match=f"{name} is not finite at x"):
+        pareto_improvement_search(game, JointAction([0.0], [0.0]), box_1d(-1, 1), box_1d(-1, 1))
+
+
 def test_pareto_search_rejects_joint_dimension_above_4():
     game = quadratic_target_game([0.0, 0.0, 0.0])
     x = JointAction(np.zeros(3), np.zeros(2))
@@ -1427,7 +1467,7 @@ def per_class_curve_bits(case, regime):
 @pytest.mark.parametrize("case, block", CURVE_RUNS)
 def test_scaling_curve_equals_per_class_loop_bitwise(monkeypatch, case, block):
     if BLOCKS[block] is not None:
-        monkeypatch.setattr(equilibrium, "ROW_BLOCK", BLOCKS[block])
+        monkeypatch.setattr(grid, "ROW_BLOCK", BLOCKS[block])
     game, ladder, env_set, regimes = CURVE_CASES[case]()
     for regime in regimes:
         got = scaling_curve(game, ladder, regime, env_set)

@@ -404,6 +404,12 @@ STAGE_FAILURES = {
     "nan_gradient-monotonicity_audit": (
         "grad_learner", lambda t, e: np.full(np.shape(t), np.nan), "monotonicity_audit", FloatingPointError,
         "non-finite gradient components"),
+    # it once read as a zero-sum outcome: no candidate beats a NaN reference
+    "nan_learner_loss-pareto_check": (
+        "loss_learner", lambda t, e: np.nan * t.T[0], "pareto_check", FloatingPointError,
+        "loss_learner is not finite at x"),
+    "nan_env_loss-pareto_check": (
+        "loss_env", lambda t, e: np.nan * e.T[0], "pareto_check", FloatingPointError, "loss_env is not finite at x"),
     "pareto_improvement_search-pareto_check": (
         "pareto_improvement_search", _raising(ValueError), "pareto_check", ValueError, "step failed"),
     "best_response-br_jacobian": (
