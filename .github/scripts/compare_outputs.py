@@ -1,0 +1,76 @@
+"""Run every shipped config in two source trees and compare what each run leaves.
+
+    python3 .github/scripts/compare_outputs.py HEAD_TREE BASE_TREE
+
+Each configs/*.cfg of HEAD_TREE runs as `python -m gamescale EXPERIMENT --config
+CFG` in both trees, each tree with its own src/ and its own copy of the config.
+The exit codes and the sha256 of every output file must match; manifest.json is
+skipped, as it holds runtime_seconds. Exits 1 listing every difference.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# config file -> experiment
+EXPERIMENT = {
+    "markov.cfg": "markov",
+    "participation.cfg": "participation",
+    "psgd.cfg": "psgd",
+    "regression.cfg": "regression",
+    "restrict.cfg": "restrict",
+    "restrict_zero_sum.cfg": "restrict",
+    "scaling_stackelberg.cfg": "scaling-curve",
+    "scaling_stationary.cfg": "scaling-curve",
+    "select.cfg": "select",
+}
+
+
+def run(tree: Path, argv: list[str], out: Path) -> tuple[int, dict[str, str]]:
+    """Exit code and {file name: sha256} of one run in tree, manifest.json left out."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    code = subprocess.run([sys.executable, "-m", "gamescale", *argv, "--out-dir", str(out)],
+                          cwd=tree, env=env, capture_output=True).returncode
+    files = sorted(p for p in out.iterdir() if p.name != "manifest.json") if out.is_dir() else []
+    return code, {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+
+
+def compare(head: Path, base: Path, runs: dict[str, list[str]], work: Path) -> list[str]:
+    """One line per difference between the two trees' runs, named by key."""
+    differences = []
+    for key, argv in runs.items():
+        (head_code, head_files), (base_code, base_files) = (
+            run(tree, argv, work / side / key) for side, tree in (("head", head), ("base", base))
+        )
+        if head_code != base_code:
+            differences.append(f"{key}: exit code {head_code} at head, {base_code} at base")
+        for name in sorted(set(head_files) | set(base_files)):
+            if head_files.get(name) != base_files.get(name):
+                differences.append(f"{key}: {name} differs ({head_files.get(name)} at head, "
+                                   f"{base_files.get(name)} at base)")
+    return differences
+
+
+def main(head: str, base: str) -> int:
+    head_tree, base_tree = Path(head).resolve(), Path(base).resolve()
+    configs = sorted(p.name for p in (head_tree / "configs").glob("*.cfg"))
+    unknown = [name for name in configs if name not in EXPERIMENT]
+    if unknown:
+        print(f"no experiment known for {unknown}; add them to EXPERIMENT", file=sys.stderr)
+        return 1
+    runs = {name: [EXPERIMENT[name], "--config", f"configs/{name}"] for name in configs}
+    with tempfile.TemporaryDirectory() as work:
+        differences = compare(head_tree, base_tree, runs, Path(work))
+    for line in differences:
+        print(line)
+    print(f"{len(runs)} configs, {len(differences)} differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(*sys.argv[1:]))

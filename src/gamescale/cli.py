@@ -15,6 +15,7 @@ a failed write included, which leaves only manifest.json with an error record.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -406,6 +407,7 @@ EXPERIMENTS: dict[str, tuple[Callable[[dict], dict[str, str]], dict]] = {
 COMMON = {"seed": (_checked(int, lambda v: v >= 0, "be at least 0"), "0")}
 
 
+@functools.cache  # one per process: each build leaves ~450 objects in reference cycles
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gamescale",

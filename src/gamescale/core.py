@@ -267,12 +267,16 @@ def _clip(z: np.ndarray, lower, upper, out: Optional[np.ndarray] = None) -> np.n
     return np.minimum(np.maximum(z, lower, out=out), upper, out=out)
 
 
+def _boxed(s: ActionSet) -> bool:
+    """Whether s is a Box or a Product of Boxes (a module function: a recursive lambda is a reference cycle)."""
+    return isinstance(s, Box) or isinstance(s, Product) and _boxed(s.learner) and _boxed(s.env)
+
+
 def _box_rows(sets: Sequence[ActionSet]) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Stacked (B, d) bounds of B sets, each a Box or a Product of Boxes (else None), made once per set."""
-    boxed = lambda s: isinstance(s, Box) or isinstance(s, Product) and boxed(s.learner) and boxed(s.env)
     distinct = {}  # id -> (its row among the distinct sets, set), in one pass
     rows = [distinct.setdefault(id(s), (len(distinct), s))[0] for s in sets]
-    if all(boxed(s) for _, s in distinct.values()):
+    if all(_boxed(s) for _, s in distinct.values()):
         boxes = [s.bounding_box() for _, s in distinct.values()]
         return np.stack([b.lower for b in boxes])[rows], np.stack([b.upper for b in boxes])[rows]
 

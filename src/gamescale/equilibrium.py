@@ -2,9 +2,10 @@
 
 Regimes: stationary environment, Stackelberg with either player leading, and
 Nash. The Nash path offers both the stochastic projected-gradient scheme with
-weighted iterate averaging (the online estimator used by model selection) and
-a deterministic constant-step solver for certified equilibria, plus
-brute-force grid oracles for small instances.
+weighted iterate averaging (psgd_nash; model selection runs the same
+psgd.PSGDBatch with its epochs' runs side by side) and a deterministic
+constant-step solver for certified equilibria, plus brute-force grid oracles
+for small instances.
 """
 
 from __future__ import annotations
@@ -24,17 +25,13 @@ from .core import (
     Product,
     _batch_gradient,
     _batch_loss,
-    _box_rows,
-    _clip,
-    _finite,
-    gradient_noise,
     gradient_operator,
 )
 from .descent import _projected_descent, _single_point_checked, natural_residuals
 from .grid import _grid_minimize, _pattern_search, grid_points
+from .psgd import PSGDBatch
 
 REGIMES = ("stationary", "stackelberg_leader", "stackelberg_follower", "nash")
-NOISE_BLOCK = 64  # PSGD steps of noise drawn per call; sets memory, never output bits
 MAX_RUNS, MAX_STEPS = 10_000, 10**8  # psgd/select caps: rows of one PSGD batch; run steps in all
 
 
@@ -164,54 +161,14 @@ def psgd_nash(
     Iterates x_{t+1} = P(x_t - eta_t * Fhat(x_t)) with eta_t = 2/(mu (t+1));
     returns the average that weights iterate t by t / (T(T+1)/2).
 
-    Runs len(rngs) independent runs as the rows of one (B, d) array: run i
-    plays learner_sets[i] and draws its noise NOISE_BLOCK steps per call (no
-    bit depends on it) from three children of rngs[i]; all share the game,
-    env_set, x0 and horizon. Returns each run's average, with its bits alone.
-
-    A block works in place in path (its iterates) and fhat (its noise plus the
-    oracles' (B, dim) results), checked finite at the block's end (each step if
-    a set is not a Box, so that the failing step raises); fhat then holds
-    t * x_t, summed into the average in step order.
+    Runs len(rngs) independent runs as the rows of one psgd.PSGDBatch, all
+    joining at once: run i plays learner_sets[i] and draws its noise from three
+    children of rngs[i]; all share the game, env_set, x0 and horizon. Returns
+    each run's average, with its bits alone.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if len(learner_sets) != len(rngs):
-        raise ValueError(f"{len(learner_sets)} learner sets for {len(rngs)} generators")
-    dl, de = game.dim_learner, game.dim_env
-    sets = [Product(s, env_set) for s in learner_sets]  # row i's joint set
-    box = (bounds := _box_rows(sets)) is not None
-    if box:
-        lower, upper = bounds
-        project = lambda z: _clip(z, lower, upper, out=z)  # one call per step: no branch or unpacking here
-    else:
-        def project(z: np.ndarray) -> np.ndarray:
-            z[...] = [s.project(p) for s, p in zip(sets, z)]
-            return z
-    path, fhat = np.empty((2, NOISE_BLOCK + 1, len(rngs), dl + de))
-    path[0] = project(np.tile(x0.concat(), (len(rngs), 1)))
-    acc = np.zeros_like(path[0])
-    streams = [rng.spawn(3) for rng in rngs]
-    # iterated per block; lists of every step's views were faster but peaked higher
-    views = path, path[:, :, :dl], path[:, :, dl:], fhat, fhat[:, :, :dl], fhat[:, :, dl:], path[1:]
-    for start in range(0, horizon, NOISE_BLOCK):
-        n = min(NOISE_BLOCK, horizon - start)
-        gradient_noise(streams, game.noise_bound, fhat[:n])
-        for t, x, theta, env, f, fl, fe, nxt in zip(range(start + 1, start + n + 1), *views):
-            fl += _batch_gradient(game.grad_learner, "grad_learner", theta, env, dl)
-            fe += _batch_gradient(game.grad_env, "grad_env", theta, env, de)
-            if not box:
-                _finite(f)
-            np.multiply(f, -2.0 / (game.mu * (t + 1)), out=nxt)
-            nxt += x  # x + (-eta f): the bits of x - eta f
-            project(nxt)
-        weighted = _finite(fhat[:n])
-        np.multiply(path[:n], np.arange(start + 1.0, start + n + 1.0)[:, np.newaxis, np.newaxis], out=weighted)
-        weighted[0] += acc
-        acc[...] = np.add.accumulate(weighted, out=path[:n])[-1]  # acc += t * x_t, step by step
-        path[0] = path[n]
-    averaged = acc * (2.0 / (horizon * (horizon + 1)))
-    return [JointAction.from_concat(row, dl) for row in averaged]
+    batch = PSGDBatch(game, env_set, x0)
+    batch.join(learner_sets, horizon, rngs)
+    return [JointAction.from_concat(row, game.dim_learner) for row in batch.run()[1]]
 
 
 def nash_residual(

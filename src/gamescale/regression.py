@@ -19,15 +19,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 K_RANGE = (-10.0, 10.0)  # the shift magnitudes k the population may choose
 MAX_DIM = 512  # cap on len(beta), here and in the CLI: at k = 1, m*m is subnormal from ~643, NaN from ~880
 BLOCK = 2048  # k values per array call in the grid scans; bounds their memory
-# libm's exp and pow per element, on Python floats: np.exp and numpy's q*q round differently
-_exp = np.vectorize(math.exp, otypes=[float])
-_square = np.vectorize(lambda q: q**2, otypes=[float])
+
+
+def _libm(f, a, *args) -> np.ndarray:
+    """f(q, *args) of each element q of a, on Python floats, in a's shape (0-d for a scalar):
+    libm's exp and pow per element, which np.exp and numpy's q*q round differently from."""
+    a = np.asarray(a, dtype=float)
+    return np.fromiter(map(f, a.ravel().tolist(), *args), float, a.size).reshape(a.shape)
+
+
+def _exp(a) -> np.ndarray:
+    return _libm(math.exp, a)
+
+
+def _square(a) -> np.ndarray:
+    return _libm(pow, a, repeat(2.0))
 
 
 def _blocks(ks: np.ndarray):

@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import ActionSet, GameSpec, JointAction, ModelClassLadder
-from .equilibrium import psgd_nash
+from .equilibrium import MAX_RUNS
+from .psgd import PSGDBatch
 
 
 def confidence_radius(L: float, mu: float, T: int, delta: float, scale: float = 1.0) -> float:
@@ -63,6 +64,15 @@ class SelectionReport:
     arms: list[ArmState]
 
 
+def _horizon(alpha: float, tau: int) -> float:
+    """Epoch tau's horizon ceil(alpha * 2^tau); ldexp scales by 2^tau exactly, and a
+    horizon past the float range, inf, is past any budget."""
+    try:
+        return math.ceil(math.ldexp(alpha, tau))
+    except OverflowError:
+        return math.inf
+
+
 def successive_elimination(
     arms: Sequence[ActionSet] | ModelClassLadder,
     game: GameSpec,
@@ -76,48 +86,80 @@ def successive_elimination(
     """Identify the arm with the best equilibrium learner loss.
 
     All arms share one game and environment set; every run starts at the origin,
-    and each epoch runs its active arms as one batch of PSGD runs, each with
-    its own stream spawned from rng.
+    and each epoch runs its active arms as PSGD runs, each with its own stream
+    spawned from rng.
     Epoch tau uses horizon T = ceil(alpha * 2^tau) and per-test failure budget
     delta' = delta / (2 n T^2). Arm i is eliminated once some arm j satisfies
     f_j + U(T, delta') < f_i - U(T, delta') on the current epoch's fresh
-    estimates.
+    estimates; a non-finite estimate raises FloatingPointError.
 
     Stops when one arm survives, or returns all survivors flagged
     inconclusive when the next epoch would exceed the step budget.
+
+    Epochs are pipelined in one psgd.PSGDBatch, with the report, bits and rng
+    state of running them one after another: once epoch tau's arms are known,
+    epoch tau + 1 joins the batch on the guess that tau eliminates no arm, if
+    the budget would then allow it and the batch stays within MAX_RUNS rows.
+    Its streams are the children rng.spawn would give it, built from rng's
+    SeedSequence; rng is advanced for confirmed epochs only. A wrong guess drops
+    its rows, and tau + 1 starts when tau ends. On any exception the selection
+    runs again one epoch at a time, which spawns from rng and raises as that does.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    sets = list(arms)
+    problem = list(arms), game, env_set, delta, alpha, rng, scale, max_total_steps
+    try:
+        return _eliminate(*problem, pipelined=True)
+    except Exception:  # an oracle may raise anything; the rerun raises it as the epochs in turn do
+        return _eliminate(*problem, pipelined=False)
+
+
+def _eliminate(
+    sets: list[ActionSet], game: GameSpec, env_set: ActionSet, delta: float, alpha: float,
+    rng: np.random.Generator, scale: float, max_total_steps: int, pipelined: bool,
+) -> SelectionReport:
+    """successive_elimination, pipelined or one epoch at a time with rng.spawn."""
     n = len(sets)
     states = [ArmState(i, s) for i, s in enumerate(sets)]
-    x0 = JointAction(np.zeros(game.dim_learner), np.zeros(game.dim_env))
+    batch = PSGDBatch(game, env_set, JointAction(np.zeros(game.dim_learner), np.zeros(game.dim_env)))
+    seq = rng.bit_generator.seed_seq if pipelined else None
+    first, spawned = seq.n_children_spawned if pipelined else 0, 0  # children of the confirmed epochs
+
+    def children(offset: int, count: int) -> list[np.random.Generator]:
+        """Children first + offset.. of rng as rng.spawn gives them, rng left as it is."""
+        keys = ((*seq.spawn_key, first + i) for i in range(offset, offset + count))
+        return [type(rng)(type(rng.bit_generator)(type(seq)(seq.entropy, spawn_key=key, pool_size=seq.pool_size)))
+                for key in keys]
 
     total_steps = 0
     epochs = 0
     eliminations: list[tuple[int, int, float]] = []
     records: list[EpochRecord] = []
     inconclusive = False
-    tau = 1
+    tau, ahead = 1, None  # ahead: the next epoch's runs, joined on the guess that this one eliminates no arm
     while sum(s.active for s in states) > 1:
         active = [s for s in states if s.active]
-        try:
-            # ldexp scales by 2^tau exactly; a horizon past the float range is past any budget
-            horizon = math.ceil(math.ldexp(alpha, tau))
-        except OverflowError:
-            horizon = math.inf
+        arm_sets, horizon = [s.action_set for s in active], _horizon(alpha, tau)
         if total_steps + len(active) * horizon > max_total_steps:
             inconclusive = True
             break
         delta_prime = delta / (2.0 * n * horizon * horizon)
         radius = confidence_radius(game.lipschitz, game.mu, horizon, delta_prime, scale)
-        averages = psgd_nash(
-            game, [s.action_set for s in active], env_set, x0, horizon, rng.spawn(len(active))
-        )
-        for state, avg in zip(active, averages):
+        if ahead is None:
+            batch.join(arm_sets, horizon, children(spawned, len(active)) if pipelined else rng.spawn(len(active)))
+        spawned += len(active)
+        ahead, following = None, _horizon(alpha, tau + 1)
+        if pipelined and total_steps + len(active) * (horizon + following) <= max_total_steps \
+                and 2 * len(active) <= MAX_RUNS:
+            ahead = batch.join(arm_sets, following, children(spawned, len(active)))
+        # epoch tau's runs finish first: tau + 1's started no earlier and run no fewer steps
+        for state, row in zip(active, batch.run()[1]):
+            avg = JointAction.from_concat(row, game.dim_learner)
             state.last_estimate = float(game.loss_learner(avg.theta, avg.env))
+            if not math.isfinite(state.last_estimate):
+                raise FloatingPointError(f"loss_learner is not finite at arm {state.class_index}'s average")
             state.pulls += horizon
         total_steps += len(active) * horizon
         epochs = tau
@@ -132,8 +174,13 @@ def successive_elimination(
             records.append(
                 EpochRecord(tau, horizon, state.class_index, state.last_estimate, radius, state.active)
             )
+        if ahead is not None and not all(s.active for s in active):
+            batch.drop(ahead)
+            ahead = None
         tau += 1
 
+    if pipelined:
+        seq.spawn(spawned)  # rng as the epochs in turn leave it
     survivors = [s.class_index for s in states if s.active]
     return SelectionReport(
         winner=survivors[0] if len(survivors) == 1 else None,

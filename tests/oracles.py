@@ -9,7 +9,7 @@ averaged PSGD run, a game whose learner
 gradient turns non-finite at one PSGD step and one whose learner gradient is
 never finite, a sampling check (box
 corners included) that a ladder's classes are nested, per-arm suboptimality
-gaps, random strongly monotone affine games with a known Nash point, an
+gaps, successive elimination one epoch at a time, random strongly monotone affine games with a known Nash point, an
 exhaustive-grid Nash, the Pareto grid search one pair at a time, the
 Stackelberg grid search with one leader-loss call per grid row, the
 monotonicity audit with one region.sample call per point,
@@ -56,6 +56,7 @@ from gamescale.equilibrium import (
     best_responses,
     grid_points,
     nash_residual,
+    psgd_nash,
     solve_nash,
     stackelberg_leader,
 )
@@ -63,6 +64,7 @@ from gamescale.grid import _blocks
 from gamescale.markov import CalibrationError, MarkovChainGame
 from gamescale.regression import RegressionInstance, large_model_closed_form
 from gamescale.restriction import BR_SOLVE_TOL
+from gamescale.selection import ArmState, EpochRecord, SelectionReport, confidence_radius
 from gamescale.tables import OutputError, fmt_value
 
 
@@ -191,6 +193,84 @@ def suboptimality_gaps(losses: Sequence[float]) -> tuple[list[float], Optional[f
     gaps = [x - best for x in losses]
     nonzero = [g for g in gaps if g > 0.0]
     return gaps, (min(nonzero) if nonzero else None)
+
+
+def sequential_elimination(
+    arms: Sequence[ActionSet] | ModelClassLadder,
+    game: GameSpec,
+    env_set: ActionSet,
+    delta: float,
+    alpha: float,
+    rng: np.random.Generator,
+    scale: float = 1.0,
+    max_total_steps: int = 1_000_000,
+) -> SelectionReport:
+    """successive_elimination one epoch at a time: each epoch's active arms run
+    as one psgd_nash batch on rng.spawn's children, after the last epoch ended
+    (the loop before epochs were pipelined, with the non-finite estimate check);
+    the reference that the pipelined epochs must equal field by field."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    sets = list(arms)
+    n = len(sets)
+    states = [ArmState(i, s) for i, s in enumerate(sets)]
+    x0 = JointAction(np.zeros(game.dim_learner), np.zeros(game.dim_env))
+
+    total_steps = 0
+    epochs = 0
+    eliminations: list[tuple[int, int, float]] = []
+    records: list[EpochRecord] = []
+    inconclusive = False
+    tau = 1
+    while sum(s.active for s in states) > 1:
+        active = [s for s in states if s.active]
+        try:
+            # ldexp scales by 2^tau exactly; a horizon past the float range is past any budget
+            horizon = math.ceil(math.ldexp(alpha, tau))
+        except OverflowError:
+            horizon = math.inf
+        if total_steps + len(active) * horizon > max_total_steps:
+            inconclusive = True
+            break
+        delta_prime = delta / (2.0 * n * horizon * horizon)
+        radius = confidence_radius(game.lipschitz, game.mu, horizon, delta_prime, scale)
+        averages = psgd_nash(
+            game, [s.action_set for s in active], env_set, x0, horizon, rng.spawn(len(active))
+        )
+        for state, avg in zip(active, averages):
+            state.last_estimate = float(game.loss_learner(avg.theta, avg.env))
+            if not math.isfinite(state.last_estimate):
+                raise FloatingPointError(f"loss_learner is not finite at arm {state.class_index}'s average")
+            state.pulls += horizon
+        total_steps += len(active) * horizon
+        epochs = tau
+
+        best_ucb = min(s.last_estimate for s in active) + radius
+        for state in active:
+            lcb = state.last_estimate - radius
+            if lcb > best_ucb:
+                state.active = False
+                eliminations.append((tau, state.class_index, lcb - best_ucb))
+        for state in active:
+            records.append(
+                EpochRecord(tau, horizon, state.class_index, state.last_estimate, radius, state.active)
+            )
+        tau += 1
+
+    survivors = [s.class_index for s in states if s.active]
+    return SelectionReport(
+        winner=survivors[0] if len(survivors) == 1 else None,
+        survivors=survivors,
+        inconclusive=inconclusive,
+        epochs=epochs,
+        total_steps=total_steps,
+        elimination_log=eliminations,
+        evaluations=records,
+        delta=delta,
+        arms=states,
+    )
 
 
 def grid_nash(

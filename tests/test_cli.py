@@ -1,6 +1,8 @@
 """CLI harness: config resolution, determinism, manifests, and exit codes."""
 
 import csv
+import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -20,11 +22,12 @@ import gamescale
 import gamescale.cli
 from gamescale.cli import COMMON, EXPERIMENTS, load_config, main, table
 from gamescale.core import ConvergenceError, GameSpec, JointAction, box_1d
-from gamescale.equilibrium import MAX_RUNS, MAX_STEPS, NOISE_BLOCK, best_response, psgd_nash
-from gamescale.instances import coupled_quadratic
+from gamescale.equilibrium import MAX_RUNS, MAX_STEPS, best_response, psgd_nash
+from gamescale.instances import coupled_quadratic, selection_arms
 from gamescale.participation import EquilibriumOutcome, equilibrium_pair
+from gamescale.psgd import NOISE_BLOCK
 from gamescale.regression import MAX_DIM
-from gamescale.selection import confidence_radius
+from gamescale.selection import confidence_radius, successive_elimination
 from gamescale.svg import line_chart
 from gamescale.tables import csv_text
 from oracles import gradient_bad_at, non_finite_game
@@ -475,7 +478,7 @@ def test_run_caps_are_checked_before_any_run(tmp_path, monkeypatch, argv, code, 
         raise RuntimeError("solver reached")
 
     monkeypatch.setattr("gamescale.cli.psgd_nash", stub)
-    monkeypatch.setattr("gamescale.selection.psgd_nash", stub)
+    monkeypatch.setattr("gamescale.selection.PSGDBatch", stub)
     monkeypatch.setattr("gamescale.cli.scaling_curve", stub)
     monkeypatch.setattr("gamescale.cli.default_instance", stub)
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == code
@@ -594,6 +597,34 @@ def test_non_finite_gradient_at_one_step_exits_with_solver_failure(tmp_path, mon
     error = {"type": "FloatingPointError", "message": "non-finite gradient components", "where": "core.py:_finite"}
     assert read_manifest(out)["error"] == error
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {"error": error}
+
+
+def test_non_finite_gradient_in_a_confirmed_epoch_exits_with_solver_failure(tmp_path, monkeypatch, capsys):
+    # arm 1's interval starts past theta = 3, where the learner gradient is nan, so epoch 1 fails
+    # beside the runs of epoch 2 started early, and again when the selection reruns one epoch at a time
+    arms, game, env_set = selection_arms([0.0, 5.0], sigma=0.5)
+    nan_game = dataclasses.replace(game, grad_learner=lambda t, e: np.where(t > 3.0, np.nan, game.grad_learner(t, e)))
+
+    def runner(params):
+        successive_elimination(arms, nan_game, env_set, delta=0.1, alpha=8.0, rng=np.random.default_rng(0))
+        return {}
+
+    monkeypatch.setitem(EXPERIMENTS, "select", (runner, EXPERIMENTS["select"][1]))
+    out = tmp_path / "fpe-select"
+    assert main(["select", "--out-dir", str(out)]) == 3
+    error = {"type": "FloatingPointError", "message": "non-finite gradient components", "where": "core.py:_finite"}
+    assert read_manifest(out)["error"] == error
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {"error": error}
+
+
+def test_main_builds_the_parser_once(tmp_path):
+    # argparse leaves ~450 objects in reference cycles per build; a run leaves a few dozen
+    argv = ["markov", "--n", "4", "--points", "3", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    gc.collect()
+    assert main(argv) == 0
+    assert gc.collect() < 150
+    assert gamescale.cli.build_parser() is gamescale.cli.build_parser()
 
 
 def test_non_finite_result_exits_with_output_failure(tmp_path, capsys):

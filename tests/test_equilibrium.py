@@ -32,10 +32,9 @@ from gamescale.core import (
     box_1d,
     gradient_operator,
 )
-from gamescale import equilibrium, grid
+from gamescale import equilibrium, grid, psgd
 from gamescale.descent import _projected_descent, _single_point_checked, natural_residuals
 from gamescale.equilibrium import (
-    NOISE_BLOCK,
     best_response,
     best_responses,
     grid_points,
@@ -46,6 +45,7 @@ from gamescale.equilibrium import (
     solve_nash,
     stackelberg_leader,
 )
+from gamescale.psgd import NOISE_BLOCK
 from oracles import (
     per_class_scaling_curve,
     best_response_dynamics,
@@ -769,6 +769,29 @@ def test_psgd_batch_of_selection_arms_equals_single_runs_bitwise(n_arms, horizon
         assert _bits(row) == _bits(single_run_psgd(game, arm, env_set, x0, horizon, stream))
 
 
+@pytest.mark.parametrize("non_box", [False, True], ids=["box", "intersection"])
+def test_psgd_batch_rows_that_join_late_and_end_mid_block_equal_single_runs_bitwise(non_box):
+    # a (150 steps) and b (37) join at once; b ends mid-block, c (70) joins at a's
+    # step 37 and ends at a's step 107, then a ends: blocks end at a's steps 37, 101, 107 and 150
+    arms, game, env_set = selection_arms([0.0, 0.25, 0.5, 1.0], sigma=0.5)
+    if non_box:
+        arms = [Intersection([arm, Halfspace(np.array([1.0]), float(arm.upper[0]) - 0.25)]) for arm in arms]
+    x0 = JointAction(np.zeros(1), np.zeros(1))
+    batch = psgd.PSGDBatch(game, env_set, x0)
+    plan = {"a": (arms[:2], 150, [40, 41]), "b": (arms[1:], 37, [42, 43, 44]), "c": (arms[::3], 70, [45, 46])}
+    join = lambda name: batch.join(plan[name][0], plan[name][1], [np.random.default_rng(s) for s in plan[name][2]])
+    cohorts = {join("a"): "a", join("b"): "b"}
+    finished = [batch.run()]
+    cohorts[join("c")] = "c"
+    finished += [batch.run(), batch.run()]
+    assert [cohorts[c] for c, _ in finished] == ["b", "c", "a"] and not batch.cohorts
+    for cohort, averages in finished:
+        sets, horizon, seeds = plan[cohorts[cohort]]
+        for arm, seed, row in zip(sets, seeds, averages):
+            alone = single_run_psgd(game, arm, env_set, x0, horizon, np.random.default_rng(seed))
+            assert row.tobytes() == alone.concat().tobytes()
+
+
 # within one noise block, ending on and just past its boundary, and into a partial third block
 BLOCK_EDGES = [40, NOISE_BLOCK - 1, NOISE_BLOCK, NOISE_BLOCK + 1, 2 * NOISE_BLOCK + 3]
 
@@ -963,7 +986,7 @@ def test_psgd_bits_do_not_depend_on_the_noise_block(monkeypatch, block):
     # 40 steps: 40 blocks of 1, five of 7 and a partial one, or one block
     bench = coupled_quadratic(sigma=0.3)
     x0 = JointAction(np.zeros(1), np.zeros(1))
-    monkeypatch.setattr(equilibrium, "NOISE_BLOCK", block)
+    monkeypatch.setattr(psgd, "NOISE_BLOCK", block)
     batch = psgd_nash(
         bench.game, [bench.learner_set] * 3, bench.env_set, x0, 40,
         [np.random.default_rng([31, s]) for s in range(3)],

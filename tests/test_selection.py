@@ -1,16 +1,19 @@
 """Confidence radii, gap statistics, and successive elimination."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from gamescale.core import Halfspace, Intersection
+from gamescale import selection
 from gamescale.instances import selection_arms
 from gamescale.selection import (
     confidence_radius,
     successive_elimination,
 )
-from oracles import suboptimality_gaps
+from oracles import sequential_elimination, suboptimality_gaps
 
 
 # ---------------------------------------------------------------------------
@@ -204,3 +207,114 @@ def test_invalid_parameters_rejected():
         successive_elimination(arms, game, env_set, delta=1.5, alpha=8.0, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         successive_elimination(arms, game, env_set, delta=0.1, alpha=0.0, rng=np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# Pipelined epochs against one epoch at a time
+# ---------------------------------------------------------------------------
+
+
+def _report_fields(report) -> tuple:
+    """Every field of a SelectionReport, floats by their bits and sets by identity."""
+    h = lambda v: float(v).hex()
+    return (
+        report.winner, report.survivors, report.inconclusive, report.epochs, report.total_steps,
+        [(epoch, arm, h(margin)) for epoch, arm, margin in report.elimination_log],
+        [(r.epoch, r.horizon, r.arm, h(r.estimate), h(r.radius), r.active_after) for r in report.evaluations],
+        h(report.delta),
+        [(a.class_index, id(a.action_set), h(a.last_estimate), a.pulls, a.active) for a in report.arms],
+    )
+
+
+def _counted(game, calls: list):
+    """game whose learner oracle appends one entry to calls per call (one per PSGD batch step)."""
+    return dataclasses.replace(game, grad_learner=lambda t, e: calls.append(1) or game.grad_learner(t, e))
+
+
+def _non_box_arms():
+    arms, game, env_set = selection_arms([0.0, 0.5, 1.0], sigma=0.5)
+    cut = [Intersection([arm, Halfspace(np.array([1.0]), float(arm.upper[0]) - 0.25)]) for arm in arms]
+    return cut, game, env_set
+
+
+NARROW = dict(delta=0.1, alpha=8.0, scale=1.0, max_total_steps=10_000_000)
+# case -> (arms, game and env set; keyword arguments; seed; children spawned before; expected
+# learner-oracle calls, one per PSGD batch step, pipelined and one epoch at a time)
+SELECTIONS = {
+    # select-narrow: eliminations after epochs 2, 3 and 11
+    "narrow-seed0": (lambda: selection_arms([0.0, 0.005, 0.5, 1.0]), NARROW, [0], 0, (21_856, 32_752)),
+    "narrow-seed3": (lambda: selection_arms([0.0, 0.005, 0.5, 1.0]), NARROW, [3], 0, None),
+    "eliminates-in-epoch-1": (lambda: selection_arms([0.0, 0.5, 1.0], sigma=0.0),
+                              dict(delta=0.1, alpha=8.0, scale=1e-12), [3], 0, (16, 16)),
+    "identical-inconclusive": (lambda: selection_arms([0.3] * 3), dict(delta=0.1, alpha=8.0, max_total_steps=5_000),
+                               [1], 0, None),
+    # 4 * 16 steps fit, 4 * (16 + 32) do not: epoch 2 is not started early, then runs on epoch 1's two survivors
+    "budget-refuses-epoch-2": (lambda: selection_arms([0.0, 1.0, 2.0, 4.0]),
+                               dict(delta=0.1, alpha=8.0, max_total_steps=150), [2], 0, (48, 48)),
+    "equal-horizons": (lambda: selection_arms([0.0, 0.5, 1.0]), dict(delta=0.1, alpha=1e-3, max_total_steps=3_000),
+                       [4], 0, None),
+    "tiny-alpha": (lambda: selection_arms([0.0, 1.0]), dict(delta=0.1, alpha=5e-324, max_total_steps=2_200),
+                   [0], 0, None),
+    "spawned-before": (lambda: selection_arms([0.0, 0.25, 0.5, 1.0]), dict(delta=0.1, alpha=8.0), [7], 5, None),
+    "non-box-arms": (_non_box_arms, dict(delta=0.1, alpha=8.0), [8], 2, None),
+}
+
+
+@pytest.mark.parametrize("case", SELECTIONS)
+def test_pipelined_epochs_equal_one_epoch_at_a_time(case):
+    build, kwargs, seed, spawned, steps = SELECTIONS[case]
+    arms, game, env_set = build()
+    rngs, reports, calls = [], [], ([], [])
+    for select, log in zip((successive_elimination, sequential_elimination), calls):
+        rng = np.random.default_rng(seed)
+        rng.spawn(spawned)
+        reports.append(select(arms, _counted(game, log), env_set, rng=rng, **kwargs))
+        rngs.append(rng.bit_generator.seed_seq.n_children_spawned)
+    assert _report_fields(reports[0]) == _report_fields(reports[1])
+    assert rngs[0] == rngs[1]
+    assert len(calls[0]) <= len(calls[1])
+    if steps is not None:
+        assert (len(calls[0]), len(calls[1])) == steps
+
+
+def test_nan_gradient_in_a_dropped_early_epoch_gives_the_sequential_report():
+    # epoch 1 eliminates every arm but one, so epoch 2's runs, started beside it, are dropped;
+    # their rows (past the first three of a batch of six) read a nan gradient
+    arms, game, env_set = selection_arms([0.0, 0.5, 1.0], sigma=0.0)
+
+    def grad_learner(t, e):
+        g = game.grad_learner(t, e)
+        return np.where(np.arange(len(t))[:, np.newaxis] >= 3, np.nan, g) if len(t) > 3 else g
+
+    nan_ahead = dataclasses.replace(game, grad_learner=grad_learner)
+    kwargs = dict(delta=0.1, alpha=8.0, scale=1e-12)
+    rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
+    report = successive_elimination(arms, nan_ahead, env_set, rng=rng, **kwargs)
+    reference = sequential_elimination(arms, game, env_set, rng=reference_rng, **kwargs)
+    assert report.epochs == 1 and report.winner == 0
+    assert _report_fields(report) == _report_fields(reference)
+    assert rng.bit_generator.seed_seq.n_children_spawned == reference_rng.bit_generator.seed_seq.n_children_spawned
+
+
+def test_non_finite_estimate_raises_naming_the_arm():
+    # the two far arms' averages lie at theta >= 1, where the loss is nan; before,
+    # no arm with a nan estimate was ever eliminated and the budget ran out
+    arms, game, env_set = selection_arms([0.0, 0.25, 0.5, 1.0], sigma=0.5)
+    nan_far = dataclasses.replace(game, loss_learner=lambda t, e: math.nan if t[0] > 0.9 else game.loss_learner(t, e))
+    rng = np.random.default_rng(0)
+    with pytest.raises(FloatingPointError, match=r"^loss_learner is not finite at arm 2's average$"):
+        successive_elimination(arms, nan_far, env_set, delta=0.1, alpha=8.0, rng=rng, max_total_steps=200_000)
+    assert rng.bit_generator.seed_seq.n_children_spawned == 4  # epoch 1's children, spawned as before
+
+
+def test_early_epoch_waits_while_the_batch_would_pass_max_runs(monkeypatch):
+    # with room for 7 rows, four arms' epochs run one at a time (8 rows beside the next);
+    # from three arms on, the next epoch starts early again
+    monkeypatch.setattr(selection, "MAX_RUNS", 7)
+    arms, game, env_set = selection_arms([0.0, 0.005, 0.5, 1.0])
+    calls = ([], [])
+    reports = [select(arms, _counted(game, log), env_set, rng=np.random.default_rng([0]), **NARROW)
+               for select, log in zip((successive_elimination, sequential_elimination), calls)]
+    assert _report_fields(reports[0]) == _report_fields(reports[1])
+    assert [epoch for epoch, _, _ in reports[0].elimination_log] == [2, 3, 11]
+    assert (len(calls[0]), len(calls[1])) == (21_872, 32_752)
