@@ -3,7 +3,8 @@
     python3 .github/scripts/compare_outputs.py HEAD_TREE BASE_TREE
 
 Each configs/*.cfg of HEAD_TREE runs as `python -m gamescale EXPERIMENT --config
-CFG` in both trees, each tree with its own src/ and its own copy of the config.
+CFG` in both trees, each tree with its own src/ and its own copy of the config,
+once at the config's seed (key CFG) and once with `--seed 1` (key CFG@seed1).
 The exit codes and the sha256 of every output file must match; manifest.json is
 skipped, as it holds runtime_seconds. Exits 1 listing every difference.
 """
@@ -63,12 +64,15 @@ def main(head: str, base: str) -> int:
     if unknown:
         print(f"no experiment known for {unknown}; add them to EXPERIMENT", file=sys.stderr)
         return 1
-    runs = {name: [EXPERIMENT[name], "--config", f"configs/{name}"] for name in configs}
+    runs = {}
+    for name in configs:
+        argv = [EXPERIMENT[name], "--config", f"configs/{name}"]
+        runs[name], runs[f"{name}@seed1"] = argv, [*argv, "--seed", "1"]
     with tempfile.TemporaryDirectory() as work:
         differences = compare(head_tree, base_tree, runs, Path(work))
     for line in differences:
         print(line)
-    print(f"{len(runs)} configs, {len(differences)} differences")
+    print(f"{len(configs)} configs, {len(runs)} runs, {len(differences)} differences")
     return 1 if differences else 0
 
 

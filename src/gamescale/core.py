@@ -318,9 +318,11 @@ class GameSpec:
     t - 1.0 + e or the shipped losses' t.T[0], take one call per step, Pareto
     grid row or Stackelberg block. One that takes single points only (it
     indexes t[0] or calls float()), or an omitted gradient (central
-    differences, step 1e-6), makes PSGD raise, while best responses and the
-    Pareto grid rerun the whole search one point at a time, and the
-    Stackelberg grid each block.
+    differences, step 1e-6), makes PSGD raise, while best responses rerun the
+    whole solve one point at a time, the Stackelberg grid each block, and the
+    Pareto grid scans one pair at a time from the first learner point whose
+    batch fails. An oracle's value must depend on its arguments only: the
+    library may call it in another order and number than a one-at-a-time loop.
     """
 
     dim_learner: int

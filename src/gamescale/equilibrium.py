@@ -226,7 +226,8 @@ def pareto_improvement_search(
     the environment loss, preferring the largest learner improvement; None if
     the grid contains no such point. Each learner grid point's pairs go through
     each loss in one batch call (see GameSpec); the scan one pair at a time then
-    visits only those within a few ulps of its cuts, or all after a failed batch.
+    visits only those within a few ulps of its cuts. From the first batch call
+    that fails on, the remaining learner points scan every pair one at a time.
     """
     if learner_set.dimension + env_set.dimension > 4:
         raise ValueError("exhaustive grid limited to joint dimension <= 4")
@@ -238,27 +239,25 @@ def pareto_improvement_search(
         raise FloatingPointError(f"{'loss_env' if math.isfinite(f_l_ref) else 'loss_learner'} is not finite at x")
     cut = lambda v: v + 8 * math.ulp(v)  # a few ulps of batch-vs-single rounding
     rows = np.empty((len(env_pts), learner_set.dimension))  # t repeated: one block per t
-    for batched in (True, False):
-        best, best_val = None, f_l_ref - 1e-9
-        try:
-            for t in theta_pts:
-                envs = env_pts
-                if batched:
-                    rows[...] = t
-                    fe = _batch_loss(game.loss_env, "loss_env", rows, env_pts)
-                    fl = _batch_loss(game.loss_learner, "loss_learner", rows, env_pts)
-                    # NaN fails `>` and is kept, as the rule keeps it; no NaN passes `<`
-                    envs = env_pts[(fl < cut(best_val - 1e-15)) & ~(fe > cut(f_e_ref + 1e-12))]
-                for e in envs:
-                    if float(game.loss_env(t, e)) > f_e_ref + 1e-12:
-                        continue
-                    v = float(game.loss_learner(t, e))
-                    if v < best_val - 1e-15:
-                        best_val, best = v, JointAction(t, e)
-            return best
-        except Exception:  # a loss written for single points may raise anything on a batch
-            if not batched:
-                raise
+    best, best_val, batched = None, f_l_ref - 1e-9, True
+    for t in theta_pts:
+        envs = env_pts
+        if batched:
+            try:
+                rows[...] = t
+                fe = _batch_loss(game.loss_env, "loss_env", rows, env_pts)
+                fl = _batch_loss(game.loss_learner, "loss_learner", rows, env_pts)
+                # NaN fails `>` and is kept, as the rule keeps it; no NaN passes `<`
+                envs = env_pts[(fl < cut(best_val - 1e-15)) & ~(fe > cut(f_e_ref + 1e-12))]
+            except Exception:  # a loss written for single points may raise anything on a batch
+                batched = False
+        for e in envs:
+            if float(game.loss_env(t, e)) > f_e_ref + 1e-12:
+                continue
+            v = float(game.loss_learner(t, e))
+            if v < best_val - 1e-15:
+                best_val, best = v, JointAction(t, e)
+    return best
 
 
 # ---------------------------------------------------------------------------

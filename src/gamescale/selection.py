@@ -97,41 +97,33 @@ def successive_elimination(
     inconclusive when the next epoch would exceed the step budget.
 
     Epochs are pipelined in one psgd.PSGDBatch, with the report, bits and rng
-    state of running them one after another: once epoch tau's arms are known,
-    epoch tau + 1 joins the batch on the guess that tau eliminates no arm, if
-    the budget would then allow it and the batch stays within MAX_RUNS rows.
-    Its streams are the children rng.spawn would give it, built from rng's
-    SeedSequence; rng is advanced for confirmed epochs only. A wrong guess drops
-    its rows, and tau + 1 starts when tau ends. On any exception the selection
-    runs again one epoch at a time, which spawns from rng and raises as that does.
+    state of running them one after another for pure oracles (see GameSpec):
+    once epoch tau's arms are known, epoch tau + 1 joins the batch on the
+    guess that tau eliminates no arm, if the budget would then allow it and
+    the batch stays within MAX_RUNS rows. Its streams are the children
+    rng.spawn would give it, built from rng's SeedSequence, and rng.spawn
+    moves past them once the guess holds; a wrong guess drops its rows, and
+    tau + 1 starts when tau ends. If a batch holding an early epoch raises,
+    epoch tau runs again alone on its own streams, raising as it does in turn.
     """
+    sets = list(arms)
+    if not sets:
+        raise ValueError("need at least one arm")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    problem = list(arms), game, env_set, delta, alpha, rng, scale, max_total_steps
-    try:
-        return _eliminate(*problem, pipelined=True)
-    except Exception:  # an oracle may raise anything; the rerun raises it as the epochs in turn do
-        return _eliminate(*problem, pipelined=False)
-
-
-def _eliminate(
-    sets: list[ActionSet], game: GameSpec, env_set: ActionSet, delta: float, alpha: float,
-    rng: np.random.Generator, scale: float, max_total_steps: int, pipelined: bool,
-) -> SelectionReport:
-    """successive_elimination, pipelined or one epoch at a time with rng.spawn."""
     n = len(sets)
     states = [ArmState(i, s) for i, s in enumerate(sets)]
-    batch = PSGDBatch(game, env_set, JointAction(np.zeros(game.dim_learner), np.zeros(game.dim_env)))
-    seq = rng.bit_generator.seed_seq if pipelined else None
-    first, spawned = seq.n_children_spawned if pipelined else 0, 0  # children of the confirmed epochs
+    x0 = JointAction(np.zeros(game.dim_learner), np.zeros(game.dim_env))
+    batch = PSGDBatch(game, env_set, x0)
+    seq = rng.bit_generator.seed_seq
 
-    def children(offset: int, count: int) -> list[np.random.Generator]:
-        """Children first + offset.. of rng as rng.spawn gives them, rng left as it is."""
-        keys = ((*seq.spawn_key, first + i) for i in range(offset, offset + count))
-        return [type(rng)(type(rng.bit_generator)(type(seq)(seq.entropy, spawn_key=key, pool_size=seq.pool_size)))
-                for key in keys]
+    def children(start: int, count: int) -> list[np.random.Generator]:
+        """Children start.. of rng as rng.spawn gives them, rng left as it is."""
+        return [type(rng)(type(rng.bit_generator)(type(seq)(seq.entropy, spawn_key=(*seq.spawn_key, i),
+                                                             pool_size=seq.pool_size)))
+                for i in range(start, start + count)]
 
     total_steps = 0
     epochs = 0
@@ -147,15 +139,21 @@ def _eliminate(
             break
         delta_prime = delta / (2.0 * n * horizon * horizon)
         radius = confidence_radius(game.lipschitz, game.mu, horizon, delta_prime, scale)
+        key, streams = seq.n_children_spawned, rng.spawn(len(active))  # if ahead, tau joined on these
         if ahead is None:
-            batch.join(arm_sets, horizon, children(spawned, len(active)) if pipelined else rng.spawn(len(active)))
-        spawned += len(active)
+            batch.join(arm_sets, horizon, streams)
         ahead, following = None, _horizon(alpha, tau + 1)
-        if pipelined and total_steps + len(active) * (horizon + following) <= max_total_steps \
-                and 2 * len(active) <= MAX_RUNS:
-            ahead = batch.join(arm_sets, following, children(spawned, len(active)))
-        # epoch tau's runs finish first: tau + 1's started no earlier and run no fewer steps
-        for state, row in zip(active, batch.run()[1]):
+        if total_steps + len(active) * (horizon + following) <= max_total_steps and 2 * len(active) <= MAX_RUNS:
+            ahead = batch.join(arm_sets, following, children(key + len(active), len(active)))
+        try:  # epoch tau's runs finish first: tau + 1's started no earlier and run no fewer steps
+            rows = batch.run()[1]
+        except Exception:  # an oracle may raise anything; epoch tau alone raises as it does in turn
+            if ahead is None:
+                raise
+            batch, ahead = PSGDBatch(game, env_set, x0), None
+            batch.join(arm_sets, horizon, children(key, len(active)))
+            rows = batch.run()[1]
+        for state, row in zip(active, rows):
             avg = JointAction.from_concat(row, game.dim_learner)
             state.last_estimate = float(game.loss_learner(avg.theta, avg.env))
             if not math.isfinite(state.last_estimate):
@@ -179,8 +177,6 @@ def _eliminate(
             ahead = None
         tau += 1
 
-    if pipelined:
-        seq.spawn(spawned)  # rng as the epochs in turn leave it
     survivors = [s.class_index for s in states if s.active]
     return SelectionReport(
         winner=survivors[0] if len(survivors) == 1 else None,

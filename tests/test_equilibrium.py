@@ -1304,6 +1304,31 @@ def test_pareto_search_reruns_one_pair_at_a_time_on_a_broken_batch(broken):
     assert witness is not None and not batched
 
 
+@pytest.mark.parametrize("point", PARETO_POINTS)
+def test_pareto_search_scans_one_pair_at_a_time_from_the_first_failed_batch(point):
+    # the batch call raises only for learner points past 0, halfway through the grid;
+    # witnesses at (1.1, 0.4) and (-1.5, 1.98) lie past 0, found by the scan alone
+    bench = restriction_instance()
+    log = []  # (batch call, first theta coordinate) of each loss_env call
+
+    def loss_env(t, e):
+        log.append((np.ndim(t) == 2, float(np.asarray(t).flat[0])))
+        if np.ndim(t) == 2 and t[0, 0] > 0.0:
+            raise ValueError("no batch past 0")
+        return bench.game.loss_env(t, e)
+
+    x = JointAction(np.array([point[0]]), np.array([point[1]]))
+    game = dataclasses.replace(bench.game, loss_env=loss_env)
+    witness = pareto_improvement_search(game, x, bench.learner_set, bench.env_set)
+    assert witness_bytes(witness) == witness_bytes(scalar_pareto_search(bench.game, x, bench.learner_set, bench.env_set))
+    theta_pts = grid_points(bench.learner_set, 201)[:, 0]
+    first_failed = float(theta_pts[theta_pts > 0.0][0])
+    # one batch call per learner point up to the first that fails, none after it, and one pass
+    assert [t for batch, t in log if batch] == [*theta_pts[theta_pts <= 0.0].tolist(), first_failed]
+    thetas = [t for _, t in log[1:]]  # after the reference point's call
+    assert thetas == sorted(thetas)
+
+
 # [5e-5, 1e-4] of [0, 1]: between two points of the 101-point grid
 BETWEEN_GRID_POINTS = Intersection([box_1d(0.0, 1.0), Halfspace([1.0], 1e-4), Halfspace([-1.0], -5e-5)])
 

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from gamescale.core import Halfspace, Intersection
+from gamescale.core import GameSpec, Halfspace, Intersection
 from gamescale import selection
-from gamescale.instances import selection_arms
+from gamescale.instances import box_1d, selection_arms
 from gamescale.selection import (
     confidence_radius,
     successive_elimination,
@@ -203,6 +203,8 @@ def test_bad_selection_input_rejected(call, message):
 
 def test_invalid_parameters_rejected():
     arms, game, env_set = selection_arms([0.0, 0.5])
+    with pytest.raises(ValueError, match="need at least one arm"):
+        successive_elimination([], game, env_set, delta=0.1, alpha=8.0, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         successive_elimination(arms, game, env_set, delta=1.5, alpha=8.0, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
@@ -318,3 +320,49 @@ def test_early_epoch_waits_while_the_batch_would_pass_max_runs(monkeypatch):
     assert _report_fields(reports[0]) == _report_fields(reports[1])
     assert [epoch for epoch, _, _ in reports[0].elimination_log] == [2, 3, 11]
     assert (len(calls[0]), len(calls[1])) == (21_872, 32_752)
+
+
+def test_batches_raising_beside_an_early_epoch_give_the_sequential_report():
+    # three arms, so a batch holds more rows than its epoch's arms exactly when an early
+    # epoch is in it: every such batch raises, and each epoch runs again alone
+    arms, game, env_set = selection_arms([0.0, 0.5, 1.0])
+
+    def grad_learner(t, e):
+        if len(t) > 3:
+            raise ValueError("more rows than arms")
+        return game.grad_learner(t, e)
+
+    rngs = np.random.default_rng(4), np.random.default_rng(4)
+    report = successive_elimination(
+        arms, dataclasses.replace(game, grad_learner=grad_learner), env_set, delta=0.1, alpha=8.0, rng=rngs[0]
+    )
+    reference = sequential_elimination(arms, game, env_set, delta=0.1, alpha=8.0, rng=rngs[1])
+    assert [epoch for epoch, _, _ in report.elimination_log] == [2, 3]  # epoch 2 followed its failed early batch
+    assert _report_fields(report) == _report_fields(reference)
+    assert [r.bit_generator.seed_seq.n_children_spawned for r in rngs] == [8, 8]
+
+
+def test_nan_gradient_in_a_confirmed_early_epoch_raises_as_one_epoch_at_a_time():
+    # no noise and a gradient half as steep as mu says: x_t = 0.5 - 0.5 / (t + 1), so the
+    # gradient is nan from x_20 on, which epoch 2 (32 steps), not epoch 1 (16), reaches;
+    # epoch 2 starts beside epoch 1, is kept (equal arms), and fails beside epoch 3
+    def game(nan_rows: list) -> GameSpec:
+        def grad_learner(t, e):
+            near = np.abs(t - 0.5) < 0.025
+            if near.any():
+                nan_rows.append(len(t))
+            return np.where(near, np.nan, 0.5 * (t - 0.5))
+
+        return GameSpec(1, 1, lambda t, e: 0.25 * float((t - 0.5) @ (t - 0.5)), lambda t, e: 0.5 * float(e @ e),
+                        1.0, 1.0, grad_learner, lambda t, e: e)
+
+    arms, env_set = [box_1d(-1.0, 1.0), box_1d(-2.0, 2.0)], box_1d(-1.0, 1.0)
+    rngs, nan_rows, errors = (np.random.default_rng(0), np.random.default_rng(0)), ([], []), []
+    for select, rng, log in zip((successive_elimination, sequential_elimination), rngs, nan_rows):
+        with pytest.raises(FloatingPointError) as error:
+            select(arms, game(log), env_set, delta=0.1, alpha=8.0, rng=rng)
+        errors.append(str(error.value))
+    assert sorted(set(nan_rows[0])) == [2, 4] and nan_rows[0][0] == 4  # beside epoch 3, then alone
+    assert set(nan_rows[1]) == {2}
+    assert errors[0] == errors[1]
+    assert [r.bit_generator.seed_seq.n_children_spawned for r in rngs] == [4, 4]
