@@ -1,10 +1,12 @@
-"""Run every shipped config in two source trees and compare what each run leaves.
+"""Run every shipped config and benchmark argv in two source trees and compare what each run leaves.
 
     python3 .github/scripts/compare_outputs.py HEAD_TREE BASE_TREE
 
 Each configs/*.cfg of HEAD_TREE runs as `python -m gamescale EXPERIMENT --config
 CFG` in both trees, each tree with its own src/ and its own copy of the config,
 once at the config's seed (key CFG) and once with `--seed 1` (key CFG@seed1).
+So does the argv of every `gamescale` item of HEAD_TREE's benchmark workloads
+(perfbench/workloads.py), at `--seed 0` and `--seed 1` (key WORKLOAD:ITEM@seedN).
 The exit codes and the sha256 of every output file must match; manifest.json is
 skipped, as it holds runtime_seconds. Exits 1 listing every difference.
 """
@@ -41,6 +43,16 @@ def run(tree: Path, argv: list[str], out: Path) -> tuple[int, dict[str, str]]:
     return code, {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
 
 
+def workload_runs(head: Path) -> dict[str, list[str]]:
+    """{WORKLOAD:ITEM@seedN: argv} of every CLI item of head's benchmark workloads at seeds 0 and 1."""
+    sys.path.insert(0, str(head / "perfbench"))
+    import workloads
+
+    return {f"{workload}:{item.name}@seed{seed}": [*item.argv, "--seed", str(seed)]
+            for workload in workloads.WHY for seed in (0, 1)
+            for item in workloads.items(workload, seed) if isinstance(item, workloads.CliItem)}
+
+
 def compare(head: Path, base: Path, runs: dict[str, list[str]], work: Path) -> list[str]:
     """One line per difference between the two trees' runs, named by key."""
     differences = []
@@ -68,11 +80,13 @@ def main(head: str, base: str) -> int:
     for name in configs:
         argv = [EXPERIMENT[name], "--config", f"configs/{name}"]
         runs[name], runs[f"{name}@seed1"] = argv, [*argv, "--seed", "1"]
+    argvs = workload_runs(head_tree)
+    runs.update(argvs)
     with tempfile.TemporaryDirectory() as work:
         differences = compare(head_tree, base_tree, runs, Path(work))
     for line in differences:
         print(line)
-    print(f"{len(configs)} configs, {len(runs)} runs, {len(differences)} differences")
+    print(f"{len(configs)} configs, {len(argvs)} workload argvs, {len(runs)} runs, {len(differences)} differences")
     return 1 if differences else 0
 
 

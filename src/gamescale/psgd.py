@@ -2,8 +2,10 @@
 
 Each run is a row of (B, d) arrays with its own learner set, noise streams, step
 counter and horizon. Runs join the batch in cohorts, between two calls of run,
-and a cohort leaves at its horizon; a block of steps ends at NOISE_BLOCK steps
-or where the next cohort ends. No bit of a run depends on the rows beside it or
+and a cohort leaves at its horizon. A block of steps ends after
+max(NOISE_BLOCK, NOISE_CELLS // B) steps or where the next cohort ends: a batch
+of 16 rows or more steps 64 at a time, and a narrower one longer, in buffers no
+larger than a 16-row batch's. No bit of a run depends on the rows beside it or
 on where blocks end, so every row is the run made alone.
 """
 
@@ -16,7 +18,8 @@ import numpy as np
 
 from .core import ActionSet, GameSpec, JointAction, Product, _batch_gradient, _box_rows, _clip, _finite, gradient_noise
 
-NOISE_BLOCK = 64  # PSGD steps of noise drawn per call; sets memory, never output bits
+NOISE_BLOCK = 64  # fewest PSGD steps per block; block lengths set memory and speed, never output bits
+NOISE_CELLS = 1024  # rows x steps that a block of fewer than NOISE_CELLS // NOISE_BLOCK rows may take
 
 
 def _projector(sets: Sequence[ActionSet], bounds: Optional[tuple]) -> Callable[[np.ndarray], np.ndarray]:
@@ -54,8 +57,10 @@ class PSGDBatch:
 
     Iterates x_{t+1} = P(x_t - eta_t * Fhat(x_t)) with eta_t = 2/(mu (t+1)); a
     run's result is the average that weights iterate t by t / (T(T+1)/2). Run i
-    draws its noise NOISE_BLOCK steps per call (no bit depends on it) from
-    three children of its generator.
+    draws its noise one block per call (no bit depends on it) from three
+    children of its generator. A call of run steps blocks of
+    max(NOISE_BLOCK, NOISE_CELLS // B) steps for its B rows, fewer where a
+    cohort ends: a narrow batch pays each block's fixed work less often.
 
     A block works in place in path (its iterates) and fhat (its noise plus the
     oracles' (B, dim) results), checked finite at the block's end (each step if
@@ -71,10 +76,12 @@ class PSGDBatch:
 
     def join(self, learner_sets: Sequence[ActionSet], horizon: int, rngs: Sequence[np.random.Generator]) -> Cohort:
         """Adds one run per generator, run i on learner_sets[i], each to run horizon steps."""
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if not isinstance(horizon, (int, np.integer)) or horizon < 1:
+            raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
         if len(learner_sets) != len(rngs):
             raise ValueError(f"{len(learner_sets)} learner sets for {len(rngs)} generators")
+        if not rngs:
+            raise ValueError("a cohort needs at least one run")
         sets = [Product(s, self.env_set) for s in learner_sets]  # row i's joint set
         bounds = _box_rows(sets)
         x = _projector(sets, bounds)(np.tile(self.x0, (len(sets), 1)))
@@ -89,22 +96,25 @@ class PSGDBatch:
         """Steps every cohort until one reaches its horizon; removes the first
         (in join order) that has and returns it with its runs' averages, (k, d)."""
         game, cohorts, dl, de = self.game, self.cohorts, self.game.dim_learner, self.game.dim_env
+        if not cohorts:
+            raise ValueError("no cohort to run: join one first")
         sets = [s for c in cohorts for s in c.sets]
         streams = [s for c in cohorts for s in c.streams]
         box = all(c.bounds is not None for c in cohorts)
         bounds = [np.concatenate(b) for b in zip(*(c.bounds for c in cohorts))] if box else None
         project = _projector(sets, bounds)
-        path, fhat = np.empty((2, NOISE_BLOCK + 1, len(sets), dl + de))
+        block = max(NOISE_BLOCK, NOISE_CELLS // len(sets))
+        path, fhat = np.empty((2, block + 1, len(sets), dl + de))
         path[0] = np.concatenate([c.x for c in cohorts])
         acc = np.concatenate([c.acc for c in cohorts])
         # zeros plus a scalar here and ufunc broadcasts below, not np.full or broadcast copies: the
         # first call of a numpy routine a run makes nowhere else pages in library code (peak memory)
         done = np.concatenate([np.zeros(len(c.sets)) + c.done for c in cohorts])
-        t = np.empty((NOISE_BLOCK, len(sets)))  # each row's step numbers in a block
+        t = np.empty((block, len(sets)))  # each row's step numbers in a block
         # iterated per block; lists of every step's views were faster but peaked higher
         views = path, path[:, :, :dl], path[:, :, dl:], fhat, fhat[:, :, :dl], fhat[:, :, dl:]
         while all(c.done < c.horizon for c in cohorts):
-            n = min(NOISE_BLOCK, *(c.horizon - c.done for c in cohorts))
+            n = min(block, *(c.horizon - c.done for c in cohorts))
             gradient_noise(streams, game.noise_bound, fhat[:n])
             np.add(np.arange(1.0, n + 1.0)[:, np.newaxis], done, out=t[:n])
             steps = path[1 : n + 1]  # -2 / (mu (t + 1)), as one step's Python floats round it

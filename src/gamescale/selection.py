@@ -18,6 +18,8 @@ from .core import ActionSet, GameSpec, JointAction, ModelClassLadder
 from .equilibrium import MAX_RUNS
 from .psgd import PSGDBatch
 
+EPOCHS_AHEAD = 3  # most epochs started beside the current one, on the guess that no arm is eliminated
+
 
 def confidence_radius(L: float, mu: float, T: int, delta: float, scale: float = 1.0) -> float:
     """Anytime radius scale * (L^2 log(1/delta) + L^3) / (mu^2 T)."""
@@ -98,13 +100,20 @@ def successive_elimination(
 
     Epochs are pipelined in one psgd.PSGDBatch, with the report, bits and rng
     state of running them one after another for pure oracles (see GameSpec):
-    once epoch tau's arms are known, epoch tau + 1 joins the batch on the
-    guess that tau eliminates no arm, if the budget would then allow it and
-    the batch stays within MAX_RUNS rows. Its streams are the children
-    rng.spawn would give it, built from rng's SeedSequence, and rng.spawn
-    moves past them once the guess holds; a wrong guess drops its rows, and
-    tau + 1 starts when tau ends. If a batch holding an early epoch raises,
-    epoch tau runs again alone on its own streams, raising as it does in turn.
+    once epoch tau's arms are known, epochs tau + 1 .. tau + EPOCHS_AHEAD join
+    the batch on the guess that no arm is eliminated, so up to
+    1 + EPOCHS_AHEAD epochs run at once. Each joins only if the budget would
+    allow it and every epoch before it, the batch stays within MAX_RUNS rows,
+    and the spread of the last epoch's estimates (largest minus smallest) is
+    at most 2 U(T, delta') of every epoch before it: no epoch starts behind
+    one in which this spread would eliminate an arm, and none starts before
+    epoch 1's estimates are known.
+    Epoch tau + j's streams are the children rng.spawn would give it,
+    built from rng's SeedSequence, and rng.spawn moves past them once the
+    guess holds up to tau + j. An elimination drops every early epoch's rows,
+    and tau + 1 starts when tau ends. If a batch holding an early epoch
+    raises, epoch tau runs again alone on its own streams, raising as it does
+    in turn, and the early epochs are dropped.
     """
     sets = list(arms)
     if not sets:
@@ -113,6 +122,8 @@ def successive_elimination(
         raise ValueError("delta must lie in (0, 1)")
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if not isinstance(max_total_steps, (int, np.integer)) or max_total_steps < 0:
+        raise ValueError(f"max_total_steps must be a nonnegative integer, got {max_total_steps!r}")
     n = len(sets)
     states = [ArmState(i, s) for i, s in enumerate(sets)]
     x0 = JointAction(np.zeros(game.dim_learner), np.zeros(game.dim_env))
@@ -125,32 +136,47 @@ def successive_elimination(
                                                              pool_size=seq.pool_size)))
                 for i in range(start, start + count)]
 
+    def radius_at(epoch: int) -> float:
+        """U(T, delta') of an epoch whose horizon is within the budget."""
+        T = _horizon(alpha, epoch)
+        return confidence_radius(game.lipschitz, game.mu, T, delta / (2.0 * n * T * T), scale)
+
     total_steps = 0
     epochs = 0
     eliminations: list[tuple[int, int, float]] = []
     records: list[EpochRecord] = []
     inconclusive = False
-    tau, ahead = 1, None  # ahead: the next epoch's runs, joined on the guess that this one eliminates no arm
+    tau, ahead = 1, []  # epochs tau + 1, tau + 2, ..'s cohorts, joined on the guess that no arm is eliminated
     while sum(s.active for s in states) > 1:
         active = [s for s in states if s.active]
         arm_sets, horizon = [s.action_set for s in active], _horizon(alpha, tau)
         if total_steps + len(active) * horizon > max_total_steps:
             inconclusive = True
             break
-        delta_prime = delta / (2.0 * n * horizon * horizon)
-        radius = confidence_radius(game.lipschitz, game.mu, horizon, delta_prime, scale)
+        radius = radius_at(tau)
         key, streams = seq.n_children_spawned, rng.spawn(len(active))  # if ahead, tau joined on these
-        if ahead is None:
+        if ahead:
+            ahead.pop(0)
+        else:
             batch.join(arm_sets, horizon, streams)
-        ahead, following = None, _horizon(alpha, tau + 1)
-        if total_steps + len(active) * (horizon + following) <= max_total_steps and 2 * len(active) <= MAX_RUNS:
-            ahead = batch.join(arm_sets, following, children(key + len(active), len(active)))
-        try:  # epoch tau's runs finish first: tau + 1's started no earlier and run no fewer steps
+        # an epoch eliminates if its estimates spread wider than 2 U(T, delta'): guessing that the last
+        # epoch's spread holds, no epoch joins behind one that would eliminate, nor before any estimate
+        estimates = [s.last_estimate for s in active]
+        spread = max(estimates) - min(estimates) if tau > 1 else math.inf
+        planned = total_steps + len(active) * (horizon + sum(c.horizon for c in ahead))
+        while len(ahead) < EPOCHS_AHEAD and (2 + len(ahead)) * len(active) <= MAX_RUNS:
+            j = len(ahead) + 1
+            following = _horizon(alpha, tau + j)
+            planned += len(active) * following
+            if planned > max_total_steps or spread > 2.0 * radius_at(tau + j - 1):
+                break
+            ahead.append(batch.join(arm_sets, following, children(key + j * len(active), len(active))))
+        try:  # epoch tau's runs finish first: later epochs started no earlier and run no fewer steps
             rows = batch.run()[1]
         except Exception:  # an oracle may raise anything; epoch tau alone raises as it does in turn
-            if ahead is None:
+            if not ahead:
                 raise
-            batch, ahead = PSGDBatch(game, env_set, x0), None
+            batch, ahead = PSGDBatch(game, env_set, x0), []
             batch.join(arm_sets, horizon, children(key, len(active)))
             rows = batch.run()[1]
         for state, row in zip(active, rows):
@@ -172,9 +198,10 @@ def successive_elimination(
             records.append(
                 EpochRecord(tau, horizon, state.class_index, state.last_estimate, radius, state.active)
             )
-        if ahead is not None and not all(s.active for s in active):
-            batch.drop(ahead)
-            ahead = None
+        if not all(s.active for s in active):
+            for cohort in ahead:
+                batch.drop(cohort)
+            ahead = []
         tau += 1
 
     survivors = [s.class_index for s in states if s.active]

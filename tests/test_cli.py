@@ -25,7 +25,7 @@ from gamescale.core import ConvergenceError, GameSpec, JointAction, box_1d
 from gamescale.equilibrium import MAX_RUNS, MAX_STEPS, best_response, psgd_nash
 from gamescale.instances import coupled_quadratic, selection_arms
 from gamescale.participation import EquilibriumOutcome, equilibrium_pair
-from gamescale.psgd import NOISE_BLOCK
+from gamescale.psgd import NOISE_BLOCK, NOISE_CELLS
 from gamescale.regression import MAX_DIM
 from gamescale.selection import confidence_radius, successive_elimination
 from gamescale.svg import line_chart
@@ -579,8 +579,11 @@ def test_non_finite_gradient_in_one_batch_row_exits_with_solver_failure(tmp_path
     assert read_manifest(out)["error"]["type"] == "FloatingPointError"
 
 
+TWO_ROW_BLOCK = max(NOISE_BLOCK, NOISE_CELLS // 2)  # steps in a full noise block of a two-row batch
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("bad_step", [30, 2 * NOISE_BLOCK + 3])  # mid-block; last of a partial block
+@pytest.mark.parametrize("bad_step", [30, 2 * TWO_ROW_BLOCK + 3])  # mid-block; last of a partial third block
 def test_non_finite_gradient_at_one_step_exits_with_solver_failure(tmp_path, monkeypatch, capsys, bad_step):
     bench = coupled_quadratic(sigma=0.3)
     game = gradient_bad_at(bench.game, bad_step, np.nan, [])
@@ -588,7 +591,7 @@ def test_non_finite_gradient_at_one_step_exits_with_solver_failure(tmp_path, mon
     def runner(params):
         x0 = JointAction(np.zeros(1), np.zeros(1))
         rngs = np.random.default_rng(0).spawn(2)
-        psgd_nash(game, [bench.learner_set] * 2, bench.env_set, x0, 2 * NOISE_BLOCK + 3, rngs)
+        psgd_nash(game, [bench.learner_set] * 2, bench.env_set, x0, 2 * TWO_ROW_BLOCK + 3, rngs)
         return {}
 
     monkeypatch.setitem(EXPERIMENTS, "psgd", (runner, EXPERIMENTS["psgd"][1]))

@@ -30,6 +30,7 @@ from gamescale.core import (
     ModelClassLadder,
     Product,
     box_1d,
+    gradient_noise,
     gradient_operator,
 )
 from gamescale import equilibrium, grid, psgd
@@ -45,7 +46,7 @@ from gamescale.equilibrium import (
     solve_nash,
     stackelberg_leader,
 )
-from gamescale.psgd import NOISE_BLOCK
+from gamescale.psgd import NOISE_BLOCK, NOISE_CELLS
 from oracles import (
     per_class_scaling_curve,
     best_response_dynamics,
@@ -688,11 +689,27 @@ def test_psgd_coupled_linear_system_solution():
     np.testing.assert_allclose(avg.env, [1.0], atol=1e-3)
 
 
-def test_psgd_rejects_bad_horizon():
-    game = decoupled_quadratic()
+@pytest.mark.parametrize("horizon", [0, math.inf, math.nan, 2.5, 4.0, -3, "8"])
+def test_psgd_rejects_bad_horizon(horizon):
+    # before any step: inf ran without end, nan leaked StopIteration and 2.5 failed slicing a buffer
+    calls = []
+    game = gradient_bad_at(decoupled_quadratic(), 0, 0.0, calls)
     x0 = JointAction(np.zeros(1), np.zeros(1))
-    with pytest.raises(ValueError):
-        psgd_nash(game, [BOX2], BOX2, x0, 0, [np.random.default_rng(0)])
+    with pytest.raises(ValueError, match=r"^horizon must be an integer >= 1, got "):
+        psgd_nash(game, [BOX2], BOX2, x0, horizon, [np.random.default_rng(0)])
+    assert calls == []
+
+
+def test_psgd_batch_rejects_an_empty_cohort_and_a_run_with_no_cohort():
+    batch = psgd.PSGDBatch(decoupled_quadratic(), BOX2, JointAction(np.zeros(1), np.zeros(1)))
+    with pytest.raises(ValueError, match="^a cohort needs at least one run$"):
+        batch.join([], 8, [])
+    with pytest.raises(ValueError, match="^no cohort to run: join one first$"):
+        batch.run()
+    cohort = batch.join([BOX2], 8, [np.random.default_rng(0)])
+    batch.drop(cohort)
+    with pytest.raises(ValueError, match="^no cohort to run: join one first$"):
+        batch.run()
 
 
 def test_psgd_deterministic_given_seed():
@@ -757,9 +774,15 @@ def test_psgd_batch_rows_equal_single_runs_bitwise(horizon):
         assert _bits(row) == _bits(alone)
 
 
-@pytest.mark.parametrize("horizon", [NOISE_BLOCK, 2 * NOISE_BLOCK + 3])
+def _block(rows: int) -> int:
+    """Steps in a full noise block of a batch of rows."""
+    return max(NOISE_BLOCK, NOISE_CELLS // rows)
+
+
+@pytest.mark.parametrize("blocks, extra", [(1, 0), (2, 3)])  # ending on a block's end; into a partial third block
 @pytest.mark.parametrize("n_arms", [1, 2, 3, 4])
-def test_psgd_batch_of_selection_arms_equals_single_runs_bitwise(n_arms, horizon):
+def test_psgd_batch_of_selection_arms_equals_single_runs_bitwise(n_arms, blocks, extra):
+    horizon = blocks * _block(n_arms) + extra
     arms, game, env_set = selection_arms([0.0, 0.25, 0.5, 1.0], sigma=0.5)
     sets = arms[:n_arms]
     x0 = JointAction(np.zeros(1), np.zeros(1))
@@ -770,21 +793,25 @@ def test_psgd_batch_of_selection_arms_equals_single_runs_bitwise(n_arms, horizon
 
 
 @pytest.mark.parametrize("non_box", [False, True], ids=["box", "intersection"])
-def test_psgd_batch_rows_that_join_late_and_end_mid_block_equal_single_runs_bitwise(non_box):
-    # a (150 steps) and b (37) join at once; b ends mid-block, c (70) joins at a's
-    # step 37 and ends at a's step 107, then a ends: blocks end at a's steps 37, 101, 107 and 150
+def test_psgd_batch_rows_that_join_late_and_end_mid_block_equal_single_runs_bitwise(monkeypatch, non_box):
+    # a (2 rows, 400 steps) and b (3 rows, 37) join at once; b ends mid-block, c (2 rows, 300)
+    # joins at a's step 37 and ends at a's step 337, then a ends: with a four-row batch's blocks
+    # of 256 steps, blocks end at a's steps 37, 293, 337 and 400
     arms, game, env_set = selection_arms([0.0, 0.25, 0.5, 1.0], sigma=0.5)
     if non_box:
         arms = [Intersection([arm, Halfspace(np.array([1.0]), float(arm.upper[0]) - 0.25)]) for arm in arms]
     x0 = JointAction(np.zeros(1), np.zeros(1))
+    blocks = []
+    monkeypatch.setattr(psgd, "gradient_noise", lambda *args: blocks.append(len(args[-1])) or gradient_noise(*args))
     batch = psgd.PSGDBatch(game, env_set, x0)
-    plan = {"a": (arms[:2], 150, [40, 41]), "b": (arms[1:], 37, [42, 43, 44]), "c": (arms[::3], 70, [45, 46])}
+    plan = {"a": (arms[:2], 400, [40, 41]), "b": (arms[1:], 37, [42, 43, 44]), "c": (arms[::3], 300, [45, 46])}
     join = lambda name: batch.join(plan[name][0], plan[name][1], [np.random.default_rng(s) for s in plan[name][2]])
     cohorts = {join("a"): "a", join("b"): "b"}
     finished = [batch.run()]
     cohorts[join("c")] = "c"
     finished += [batch.run(), batch.run()]
     assert [cohorts[c] for c, _ in finished] == ["b", "c", "a"] and not batch.cohorts
+    assert _block(4) == 256 and blocks == [37, 256, 44, 63]
     for cohort, averages in finished:
         sets, horizon, seeds = plan[cohorts[cohort]]
         for arm, seed, row in zip(sets, seeds, averages):
@@ -792,8 +819,10 @@ def test_psgd_batch_rows_that_join_late_and_end_mid_block_equal_single_runs_bitw
             assert row.tobytes() == alone.concat().tobytes()
 
 
-# within one noise block, ending on and just past its boundary, and into a partial third block
-BLOCK_EDGES = [40, NOISE_BLOCK - 1, NOISE_BLOCK, NOISE_BLOCK + 1, 2 * NOISE_BLOCK + 3]
+# within one noise block, ending on and just past its boundary, and into a partial third block,
+# for a block of NOISE_BLOCK steps and for the three-row batches' longer one
+BLOCK_EDGES = [40, NOISE_BLOCK - 1, NOISE_BLOCK, NOISE_BLOCK + 1, 2 * NOISE_BLOCK + 3,
+               _block(3), _block(3) + 1, 2 * _block(3) + 3]
 
 
 @pytest.mark.parametrize("horizon", BLOCK_EDGES)
@@ -924,7 +953,7 @@ def test_psgd_rejects_a_non_finite_gradient_row():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("sets", ["box", "intersection"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("bad_step", [30, 2 * NOISE_BLOCK + 3])  # mid-block; last of a partial block
+@pytest.mark.parametrize("bad_step", [30, 2 * _block(2) + 3])  # mid-block; last of a partial third block
 def test_psgd_non_finite_gradient_at_one_step_raises(bad_step, value, sets):
     # the steps stepped after the bad gradient, on nan or clipped iterates, add no warning
     bench = coupled_quadratic(sigma=0.3)
@@ -934,12 +963,26 @@ def test_psgd_non_finite_gradient_at_one_step_raises(bad_step, value, sets):
     if sets == "intersection":
         env_set = Intersection([box_1d(-2.0, 2.0), Halfspace(np.array([1.0]), 0.75)])
     x0 = JointAction(np.zeros(1), np.zeros(1))
-    horizon = 2 * NOISE_BLOCK + 3
+    horizon = 2 * _block(2) + 3
     with pytest.raises(FloatingPointError, match="^non-finite gradient components$"):
         psgd_nash(game, [bench.learner_set] * 2, env_set, x0, horizon, np.random.default_rng(4).spawn(2))
     # an all-Box batch raises at the end of the bad step's block, any other at the step
-    block_end = min(-(-bad_step // NOISE_BLOCK) * NOISE_BLOCK, horizon)
+    block_end = min(-(-bad_step // _block(2)) * _block(2), horizon)
     assert len(calls) == (block_end if sets == "box" else bad_step)
+
+
+@pytest.mark.parametrize("bad_step, block_end", [(30, NOISE_BLOCK), (NOISE_BLOCK + 1, 2 * NOISE_BLOCK)])
+def test_psgd_wide_box_batch_checks_gradients_every_noise_block(bad_step, block_end):
+    # 20 rows take blocks of NOISE_BLOCK steps: NOISE_CELLS // 20 is fewer
+    bench = coupled_quadratic(sigma=0.3)
+    calls = []
+    game = gradient_bad_at(bench.game, bad_step, math.nan, calls)
+    x0 = JointAction(np.zeros(1), np.zeros(1))
+    assert _block(20) == NOISE_BLOCK
+    with pytest.raises(FloatingPointError, match="^non-finite gradient components$"):
+        psgd_nash(game, [bench.learner_set] * 20, bench.env_set, x0, 3 * NOISE_BLOCK,
+                  np.random.default_rng(4).spawn(20))
+    assert len(calls) == block_end
 
 
 # every value is also a bound somewhere, so rows land exactly on bounds too
@@ -987,10 +1030,14 @@ def test_psgd_bits_do_not_depend_on_the_noise_block(monkeypatch, block):
     bench = coupled_quadratic(sigma=0.3)
     x0 = JointAction(np.zeros(1), np.zeros(1))
     monkeypatch.setattr(psgd, "NOISE_BLOCK", block)
+    monkeypatch.setattr(psgd, "NOISE_CELLS", 3 * block)  # three rows, so blocks of NOISE_BLOCK steps
+    blocks = []
+    monkeypatch.setattr(psgd, "gradient_noise", lambda *args: blocks.append(len(args[-1])) or gradient_noise(*args))
     batch = psgd_nash(
         bench.game, [bench.learner_set] * 3, bench.env_set, x0, 40,
         [np.random.default_rng([31, s]) for s in range(3)],
     )
+    assert blocks == [block] * (40 // block) + [40 % block] * (40 % block > 0)
     for s, row in enumerate(batch):
         alone = single_run_psgd(
             bench.game, bench.learner_set, bench.env_set, x0, 40, np.random.default_rng([31, s])

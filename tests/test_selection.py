@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -211,6 +212,24 @@ def test_invalid_parameters_rejected():
         successive_elimination(arms, game, env_set, delta=0.1, alpha=0.0, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -1, 2.5, 1e6, "1000"])
+def test_max_total_steps_must_be_a_nonnegative_integer(budget):
+    # with a nan budget and two tied arms the selection ran without end
+    arms, game, env_set = selection_arms([0.3, 0.3])
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"^max_total_steps must be a nonnegative integer, got "):
+        successive_elimination(arms, game, env_set, delta=0.1, alpha=8.0, rng=rng, max_total_steps=budget)
+    assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
+
+@pytest.mark.parametrize("budget", [0, np.int64(47)])
+def test_a_budget_below_the_first_epoch_is_inconclusive(budget):
+    arms, game, env_set = selection_arms([0.0, 1.0, 2.0])
+    report = successive_elimination(arms, game, env_set, delta=0.1, alpha=8.0, rng=np.random.default_rng(0),
+                                    max_total_steps=budget)
+    assert report.inconclusive and report.epochs == 0 and report.total_steps == 0
+
+
 # ---------------------------------------------------------------------------
 # Pipelined epochs against one epoch at a time
 # ---------------------------------------------------------------------------
@@ -233,6 +252,23 @@ def _counted(game, calls: list):
     return dataclasses.replace(game, grad_learner=lambda t, e: calls.append(1) or game.grad_learner(t, e))
 
 
+def _slow_game(grad_learner=lambda t, e: 0.5 * (t - 0.5)) -> GameSpec:
+    """No noise and a learner gradient half as steep as mu says: x_t = 0.5 - 0.5 / (t + 1)
+    from x_0 = 0, while no bound stops it."""
+    return GameSpec(1, 1, lambda t, e: 0.25 * float((t - 0.5) @ (t - 0.5)), lambda t, e: 0.5 * float(e @ e),
+                    1.0, 1.0, grad_learner, lambda t, e: e)
+
+
+def _crossing_arms():
+    """Two equal arms and one that ties them in epoch 1 only: [-1, 15/32] caps the iterates
+    from x_16 = 0.5 - 0.5 / 17 on, past epoch 1's x_0 .. x_15, so its estimates agree with
+    the free arms' for 16 steps and are worse for 32. With scale 1e-4, epoch 2 eliminates it."""
+    return [box_1d(-1.0, 1.0), box_1d(-2.0, 2.0), box_1d(-1.0, 15 / 32)], _slow_game(), box_1d(-1.0, 1.0)
+
+
+CROSSING = dict(delta=0.1, alpha=8.0, scale=1e-4, max_total_steps=1_500)
+
+
 def _non_box_arms():
     arms, game, env_set = selection_arms([0.0, 0.5, 1.0], sigma=0.5)
     cut = [Intersection([arm, Halfspace(np.array([1.0]), float(arm.upper[0]) - 0.25)]) for arm in arms]
@@ -244,15 +280,24 @@ NARROW = dict(delta=0.1, alpha=8.0, scale=1.0, max_total_steps=10_000_000)
 # learner-oracle calls, one per PSGD batch step, pipelined and one epoch at a time)
 SELECTIONS = {
     # select-narrow: eliminations after epochs 2, 3 and 11
-    "narrow-seed0": (lambda: selection_arms([0.0, 0.005, 0.5, 1.0]), NARROW, [0], 0, (21_856, 32_752)),
+    "narrow-seed0": (lambda: selection_arms([0.0, 0.005, 0.5, 1.0]), NARROW, [0], 0, (17_520, 32_752)),
     "narrow-seed3": (lambda: selection_arms([0.0, 0.005, 0.5, 1.0]), NARROW, [3], 0, None),
     "eliminates-in-epoch-1": (lambda: selection_arms([0.0, 0.5, 1.0], sigma=0.0),
                               dict(delta=0.1, alpha=8.0, scale=1e-12), [3], 0, (16, 16)),
     "identical-inconclusive": (lambda: selection_arms([0.3] * 3), dict(delta=0.1, alpha=8.0, max_total_steps=5_000),
                                [1], 0, None),
-    # 4 * 16 steps fit, 4 * (16 + 32) do not: epoch 2 is not started early, then runs on epoch 1's two survivors
+    # 4 * 16 steps fit, 4 * (16 + 32) do not: epoch 2 runs on epoch 1's two survivors
     "budget-refuses-epoch-2": (lambda: selection_arms([0.0, 1.0, 2.0, 4.0]),
                                dict(delta=0.1, alpha=8.0, max_total_steps=150), [2], 0, (48, 48)),
+    # three equal arms; 3 * (16 + 32) steps fit, 3 * (16 + 32 + 64) do not: epoch 3 never starts
+    "budget-refuses-epoch-3": (lambda: selection_arms([0.3] * 3), dict(delta=0.1, alpha=8.0, max_total_steps=300),
+                               [1], 0, (48, 48)),
+    # 3 * (16 + 32 + 64 + 128) steps fit, 3 * 256 more do not: epochs 3 and 4 start beside epoch 2
+    # and epoch 5 never, so epoch 4 ends at batch step 16 + 128 and the budget stops epoch 5
+    "budget-admits-two-ahead": (lambda: selection_arms([0.3] * 3), dict(delta=0.1, alpha=8.0, max_total_steps=1_000),
+                                [1], 0, (144, 240)),
+    # epochs 3 to 5 start beside epoch 2 on epoch 1's tie, and are dropped when epoch 2 eliminates
+    "guess-fails-in-epoch-2": (_crossing_arms, CROSSING, [0], 0, (304, 496)),
     "equal-horizons": (lambda: selection_arms([0.0, 0.5, 1.0]), dict(delta=0.1, alpha=1e-3, max_total_steps=3_000),
                        [4], 0, None),
     "tiny-alpha": (lambda: selection_arms([0.0, 1.0]), dict(delta=0.1, alpha=5e-324, max_total_steps=2_200),
@@ -279,21 +324,36 @@ def test_pipelined_epochs_equal_one_epoch_at_a_time(case):
         assert (len(calls[0]), len(calls[1])) == steps
 
 
+@pytest.mark.parametrize("case, widths", [("budget-refuses-epoch-3", [3]), ("budget-admits-two-ahead", [3, 9, 6, 3])])
+def test_the_budget_admits_only_part_of_the_lookahead(case, widths):
+    # rows per batch step: an epoch the budget would not admit under the guess never joins,
+    # though joining it would leave the report and the batch-step count as they are
+    build, kwargs, seed, _, _ = SELECTIONS[case]
+    arms, game, env_set = build()
+    rows = []
+    logged = dataclasses.replace(game, grad_learner=lambda t, e: rows.append(len(t)) or game.grad_learner(t, e))
+    successive_elimination(arms, logged, env_set, rng=np.random.default_rng(seed), **kwargs)
+    assert [n for n, _ in groupby(rows)] == widths
+
+
 def test_nan_gradient_in_a_dropped_early_epoch_gives_the_sequential_report():
-    # epoch 1 eliminates every arm but one, so epoch 2's runs, started beside it, are dropped;
-    # their rows (past the first three of a batch of six) read a nan gradient
-    arms, game, env_set = selection_arms([0.0, 0.5, 1.0], sigma=0.0)
+    # epochs 3 to 5 start beside epoch 2, which eliminates an arm, so they are dropped;
+    # their rows (past the first three of a batch of 12) read a nan gradient
+    arms, game, env_set = _crossing_arms()
+    nan_rows = []
 
     def grad_learner(t, e):
         g = game.grad_learner(t, e)
-        return np.where(np.arange(len(t))[:, np.newaxis] >= 3, np.nan, g) if len(t) > 3 else g
+        if len(t) != 12:
+            return g
+        nan_rows.append(len(t))
+        return np.where(np.arange(len(t))[:, np.newaxis] >= 3, np.nan, g)
 
     nan_ahead = dataclasses.replace(game, grad_learner=grad_learner)
-    kwargs = dict(delta=0.1, alpha=8.0, scale=1e-12)
     rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
-    report = successive_elimination(arms, nan_ahead, env_set, rng=rng, **kwargs)
-    reference = sequential_elimination(arms, game, env_set, rng=reference_rng, **kwargs)
-    assert report.epochs == 1 and report.winner == 0
+    report = successive_elimination(arms, nan_ahead, env_set, rng=rng, **CROSSING)
+    reference = sequential_elimination(arms, game, env_set, rng=reference_rng, **CROSSING)
+    assert nan_rows and [epoch for epoch, _, _ in report.elimination_log] == [2]
     assert _report_fields(report) == _report_fields(reference)
     assert rng.bit_generator.seed_seq.n_children_spawned == reference_rng.bit_generator.seed_seq.n_children_spawned
 
@@ -310,51 +370,85 @@ def test_non_finite_estimate_raises_naming_the_arm():
 
 
 def test_early_epoch_waits_while_the_batch_would_pass_max_runs(monkeypatch):
-    # with room for 7 rows, four arms' epochs run one at a time (8 rows beside the next);
-    # from three arms on, the next epoch starts early again
+    # with room for 7 rows, the two near arms run two epochs ahead (6 rows), not three (8);
+    # the four and three arms of epochs 1 to 3 run alone either way (no estimate, then a wide spread)
     monkeypatch.setattr(selection, "MAX_RUNS", 7)
     arms, game, env_set = selection_arms([0.0, 0.005, 0.5, 1.0])
-    calls = ([], [])
-    reports = [select(arms, _counted(game, log), env_set, rng=np.random.default_rng([0]), **NARROW)
-               for select, log in zip((successive_elimination, sequential_elimination), calls)]
+    calls, rows = ([], []), []
+    logged = dataclasses.replace(game, grad_learner=lambda t, e: rows.append(len(t)) or game.grad_learner(t, e))
+    reports = [select(arms, _counted(g, log), env_set, rng=np.random.default_rng([0]), **NARROW)
+               for select, g, log in zip((successive_elimination, sequential_elimination), (logged, game), calls)]
     assert _report_fields(reports[0]) == _report_fields(reports[1])
     assert [epoch for epoch, _, _ in reports[0].elimination_log] == [2, 3, 11]
-    assert (len(calls[0]), len(calls[1])) == (21_872, 32_752)
+    assert [n for n, _ in groupby(rows)] == [4, 3, 6, 4, 2]
+    assert (len(calls[0]), len(calls[1])) == (18_800, 32_752)
+
+
+def test_an_elimination_drops_every_epoch_started_early():
+    # epoch 1 runs alone; epochs 3 to 5 start beside epoch 2 (12 rows) on epoch 1's tie, and
+    # epoch 2's elimination drops all three; epoch 3 starts on the two equal arms with epochs 4
+    # and 5 beside it (6 rows), as far as the budget goes
+    arms, game, env_set = _crossing_arms()
+    rows = []
+    logged = dataclasses.replace(game, grad_learner=lambda t, e: rows.append(len(t)) or game.grad_learner(t, e))
+    rngs = np.random.default_rng([0]), np.random.default_rng([0])
+    report = successive_elimination(arms, logged, env_set, rng=rngs[0], **CROSSING)
+    reference = sequential_elimination(arms, game, env_set, rng=rngs[1], **CROSSING)
+    assert [epoch for epoch, _, _ in report.elimination_log] == [2] and report.survivors == [0, 1]
+    assert _report_fields(report) == _report_fields(reference)
+    assert [r.bit_generator.seed_seq.n_children_spawned for r in rngs] == [3 * 2 + 2 * 3] * 2
+    assert [n for n, _ in groupby(rows)] == [3, 12, 6, 4, 2]
+    assert rows.count(12) == 32 and rows.count(6) == 64  # epochs 2 and 3
+
+
+def test_no_epoch_starts_behind_one_the_spread_says_eliminates():
+    # no noise, so every epoch's estimates are the losses 0 and 0.3: 2 U(T, delta') is 0.41 at
+    # epoch 3 and 0.22 at epoch 4, which eliminates; epochs 3 and 4 start beside epoch 2, not 5
+    arms, game, env_set = selection_arms([0.0, 0.3], sigma=0.0)
+    rows = []
+    logged = dataclasses.replace(game, grad_learner=lambda t, e: rows.append(len(t)) or game.grad_learner(t, e))
+    rngs = np.random.default_rng(5), np.random.default_rng(5)
+    report = successive_elimination(arms, logged, env_set, delta=0.1, alpha=8.0, rng=rngs[0])
+    reference = sequential_elimination(arms, game, env_set, delta=0.1, alpha=8.0, rng=rngs[1])
+    assert [epoch for epoch, _, _ in report.elimination_log] == [4]
+    assert _report_fields(report) == _report_fields(reference)
+    assert [n for n, _ in groupby(rows)] == [2, 6, 4, 2]
 
 
 def test_batches_raising_beside_an_early_epoch_give_the_sequential_report():
-    # three arms, so a batch holds more rows than its epoch's arms exactly when an early
+    # three arms, then two, so a batch holds more rows than three exactly when an early
     # epoch is in it: every such batch raises, and each epoch runs again alone
-    arms, game, env_set = selection_arms([0.0, 0.5, 1.0])
+    arms, game, env_set = _crossing_arms()
+    rows = []
 
     def grad_learner(t, e):
+        rows.append(len(t))
         if len(t) > 3:
             raise ValueError("more rows than arms")
         return game.grad_learner(t, e)
 
     rngs = np.random.default_rng(4), np.random.default_rng(4)
-    report = successive_elimination(
-        arms, dataclasses.replace(game, grad_learner=grad_learner), env_set, delta=0.1, alpha=8.0, rng=rngs[0]
-    )
-    reference = sequential_elimination(arms, game, env_set, delta=0.1, alpha=8.0, rng=rngs[1])
-    assert [epoch for epoch, _, _ in report.elimination_log] == [2, 3]  # epoch 2 followed its failed early batch
+    report = successive_elimination(arms, dataclasses.replace(game, grad_learner=grad_learner), env_set,
+                                    rng=rngs[0], **CROSSING)
+    reference = sequential_elimination(arms, game, env_set, rng=rngs[1], **CROSSING)
+    assert [epoch for epoch, _, _ in report.elimination_log] == [2]  # epoch 2 followed its failed early batch
     assert _report_fields(report) == _report_fields(reference)
-    assert [r.bit_generator.seed_seq.n_children_spawned for r in rngs] == [8, 8]
+    assert [r.bit_generator.seed_seq.n_children_spawned for r in rngs] == [12, 12]
+    assert [n for n, _ in groupby(rows)] == [3, 12, 3, 6, 2, 4, 2]  # epochs 4 and 5 run alone in turn
 
 
 def test_nan_gradient_in_a_confirmed_early_epoch_raises_as_one_epoch_at_a_time():
-    # no noise and a gradient half as steep as mu says: x_t = 0.5 - 0.5 / (t + 1), so the
-    # gradient is nan from x_20 on, which epoch 2 (32 steps), not epoch 1 (16), reaches;
-    # epoch 2 starts beside epoch 1, is kept (equal arms), and fails beside epoch 3
+    # x_t = 0.5 - 0.5 / (t + 1), so the gradient is nan from x_41 on, which epoch 3 (64 steps),
+    # not epoch 2 (32), reaches; epoch 3 starts beside epoch 2, is kept (equal arms), and fails
+    # beside epochs 4 to 6
     def game(nan_rows: list) -> GameSpec:
         def grad_learner(t, e):
-            near = np.abs(t - 0.5) < 0.025
+            near = np.abs(t - 0.5) < 0.012
             if near.any():
                 nan_rows.append(len(t))
             return np.where(near, np.nan, 0.5 * (t - 0.5))
 
-        return GameSpec(1, 1, lambda t, e: 0.25 * float((t - 0.5) @ (t - 0.5)), lambda t, e: 0.5 * float(e @ e),
-                        1.0, 1.0, grad_learner, lambda t, e: e)
+        return _slow_game(grad_learner)
 
     arms, env_set = [box_1d(-1.0, 1.0), box_1d(-2.0, 2.0)], box_1d(-1.0, 1.0)
     rngs, nan_rows, errors = (np.random.default_rng(0), np.random.default_rng(0)), ([], []), []
@@ -362,7 +456,30 @@ def test_nan_gradient_in_a_confirmed_early_epoch_raises_as_one_epoch_at_a_time()
         with pytest.raises(FloatingPointError) as error:
             select(arms, game(log), env_set, delta=0.1, alpha=8.0, rng=rng)
         errors.append(str(error.value))
-    assert sorted(set(nan_rows[0])) == [2, 4] and nan_rows[0][0] == 4  # beside epoch 3, then alone
+    assert sorted(set(nan_rows[0])) == [2, 8] and nan_rows[0][0] == 8  # beside epochs 4 to 6, then alone
     assert set(nan_rows[1]) == {2}
     assert errors[0] == errors[1]
-    assert [r.bit_generator.seed_seq.n_children_spawned for r in rngs] == [4, 4]
+    assert [r.bit_generator.seed_seq.n_children_spawned for r in rngs] == [6, 6]
+
+
+def test_a_batch_holding_three_epochs_ahead_raises_and_each_epoch_runs_alone():
+    # two equal arms: a batch of 8 rows (an epoch with three epochs beside it) raises and no
+    # other does, so epochs 2 to 4 run again alone on their own streams; from epoch 5 on the
+    # budget admits at most two epochs ahead
+    arms, game, env_set = selection_arms([0.3, 0.3])
+    rows = []
+
+    def grad_learner(t, e):
+        rows.append(len(t))
+        if len(t) == 8:
+            raise ValueError("three epochs ahead")
+        return game.grad_learner(t, e)
+
+    kwargs = dict(delta=0.1, alpha=8.0, max_total_steps=5_000)
+    rngs = np.random.default_rng(9), np.random.default_rng(9)
+    report = successive_elimination(arms, dataclasses.replace(game, grad_learner=grad_learner), env_set,
+                                    rng=rngs[0], **kwargs)
+    reference = sequential_elimination(arms, game, env_set, rng=rngs[1], **kwargs)
+    assert _report_fields(report) == _report_fields(reference) and report.epochs == 7
+    assert [r.bit_generator.seed_seq.n_children_spawned for r in rngs] == [2 * 7] * 2
+    assert [n for n, _ in groupby(rows)] == [2, 8, 2, 8, 2, 8, 2, 6, 4, 2]
