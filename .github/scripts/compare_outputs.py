@@ -6,7 +6,9 @@ Each configs/*.cfg of HEAD_TREE runs as `python -m gamescale EXPERIMENT --config
 CFG` in both trees, each tree with its own src/ and its own copy of the config,
 once at the config's seed (key CFG) and once with `--seed 1` (key CFG@seed1).
 So does the argv of every `gamescale` item of HEAD_TREE's benchmark workloads
-(perfbench/workloads.py), at `--seed 0` and `--seed 1` (key WORKLOAD:ITEM@seedN).
+(perfbench/workloads.py), at `--seed 0` and `--seed 1` (key WORKLOAD:ITEM@seedN),
+and each argv of EXTRA, which no config or workload runs, at `--seed 0` and
+`--seed 1` (key extra:ARGV@seedN).
 The exit codes and the sha256 of every output file must match; manifest.json is
 skipped, as it holds runtime_seconds. Exits 1 listing every difference.
 """
@@ -32,6 +34,14 @@ EXPERIMENT = {
     "scaling_stationary.cfg": "scaling-curve",
     "select.cfg": "select",
 }
+
+# psgd argvs that no config or workload runs: repeated and unordered horizons sharing one batch,
+# no noise, and noise whose magnitude bound min(1, sqrt(3) sigma) is clipped to 1
+EXTRA = [
+    ["psgd", "--horizons", "64,8,64,16", "--n-seeds", "3"],
+    ["psgd", "--sigma", "0", "--horizons", "8"],
+    ["psgd", "--sigma", "2", "--horizons", "8"],
+]
 
 
 def run(tree: Path, argv: list[str], out: Path) -> tuple[int, dict[str, str]]:
@@ -82,11 +92,15 @@ def main(head: str, base: str) -> int:
         runs[name], runs[f"{name}@seed1"] = argv, [*argv, "--seed", "1"]
     argvs = workload_runs(head_tree)
     runs.update(argvs)
+    for argv in EXTRA:
+        for seed in (0, 1):
+            runs[f"extra:{' '.join(argv)}@seed{seed}"] = [*argv, "--seed", str(seed)]
     with tempfile.TemporaryDirectory() as work:
         differences = compare(head_tree, base_tree, runs, Path(work))
     for line in differences:
         print(line)
-    print(f"{len(configs)} configs, {len(argvs)} workload argvs, {len(runs)} runs, {len(differences)} differences")
+    print(f"{len(configs)} configs, {len(argvs)} workload argvs, {len(EXTRA)} extra argvs, {len(runs)} runs, "
+          f"{len(differences)} differences")
     return 1 if differences else 0
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .core import JointAction
-from .equilibrium import MAX_RUNS, MAX_STEPS, REGIMES, nash_residual, psgd_nash, scaling_curve
+from .equilibrium import MAX_RUNS, MAX_STEPS, REGIMES, nash_residual, scaling_curve
 from .instances import (
     coupled_quadratic,
     nested_box_ladder,
@@ -40,6 +40,7 @@ from .instances import (
 )
 from .markov import MAX_POINTS, MAX_STATES, build_chain_game, payoff_sweep
 from .participation import alpha_threshold, default_instance, equilibrium_pair
+from .psgd import PSGDBatch
 from .regression import K_RANGE, MAX_DIM, RegressionInstance, compare_model_classes, loss_curves
 from .restriction import RestrictionCertificate, certify_restriction
 from .selection import successive_elimination
@@ -120,19 +121,32 @@ def write_manifest(
 
 def run_psgd(params: dict) -> dict[str, str]:
     """averaged stochastic gradient Nash estimation"""
-    n_seeds = params["n_seeds"]
-    steps = n_seeds * sum(params["horizons"])
+    # Entry h of --horizons is a cohort of n_seeds runs, run s on default_rng([seed, h, s]), in one
+    # psgd.PSGDBatch: the next entry joins each time a cohort ends, with at most two cohorts (each
+    # run call re-stacks them all) and MAX_RUNS rows in the batch at a time. Rows are written in
+    # --horizons order, with the bits of one batch per entry.
+    n_seeds, horizons = params["n_seeds"], params["horizons"]
+    steps = n_seeds * sum(horizons)
     if steps > MAX_STEPS:
         raise ConfigError(f"n_seeds * sum(horizons) must be at most {MAX_STEPS}, got {steps}")
     bench = coupled_quadratic(sigma=params["sigma"])
     game = bench.game
-    x0 = JointAction(np.zeros(1), np.zeros(1))
+    batch = PSGDBatch(game, bench.env_set, JointAction(np.zeros(1), np.zeros(1)))
+    width = 2 if 2 * n_seeds <= MAX_RUNS else 1  # cohorts in the batch at a time
+    joined, averages, h_idx = {}, {}, 0  # cohort -> its entry; entry -> its (n_seeds, d) averages
+    while h_idx < len(horizons) or joined:
+        if h_idx < len(horizons) and len(joined) < width:
+            rngs = [np.random.default_rng([params["seed"], h_idx, s]) for s in range(n_seeds)]
+            joined[batch.join([bench.learner_set] * n_seeds, horizons[h_idx], rngs)] = h_idx
+            h_idx += 1
+        else:
+            cohort, runs = batch.run()
+            averages[joined.pop(cohort)] = runs
     rows, summary = [], []
-    for h_idx, horizon in enumerate(params["horizons"]):
+    for h_idx, horizon in enumerate(horizons):
         gaps, residuals = [], []
-        rngs = [np.random.default_rng([params["seed"], h_idx, s]) for s in range(n_seeds)]
-        averages = psgd_nash(game, [bench.learner_set] * n_seeds, bench.env_set, x0, horizon, rngs)
-        for s, avg in enumerate(averages):
+        for s, row in enumerate(averages[h_idx]):
+            avg = JointAction.from_concat(row, game.dim_learner)
             gap = abs(float(game.loss_learner(avg.theta, avg.env)) - bench.nash_learner_loss)
             res = nash_residual(game, avg, bench.learner_set, bench.env_set)
             gaps.append(gap)

@@ -423,11 +423,11 @@ def gradient_noise(streams: Sequence, noise_bound: float, out: np.ndarray) -> np
     generators streams[i] alone; numpy's give the same values read in blocks or
     at once, so no bit depends on blocks."""
     steps, _, dim = out.shape
-    magnitude = np.empty((steps, len(streams)))
-    high = min(1.0, math.sqrt(3.0) * noise_bound)
+    magnitude, unit = np.empty((steps, len(streams))), np.empty(steps)
     for i, s in enumerate(streams):
         out[:, i] = s[0].standard_normal((steps, dim))
-        magnitude[:, i] = s[1].uniform(0.0, high, steps)
+        magnitude[:, i] = s[1].random(out=unit)
+    magnitude *= min(1.0, math.sqrt(3.0) * noise_bound)  # uniform(0.0, high, n) is 0.0 + high * random(n)
     norm = _row_norms(out)
     for t, i in zip(*(norm < 1e-12).nonzero()):
         while norm[t, i] < 1e-12:

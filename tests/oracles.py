@@ -5,7 +5,7 @@ solvers: Dykstra's projection without skipped sweeps, fixed-step projected
 descent with a residual at every iterate, single-point adaptive projected
 descent, an oracle wrapper that refuses batches (the per-row reference of a
 best-response solve), the scaling curve one class at a time, a single
-averaged PSGD run, a game whose learner
+averaged PSGD run, PSGD noise with uniform magnitude draws, a game whose learner
 gradient turns non-finite at one PSGD step and one whose learner gradient is
 never finite, a sampling check (box
 corners included) that a ladder's classes are nested, per-arm suboptimality
@@ -427,6 +427,26 @@ def single_run_psgd(
         x = joint_set.project(x - eta * fhat)
     averaged = acc * (2.0 / (horizon * (horizon + 1)))
     return JointAction.from_concat(averaged, game.dim_learner)
+
+
+def uniform_gradient_noise(streams: Sequence, noise_bound: float, steps: int, dim: int) -> np.ndarray:
+    """PSGD noise, (steps, B, dim), one run and one step at a time, each run's
+    magnitudes drawn as uniform(0.0, high, steps) from its magnitude child: the
+    reference that core.gradient_noise must equal bit for bit. A direction of
+    norm below 1e-12 is redrawn from the run's redraw child."""
+    high = min(1.0, math.sqrt(3.0) * noise_bound)
+    out = np.empty((steps, len(streams), dim))
+    for i, (direction_rng, magnitude_rng, redraw_rng) in enumerate(streams):
+        directions = direction_rng.standard_normal((steps, dim))
+        magnitudes = magnitude_rng.uniform(0.0, high, steps)
+        for t in range(steps):
+            direction = directions[t]
+            norm = float(np.linalg.norm(direction))
+            while norm < 1e-12:
+                direction = redraw_rng.standard_normal(dim)
+                norm = float(np.linalg.norm(direction))
+            out[t, i] = (magnitudes[t] / norm) * direction
+    return out
 
 
 def gradient_bad_at(game: GameSpec, bad_step: int, value: float, calls: list) -> GameSpec:

@@ -20,6 +20,7 @@ import pytest
 
 import gamescale
 import gamescale.cli
+from gamescale import psgd
 from gamescale.cli import COMMON, EXPERIMENTS, load_config, main, table
 from gamescale.core import ConvergenceError, GameSpec, JointAction, box_1d
 from gamescale.equilibrium import MAX_RUNS, MAX_STEPS, best_response, psgd_nash
@@ -253,6 +254,49 @@ def test_psgd_run_small(tmp_path):
     assert float(summary[1]["mean_f_l_gap"]) < float(summary[0]["mean_f_l_gap"]) * 0.8
 
 
+def test_psgd_horizons_share_one_batch_with_the_bytes_of_one_cohort_at_a_time(tmp_path, monkeypatch):
+    # repeated and unordered horizons; MAX_RUNS = 3 leaves room for one 3-run cohort at a time,
+    # which runs one batch per entry in --horizons order
+    run, widths = psgd.PSGDBatch.run, []
+
+    def spy(batch):
+        widths.append((len(batch.cohorts), sum(len(c.sets) for c in batch.cohorts)))
+        return run(batch)
+
+    monkeypatch.setattr(psgd.PSGDBatch, "run", spy)
+    outputs = []
+    for max_runs, expected in ((MAX_RUNS, [(2, 6)] * 3 + [(1, 3)]), (3, [(1, 3)] * 4)):
+        monkeypatch.setattr("gamescale.cli.MAX_RUNS", max_runs)
+        widths.clear()
+        out = tmp_path / str(max_runs)
+        assert main(["psgd", "--horizons", "64,8,64,16", "--n-seeds", "3", "--out-dir", str(out)]) == 0
+        assert widths == expected
+        assert all(cohorts <= 2 and rows <= max_runs for cohorts, rows in widths)
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"})
+    assert list(outputs[0]) == ["psgd.csv", "psgd.svg", "psgd_summary.csv"]
+    assert outputs[0] == outputs[1]
+    horizons = [r["horizon"] for r in read_rows(tmp_path / "3" / "psgd.csv")]
+    assert horizons == ["64"] * 3 + ["8"] * 3 + ["64"] * 3 + ["16"] * 3
+
+
+def test_psgd_seeds_argv_steps_its_horizons_side_by_side(tmp_path, monkeypatch):
+    # T = 512 and 4096 share the batch: 4,096 batch steps (one learner-oracle call each), not 512 + 4,096;
+    # 40 rows for the first 512, then T = 4096's 20
+    rows = []
+
+    def counted(sigma):
+        bench = coupled_quadratic(sigma)
+        game = bench.game
+        logged = dataclasses.replace(game, grad_learner=lambda t, e: rows.append(t.shape) or game.grad_learner(t, e))
+        return dataclasses.replace(bench, game=logged)
+
+    monkeypatch.setattr("gamescale.cli.coupled_quadratic", counted)
+    argv = ["psgd", "--sigma", "0.3", "--horizons", "512,4096", "--n-seeds", "20"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    batch_steps = [shape for shape in rows if shape[0] > 1]
+    assert batch_steps == [(40, 1)] * 512 + [(20, 1)] * 3584
+
+
 def test_scaling_curve_runs_all_regimes(tmp_path):
     for regime in ("stationary", "stackelberg_leader", "stackelberg_follower", "nash"):
         out = tmp_path / regime
@@ -477,7 +521,7 @@ def test_run_caps_are_checked_before_any_run(tmp_path, monkeypatch, argv, code, 
     def stub(*args, **kwargs):
         raise RuntimeError("solver reached")
 
-    monkeypatch.setattr("gamescale.cli.psgd_nash", stub)
+    monkeypatch.setattr("gamescale.cli.PSGDBatch", stub)
     monkeypatch.setattr("gamescale.selection.PSGDBatch", stub)
     monkeypatch.setattr("gamescale.cli.scaling_curve", stub)
     monkeypatch.setattr("gamescale.cli.default_instance", stub)

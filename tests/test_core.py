@@ -23,7 +23,7 @@ from gamescale.core import (
     gradient_operator,
     monotonicity_audit,
 )
-from oracles import check_gradients, check_nested, loop_monotonicity_audit, plain_dykstra
+from oracles import check_gradients, check_nested, loop_monotonicity_audit, plain_dykstra, uniform_gradient_noise
 
 
 def coupling_game(c: float, mu: float = 1.0, lipschitz: float = 2.0, sigma: float = 0.0) -> GameSpec:
@@ -482,6 +482,20 @@ def test_gradient_noise_does_not_depend_on_the_block_split():
     assert whole.tobytes() == split.tobytes()
     alone = gradient_noise([np.random.default_rng(2).spawn(3)], 0.4, np.empty((8, 1, 3)))
     assert alone[:, 0].tobytes() == whole[:, 1].tobytes()
+
+
+@pytest.mark.parametrize("noise_bound", [0.0, 0.3, 2.0])  # at 2.0 the magnitude's upper end is clipped to 1
+def test_gradient_noise_equals_uniform_magnitude_draws_bitwise(noise_bound):
+    # random(out=) times high is uniform(0.0, high)'s 0.0 + high * random(), in one block and in blocks of 3 and 5
+    def streams():
+        return [np.random.default_rng([17, s]).spawn(3) for s in range(3)]
+
+    reference = uniform_gradient_noise(streams(), noise_bound, 8, 2)
+    whole = gradient_noise(streams(), noise_bound, np.empty((8, 3, 2)))
+    split_streams = streams()
+    split = np.concatenate([gradient_noise(split_streams, noise_bound, np.empty((k, 3, 2))) for k in (3, 5)])
+    assert whole.tobytes() == split.tobytes() == reference.tobytes()
+    assert (np.abs(reference).max() == 0.0) == (noise_bound == 0.0)
 
 
 # ---------------------------------------------------------------------------
