@@ -10,17 +10,9 @@ class can strictly improve its equilibrium loss.
 __version__ = "0.1.0"
 
 from .core import (
-    ActionSet,
-    Box,
-    ConvergenceError,
     GameSpec,
-    Halfspace,
-    Intersection,
     JointAction,
     ModelClassLadder,
-    Product,
-    UnboundedSetError,
-    box_1d,
     gradient_noise,
     gradient_operator,
     monotonicity_audit,
@@ -44,6 +36,16 @@ from .selection import (
     SelectionReport,
     confidence_radius,
     successive_elimination,
+)
+from .sets import (
+    ActionSet,
+    Box,
+    ConvergenceError,
+    Halfspace,
+    Intersection,
+    Product,
+    UnboundedSetError,
+    box_1d,
 )
 
 __all__ = [

@@ -10,7 +10,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ActionSet, ConvergenceError, _box_rows, _clip, _finite, _row_norms
+from .core import _finite
+from .sets import ActionSet, ConvergenceError, _row_norms, row_projector
 
 
 def natural_residuals(x: np.ndarray, project: Callable[[np.ndarray], np.ndarray], g: np.ndarray) -> np.ndarray:
@@ -25,10 +26,9 @@ def _projected_descent(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projected gradient descent of each row of x0 along its own gradient, on
     its own set, to unit-step natural residual <= tol. sets is one set for all
-    rows or one per row: one set projects all rows at once, per-row Boxes or
-    Products of Boxes clip against stacked bounds (np.clip's bits), other
-    per-row sets take the rows one at a time. Each iteration makes one call
-    grad(x, rows) for the (len(rows), d) gradients at the active rows x of x0.
+    rows or one per row, projected by sets.row_projector. Each iteration makes
+    one call grad(x, rows) for the (len(rows), d) gradients at the active rows
+    x of x0.
 
     With adaptive=False every step is `step`. With adaptive=True (each row's
     gradient must be that of a convex function) `step` = 1/L is only the first
@@ -49,14 +49,9 @@ def _projected_descent(
     row; raises FloatingPointError at the first gradient that is not finite,
     and ConvergenceError if a row is still running after max_iters.
     """
-    if isinstance(sets, ActionSet):
-        project = lambda z, rows: sets.project_rows(z)  # rows: the rows of x0 that z holds
-    elif (bounds := _box_rows(sets)) is not None:
-        project = lambda z, rows: _clip(z, bounds[0][rows], bounds[1][rows])
-    else:
-        project = lambda z, rows: np.array([sets[r].project(p) for r, p in zip(rows.tolist(), z)]).reshape(z.shape)
-    rows = np.arange(len(x0))
-    x = project(np.asarray(x0, dtype=float), rows)
+    project = row_projector([sets] * len(x0) if isinstance(sets, ActionSet) else sets)[0]  # in place
+    rows = np.arange(len(x0))  # the rows of x0 that x holds
+    x = project(np.array(x0, dtype=float), rows)
     n = x.shape[0]
     points, iters, residuals = np.empty_like(x), np.zeros(n, dtype=int), np.empty(n)
     lam, theta = np.full(n, step), np.full(n, math.inf)

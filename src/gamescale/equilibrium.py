@@ -17,19 +17,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    ActionSet,
-    GameSpec,
-    JointAction,
-    ModelClassLadder,
-    Product,
-    _batch_gradient,
-    _batch_loss,
-    gradient_operator,
-)
+from .core import GameSpec, JointAction, ModelClassLadder, _batch_gradient, _batch_loss, gradient_operator
 from .descent import _projected_descent, _single_point_checked, natural_residuals
 from .grid import _grid_minimize, _pattern_search, grid_points
 from .psgd import PSGDBatch
+from .sets import ActionSet, Product
 
 REGIMES = ("stationary", "stackelberg_leader", "stackelberg_follower", "nash")
 MAX_RUNS, MAX_STEPS = 10_000, 10**8  # psgd/select caps: rows of one PSGD batch; run steps in all

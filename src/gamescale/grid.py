@@ -9,7 +9,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import ActionSet, Box, _batch_loss
+from .core import _batch_loss
+from .sets import ActionSet, Box
 
 ROW_BLOCK = 512  # rows of one Stackelberg grid descent over whole classes; sets memory, never output bits
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActionSet, Box, GameSpec, JointAction, ModelClassLadder, box_1d
+from .core import GameSpec, JointAction, ModelClassLadder
+from .sets import ActionSet, Box, box_1d
 
 
 @dataclass(eq=False)

@@ -12,39 +12,24 @@ on where blocks end, so every row is the run made alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import ActionSet, GameSpec, JointAction, Product, _batch_gradient, _box_rows, _clip, _finite, gradient_noise
+from .core import GameSpec, JointAction, _batch_gradient, _finite, gradient_noise
+from .sets import ActionSet, Product, row_projector
 
 NOISE_BLOCK = 64  # fewest PSGD steps per block; block lengths set memory and speed, never output bits
 NOISE_CELLS = 1024  # rows x steps that a block of fewer than NOISE_CELLS // NOISE_BLOCK rows may take
 
 
-def _projector(sets: Sequence[ActionSet], bounds: Optional[tuple]) -> Callable[[np.ndarray], np.ndarray]:
-    """project(z) puts row i of a (B, d) array on sets[i], in place: clipped against bounds,
-    the sets' stacked (B, d) lower and upper bounds when every set is a Box or a Product of
-    Boxes (core._box_rows), else row by row."""
-    if bounds is not None:
-        lower, upper = bounds
-        return lambda z: _clip(z, lower, upper, out=z)  # one call per step: no branch here
-
-    def project(z: np.ndarray) -> np.ndarray:
-        z[...] = [s.project(p) for s, p in zip(sets, z)]
-        return z
-
-    return project
-
-
 @dataclass(eq=False)
 class Cohort:
-    """Runs that joined the batch together and share a horizon: their joint sets and
-    those sets' stacked bounds (None unless all are boxes), noise streams, iterates x,
-    sums acc of t * x_t and steps done."""
+    """Runs that joined the batch together and share a horizon: their joint sets (one
+    Product per distinct learner set), noise streams, iterates x, sums acc of t * x_t
+    and steps done."""
 
     sets: list
-    bounds: Optional[tuple]
     streams: list
     horizon: int
     x: np.ndarray
@@ -82,10 +67,11 @@ class PSGDBatch:
             raise ValueError(f"{len(learner_sets)} learner sets for {len(rngs)} generators")
         if not rngs:
             raise ValueError("a cohort needs at least one run")
-        sets = [Product(s, self.env_set) for s in learner_sets]  # row i's joint set
-        bounds = _box_rows(sets)
-        x = _projector(sets, bounds)(np.tile(self.x0, (len(sets), 1)))
-        cohort = Cohort(sets, bounds, [rng.spawn(3) for rng in rngs], horizon, x, np.zeros_like(x))
+        distinct = {id(s): s for s in learner_sets}
+        joint = {key: Product(s, self.env_set) for key, s in distinct.items()}  # so bounds stack once per set
+        sets = [joint[id(s)] for s in learner_sets]  # row i's joint set
+        x = row_projector(sets)[0](np.tile(self.x0, (len(sets), 1)))
+        cohort = Cohort(sets, [rng.spawn(3) for rng in rngs], horizon, x, np.zeros_like(x))
         self.cohorts.append(cohort)
         return cohort
 
@@ -100,9 +86,7 @@ class PSGDBatch:
             raise ValueError("no cohort to run: join one first")
         sets = [s for c in cohorts for s in c.sets]
         streams = [s for c in cohorts for s in c.streams]
-        box = all(c.bounds is not None for c in cohorts)
-        bounds = [np.concatenate(b) for b in zip(*(c.bounds for c in cohorts))] if box else None
-        project = _projector(sets, bounds)
+        project, clips = row_projector(sets)
         block = max(NOISE_BLOCK, NOISE_CELLS // len(sets))
         path, fhat = np.empty((2, block + 1, len(sets), dl + de))
         path[0] = np.concatenate([c.x for c in cohorts])
@@ -123,7 +107,7 @@ class PSGDBatch:
             for x, theta, env, f, fl, fe, nxt in zip(*views, steps):
                 fl += _batch_gradient(game.grad_learner, "grad_learner", theta, env, dl)
                 fe += _batch_gradient(game.grad_env, "grad_env", theta, env, de)
-                if not box:
+                if not clips:
                     _finite(f)
                 np.multiply(f, nxt, out=nxt)  # nxt held -eta_t
                 nxt += x  # x + (-eta f): the bits of x - eta f

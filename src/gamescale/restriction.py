@@ -13,17 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    ActionSet,
-    ConvergenceError,
-    GameSpec,
-    Halfspace,
-    Intersection,
-    JointAction,
-    Product,
-    central_difference,
-    monotonicity_audit,
-)
+from .core import GameSpec, JointAction, central_difference, monotonicity_audit
 from .equilibrium import (
     best_response,
     best_responses,
@@ -31,6 +21,7 @@ from .equilibrium import (
     pareto_improvement_search,
     solve_nash,
 )
+from .sets import ActionSet, ConvergenceError, Halfspace, Intersection, Product
 
 BR_SOLVE_TOL = 1e-11
 FD_STEP = 1e-5

@@ -14,9 +14,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ActionSet, GameSpec, JointAction, ModelClassLadder
+from .core import GameSpec, JointAction, ModelClassLadder
 from .equilibrium import MAX_RUNS
 from .psgd import PSGDBatch
+from .sets import ActionSet
 
 EPOCHS_AHEAD = 3  # most epochs started beside the current one, on the guess that no arm is eliminated
 

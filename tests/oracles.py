@@ -38,15 +38,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from gamescale.core import (
-    ActionSet,
-    Box,
-    ConvergenceError,
     GameSpec,
     JointAction,
     ModelClassLadder,
-    Product,
-    Intersection,
-    box_1d,
     central_difference,
     gradient_operator,
 )
@@ -65,6 +59,7 @@ from gamescale.markov import CalibrationError, MarkovChainGame
 from gamescale.regression import RegressionInstance, large_model_closed_form
 from gamescale.restriction import BR_SOLVE_TOL
 from gamescale.selection import ArmState, EpochRecord, SelectionReport, confidence_radius
+from gamescale.sets import ActionSet, Box, ConvergenceError, Intersection, Product, box_1d
 from gamescale.tables import OutputError, fmt_value
 
 

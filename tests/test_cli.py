@@ -22,13 +22,14 @@ import gamescale
 import gamescale.cli
 from gamescale import psgd
 from gamescale.cli import COMMON, EXPERIMENTS, load_config, main, table
-from gamescale.core import ConvergenceError, GameSpec, JointAction, box_1d
+from gamescale.core import GameSpec, JointAction
 from gamescale.equilibrium import MAX_RUNS, MAX_STEPS, best_response, psgd_nash
 from gamescale.instances import coupled_quadratic, selection_arms
 from gamescale.participation import EquilibriumOutcome, equilibrium_pair
 from gamescale.psgd import NOISE_BLOCK, NOISE_CELLS
 from gamescale.regression import MAX_DIM
 from gamescale.selection import confidence_radius, successive_elimination
+from gamescale.sets import ConvergenceError, box_1d
 from gamescale.svg import line_chart
 from gamescale.tables import csv_text
 from oracles import gradient_bad_at, non_finite_game

@@ -8,20 +8,22 @@ import numpy as np
 import pytest
 
 from gamescale.core import (
-    Box,
-    ConvergenceError,
     GameSpec,
-    Halfspace,
-    Intersection,
     JointAction,
     ModelClassLadder,
-    Product,
-    UnboundedSetError,
-    box_1d,
     central_difference,
     gradient_noise,
     gradient_operator,
     monotonicity_audit,
+)
+from gamescale.sets import (
+    Box,
+    ConvergenceError,
+    Halfspace,
+    Intersection,
+    Product,
+    UnboundedSetError,
+    box_1d,
 )
 from oracles import check_gradients, check_nested, loop_monotonicity_audit, plain_dykstra, uniform_gradient_noise
 

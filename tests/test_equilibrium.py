@@ -21,15 +21,9 @@ from gamescale.instances import (
     zero_sum_instance,
 )
 from gamescale.core import (
-    Box,
-    ConvergenceError,
     GameSpec,
-    Halfspace,
-    Intersection,
     JointAction,
     ModelClassLadder,
-    Product,
-    box_1d,
     gradient_noise,
     gradient_operator,
 )
@@ -47,6 +41,7 @@ from gamescale.equilibrium import (
     stackelberg_leader,
 )
 from gamescale.psgd import NOISE_BLOCK, NOISE_CELLS
+from gamescale.sets import Box, ConvergenceError, Halfspace, Intersection, Product, box_1d
 from oracles import (
     per_class_scaling_curve,
     best_response_dynamics,

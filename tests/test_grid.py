@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from gamescale import equilibrium
-from gamescale.core import Box, GameSpec, box_1d
+from gamescale.core import GameSpec
 from gamescale.equilibrium import scaling_curve, stackelberg_leader
 from gamescale.instances import nested_box_ladder, stackelberg_scaling_game
+from gamescale.sets import Box, box_1d
 from oracles import per_row_stackelberg
 
 BENCH_RADII = [0.05 * i for i in range(1, 21)]  # the ladder workload's --radii

@@ -8,7 +8,7 @@ import pytest
 import gamescale.restriction
 from gamescale.instances import restriction_instance, zero_sum_instance
 from gamescale.cli import certificate_record
-from gamescale.core import Box, ConvergenceError, GameSpec, Halfspace, box_1d, central_difference
+from gamescale.core import GameSpec, central_difference
 from gamescale.equilibrium import best_response
 from gamescale.restriction import (
     BR_SOLVE_TOL,
@@ -21,6 +21,7 @@ from gamescale.restriction import (
     delta_search,
     fbar_gradient,
 )
+from gamescale.sets import Box, ConvergenceError, Halfspace, box_1d
 from oracles import composed_loss
 
 ENV_BOX = box_1d(-3.0, 3.0)

@@ -7,13 +7,14 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from gamescale.core import GameSpec, Halfspace, Intersection
+from gamescale.core import GameSpec
 from gamescale import selection
 from gamescale.instances import box_1d, selection_arms
 from gamescale.selection import (
     confidence_radius,
     successive_elimination,
 )
+from gamescale.sets import Halfspace, Intersection
 from oracles import sequential_elimination, suboptimality_gaps
 
 
