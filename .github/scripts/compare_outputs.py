@@ -35,12 +35,16 @@ EXPERIMENT = {
     "select.cfg": "select",
 }
 
-# psgd argvs that no config or workload runs: repeated and unordered horizons sharing one batch,
-# no noise, and noise whose magnitude bound min(1, sqrt(3) sigma) is clipped to 1
+RADII_60 = ",".join(f"{0.01 * i:.2f}" for i in range(1, 61))
+# argvs that no config or workload runs: psgd with repeated and unordered horizons sharing one
+# batch, no noise, and noise whose magnitude bound min(1, sqrt(3) sigma) is clipped to 1; both
+# Stackelberg ladders of 60 classes, whose 6,060-row zoom rounds take two grid blocks
 EXTRA = [
     ["psgd", "--horizons", "64,8,64,16", "--n-seeds", "3"],
     ["psgd", "--sigma", "0", "--horizons", "8"],
     ["psgd", "--sigma", "2", "--horizons", "8"],
+    ["scaling-curve", "--regime", "stackelberg_leader", "--radii", RADII_60],
+    ["scaling-curve", "--regime", "stackelberg_follower", "--radii", RADII_60],
 ]
 
 
@@ -64,11 +68,12 @@ def workload_runs(head: Path) -> dict[str, list[str]]:
 
 
 def compare(head: Path, base: Path, runs: dict[str, list[str]], work: Path) -> list[str]:
-    """One line per difference between the two trees' runs, named by key."""
+    """One line per difference between the two trees' runs, named by key (run i writes to
+    work/SIDE/i: a key holding a long argv is too long for a file name)."""
     differences = []
-    for key, argv in runs.items():
+    for i, (key, argv) in enumerate(runs.items()):
         (head_code, head_files), (base_code, base_files) = (
-            run(tree, argv, work / side / key) for side, tree in (("head", head), ("base", base))
+            run(tree, argv, work / side / str(i)) for side, tree in (("head", head), ("base", base))
         )
         if head_code != base_code:
             differences.append(f"{key}: exit code {head_code} at head, {base_code} at base")

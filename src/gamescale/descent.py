@@ -61,14 +61,14 @@ def _projected_descent(
         g = _finite(grad(x, rows))
         if adaptive and it > 1:
             dg = _row_norms(g - g_prev)
-            curvature_step = np.divide(
-                np.sqrt(dx2), 2.0 * dg, out=np.full(rows.size, step), where=dg > 0.0
-            )
+            curvature_step = np.divide(np.sqrt(dx2), 2.0 * dg, out=np.full(rows.size, step), where=dg > 0.0)
             lam, lam_prev = np.minimum(np.sqrt(1.0 + theta) * lam, curvature_step), lam
             theta = lam / lam_prev
+            del dg, curvature_step, lam_prev  # row arrays kept past their use raise a large block's peak
         x_next = project(x - lam[:, None] * g, rows)
         d = x - x_next
         dx2 = np.vecdot(d, d)
+        del d
         near = np.flatnonzero(np.minimum(1.0, 1.0 / lam) * np.sqrt(dx2) <= tol * (1.0 + 1e-9))
         if near.size:
             residual = natural_residuals(x[near], lambda z: project(z, rows[near]), g[near])
@@ -78,7 +78,8 @@ def _projected_descent(
             points[finished], iters[finished], residuals[finished] = x[done], it, residual[stop]
             keep = np.ones(rows.size, dtype=bool)
             keep[done] = False
-            rows, x_next, g, lam, theta, dx2 = (a[keep] for a in (rows, x_next, g, lam, theta, dx2))
+            rows, x_next, g = rows[keep], x_next[keep], g[keep]  # three at a time, for the peak
+            lam, theta, dx2 = lam[keep], theta[keep], dx2[keep]
         x, g_prev = x_next, g
     if rows.size:
         raise ConvergenceError(f"projected descent: residual > {tol} after {max_iters} iterations")
@@ -89,14 +90,14 @@ def _single_point_checked(solve: Callable, batch: Callable, per_row: Callable) -
     """solve(batch), kept if every row has per_row's single-point bits at the first moved
     iterate (iteration 2, or 1 for a row that stopped there); else, or if a batch call raises
     (a missing oracle does at once), solve(per_row). Solver errors of solve(batch) propagate."""
-    seen = []  # the batch gradients of iterations 1 and 2; row i of the first is row i of x0
+    seen = []  # the batch gradients of iteration 1 (row i is row i of x0), then None once 2 is checked
 
     def checked(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         g = batch(x, rows)
         if len(seen) < 2:
-            seen.append(g)
-            if len(seen) == 2 and g.tobytes() != per_row(x, rows).tobytes():
+            if seen and g.tobytes() != per_row(x, rows).tobytes():
                 raise ValueError("batch gradients differ from the single-point ones")
+            seen.append(None if seen else g)
         return g
 
     try:

@@ -61,6 +61,8 @@ def best_responses(
     makes one oracle call on all active rows, held to the single-point bits by
     _single_point_checked."""
     opp = np.asarray(opponent_actions, dtype=float)
+    if not isinstance(own_sets, ActionSet) and len(own_sets) != len(opp):
+        raise ValueError(f"{len(own_sets)} own sets for {len(opp)} opponent rows")
     if player == "learner":
         single, raw, dim = game.grad_l, game.grad_learner, game.dim_learner
         batch = lambda x, rows: _batch_gradient(game.grad_learner, "grad_learner", x, opp[rows], dim)
@@ -73,13 +75,21 @@ def best_responses(
     solve = lambda grad: _projected_descent(grad, own_sets, x0, 1.0 / game.lipschitz, True, tol, 200_000)
 
     def per_row(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """One oracle call per row, stacked as it is if that is (B, dim), or (B,) in dimension 1;
-        else, or after an exception, through single, which raises as _as_vector does."""
+        """One oracle call per row into one (B, dim) array, 256 rows at a time, each chunk
+        stacked as it is if that is (rows, dim), or (rows,) in dimension 1; else, or after an
+        exception, every row through single, which raises as _as_vector does."""
+        g = np.empty((len(x), dim))
         with contextlib.suppress(Exception):
-            g = np.array([raw(xi, opp[i]) for i, xi in zip(rows.tolist(), x)], dtype=float)
-            if g.shape == (len(x), dim) or dim == 1 and g.shape == (len(x),):
-                return g.reshape(len(x), dim)
-        return np.array([single(xi, opp[i]) for i, xi in zip(rows.tolist(), x)])
+            for s in range(0, len(x), 256):
+                part = np.array([*map(raw, x[s : s + 256], opp[rows[s : s + 256]])], dtype=float)
+                if part.shape != (len(part), dim) and (dim != 1 or part.ndim != 1):
+                    break
+                g[s : s + 256] = part.reshape(-1, dim)
+            else:
+                return g
+        for j, (xi, i) in enumerate(zip(x, rows.tolist())):
+            g[j] = single(xi, opp[i])
+        return g
 
     return _single_point_checked(solve, batch, per_row)
 
@@ -125,7 +135,7 @@ def _stackelberg(game: GameSpec, leader: str, leader_sets: list, follower_sets: 
     respond = lambda actions, ks: best_responses(game, follower, actions, [follower_sets[k] for k in ks], 1e-9)[0]
     certified = leader_sets[0].dimension <= 2
     if certified:
-        found = _grid_minimize(respond, leader_loss, name, leader_sets, resolution)
+        found = _grid_minimize(respond, leader_loss, name, leader_sets, resolution, follower_sets[0].dimension)
     else:
         found = [_pattern_search(lambda a, k=k: respond(a[np.newaxis], [k])[0], leader_loss, name, s)
                  for k, s in enumerate(leader_sets)]
@@ -271,7 +281,8 @@ def scaling_curve(
     Nash regime can break monotonicity, which is the phenomenon under study.
     All classes are solved together, bit for bit as one at a time: one descent
     for the stationary and Nash regimes (a class is one row there), Stackelberg
-    grids in blocks of whole classes of at most ROW_BLOCK rows.
+    grids in blocks of whole classes of at most grid.BLOCK_CELLS rows times the
+    follower's dimension.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")

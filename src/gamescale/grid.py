@@ -12,7 +12,7 @@ import numpy as np
 from .core import _batch_loss
 from .sets import ActionSet, Box
 
-ROW_BLOCK = 512  # rows of one Stackelberg grid descent over whole classes; sets memory, never output bits
+BLOCK_CELLS = 4096  # grid rows x follower dimension of one Stackelberg descent; sets memory, never output bits
 
 
 def grid_points(feasible: ActionSet, resolution: int, box: Optional[Box] = None) -> np.ndarray:
@@ -24,9 +24,9 @@ def grid_points(feasible: ActionSet, resolution: int, box: Optional[Box] = None)
 
 
 def _blocks(sizes: Sequence[int]) -> list[slice]:
-    """Consecutive slices of whole problems, problem k of sizes[k] rows: ROW_BLOCK rows at
+    """Consecutive slices of whole problems, problem k of sizes[k] cells: BLOCK_CELLS cells at
     most (one problem at least). A slice starts where its running total is one size."""
-    totals = itertools.accumulate(sizes, lambda rows, size: size if rows + size > ROW_BLOCK else rows + size)
+    totals = itertools.accumulate(sizes, lambda cells, size: size if cells + size > BLOCK_CELLS else cells + size)
     starts = [k for k, (total, size) in enumerate(zip(totals, sizes)) if total == size]
     return [slice(a, b) for a, b in zip(starts, [*starts[1:], len(sizes)])]
 
@@ -62,22 +62,25 @@ def _scan(value: Callable[[int], float], b: float, n: int, batch: Optional[np.nd
     return _scan(value, b, n, None)
 
 
-def _grid_minimize(respond: Callable, loss: Callable, name: str, sets: Sequence[ActionSet], resolution: int) -> list:
+def _grid_minimize(
+    respond: Callable, loss: Callable, name: str, sets: Sequence[ActionSet], resolution: int, width: int
+) -> list:
     """Grid search of each problem's feasible set, refined by two zoom rounds; lexicographically
     first tie-break. The problems run in lockstep, each with its own grid, running argmin and
-    zoom box, in _blocks: respond(actions, problems) gives the follower's responses to a block's
-    rows (problems yields each row's problem), and one call of the leader loss, named name,
-    their values (_batch_loss; none after any exception), which _scan reads. Returns each
-    problem's best point, its response and its evaluations."""
+    zoom box, in _blocks of whole problems, a grid row counting width (the follower's dimension)
+    cells: respond(actions, problems) gives the follower's responses to a block's rows (problems
+    lists each row's problem), and one call of the leader loss, named name, their values
+    (_batch_loss; none after any exception), which _scan reads. Returns each problem's best
+    point, its response and its evaluations."""
     outer = [f.bounding_box() for f in sets]
     boxes, live = list(outer), list(range(len(sets)))
     best = [[None, None, math.inf, 0] for _ in sets]  # point, row, value, evaluations
     for _ in range(3):
         grids = [grid_points(sets[k], resolution, boxes[k]) for k in live]
         live, grids = [k for k, g in zip(live, grids) if len(g)], [g for g in grids if len(g)]
-        for block in _blocks([len(g) for g in grids]):
+        for block in _blocks([len(g) * width for g in grids]):
             actions = np.concatenate(grids[block])
-            rows = respond(actions, (k for k, g in zip(live[block], grids[block]) for _ in g))
+            rows = respond(actions, np.repeat(live[block], [len(g) for g in grids[block]]).tolist())
             try:
                 values = _batch_loss(loss, name, actions, rows)
             except Exception:  # a loss written for single points may raise anything on a batch
@@ -89,10 +92,11 @@ def _grid_minimize(respond: Callable, loss: Callable, name: str, sets: Sequence[
                 value = lambda j, s=start: _value(loss, name, actions[s + j], rows[s + j])
                 j, v = _scan(value, b[2], len(pts), None if values is None else values[start:end])
                 if j >= 0:
-                    b[:3] = pts[j], rows[start + j], v
+                    b[:3] = pts[j], rows[start + j].copy(), v  # a view would hold the block's rows
                 b[3] += pts.shape[0]
                 spacing = (boxes[k].upper - boxes[k].lower) / max(resolution - 1, 1)
                 boxes[k] = Box(np.maximum(outer[k].lower, b[0] - spacing), np.minimum(outer[k].upper, b[0] + spacing))
+            del rows, values  # freed before the next block's descent
     if any(b[0] is None for b in best):
         raise ValueError("empty grid: feasible set has no grid points")
     return [(point, row, evals) for point, row, _, evals in best]

@@ -205,9 +205,11 @@ class Intersection(ActionSet):
                 jump = 2 * jump if growing else jump // 2
             else:
                 pattern, tol, jump, growing = steps, 1e-6 * moved, 1, True
-        raise ConvergenceError(
-            "Dykstra projection did not converge; intersection may be empty"
-        )
+        # far enough from a 1-D set the sweeps crawl to the cap; its interval is known exactly
+        interval = _interval(self)
+        if interval is None or interval[0] > interval[1]:
+            raise ConvergenceError("Dykstra projection did not converge; intersection may be empty")
+        return _clip(z, *interval)
 
     def is_interior(self, point: np.ndarray, margin: float = 1e-9) -> bool:
         return all(m.is_interior(point, margin) for m in self.members)
@@ -276,15 +278,31 @@ def _bounds(s: ActionSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
     return None
 
 
+def _interval(s: ActionSet) -> Optional[tuple[float, float]]:
+    """(lower, upper) of a 1-D Box, Halfspace or Intersection of them, nested ones too (empty
+    where lower > upper); None for any other set."""
+    if s.dimension != 1:
+        return None
+    if isinstance(s, Box):
+        return float(s.lower[0]), float(s.upper[0])
+    if isinstance(s, Halfspace):
+        cut = s.offset / float(s.normal[0])
+        return (-math.inf, cut) if s.normal[0] > 0.0 else (cut, math.inf)
+    if isinstance(s, Intersection) and None not in (parts := [_interval(m) for m in s.members]):
+        return max(lo for lo, _ in parts), min(hi for _, hi in parts)
+    return None
+
+
 def row_projector(sets: Sequence[ActionSet]) -> tuple[Callable[..., np.ndarray], bool]:
     """(project, clips) for a batch whose row i lies on sets[i]. project(z, rows=None) puts row j
     of a (k, d) array z on sets[rows[j]], or on sets[j] if rows is None, in place, and returns z.
     clips is whether every set is a Box or a Product of Boxes: then project clips against the
     sets' bounds, stacked once per distinct set (np.clip's bits); else it projects row by row."""
-    distinct = {}  # id -> (its row among the distinct sets, set), in one pass
-    index = [distinct.setdefault(id(s), (len(distinct), s))[0] for s in sets]
-    bounds = [_bounds(s) for _, s in distinct.values()]
+    distinct = dict(zip(map(id, sets), sets))  # id -> set, in order of first row
+    bounds = [*map(_bounds, distinct.values())]
     if bounds and all(b is not None for b in bounds):
+        row = dict(zip(distinct, range(len(distinct))))  # id -> its row among the distinct sets
+        index = [*map(row.__getitem__, map(id, sets))]
         lower, upper = (np.stack(side)[index] for side in zip(*bounds))
 
         def clip(z: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:

@@ -346,7 +346,7 @@ def per_row_stackelberg(
     for _ in range(3):
         grids = [grid_points(leader_sets[k], resolution, boxes[k]) for k in live]
         live, grids = [k for k, g in zip(live, grids) if len(g)], [g for g in grids if len(g)]
-        for block in _blocks([len(g) for g in grids]):
+        for block in _blocks([len(g) * follower_sets[0].dimension for g in grids]):
             values, rows = objective(grids[block], live[block])
             pairs = zip(rows, values)
             for k, pts in zip(live[block], grids[block]):

@@ -231,6 +231,13 @@ PER_ROW_CASES = {
         UNIT,
         TRACKED,
     ),
+    # the float_per_point oracle on 300 rows: the check stacks them in two chunks
+    "float_per_point_two_chunks": lambda: (
+        with_oracles(tracking_game(), lambda f: lambda t, e: e - t if np.ndim(t) == 2 else float(e[0] - t[0])),
+        "env",
+        UNIT,
+        np.linspace(-0.5, 1.5, 300)[:, np.newaxis],
+    ),
     # broadcasts correctly, so the batch path is kept; it must give the same bits
     "broadcast": lambda: (
         restriction_instance().game, "env", box_1d(-2.0, 2.0), np.linspace(-3.0, 3.0, 13)[:, None]
@@ -266,6 +273,28 @@ def test_best_responses_reject_a_matrix_valued_point_oracle():
     game = with_oracles(tracking_game(), lambda f: grad)
     with pytest.raises(ValueError, match=r"expected a vector, got shape \(1, 1\)"):
         best_responses(game, "env", TRACKED, UNIT, 1e-9)
+
+
+def test_best_responses_reject_a_wrong_shape_past_the_first_check_chunk():
+    # the check stacks 256 rows at a time; row 290's point oracle gives shape (1, 1)
+    opponents = np.linspace(0.2, 0.8, 300)[:, np.newaxis]
+
+    def grad(t, e):
+        return np.array([[e[0] - t[0]]]) if np.ndim(t) == 1 and t[0] == opponents[290, 0] else e - t
+
+    game = with_oracles(tracking_game(), lambda f: grad)
+    with pytest.raises(ValueError, match=r"expected a vector, got shape \(1, 1\)"):
+        best_responses(game, "env", opponents, UNIT, 1e-9)
+    healthy = with_oracles(tracking_game(), lambda f: lambda t, e: e - t)
+    _, iters, _ = best_responses(healthy, "env", opponents, UNIT, 1e-9)
+    assert iters.min() > 1  # so row 290 is row 290 of the check at iteration 2
+
+
+@pytest.mark.parametrize("sets", [2, 5])
+def test_best_responses_reject_a_set_list_of_another_length_than_the_rows(sets):
+    # 2 sets for 3 rows raised IndexError in the projector; 5 dropped two sets
+    with pytest.raises(ValueError, match=rf"^{sets} own sets for 3 opponent rows$"):
+        best_responses(tracking_game(), "env", np.zeros((3, 1)), [UNIT] * sets, 1e-9)
 
 
 @pytest.mark.parametrize("player", ["learner", "env"])
@@ -1531,8 +1560,8 @@ CURVE_CASES = {
         tilted_tracking_game(3), nested_box_ladder([0.4, 1.0], dim=3), box_1d(-1.0, 1.0), ALL_REGIMES
     ),
 }
-# ROW_BLOCK 1 gives blocks of one class, 10**9 one block of all classes. A 2-D
-# leader's grid has 101^2 rows, over ROW_BLOCK: only the one block of all differs
+# BLOCK_CELLS 1 gives blocks of one class, 10**9 one block of all classes. A 2-D
+# leader's grid has 101^2 rows, over BLOCK_CELLS: only the one block of all differs
 BLOCKS = {"default_block": None, "one_class": 1, "all_classes": 10**9}
 CURVE_RUNS = [
     (case, block) for case in sorted(CURVE_CASES) for block in BLOCKS
@@ -1549,7 +1578,7 @@ def report_bits(report):
 
 @functools.lru_cache(maxsize=None)
 def per_class_curve_bits(case, regime):
-    """The per-class loop's reports; one class is one block at any ROW_BLOCK."""
+    """The per-class loop's reports; one class is one block at any BLOCK_CELLS."""
     game, ladder, env_set, _ = CURVE_CASES[case]()
     return [(k, report_bits(r)) for k, r in per_class_scaling_curve(game, ladder, regime, env_set)]
 
@@ -1557,13 +1586,28 @@ def per_class_curve_bits(case, regime):
 @pytest.mark.parametrize("case, block", CURVE_RUNS)
 def test_scaling_curve_equals_per_class_loop_bitwise(monkeypatch, case, block):
     if BLOCKS[block] is not None:
-        monkeypatch.setattr(grid, "ROW_BLOCK", BLOCKS[block])
+        monkeypatch.setattr(grid, "BLOCK_CELLS", BLOCKS[block])
     game, ladder, env_set, regimes = CURVE_CASES[case]()
     for regime in regimes:
         got = scaling_curve(game, ladder, regime, env_set)
         assert [(k, report_bits(r)) for k, r in got] == per_class_curve_bits(case, regime)
         if regime == "stackelberg_leader":
             assert all(r.certified == (ladder[0].dimension <= 2) for _, r in got)
+
+
+@pytest.mark.parametrize("regime", ["stackelberg_leader", "stackelberg_follower"])
+def test_ladder_zoom_round_is_one_descent(monkeypatch, regime):
+    # 20 classes of 101 one-dimensional grid rows fit one block of BLOCK_CELLS
+    calls = []
+
+    def spy(grad, sets, x0, *args):
+        calls.append(len(x0))
+        return _projected_descent(grad, sets, x0, *args)
+
+    monkeypatch.setattr(equilibrium, "_projected_descent", spy)
+    game, ladder, env_set, _ = bench_ladder()
+    scaling_curve(game, ladder, regime, env_set)
+    assert len(ladder) == 20 and calls == [20 * 101] * 3
 
 
 @pytest.mark.parametrize("regime", ["nash", "stackelberg_leader", "stackelberg_follower"])

@@ -13,7 +13,9 @@ from gamescale.descent import _projected_descent
 from gamescale.equilibrium import best_response, pareto_improvement_search, psgd_nash, stackelberg_leader
 from gamescale.instances import coupled_quadratic, restriction_instance
 from gamescale.restriction import RestrictionStageError, certify_restriction
-from gamescale.sets import Box, Halfspace, Intersection, Product, UnboundedSetError, box_1d, row_projector
+from gamescale.sets import (
+    Box, ConvergenceError, Halfspace, Intersection, Product, UnboundedSetError, box_1d, row_projector,
+)
 from oracles import single_run_psgd
 
 INF = np.inf
@@ -83,6 +85,18 @@ def test_best_response_on_an_infinite_box_is_the_unconstrained_minimizer():
     # f_l = (theta - 1)^2/2 + theta e: theta = 1 - e with no bound in the way
     game = coupled_quadratic().game
     np.testing.assert_allclose(best_response(game, "learner", np.array([5.0]), box_1d(-INF, INF)), [-4.0])
+
+
+@pytest.mark.parametrize("far", [3e8, 1e9, 1e150])
+def test_a_1d_intersection_past_the_dykstra_cap_is_clipped_to_its_interval(far):
+    # Dykstra crawls from here to its sweep cap (2e8 still converges)
+    assert CUT_1D.project(np.array([far])).tolist() == [0.25]
+
+
+def test_an_empty_1d_intersection_still_raises_past_the_cap():
+    nested = Intersection([box_1d(0.0, 1.0), Intersection([Halfspace(np.array([-2.0]), -4.0)])])  # x >= 2
+    with pytest.raises(ConvergenceError):
+        nested.project(np.array([1e9]))
 
 
 # ---------------------------------------------------------------------------
