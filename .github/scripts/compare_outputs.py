@@ -37,10 +37,12 @@ EXPERIMENT = {
 
 RADII_60 = ",".join(f"{0.01 * i:.2f}" for i in range(1, 61))
 # argvs that no config or workload runs: psgd with repeated and unordered horizons sharing one
-# batch, no noise, and noise whose magnitude bound min(1, sqrt(3) sigma) is clipped to 1; both
-# Stackelberg ladders of 60 classes, whose 6,060-row zoom rounds take two grid blocks
+# batch; psgd in one- and two-row batches, whose (1, d) steps are both C- and F-contiguous; no
+# noise, and noise whose magnitude bound min(1, sqrt(3) sigma) is clipped to 1; both Stackelberg
+# ladders of 60 classes, whose 6,060-row zoom rounds take two grid blocks
 EXTRA = [
     ["psgd", "--horizons", "64,8,64,16", "--n-seeds", "3"],
+    ["psgd", "--horizons", "8,3,64", "--n-seeds", "1"],
     ["psgd", "--sigma", "0", "--horizons", "8"],
     ["psgd", "--sigma", "2", "--horizons", "8"],
     ["scaling-curve", "--regime", "stackelberg_leader", "--radii", RADII_60],

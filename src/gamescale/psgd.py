@@ -1,6 +1,6 @@
 """Projected stochastic gradient descent (PSGD) as one resumable batch of independent runs.
 
-Each run is a row of (B, d) arrays with its own learner set, noise streams, step
+Each run is a column of (d, B) arrays with its own learner set, noise streams, step
 counter and horizon. Runs join the batch in cohorts, between two calls of run,
 and a cohort leaves at its horizon. A block of steps ends after
 max(NOISE_BLOCK, NOISE_CELLS // B) steps or where the next cohort ends: a batch
@@ -49,10 +49,13 @@ class PSGDBatch:
 
     A block works in place in path (its iterates) and fhat (its noise plus the
     oracles' (B, dim) results), checked finite at the block's end (each step if
-    a set is not a Box, so that the failing step raises). Before a block, the
-    rows of path that its steps will write hold each row's -eta_t, so a step
-    reads its step sizes as the (B, d) view it writes; fhat then holds t * x_t,
-    summed into the average in step order.
+    a set is not a Box, so that the failing step raises). Both are (block + 1,
+    d, B), coordinate-major: each oracle gets its player's rows of a step as a
+    (B, dim) transposed view, C-contiguous when dim is 1, else F-contiguous
+    (only an elementwise oracle's bits are promised independent of layout).
+    Before a block, the rows of path that its steps will write hold each row's
+    -eta_t, so a step reads its step sizes as the (d, B) view it writes; fhat
+    then holds t * x_t, summed into the average in step order.
     """
 
     def __init__(self, game: GameSpec, env_set: ActionSet, x0: JointAction):
@@ -70,7 +73,7 @@ class PSGDBatch:
         distinct = {id(s): s for s in learner_sets}
         joint = {key: Product(s, self.env_set) for key, s in distinct.items()}  # so bounds stack once per set
         sets = [joint[id(s)] for s in learner_sets]  # row i's joint set
-        x = row_projector(sets)[0](np.tile(self.x0, (len(sets), 1)))
+        x = row_projector(sets)[0](np.tile(self.x0[:, np.newaxis], len(sets)).T)  # F-ordered (k, d), as run's steps
         cohort = Cohort(sets, [rng.spawn(3) for rng in rngs], horizon, x, np.zeros_like(x))
         self.cohorts.append(cohort)
         return cohort
@@ -88,21 +91,22 @@ class PSGDBatch:
         streams = [s for c in cohorts for s in c.streams]
         project, clips = row_projector(sets)
         block = max(NOISE_BLOCK, NOISE_CELLS // len(sets))
-        path, fhat = np.empty((2, block + 1, len(sets), dl + de))
-        path[0] = np.concatenate([c.x for c in cohorts])
-        acc = np.concatenate([c.acc for c in cohorts])
+        path, fhat = np.empty((2, block + 1, dl + de, len(sets)))
+        path[0] = np.concatenate([c.x for c in cohorts]).T
+        acc = np.concatenate([c.acc for c in cohorts]).T.copy()
         # zeros plus a scalar here and ufunc broadcasts below, not np.full or broadcast copies: the
         # first call of a numpy routine a run makes nowhere else pages in library code (peak memory)
         done = np.concatenate([np.zeros(len(c.sets)) + c.done for c in cohorts])
         t = np.empty((block, len(sets)))  # each row's step numbers in a block
         # iterated per block; lists of every step's views were faster but peaked higher
-        views = path, path[:, :, :dl], path[:, :, dl:], fhat, fhat[:, :, :dl], fhat[:, :, dl:]
+        views = path, path[:, :dl].mT, path[:, dl:].mT, fhat, fhat[:, :dl].mT, fhat[:, dl:].mT
         while all(c.done < c.horizon for c in cohorts):
             n = min(block, *(c.horizon - c.done for c in cohorts))
-            gradient_noise(streams, game.noise_bound, fhat[:n])
+            noise = path[1 : n + 1].reshape(n, len(sets), dl + de)  # (steps, B, d), where the step sizes go next
+            fhat[:n] = gradient_noise(streams, game.noise_bound, noise).mT
             np.add(np.arange(1.0, n + 1.0)[:, np.newaxis], done, out=t[:n])
             steps = path[1 : n + 1]  # -2 / (mu (t + 1)), as one step's Python floats round it
-            np.add(t[:n, :, np.newaxis], 1.0, out=steps)
+            np.add(t[:n, np.newaxis], 1.0, out=steps)
             np.divide(-2.0, np.multiply(steps, game.mu, out=steps), out=steps)
             for x, theta, env, f, fl, fe, nxt in zip(*views, steps):
                 fl += _batch_gradient(game.grad_learner, "grad_learner", theta, env, dl)
@@ -111,9 +115,9 @@ class PSGDBatch:
                     _finite(f)
                 np.multiply(f, nxt, out=nxt)  # nxt held -eta_t
                 nxt += x  # x + (-eta f): the bits of x - eta f
-                project(nxt)
+                project(nxt.T)
             weighted = _finite(fhat[:n])
-            np.multiply(path[:n], t[:n, :, np.newaxis], out=weighted)
+            np.multiply(path[:n], t[:n, np.newaxis], out=weighted)
             weighted[0] += acc
             acc[...] = np.add.accumulate(weighted, out=path[:n])[-1]  # acc += t * x_t, step by step
             path[0] = path[n]
@@ -121,8 +125,9 @@ class PSGDBatch:
             for c in cohorts:
                 c.done += n
         start = 0
-        for c in cohorts:  # each cohort keeps its rows, apart from the block buffers
-            c.x, c.acc = path[0, start : start + len(c.sets)].copy(), acc[start : start + len(c.sets)]
+        for c in cohorts:  # each cohort keeps its rows, (k, d), apart from the block buffers
+            rows = slice(start, start + len(c.sets))
+            c.x, c.acc = path[0, :, rows].T.copy(), acc[:, rows].T.copy()
             start += len(c.sets)
         finished = next(c for c in cohorts if c.done == c.horizon)
         self.drop(finished)

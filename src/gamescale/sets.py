@@ -151,7 +151,8 @@ class Halfspace(ActionSet):
 
 @dataclass(eq=False)
 class Intersection(ActionSet):
-    """Intersection of convex members; projection via Dykstra's algorithm."""
+    """Intersection of convex members; projection via Dykstra's algorithm, or a clip onto the
+    non-empty interval where every member is a 1-D Box or Halfspace (or such an Intersection)."""
 
     members: Sequence[ActionSet]
 
@@ -166,6 +167,11 @@ class Intersection(ActionSet):
 
     def project(self, point: np.ndarray) -> np.ndarray:
         z = _as_vector(point, self.dimension)
+        interval = _interval(self)  # ends rounded: crossed ones may hold a point, so the sweeps decide
+        if interval is not None and interval[0] <= interval[1]:
+            if not math.isfinite(z[0]):
+                raise FloatingPointError("non-finite point in the projection onto an interval")
+            return _clip(z, *interval)
         x = z.copy()
         corrections = [np.zeros(self.dimension) for _ in self.members]
         pattern, saved, jump, growing, budget = None, None, 1, True, DYKSTRA_MAX_SKIPPED
@@ -205,11 +211,7 @@ class Intersection(ActionSet):
                 jump = 2 * jump if growing else jump // 2
             else:
                 pattern, tol, jump, growing = steps, 1e-6 * moved, 1, True
-        # far enough from a 1-D set the sweeps crawl to the cap; its interval is known exactly
-        interval = _interval(self)
-        if interval is None or interval[0] > interval[1]:
-            raise ConvergenceError("Dykstra projection did not converge; intersection may be empty")
-        return _clip(z, *interval)
+        raise ConvergenceError("Dykstra projection did not converge; intersection may be empty")
 
     def is_interior(self, point: np.ndarray, margin: float = 1e-9) -> bool:
         return all(m.is_interior(point, margin) for m in self.members)
@@ -297,13 +299,16 @@ def row_projector(sets: Sequence[ActionSet]) -> tuple[Callable[..., np.ndarray],
     """(project, clips) for a batch whose row i lies on sets[i]. project(z, rows=None) puts row j
     of a (k, d) array z on sets[rows[j]], or on sets[j] if rows is None, in place, and returns z.
     clips is whether every set is a Box or a Product of Boxes: then project clips against the
-    sets' bounds, stacked once per distinct set (np.clip's bits); else it projects row by row."""
+    sets' bounds, stacked once per distinct set (np.clip's bits); else it projects row by row.
+    A clip is ~3x faster in its bounds' layout: column-major, so z F-ordered with rows None (PSGD's
+    transposed (d, k) steps); lower[rows] is row-major, so z C-ordered with rows given (descent's).
+    No bit depends on z's layout."""
     distinct = dict(zip(map(id, sets), sets))  # id -> set, in order of first row
     bounds = [*map(_bounds, distinct.values())]
     if bounds and all(b is not None for b in bounds):
         row = dict(zip(distinct, range(len(distinct))))  # id -> its row among the distinct sets
         index = [*map(row.__getitem__, map(id, sets))]
-        lower, upper = (np.stack(side)[index] for side in zip(*bounds))
+        lower, upper = (np.asfortranarray(np.stack(side)[index]) for side in zip(*bounds))
 
         def clip(z: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
             return _clip(z, lower, upper, out=z) if rows is None else _clip(z, lower[rows], upper[rows], out=z)
@@ -311,8 +316,9 @@ def row_projector(sets: Sequence[ActionSet]) -> tuple[Callable[..., np.ndarray],
         return clip, True
 
     def project(z: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        # a strided row goes contiguous: numpy's dot may sum it in another order than the row alone
         for j, r in enumerate(range(len(z)) if rows is None else rows.tolist()):
-            z[j] = sets[r].project(z[j])
+            z[j] = sets[r].project(np.ascontiguousarray(z[j]))
         return z
 
     return project, False

@@ -888,6 +888,62 @@ def test_psgd_batch_with_mixed_sets_equals_single_runs_bitwise(mixed, horizon):
         assert _bits(row) == _bits(alone)
 
 
+def _elementwise_2x3_game() -> GameSpec:
+    """A game with dim_learner 2 and dim_env 3 whose gradients mix coordinates of both players
+    elementwise only, so a batch row and a lone point get the same bits in any memory layout."""
+
+    def grad_learner(t, e):  # [..., -1] reads a wrong block's last column, were it handed one
+        return np.stack([t[..., 0] - 0.5 * e[..., -1], t[..., -1] + 0.25 * e[..., 0] - 0.5], -1)
+
+    def grad_env(t, e):
+        return np.stack([e[..., 0] - 0.5 * t[..., -1], e[..., 1] + 0.25, e[..., -1] + 0.5 * t[..., 0]], -1)
+
+    zero = lambda t, e: 0.0
+    return GameSpec(dim_learner=2, dim_env=3, loss_learner=zero, loss_env=zero,
+                    grad_learner=grad_learner, grad_env=grad_env, mu=0.5, lipschitz=2.0, noise_bound=0.3)
+
+
+def test_psgd_batch_of_unequal_player_dimensions_equals_single_runs_bitwise(monkeypatch):
+    # with dim_learner != dim_env a swapped coordinate-major slice would hand an oracle the
+    # wrong block; Box rows and an Intersection row, over several blocks and a partial one
+    monkeypatch.setattr(psgd, "NOISE_BLOCK", 16)
+    monkeypatch.setattr(psgd, "NOISE_CELLS", 48)  # three rows, so blocks of 16 steps
+    game = _elementwise_2x3_game()
+    square = Box(-np.ones(2), np.ones(2))
+    cut = Intersection([square, Halfspace(np.array([1.0, 2.0]), 0.25)])
+    sets = [square, cut, Box(np.array([-0.5, 0.0]), np.array([0.5, 2.0]))]
+    env_set = Box(np.array([-1.0, -2.0, 0.0]), np.array([1.0, 0.5, 3.0]))
+    x0 = JointAction(np.array([0.75, -0.5]), np.array([0.5, 1.0, -1.0]))
+    horizon = 3 * 16 + 5
+    batch = psgd_nash(game, sets, env_set, x0, horizon, [np.random.default_rng([33, i]) for i in range(3)])
+    for i, (learner_set, row) in enumerate(zip(sets, batch)):
+        alone = single_run_psgd(game, learner_set, env_set, x0, horizon, np.random.default_rng([33, i]))
+        assert row.theta.shape == (2,) and row.env.shape == (3,)
+        assert _bits(row) == _bits(alone)
+
+
+@pytest.mark.parametrize("non_box", [False, True], ids=["box", "intersection"])
+def test_psgd_oracles_of_a_1d_game_get_c_contiguous_rows(non_box):
+    # each step's (B, 1) theta and env are rows of a coordinate-major buffer, not strided columns
+    bench = coupled_quadratic(sigma=0.3)
+    seen = []
+
+    def logged(oracle):
+        def grad(t, e):
+            seen.append((t.shape, e.shape, t.flags.c_contiguous, e.flags.c_contiguous))
+            return oracle(t, e)
+
+        return grad
+
+    game = dataclasses.replace(bench.game, grad_learner=logged(bench.game.grad_learner),
+                               grad_env=logged(bench.game.grad_env))
+    learner_set = Intersection([bench.learner_set]) if non_box else bench.learner_set
+    x0 = JointAction(np.zeros(1), np.zeros(1))
+    psgd_nash(game, [learner_set] * 5, bench.env_set, x0, 2 * _block(5) + 3, np.random.default_rng(6).spawn(5))
+    assert len(seen) == 2 * (2 * _block(5) + 3)
+    assert set(seen) == {((5, 1), (5, 1), True, True)}
+
+
 def test_psgd_oracle_rows_have_the_one_point_gradient_bits():
     # each batch oracle call's row i is gradient_operator at row i's joint point
     game = coupling_game(0.5, sigma=0.3)

@@ -1,6 +1,8 @@
 """The set layer's one row projector, unbounded boxes and the module's boundaries."""
 
 import ast
+import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from gamescale.core import JointAction, monotonicity_audit
 from gamescale.descent import _projected_descent
 from gamescale.equilibrium import best_response, pareto_improvement_search, psgd_nash, stackelberg_leader
 from gamescale.instances import coupled_quadratic, restriction_instance
-from gamescale.restriction import RestrictionStageError, certify_restriction
+from gamescale.restriction import RestrictionStageError, certify_restriction, construct_restriction
 from gamescale.sets import (
     Box, ConvergenceError, Halfspace, Intersection, Product, UnboundedSetError, box_1d, row_projector,
 )
@@ -54,6 +56,31 @@ def test_row_projector_has_each_sets_project_bits_in_place(case):
     assert z.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("case", sorted(PROJECTOR_CASES))
+def test_row_projector_bits_do_not_depend_on_the_rows_layout(case):
+    # psgd projects the transpose of a coordinate-major (d, B) array, an F-ordered (B, d) view;
+    # descent projects C-ordered rows; the stacked bounds are column-major
+    row_sets, clips = PROJECTOR_CASES[case]
+    project, _ = row_projector(row_sets)
+    for rows in (None, np.array([len(row_sets) - 1, 0, len(row_sets) - 1])):
+        points = _points(len(row_sets) if rows is None else len(rows), clips)
+        column_major = points.T.copy().T
+        row_major = points.copy()
+        assert column_major.flags.f_contiguous and not column_major.flags.c_contiguous
+        assert project(column_major, rows) is column_major and project(row_major, rows) is row_major
+        assert column_major.tobytes() == row_major.tobytes()
+
+
+def test_row_projector_gives_a_strided_row_the_bits_of_the_row_alone():
+    # numpy's dot may sum a strided vector of 4 or more entries in another order than a
+    # contiguous one, so each row of an F-ordered z reaches a set's project contiguous
+    cut = Halfspace(np.random.default_rng(1).standard_normal(8), 0.5)
+    points = np.random.default_rng(2).standard_normal((20, 8)) * 3.0
+    z = points.T.copy().T
+    row_projector([cut] * len(z))[0](z)
+    assert z.tobytes() == np.array([cut.project(p) for p in points]).tobytes()
+
+
 def test_row_projector_of_no_rows_projects_nothing():
     project, _ = row_projector([])
     z = np.empty((0, 2))
@@ -89,14 +116,47 @@ def test_best_response_on_an_infinite_box_is_the_unconstrained_minimizer():
 
 @pytest.mark.parametrize("far", [3e8, 1e9, 1e150])
 def test_a_1d_intersection_past_the_dykstra_cap_is_clipped_to_its_interval(far):
-    # Dykstra crawls from here to its sweep cap (2e8 still converges)
+    # Dykstra would crawl from here to its sweep cap; a 1-D set clips first
     assert CUT_1D.project(np.array([far])).tolist() == [0.25]
+
+
+@pytest.mark.parametrize("point", [3e8, -1.0, 7.0])
+def test_a_non_empty_1d_intersection_projects_with_no_sweep(point, monkeypatch):
+    def sweep(self, point):
+        raise AssertionError("a member projection ran")
+
+    monkeypatch.setattr(Box, "project", sweep)
+    monkeypatch.setattr(Halfspace, "project", sweep)
+    assert CUT_1D.project(np.array([point])).tolist() == [min(point, 0.25)]
 
 
 def test_an_empty_1d_intersection_still_raises_past_the_cap():
     nested = Intersection([box_1d(0.0, 1.0), Intersection([Halfspace(np.array([-2.0]), -4.0)])])  # x >= 2
     with pytest.raises(ConvergenceError):
         nested.project(np.array([1e9]))
+
+
+def test_a_1d_restriction_whose_rounded_interval_is_empty_keeps_the_point_its_cuts_contain():
+    # theta' = 0.1, v = 1, grad = 3: the cuts are x <= 0.1 and -3x <= -0.30000000000000004, whose
+    # quotient rounds to 0.10000000000000002 > 0.1; both halfspaces hold 0.1, so the sweeps decide
+    game = dataclasses.replace(coupled_quadratic().game, grad_learner=lambda t, e: np.full_like(t, 3.0))
+    cut = construct_restriction(game, np.array([0.1]), np.array([0.0]), np.array([1.0]), box_1d(-1.0, 1.0))
+    assert sets._interval(cut)[0] > sets._interval(cut)[1]
+    assert all(m.contains(np.array([0.1]), tol=0.0) for m in cut.members)
+    assert cut.project(np.array([0.1])).tolist() == [0.1]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("region", [CUT_1D, Intersection([box_1d(0.0, 1.0), Halfspace(np.array([1.0]), -1.0)])],
+                         ids=["interval", "empty"])
+def test_a_1d_intersection_raises_floating_point_error_on_a_non_finite_point(bad, region):
+    with pytest.raises(FloatingPointError):
+        region.project(np.array([bad]))
+
+
+@pytest.mark.parametrize("point", [-3.0, -2.0, -0.0, 0.0, 0.1, 0.25, 0.5, 7.0])
+def test_a_1d_intersection_projects_as_its_interval_clip(point):
+    assert CUT_1D.project(np.array([point])).tobytes() == np.clip(np.array([point]), -2.0, 0.25).tobytes()
 
 
 # ---------------------------------------------------------------------------
