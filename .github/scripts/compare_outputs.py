@@ -9,13 +9,15 @@ So does the argv of every `gamescale` item of HEAD_TREE's benchmark workloads
 (perfbench/workloads.py), at `--seed 0` and `--seed 1` (key WORKLOAD:ITEM@seedN),
 and each argv of EXTRA, which no config or workload runs, at `--seed 0` and
 `--seed 1` (key extra:ARGV@seedN).
-The exit codes and the sha256 of every output file must match; manifest.json is
-skipped, as it holds runtime_seconds. Exits 1 listing every difference.
+The exit codes and the sha256 of every output file must match, manifest.json's
+taken without its runtime_seconds, so an exit-3 error record (type, stage, where,
+message) is compared too. Exits 1 listing every difference.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -51,12 +53,19 @@ EXTRA = [
 
 
 def run(tree: Path, argv: list[str], out: Path) -> tuple[int, dict[str, str]]:
-    """Exit code and {file name: sha256} of one run in tree, manifest.json left out."""
+    """Exit code and {file name: sha256} of one run in tree, manifest.json's without its runtime_seconds."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     code = subprocess.run([sys.executable, "-m", "gamescale", *argv, "--out-dir", str(out)],
                           cwd=tree, env=env, capture_output=True).returncode
-    files = sorted(p for p in out.iterdir() if p.name != "manifest.json") if out.is_dir() else []
-    return code, {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+    hashes = {}
+    for p in sorted(out.iterdir()) if out.is_dir() else []:
+        data = p.read_bytes()
+        if p.name == "manifest.json":
+            manifest = json.loads(data)
+            manifest.pop("runtime_seconds", None)
+            data = json.dumps(manifest, sort_keys=True).encode()
+        hashes[p.name] = hashlib.sha256(data).hexdigest()
+    return code, hashes
 
 
 def workload_runs(head: Path) -> dict[str, list[str]]:

@@ -147,7 +147,7 @@ def run_psgd(params: dict) -> dict[str, str]:
         gaps, residuals = [], []
         for s, row in enumerate(averages[h_idx]):
             avg = JointAction.from_concat(row, game.dim_learner)
-            gap = abs(float(game.loss_learner(avg.theta, avg.env)) - bench.nash_learner_loss)
+            gap = abs(game.loss("learner", avg.theta, avg.env, f"seed {s}'s average") - bench.nash_learner_loss)
             res = nash_residual(game, avg, bench.learner_set, bench.env_set)
             gaps.append(gap)
             residuals.append(res)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import GameSpec, JointAction, ModelClassLadder, _batch_gradient, _batch_loss, gradient_operator
+from .core import GameSpec, JointAction, ModelClassLadder, _batch_gradient, gradient_operator
 from .descent import _projected_descent, _single_point_checked, natural_residuals
 from .grid import _grid_minimize, _pattern_search, grid_points
 from .psgd import PSGDBatch
@@ -43,7 +43,7 @@ def _report(
     certified: bool = True,
 ) -> EquilibriumReport:
     """The report of joint, with both players' losses evaluated there."""
-    losses = (float(loss(joint.theta, joint.env)) for loss in (game.loss_learner, game.loss_env))
+    losses = (game.loss(player, joint.theta, joint.env, "the reported point") for player in ("learner", "env"))
     return EquilibriumReport(regime, joint, *losses, float(residual), int(iterations), certified)
 
 
@@ -131,13 +131,14 @@ def _stackelberg(game: GameSpec, leader: str, leader_sets: list, follower_sets: 
         raise ValueError(f"unknown leader {leader!r}")
     leads = leader == "learner"
     follower, regime = ("env", "stackelberg_leader") if leads else ("learner", "stackelberg_follower")
-    leader_loss, name = (game.loss_learner, "loss_learner") if leads else (lambda a, f: game.loss_env(f, a), "loss_env")
-    respond = lambda actions, ks: best_responses(game, follower, actions, [follower_sets[k] for k in ks], 1e-9)[0]
     certified = leader_sets[0].dimension <= 2
+    where = "a leader grid point" if certified else "a leader search point"
+    leader_loss = lambda a, f: game.loss("learner", a, f, where) if leads else game.loss("env", f, a, where)
+    respond = lambda actions, ks: best_responses(game, follower, actions, [follower_sets[k] for k in ks], 1e-9)[0]
     if certified:
-        found = _grid_minimize(respond, leader_loss, name, leader_sets, resolution, follower_sets[0].dimension)
+        found = _grid_minimize(respond, leader_loss, leader_sets, resolution, follower_sets[0].dimension)
     else:
-        found = [_pattern_search(lambda a, k=k: respond(a[np.newaxis], [k])[0], leader_loss, name, s)
+        found = [_pattern_search(lambda a, k=k: respond(a[np.newaxis], [k])[0], leader_loss, s)
                  for k, s in enumerate(leader_sets)]
     joints = [JointAction(*((action, response) if leads else (response, action))) for action, response, _ in found]
     sets = zip(leader_sets, follower_sets) if leads else zip(follower_sets, leader_sets)  # (learner, env)
@@ -236,27 +237,22 @@ def pareto_improvement_search(
     theta_pts, env_pts = grid_points(learner_set, 201), grid_points(env_set, 201)
     if theta_pts.shape[0] * env_pts.shape[0] > 20_000_000:
         raise ValueError("grid too large; lower the resolution")
-    f_l_ref, f_e_ref = (float(loss(x.theta, x.env)) for loss in (game.loss_learner, game.loss_env))
-    if not (math.isfinite(f_l_ref) and math.isfinite(f_e_ref)):  # else no witness, as if Pareto optimal
-        raise FloatingPointError(f"{'loss_env' if math.isfinite(f_l_ref) else 'loss_learner'} is not finite at x")
+    f_l_ref, f_e_ref = (game.loss(player, x.theta, x.env, "x") for player in ("learner", "env"))
     cut = lambda v: v + 8 * math.ulp(v)  # a few ulps of batch-vs-single rounding
-    rows = np.empty((len(env_pts), learner_set.dimension))  # t repeated: one block per t
+    env_cut, rows = cut(f_e_ref + 1e-12), np.empty((len(env_pts), learner_set.dimension))  # t repeated: one block per t
     best, best_val, batched = None, f_l_ref - 1e-9, True
     for t in theta_pts:
         envs = env_pts
         if batched:
-            try:
-                rows[...] = t
-                fe = _batch_loss(game.loss_env, "loss_env", rows, env_pts)
-                fl = _batch_loss(game.loss_learner, "loss_learner", rows, env_pts)
-                # NaN fails `>` and is kept, as the rule keeps it; no NaN passes `<`
-                envs = env_pts[(fl < cut(best_val - 1e-15)) & ~(fe > cut(f_e_ref + 1e-12))]
-            except Exception:  # a loss written for single points may raise anything on a batch
-                batched = False
+            rows[...] = t
+            fe = game.loss("env", rows, env_pts, "a grid pair")
+            fl = None if fe is None else game.loss("learner", rows, env_pts, "a grid pair")
+            if batched := fl is not None:
+                envs = env_pts[(fl < cut(best_val - 1e-15)) & (fe <= env_cut)]
         for e in envs:
-            if float(game.loss_env(t, e)) > f_e_ref + 1e-12:
+            if game.loss("env", t, e, "a grid pair") > f_e_ref + 1e-12:
                 continue
-            v = float(game.loss_learner(t, e))
+            v = game.loss("learner", t, e, "a grid pair")
             if v < best_val - 1e-15:
                 best_val, best = v, JointAction(t, e)
     return best

@@ -9,7 +9,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import _batch_loss
 from .sets import ActionSet, Box
 
 BLOCK_CELLS = 4096  # grid rows x follower dimension of one Stackelberg descent; sets memory, never output bits
@@ -29,13 +28,6 @@ def _blocks(sizes: Sequence[int]) -> list[slice]:
     totals = itertools.accumulate(sizes, lambda cells, size: size if cells + size > BLOCK_CELLS else cells + size)
     starts = [k for k, (total, size) in enumerate(zip(totals, sizes)) if total == size]
     return [slice(a, b) for a, b in zip(starts, [*starts[1:], len(sizes)])]
-
-
-def _value(loss: Callable, name: str, a: np.ndarray, f: np.ndarray) -> float:
-    """The leader loss at one point (a, f), held finite."""
-    if not math.isfinite(v := float(loss(a, f))):
-        raise FloatingPointError(f"{name} is not finite at a leader grid point")
-    return v
 
 
 def _scan(value: Callable[[int], float], b: float, n: int, batch: Optional[np.ndarray]) -> tuple[int, float]:
@@ -62,16 +54,14 @@ def _scan(value: Callable[[int], float], b: float, n: int, batch: Optional[np.nd
     return _scan(value, b, n, None)
 
 
-def _grid_minimize(
-    respond: Callable, loss: Callable, name: str, sets: Sequence[ActionSet], resolution: int, width: int
-) -> list:
+def _grid_minimize(respond: Callable, loss: Callable, sets: Sequence[ActionSet], resolution: int, width: int) -> list:
     """Grid search of each problem's feasible set, refined by two zoom rounds; lexicographically
     first tie-break. The problems run in lockstep, each with its own grid, running argmin and
     zoom box, in _blocks of whole problems, a grid row counting width (the follower's dimension)
     cells: respond(actions, problems) gives the follower's responses to a block's rows (problems
-    lists each row's problem), and one call of the leader loss, named name, their values
-    (_batch_loss; none after any exception), which _scan reads. Returns each problem's best
-    point, its response and its evaluations."""
+    lists each row's problem), and loss(actions, responses) their leader losses, checked as
+    GameSpec.loss checks them (None if the oracle cannot take the batch), which _scan reads.
+    Returns each problem's best point, its response and its evaluations."""
     outer = [f.bounding_box() for f in sets]
     boxes, live = list(outer), list(range(len(sets)))
     best = [[None, None, math.inf, 0] for _ in sets]  # point, row, value, evaluations
@@ -81,15 +71,10 @@ def _grid_minimize(
         for block in _blocks([len(g) * width for g in grids]):
             actions = np.concatenate(grids[block])
             rows = respond(actions, np.repeat(live[block], [len(g) for g in grids[block]]).tolist())
-            try:
-                values = _batch_loss(loss, name, actions, rows)
-            except Exception:  # a loss written for single points may raise anything on a batch
-                values = None
-            if values is not None and not np.isfinite(values).all():
-                raise FloatingPointError(f"{name} is not finite at a leader grid point")
+            values = loss(actions, rows)
             for k, pts, end in zip(live[block], grids[block], itertools.accumulate(len(g) for g in grids[block])):
                 b, start = best[k], end - len(pts)
-                value = lambda j, s=start: _value(loss, name, actions[s + j], rows[s + j])
+                value = lambda j, s=start: loss(actions[s + j], rows[s + j])
                 j, v = _scan(value, b[2], len(pts), None if values is None else values[start:end])
                 if j >= 0:
                     b[:3] = pts[j], rows[start + j].copy(), v  # a view would hold the block's rows
@@ -102,13 +87,13 @@ def _grid_minimize(
     return [(point, row, evals) for point, row, _, evals in best]
 
 
-def _pattern_search(respond: Callable, loss: Callable, name: str, feasible: ActionSet) -> tuple:
+def _pattern_search(respond: Callable, loss: Callable, feasible: ActionSet) -> tuple:
     """Compass search with shrinking steps from the bounding box's center, the first a quarter of
     its widest side; local, used beyond grid dimensions. respond(point) is the follower's response
-    to one point, and loss(point, response), named name, the leader loss there."""
+    to one point, and loss(point, response) the leader loss there, checked as GameSpec.loss checks it."""
     box = feasible.bounding_box()
     x = feasible.project((box.lower + box.upper) / 2.0)
-    fx = _value(loss, name, x, row := respond(x))
+    fx = loss(x, row := respond(x))
     h = float(np.max(box.upper - box.lower)) / 4.0
     evals, d = 1, x.shape[0]
     for _ in range(10_000):
@@ -118,7 +103,7 @@ def _pattern_search(respond: Callable, loss: Callable, name: str, feasible: Acti
                 cand = x.copy()
                 cand[j] += sign * h
                 cand = feasible.project(cand)
-                v = _value(loss, name, cand, response := respond(cand))
+                v = loss(cand, response := respond(cand))
                 evals += 1
                 if v < fx - 1e-15:
                     x, fx, row = cand, v, response

@@ -89,8 +89,8 @@ def fbar_gradient(
     """
     theta = np.asarray(theta, dtype=float)
     jac = br_jacobian(game, theta, env_set, e)
-    grad_cross = central_difference(lambda ee: game.loss_learner(theta, ee), e, FD_STEP)
-    return game.grad_l(theta, e) + jac.T @ grad_cross
+    cross = lambda ee: game.loss("learner", theta, ee, "a central-difference point")
+    return game.grad_l(theta, e) + jac.T @ central_difference(cross, e, FD_STEP)
 
 
 def choose_direction(grad_fbar: np.ndarray) -> np.ndarray:
@@ -123,7 +123,7 @@ def delta_search(
         cand = theta_star - delta * v
         if learner_set.is_interior(cand, 1e-9):
             response = best_response(game, "env", cand, env_set, tol=BR_SOLVE_TOL)
-            if float(game.loss_learner(cand, response)) < reference - 1e-10:
+            if game.loss("learner", cand, response, "a delta_search candidate") < reference - 1e-10:
                 return delta, response
         delta *= 0.5
     raise ConvergenceError("no improving step found: composed gradient too small along v")
@@ -188,7 +188,7 @@ def certify_restriction(
     e_star = _stage("br_jacobian", best_response, game, "env", x_star.theta, env_set, BR_SOLVE_TOL)
     grad_fbar = _stage("br_jacobian", fbar_gradient, game, x_star.theta, env_set, e_star)
     v = _stage("direction", choose_direction, grad_fbar)
-    reference = float(game.loss_learner(x_star.theta, e_star))
+    reference = _stage("delta_search", game.loss, "learner", x_star.theta, e_star, "(theta*, BR(theta*))")
     delta, e_prime = _stage("delta_search", delta_search, game, x_star.theta, v, env_set, learner_set, reference)
 
     theta_prime = x_star.theta - delta * v
@@ -202,8 +202,8 @@ def certify_restriction(
     residual = _stage("verification", nash_residual, game, restricted_point, restricted_set, env_set)
     if not residual <= 1e-6:
         raise RestrictionStageError("verification", f"restricted point is not a Nash point (residual {residual:.3e})")
-    original_loss = float(game.loss_learner(x_star.theta, x_star.env))
-    restricted_loss = float(game.loss_learner(theta_prime, e_prime))
+    original_loss = _stage("verification", game.loss, "learner", x_star.theta, x_star.env, "the original Nash point")
+    restricted_loss = _stage("verification", game.loss, "learner", theta_prime, e_prime, "the restricted point")
     improvement = original_loss - restricted_loss
     if not improvement > 0:
         raise RestrictionStageError("verification", "restricted equilibrium did not improve the loss")

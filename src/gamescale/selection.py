@@ -182,9 +182,7 @@ def successive_elimination(
             rows = batch.run()[1]
         for state, row in zip(active, rows):
             avg = JointAction.from_concat(row, game.dim_learner)
-            state.last_estimate = float(game.loss_learner(avg.theta, avg.env))
-            if not math.isfinite(state.last_estimate):
-                raise FloatingPointError(f"loss_learner is not finite at arm {state.class_index}'s average")
+            state.last_estimate = game.loss("learner", avg.theta, avg.env, f"arm {state.class_index}'s average")
             state.pulls += horizon
         total_steps += len(active) * horizon
         epochs = tau

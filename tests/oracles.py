@@ -23,8 +23,9 @@ policies, scalar references of the chain game's backward pass, calibration
 check and forward walk, value iteration on the chain's environment MDP, the
 chain game's absorbing state and per-cap dominance check for one policy, the
 dominance check by re-walking the chain once per deviation, a
-Monte-Carlo rollout of the learner value, and the per-cell CSV writer that
-a float-array table's rows are held to.
+Monte-Carlo rollout of the learner value, the per-cell CSV writer that
+a float-array table's rows are held to, and a loss oracle with an injected
+fault and a call budget.
 """
 
 from __future__ import annotations
@@ -916,3 +917,49 @@ def per_cell_csv(name: str, header: Sequence[str], rows) -> str:
                 raise OutputError(f"{name}, column {col}: {exc}") from None
         writer.writerow(cells)
     return buf.getvalue()
+
+
+class CallBudgetExceeded(BaseException):
+    """An oracle was called past its budget, so a hang fails fast. A BaseException, so that no
+    library fallback that catches Exception swallows it."""
+
+
+class InjectedFault(ValueError):
+    """The exception a faulty_loss oracle raises as its own."""
+
+
+@dataclasses.dataclass
+class FaultLog:
+    """What a faulty_loss oracle did: its calls, and whether it returned a non-finite value."""
+
+    calls: int = 0
+    non_finite: bool = False
+
+
+def faulty_loss(loss, fault: str, below: float, batches: bool, log: FaultLog, budget: int = 200_000):
+    """loss with a fault at the points whose theta[0] lies below `below` (inf: everywhere).
+    "nan", "inf" and "-inf" replace the value there; "raises" raises InjectedFault there;
+    "shape" returns every batch as shape (B, 1). The oracle stays pure: a point's value is the
+    same in a batch as alone. With batches False it raises TypeError on any batch, as a loss
+    written for single points does. Past `budget` calls it raises CallBudgetExceeded."""
+    value = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}.get(fault)
+
+    def f(t, e):
+        log.calls += 1
+        if log.calls > budget:
+            raise CallBudgetExceeded(f"{log.calls} loss calls")
+        batch = np.ndim(t) == 2
+        if batch and not batches:
+            raise TypeError("this loss takes single points only")
+        hit = np.asarray(t).T[0] < below
+        if fault == "raises" and np.any(hit):
+            raise InjectedFault("injected fault")
+        v = np.asarray(loss(t, e), dtype=float)
+        if value is not None:
+            v = np.where(hit, value, v)
+        log.non_finite |= not np.isfinite(v).all()
+        if not batch:
+            return float(v)
+        return v[:, np.newaxis] if fault == "shape" else v
+
+    return f

@@ -578,6 +578,13 @@ def test_audit_of_a_point_region_raises_at_its_draw_limit():
         monotonicity_audit(coupling_game(0.0), region, 3, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("samples", [0, -3, 2.5, np.float64(4.0), None])
+def test_audit_rejects_a_sample_count_that_is_not_an_integer_of_at_least_1(samples):
+    # 0 and -3 once returned inf, which passes any modulus >= mu test; 2.5 raised TypeError
+    with pytest.raises(ValueError, match="^samples must be an integer >= 1"):
+        monotonicity_audit(coupling_game(0.0), JOINT_BOX, samples, np.random.default_rng(0))
+
+
 def cubic_coupling_game():
     """F(t, e) = (t + e^3, e): the quotient depends on the pair, so the pair used shows."""
     return GameSpec(

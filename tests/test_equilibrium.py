@@ -1372,8 +1372,8 @@ def test_pareto_search_keeps_the_scalar_rule_at_ties_and_on_the_threshold(f_e_re
     """Along each learner row the learner loss falls by less than 1e-15 in
     total, so the rule keeps the row's first admissible pair, not its argmin.
     The env loss sits exactly on f_e_ref + 1e-12 for e in [-0.5, 0); below
-    -0.5 it is one ulp above that, which the rule skips, or NaN, which it
-    does not. So the witness is (1, -0.5) or (1, -1)."""
+    -0.5 it is one ulp above that, which the rule skips, so the witness is
+    (1, -0.5); or NaN, where the loss is undefined, which raises."""
     on = f_e_ref + 1e-12
     far = float(np.nextafter(on, np.inf)) if below == "ulp_above" else math.nan
 
@@ -1391,9 +1391,13 @@ def test_pareto_search_keeps_the_scalar_rule_at_ties_and_on_the_threshold(f_e_re
     )
     box = LooseInterval(-np.ones(1), np.ones(1), 5.0)  # grid step 0.05
     x = JointAction(np.array([-1.0]), np.array([0.0]))
+    if below == "nan":
+        with pytest.raises(FloatingPointError, match="loss_env is not finite"):
+            pareto_improvement_search(game, x, box, box)
+        return
     witness, batched = checked_witness(game, x, box, box)
     assert batched
-    assert (float(witness.theta[0]), float(witness.env[0])) == (1.0, -0.5 if below == "ulp_above" else -1.0)
+    assert (float(witness.theta[0]), float(witness.env[0])) == (1.0, -0.5)
 
 
 def row0_ulp_off(loss):
@@ -1464,6 +1468,7 @@ BETWEEN_GRID_POINTS = Intersection([box_1d(0.0, 1.0), Halfspace([1.0], 1e-4), Ha
     "call, message",
     [
         (lambda game: best_responses(game, "nobody", np.zeros((1, 1)), box_1d(-1, 1), 1e-8), "unknown player"),
+        (lambda game: game.loss("nobody", np.zeros(1), np.zeros(1), "x"), "unknown player"),
         (lambda game: stackelberg_leader(game, "nobody", box_1d(-1, 1), box_1d(-1, 1)), "unknown leader"),
         (lambda game: stackelberg_leader(game, "learner", BETWEEN_GRID_POINTS, box_1d(-1, 1)), "empty grid"),
         (lambda game: psgd_nash(game, [box_1d(-1, 1)], box_1d(-1, 1), JointAction([0.0], [0.0]), 8, []),

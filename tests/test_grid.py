@@ -114,7 +114,7 @@ def test_random_games_have_per_row_bits(kind, leader, dim_leader, resolution):
 @pytest.mark.parametrize("leader", ["learner", "env"])
 def test_batch_values_anywhere_within_7_ulps_give_per_row_bits(kind, leader):
     # the scan trusts a batch value to 8 ulps of the single point's; here every
-    # row but row 0 (which _batch_loss checks) is moved by up to 7, so near ties
+    # row but row 0 (which GameSpec.loss checks) is moved by up to 7, so near ties
     # can swap order in the batch
     rng = np.random.default_rng([len(kind), int(leader == "learner"), 7])
 
@@ -199,5 +199,5 @@ def test_pattern_search_nan_leader_loss_raises_floating_point_error():
         game, dim_learner=3, loss_learner=lambda t, e: float("nan"), grad_learner=lambda t, e: t,
         grad_env=lambda t, e: e - t.T[:1].T,
     )
-    with pytest.raises(FloatingPointError, match="loss_learner is not finite"):
+    with pytest.raises(FloatingPointError, match="loss_learner is not finite at a leader search point"):
         stackelberg_leader(game, "learner", Box(-np.ones(3), np.ones(3)), env_set)
