@@ -11,7 +11,9 @@ and each argv of EXTRA, which no config or workload runs, at `--seed 0` and
 `--seed 1` (key extra:ARGV@seedN).
 The exit codes and the sha256 of every output file must match, manifest.json's
 taken without its runtime_seconds, so an exit-3 error record (type, stage, where,
-message) is compared too. Exits 1 listing every difference.
+message) is compared too. A HEAD_TREE run's standard error must be empty, or on
+exit 3 hold only the one-line JSON error record, so a warning (numpy's
+RuntimeWarning, say) fails the check. Exits 1 listing every difference.
 """
 
 from __future__ import annotations
@@ -52,11 +54,12 @@ EXTRA = [
 ]
 
 
-def run(tree: Path, argv: list[str], out: Path) -> tuple[int, dict[str, str]]:
-    """Exit code and {file name: sha256} of one run in tree, manifest.json's without its runtime_seconds."""
+def run(tree: Path, argv: list[str], out: Path) -> tuple[int, dict[str, str], str]:
+    """Exit code, {file name: sha256} and standard error of one run in tree, manifest.json's
+    hash taken without its runtime_seconds."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    code = subprocess.run([sys.executable, "-m", "gamescale", *argv, "--out-dir", str(out)],
-                          cwd=tree, env=env, capture_output=True).returncode
+    done = subprocess.run([sys.executable, "-m", "gamescale", *argv, "--out-dir", str(out)],
+                          cwd=tree, env=env, capture_output=True, text=True)
     hashes = {}
     for p in sorted(out.iterdir()) if out.is_dir() else []:
         data = p.read_bytes()
@@ -65,7 +68,19 @@ def run(tree: Path, argv: list[str], out: Path) -> tuple[int, dict[str, str]]:
             manifest.pop("runtime_seconds", None)
             data = json.dumps(manifest, sort_keys=True).encode()
         hashes[p.name] = hashlib.sha256(data).hexdigest()
-    return code, hashes
+    return done.returncode, hashes, done.stderr
+
+
+def stray_stderr(code: int, stderr: str) -> bool:
+    """Whether stderr holds anything but, on exit 3, the one-line {"error": ...} record."""
+    if code != 3:
+        return stderr != ""
+    lines = stderr.splitlines()
+    try:
+        record = json.loads(lines[0]) if len(lines) == 1 else None
+    except ValueError:  # not JSON
+        return True
+    return not (isinstance(record, dict) and list(record) == ["error"])
 
 
 def workload_runs(head: Path) -> dict[str, list[str]]:
@@ -83,9 +98,11 @@ def compare(head: Path, base: Path, runs: dict[str, list[str]], work: Path) -> l
     work/SIDE/i: a key holding a long argv is too long for a file name)."""
     differences = []
     for i, (key, argv) in enumerate(runs.items()):
-        (head_code, head_files), (base_code, base_files) = (
+        (head_code, head_files, head_err), (base_code, base_files, _) = (
             run(tree, argv, work / side / str(i)) for side, tree in (("head", head), ("base", base))
         )
+        if stray_stderr(head_code, head_err):
+            differences.append(f"{key}: stray standard error at head (exit {head_code}): {head_err.strip()[:500]!r}")
         if head_code != base_code:
             differences.append(f"{key}: exit code {head_code} at head, {base_code} at base")
         for name in sorted(set(head_files) | set(base_files)):

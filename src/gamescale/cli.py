@@ -387,7 +387,10 @@ EXPERIMENTS: dict[str, tuple[Callable[[dict], dict[str, str]], dict]] = {
         "n_seeds": (_count(MAX_RUNS), "20"),
     }),
     "select": (run_select, {
-        "losses": (_checked(_listed(_NONNEGATIVE), lambda v: len(v) <= MAX_RUNS, _RUNS), "0,0.25,0.5,1.0"),
+        # each arm sits at sqrt(2 * loss) (selection_arms)
+        "losses": (_checked(_listed(_checked(float, lambda v: 0.0 <= 2.0 * v < math.inf,
+                                             "be nonnegative, with 2 * loss finite")),
+                            lambda v: len(v) <= MAX_RUNS, _RUNS), "0,0.25,0.5,1.0"),
         "delta": (_checked(float, lambda v: _DELTA_FLOOR <= v < 1.0,
                            f"lie in (0, 1) and be at least {_DELTA_FLOOR:.3g}"), "0.1"),
         "alpha": (_POSITIVE, "8.0"), "sigma": (_NONNEGATIVE, "0.5"), "scale": (_POSITIVE, "1.0"),

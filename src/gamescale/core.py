@@ -52,13 +52,14 @@ class GameSpec:
     where the batch values, taken as 8-16 ulps from them, do not decide its
     rule, and at each round's winner. Oracles that broadcast over rows, such as
     t - 1.0 + e or the shipped losses' t.T[0], take one call per step, Pareto
-    grid row or Stackelberg block. One that takes single points only (it
-    indexes t[0] or calls float()), or an omitted gradient (central
-    differences, step 1e-6), makes PSGD raise, while best responses rerun the
-    whole solve one point at a time, the Stackelberg grid each block, and the
-    Pareto grid scans one pair at a time from the first learner point whose
-    batch fails. An oracle's value must depend on its arguments only: the
-    library may call it in another order and number than a one-at-a-time loop.
+    block (whole learner grid points, rows mixing them) or Stackelberg block.
+    One that takes single points only (it indexes t[0] or calls float()), or an
+    omitted gradient (central differences, step 1e-6), makes PSGD raise, while
+    best responses rerun the whole solve one point at a time, the Stackelberg
+    grid each block, and the Pareto grid scans one pair at a time from the
+    first learner point of the first block whose batch fails. An oracle's value
+    must depend on its arguments only: the library may call it in another order
+    and number than a one-at-a-time loop.
     Every loss the library reads goes through loss(), which raises
     FloatingPointError naming the oracle on any non-finite value, batch or
     single point, and never retries after one.

@@ -11,7 +11,6 @@ for small instances.
 from __future__ import annotations
 
 import contextlib
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .core import GameSpec, JointAction, ModelClassLadder, _batch_gradient, gradient_operator
 from .descent import _projected_descent, _single_point_checked, natural_residuals
-from .grid import _grid_minimize, _pattern_search, grid_points
+from .grid import _blocks, _grid_minimize, _pattern_search, grid_points
 from .psgd import PSGDBatch
 from .sets import ActionSet, Product
 
@@ -227,10 +226,14 @@ def pareto_improvement_search(
 
     Returns a grid point strictly improving the learner loss without raising
     the environment loss, preferring the largest learner improvement; None if
-    the grid contains no such point. Each learner grid point's pairs go through
-    each loss in one batch call (see GameSpec); the scan one pair at a time then
-    visits only those within a few ulps of its cuts. From the first batch call
-    that fails on, the remaining learner points scan every pair one at a time.
+    the grid contains no such point. Each loss is read in one batch call (see
+    GameSpec) per block of whole learner grid points, as many as grid._blocks
+    fits in grid.BLOCK_CELLS cells at one cell per grid pair. The learner points
+    are visited in order, and the scan one pair at a time visits only the pairs
+    within a few ulps of each point's cuts; a point with no pair inside its
+    block's starting cuts is skipped, since the best, and the cuts with it, only
+    fall. From the first block whose batch call fails on, the remaining learner
+    points scan every pair one at a time.
     """
     if learner_set.dimension + env_set.dimension > 4:
         raise ValueError("exhaustive grid limited to joint dimension <= 4")
@@ -238,23 +241,33 @@ def pareto_improvement_search(
     if theta_pts.shape[0] * env_pts.shape[0] > 20_000_000:
         raise ValueError("grid too large; lower the resolution")
     f_l_ref, f_e_ref = (game.loss(player, x.theta, x.env, "x") for player in ("learner", "env"))
-    cut = lambda v: v + 8 * math.ulp(v)  # a few ulps of batch-vs-single rounding
-    env_cut, rows = cut(f_e_ref + 1e-12), np.empty((len(env_pts), learner_set.dimension))  # t repeated: one block per t
+    cut = lambda v: v + abs(v) * 2.0**-49  # 8-16 ulps of batch-vs-single rounding; rises with v, as the skip needs
+    n, env_cut = len(env_pts), cut(f_e_ref + 1e-12)
     best, best_val, batched = None, f_l_ref - 1e-9, True
-    for t in theta_pts:
-        envs = env_pts
-        if batched:
-            rows[...] = t
-            fe = game.loss("env", rows, env_pts, "a grid pair")
-            fl = None if fe is None else game.loss("learner", rows, env_pts, "a grid pair")
-            if batched := fl is not None:
-                envs = env_pts[(fl < cut(best_val - 1e-15)) & (fe <= env_cut)]
-        for e in envs:
-            if game.loss("env", t, e, "a grid pair") > f_e_ref + 1e-12:
-                continue
-            v = game.loss("learner", t, e, "a grid pair")
-            if v < best_val - 1e-15:
-                best_val, best = v, JointAction(t, e)
+    for block in _blocks([n] * len(theta_pts)):
+        pts = theta_pts[block]
+        scan = range(len(pts))
+        if batched:  # pair (i, j) of the block, row i * n + j, is (pts[i], env_pts[j])
+            thetas = np.repeat(pts, n, 0)
+            rows = np.repeat(env_pts[np.newaxis], len(pts), 0).reshape(-1, env_set.dimension)
+            fe = game.loss("env", thetas, rows, "a grid pair")
+            admissible = None if fe is None else (fe <= env_cut).reshape(len(pts), n)
+            del fe  # each block buffer goes once read: block reads set the ladder's peak memory
+            fl = None if admissible is None else game.loss("learner", thetas, rows, "a grid pair")
+            del thetas, rows
+            if batched := fl is not None:  # skip the points with no pair inside the block's starting cuts
+                fl = fl.reshape(len(pts), n)
+                hits = np.flatnonzero(admissible & (fl < cut(best_val - 1e-15))).tolist()
+                scan = dict.fromkeys(j // n for j in hits)  # its points in order, once each
+        for i in scan:
+            t = pts[i]
+            envs = env_pts[admissible[i] & (fl[i] < cut(best_val - 1e-15))] if batched else env_pts
+            for e in envs:
+                if game.loss("env", t, e, "a grid pair") > f_e_ref + 1e-12:
+                    continue
+                v = game.loss("learner", t, e, "a grid pair")
+                if v < best_val - 1e-15:
+                    best_val, best = v, JointAction(t, e)
     return best
 
 

@@ -11,7 +11,8 @@ import numpy as np
 
 from .sets import ActionSet, Box
 
-BLOCK_CELLS = 4096  # grid rows x follower dimension of one Stackelberg descent; sets memory, never output bits
+# cells of one batch: Stackelberg grid rows x follower dimension, or Pareto grid pairs; sets memory, never output bits
+BLOCK_CELLS = 4096
 
 
 def grid_points(feasible: ActionSet, resolution: int, box: Optional[Box] = None) -> np.ndarray:

@@ -106,8 +106,8 @@ def selection_arms(
     per-class Nash is theta = a_i, e = 0, with learner loss exactly loss_i.
     Returns the arms, the game and the environment set they share.
     """
-    if not all(0.0 <= loss < math.inf for loss in nash_losses):
-        raise ValueError(f"losses must be finite and nonnegative, got {nash_losses}")
+    if not all(0.0 <= 2.0 * loss < math.inf for loss in nash_losses):  # 2 * loss: the offset's radicand
+        raise ValueError(f"losses must be finite and nonnegative, with 2 * loss finite, got {nash_losses}")
     offsets = [math.sqrt(2.0 * loss) for loss in nash_losses]
     arms: list[ActionSet] = [box_1d(a, a + 1.0) for a in offsets]
     return arms, decoupled_quadratic(sigma), box_1d(-1.0, 1.0)

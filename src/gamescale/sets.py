@@ -95,8 +95,9 @@ class Box(ActionSet):
     def __post_init__(self):
         self.lower = _as_vector(self.lower)
         self.upper = _as_vector(self.upper, self.lower.shape[0])
-        if not np.all(self.lower <= self.upper):  # fails on NaN; infinite bounds pass
-            raise ValueError("box requires lower <= upper componentwise")
+        # fails on NaN; a lower bound of +inf or an upper one of -inf leaves no finite point
+        if not ((self.lower <= self.upper) & (self.lower < math.inf) & (self.upper > -math.inf)).all():
+            raise ValueError("box requires lower <= upper componentwise, lower < inf and upper > -inf")
         self.dimension = self.lower.shape[0]
 
     def project(self, point: np.ndarray) -> np.ndarray:

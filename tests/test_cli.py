@@ -426,6 +426,8 @@ BAD_VALUES = [
      "delta='1e-320': must lie in (0, 1) and be at least 4.45e-288"),
     # one past the beta cap; the bump-class closed form is NaN from ~880 entries
     (["regression", "--beta", ",".join(["1"] * (MAX_DIM + 1))], None, "beta: must have at most 512 values"),
+    # finite, but 2 * loss is not: it once exited 3 in the PSGD, after a numpy warning
+    (["select", "--losses", "1e308,0"], None, "losses='1e308,0': must be nonnegative, with 2 * loss finite"),
 ]
 
 

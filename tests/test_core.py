@@ -223,6 +223,9 @@ def test_invalid_sets_rejected():
     [
         (lambda: Box([np.nan], [1.0]), "lower <= upper"),
         (lambda: Box([0.0], [np.nan]), "lower <= upper"),
+        # no finite point: a lower bound of +inf or an upper bound of -inf
+        (lambda: Box([0.0, np.inf], [1.0, np.inf]), "lower < inf"),
+        (lambda: Box([-np.inf], [-np.inf]), "upper > -inf"),
         (lambda: Box(np.zeros((1, 1)), np.ones((1, 1))), "expected a vector"),
         (lambda: Halfspace(1.0, np.nan), "finite offset"),  # a scalar normal is a 1-vector
         (lambda: Halfspace([np.nan], 1.0), "finite nonzero normal"),

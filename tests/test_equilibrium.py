@@ -1067,10 +1067,9 @@ def test_psgd_wide_box_batch_checks_gradients_every_noise_block(bad_step, block_
 
 # every value is also a bound somewhere, so rows land exactly on bounds too
 EDGE_VALUES = [-math.inf, -1.5, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 1.5, math.inf]
-EDGE_BOUNDS = [
+EDGE_BOUNDS = [  # (-inf, -inf) and (inf, inf) hold no finite point, so Box rejects them
     (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0), (-math.inf, math.inf),
-    (-math.inf, -math.inf), (math.inf, math.inf), (-math.inf, -0.0), (0.0, math.inf),
-    (-1.0, 1.0), (-5e-324, 5e-324), (5e-324, 1.5),
+    (-math.inf, -0.0), (0.0, math.inf), (-1.0, 1.0), (-5e-324, 5e-324), (5e-324, 1.5),
 ]
 
 
@@ -1268,11 +1267,19 @@ def witness_bytes(witness):
     return None if witness is None else (witness.theta.tobytes(), witness.env.tobytes())
 
 
+def pareto_block_starts(learner_set, env_set):
+    """The first learner grid point of each block the Pareto search reads: whole learner points,
+    one cell per grid pair, at most grid.BLOCK_CELLS cells and at least one point per block."""
+    theta_pts, n_env = grid_points(learner_set, 201)[:, 0], len(grid_points(env_set, 201))
+    return theta_pts[:: max(1, grid.BLOCK_CELLS // n_env)].tolist()
+
+
 def checked_witness(game, x, learner_set, env_set):
     """The search's witness, asserted equal to the one-pair-at-a-time
     oracle's byte for byte, and whether the search kept to its batch path
-    (for a 1-dim learner): one loss_env batch call per learner grid point and
-    no rerun, which would go back to the first grid point's single calls."""
+    (for a 1-dim learner): one loss_env batch call per block of learner grid
+    points, starting at the block's first point, and no rerun, which would go
+    back to the first grid point's single calls."""
     log = []  # (batch call, first theta coordinate) of each loss_env call
 
     def loss_env(t, e):
@@ -1283,7 +1290,7 @@ def checked_witness(game, x, learner_set, env_set):
     witness = pareto_improvement_search(spied, x, learner_set, env_set)
     assert witness_bytes(witness) == witness_bytes(scalar_pareto_search(game, x, learner_set, env_set))
     thetas = [t for _, t in log[1:]]  # after the reference point's call
-    batched = sum(batch for batch, _ in log) == len(grid_points(learner_set, 201)) and thetas == sorted(thetas)
+    batched = [t for batch, t in log if batch] == pareto_block_starts(learner_set, env_set) and thetas == sorted(thetas)
     return witness, batched
 
 
@@ -1292,12 +1299,38 @@ PARETO_POINTS = [(0.0, 0.0), (0.3, -0.2), (1.1, 0.4), (-1.5, 1.98), (2.0, -2.0)]
 
 @pytest.mark.parametrize("instance", [restriction_instance, zero_sum_instance])
 def test_shipped_restrict_losses_have_single_point_bits_on_every_grid_pair(instance):
+    # in batches of one learner point's pairs, and in blocks of whole learner points (rows
+    # mixing learner points), at 20 points per block as the search reads them and at 7
     bench = instance()
     theta_pts, env_pts = grid_points(bench.learner_set, 201), grid_points(bench.env_set, 201)
     for loss in (bench.game.loss_learner, bench.game.loss_env):
-        for t in theta_pts:
-            batch = loss(np.broadcast_to(t, env_pts.shape), env_pts)
-            assert batch.tobytes() == np.array([loss(t, e) for e in env_pts]).tobytes()
+        single = np.array([[loss(t, e) for e in env_pts] for t in theta_pts])
+        for t, row in zip(theta_pts, single):
+            assert loss(np.broadcast_to(t, env_pts.shape), env_pts).tobytes() == row.tobytes()
+        for per_block in (grid.BLOCK_CELLS // len(env_pts), 7):
+            for start in range(0, len(theta_pts), per_block):
+                pts = theta_pts[start : start + per_block]
+                batch = loss(np.repeat(pts, len(env_pts), 0), np.tile(env_pts, (len(pts), 1)))
+                assert batch.tobytes() == single[start : start + per_block].tobytes()
+
+
+@pytest.mark.parametrize("instance", [restriction_instance, zero_sum_instance])
+def test_pareto_search_reads_each_loss_once_per_block_of_20_learner_points(instance):
+    # 201 x 201 pairs: 20 learner points of 201 pairs fit 4,096 cells, so 11 blocks per loss
+    bench, reads = instance(), []  # (oracle, rows) of each batch read
+
+    def counted(name):
+        def loss(t, e):
+            if np.ndim(t) == 2:
+                reads.append((name, len(t)))
+            return getattr(bench.game, name)(t, e)
+
+        return loss
+
+    game = dataclasses.replace(bench.game, loss_learner=counted("loss_learner"), loss_env=counted("loss_env"))
+    pareto_improvement_search(game, bench.nash, bench.learner_set, bench.env_set)
+    assert len(reads) == 22
+    assert reads == [(name, 201 * size) for size in [20] * 10 + [1] for name in ("loss_env", "loss_learner")]
 
 
 @pytest.mark.parametrize("point", PARETO_POINTS)
@@ -1313,6 +1346,36 @@ def test_pareto_search_matches_scalar_oracle_on_single_point_losses(point):
     box = box_1d(-1.0, 1.0)
     x = JointAction(np.array([point[0]]), np.array([point[1]]))
     assert not checked_witness(pareto_coupled_game(), x, box, box)[1]
+
+
+def pareto_calls(game, x, learner_set, env_set):
+    """The search's witness bytes and its single-point loss calls in order, (oracle, theta, env)
+    bytes, without the row-0 sample that follows each batch call (GameSpec.loss)."""
+    calls = []
+
+    def logged(name):
+        def loss(t, e):
+            calls.append((name, t.tobytes(), e.tobytes()) if np.ndim(t) == 1 else (name, None, None))
+            return getattr(game, name)(t, e)
+
+        return loss
+
+    spied = dataclasses.replace(game, loss_learner=logged("loss_learner"), loss_env=logged("loss_env"))
+    witness = pareto_improvement_search(spied, x, learner_set, env_set)
+    samples = {k + 1 for k, (_, t, _) in enumerate(calls) if t is None}
+    return witness_bytes(witness), [c for k, c in enumerate(calls) if c[1] is not None and k not in samples]
+
+
+@pytest.mark.parametrize("cells", [201, 603, 201 * 201 + 1])  # 1 and 3 learner points per block, one block
+def test_pareto_search_output_and_single_calls_do_not_depend_on_the_block_size(monkeypatch, cells):
+    bench, rng = restriction_instance(), np.random.default_rng(35)
+    cases = [(bench.game, JointAction([p[0]], [p[1]]), bench.learner_set, bench.env_set) for p in PARETO_POINTS]
+    for _ in range(4):
+        game, learner_set, env_set = random_quadratic_game(rng), random_loose_interval(rng), random_loose_interval(rng)
+        cases.append((game, JointAction(learner_set.sample(rng), env_set.sample(rng)), learner_set, env_set))
+    expected = [pareto_calls(*case) for case in cases]
+    monkeypatch.setattr(grid, "BLOCK_CELLS", cells)
+    assert [pareto_calls(*case) for case in cases] == expected
 
 
 def random_quadratic_game(rng: np.random.Generator) -> GameSpec:
@@ -1437,14 +1500,14 @@ def test_pareto_search_reruns_one_pair_at_a_time_on_a_broken_batch(broken):
 
 @pytest.mark.parametrize("point", PARETO_POINTS)
 def test_pareto_search_scans_one_pair_at_a_time_from_the_first_failed_batch(point):
-    # the batch call raises only for learner points past 0, halfway through the grid;
-    # witnesses at (1.1, 0.4) and (-1.5, 1.98) lie past 0, found by the scan alone
+    # the batch call raises only for blocks holding a learner point past 0, from the block
+    # that starts at 0 on; witnesses at (1.1, 0.4) and (-1.5, 1.98) lie past 0, found by the scan alone
     bench = restriction_instance()
     log = []  # (batch call, first theta coordinate) of each loss_env call
 
     def loss_env(t, e):
         log.append((np.ndim(t) == 2, float(np.asarray(t).flat[0])))
-        if np.ndim(t) == 2 and t[0, 0] > 0.0:
+        if np.ndim(t) == 2 and t[-1, 0] > 0.0:
             raise ValueError("no batch past 0")
         return bench.game.loss_env(t, e)
 
@@ -1452,12 +1515,15 @@ def test_pareto_search_scans_one_pair_at_a_time_from_the_first_failed_batch(poin
     game = dataclasses.replace(bench.game, loss_env=loss_env)
     witness = pareto_improvement_search(game, x, bench.learner_set, bench.env_set)
     assert witness_bytes(witness) == witness_bytes(scalar_pareto_search(bench.game, x, bench.learner_set, bench.env_set))
-    theta_pts = grid_points(bench.learner_set, 201)[:, 0]
-    first_failed = float(theta_pts[theta_pts > 0.0][0])
-    # one batch call per learner point up to the first that fails, none after it, and one pass
-    assert [t for batch, t in log if batch] == [*theta_pts[theta_pts <= 0.0].tolist(), first_failed]
+    starts = pareto_block_starts(bench.learner_set, bench.env_set)
+    first_failed = starts.index(0.0)  # the block of learner points 0.0 to 0.38
+    # one batch call per block up to the first that fails, none after it, and one pass
+    assert [t for batch, t in log if batch] == starts[: first_failed + 1]
     thetas = [t for _, t in log[1:]]  # after the reference point's call
     assert thetas == sorted(thetas)
+    # from the failed block's first point on, every pair one at a time
+    theta_pts = grid_points(bench.learner_set, 201)[:, 0]
+    assert [t for batch, t in log[1:] if not batch and t >= 0.0] == np.repeat(theta_pts[theta_pts >= 0.0], 201).tolist()
 
 
 # [5e-5, 1e-4] of [0, 1]: between two points of the 101-point grid

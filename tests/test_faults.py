@@ -34,6 +34,7 @@ from gamescale.equilibrium import (
     solve_nash,
     stackelberg_leader,
 )
+from gamescale.grid import grid_points
 from gamescale.instances import coupled_quadratic, nested_box_ladder, restriction_instance, selection_arms
 from gamescale.restriction import HypothesisNotSatisfiedError, RestrictionStageError, certify_restriction
 from gamescale.selection import successive_elimination
@@ -212,6 +213,45 @@ def test_non_finite_loss_on_the_improving_side_fails_the_certificate_at_pareto_c
         certify_restriction(game, bench.learner_set, bench.env_set)
     assert not isinstance(err.value, HypothesisNotSatisfiedError)
     assert err.value.stage == "pareto_check" and f"{oracle} is not finite" in str(err.value)
+
+
+@pytest.mark.parametrize("oracle", ["loss_learner", "loss_env"])
+def test_pareto_search_with_a_nan_in_its_last_block_only_raises_at_that_block(oracle):
+    # 201 learner grid points on [-1, 1] against LOOSE's 21 env points: blocks of 195 and 6
+    # learner points, the last from 0.95 on; the loss is NaN past 0.95 only
+    reads, loss = [], getattr(RESTRICT, oracle)  # the first learner point of each batch read
+
+    def faulty(t, e):
+        if np.ndim(t) == 2:
+            reads.append(float(t[0, 0]))
+        return np.where(t.T[0] > 0.95, math.nan, loss(t, e))
+
+    game = dataclasses.replace(RESTRICT, **{oracle: faulty})
+    with pytest.raises(FloatingPointError, match=f"{oracle} is not finite at a grid pair"):
+        pareto_improvement_search(game, JointAction([0.0], [0.0]), box_1d(-1.0, 1.0), LOOSE)
+    assert reads == [-1.0, 0.95]
+
+
+@pytest.mark.parametrize("oracle", ["loss_learner", "loss_env"])
+def test_pareto_search_with_a_batch_raising_mid_block_scans_on_one_pair_at_a_time(oracle):
+    # blocks of 20 of the 201 learner grid points on [-2, 2]: a batch holding the point 0.2, in
+    # the middle of the block from 0.0 to 0.38, raises; that block and every later one is scanned
+    # one pair at a time, and finds the witness past 0 with the bits of the search without the fault
+    bench = restriction_instance()
+    reads, loss = [], getattr(bench.game, oracle)
+
+    def faulty(t, e):
+        if np.ndim(t) == 2:
+            reads.append(float(t[0, 0]))
+            if np.any(np.abs(t.T[0] - 0.2) < 1e-9):
+                raise InjectedFault("injected fault")
+        return loss(t, e)
+
+    x, game = JointAction([1.1], [0.4]), dataclasses.replace(bench.game, **{oracle: faulty})
+    clean = pareto_improvement_search(bench.game, x, bench.learner_set, bench.env_set)
+    witness = pareto_improvement_search(game, x, bench.learner_set, bench.env_set)
+    assert float(clean.theta[0]) > 0.0 and snapshot(witness) == snapshot(clean)
+    assert reads == grid_points(bench.learner_set, 201)[:101:20, 0].tolist()  # the block starts up to 0.0
 
 
 @pytest.mark.parametrize("regime", REGIMES)

@@ -196,6 +196,8 @@ def test_horizon_past_float_range_is_past_the_budget():
         (lambda: confidence_radius(0.0, 1.0, 10, 0.1), "positive and finite"),
         (lambda: confidence_radius(1.0, math.nan, 10, 0.1), "positive and finite"),
         (lambda: selection_arms([0.0, -1.0]), "finite and nonnegative"),
+        # 2 * 1e308 is inf, so the arm's offset sqrt(2 * loss) would be too
+        (lambda: selection_arms([1e308, 0.0]), "2 \\* loss finite"),
     ],
 )
 def test_bad_selection_input_rejected(call, message):
