@@ -8,12 +8,14 @@ monotonicity, and model-class ladders of learner action sets (sets.py).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import grid
 # the four sets are also core.<name>, where perfbench/tracer.py finds its projection targets
 from .sets import ActionSet, Box, Halfspace, Intersection, Product, _as_vector, _row_norms  # noqa: F401
 
@@ -41,25 +43,25 @@ def central_difference(f: Callable[[np.ndarray], float], x: np.ndarray, step: fl
 class GameSpec:
     """Two-player game: losses, gradient oracles, and regularity constants.
 
-    One oracle contract serves PSGD, best responses and the Pareto and
-    Stackelberg grids: a gradient or loss f(theta, env) gets one joint point
-    (two vectors; a loss returns a float, a gradient a vector or, in dimension
-    1, a float) or a batch, theta (B, dim_learner) and env (B, dim_env), row i
-    joint point i, for which a gradient must return shape (B, dim) and a loss
-    (B,) exactly: any other shape is an error, not broadcast. Best responses
-    check every row at one iterate, and the grids row 0 of each call, against
-    the single point's bits; the Stackelberg grid also calls the single points
-    where the batch values, taken as 8-16 ulps from them, do not decide its
-    rule, and at each round's winner. Oracles that broadcast over rows, such as
-    t - 1.0 + e or the shipped losses' t.T[0], take one call per step, Pareto
-    block (whole learner grid points, rows mixing them) or Stackelberg block.
-    One that takes single points only (it indexes t[0] or calls float()), or an
-    omitted gradient (central differences, step 1e-6), makes PSGD raise, while
-    best responses rerun the whole solve one point at a time, the Stackelberg
-    grid each block, and the Pareto grid scans one pair at a time from the
-    first learner point of the first block whose batch fails. An oracle's value
-    must depend on its arguments only: the library may call it in another order
-    and number than a one-at-a-time loop.
+    One oracle contract serves PSGD, best responses, the monotonicity audit and the
+    Pareto and Stackelberg grids: a gradient or loss f(theta, env) gets one joint
+    point (two vectors; a loss returns a float, a gradient a vector or, in dimension
+    1, a float) or a batch, theta (B, dim_learner) and env (B, dim_env), row i joint
+    point i, for which a gradient must return shape (B, dim) and a loss (B,)
+    exactly: any other shape is an error, not broadcast. Best responses check every
+    row at one iterate, and the audit and the grids row 0 of each call, against the
+    single point's bits; the Stackelberg grid also calls the single points where the
+    batch values, taken as 8-16 ulps from them, do not decide its rule, and at each
+    round's winner. Oracles that broadcast over rows, such as t - 1.0 + e or the
+    shipped losses' t.T[0], take one call per step, audit block, Pareto block (whole
+    learner grid points, rows mixing them) or Stackelberg block. One that takes
+    single points only (it indexes t[0] or calls float()), or an omitted gradient
+    (central differences, step 1e-6), makes PSGD raise, while best responses rerun
+    the whole solve one point at a time, the audit and the Stackelberg grid each
+    block, and the Pareto grid scans one pair at a time from the first learner
+    point of the first block whose batch fails. An oracle's value must depend on its
+    arguments only: the library may call it in another order and number than a
+    one-at-a-time loop.
     Every loss the library reads goes through loss(), which raises
     FloatingPointError naming the oracle on any non-finite value, batch or
     single point, and never retries after one.
@@ -192,6 +194,21 @@ def gradient_noise(streams: Sequence, noise_bound: float, out: np.ndarray) -> np
     return out
 
 
+def gradient_rows(game: GameSpec, x: np.ndarray) -> np.ndarray:
+    """F at each row of x, (B, d), from one batched call per player; not held to single-point bits."""
+    theta, env = x[:, : game.dim_learner], x[:, game.dim_learner :]
+    return np.concatenate([_batch_gradient(game.grad_learner, "grad_learner", theta, env, game.dim_learner),
+                           _batch_gradient(game.grad_env, "grad_env", theta, env, game.dim_env)], axis=1)
+
+
+def _audit_gradients(game: GameSpec, points: np.ndarray) -> np.ndarray:
+    """gradient_rows of points if finite with row 0's single-point bits, else gradient_operator by row."""
+    with contextlib.suppress(Exception):  # a gradient written for single points may raise anything on a batch
+        if (g := gradient_rows(game, points))[0].tobytes() == gradient_operator(game, points[0]).tobytes():
+            return _finite(g)
+    return np.array([gradient_operator(game, p) for p in points])
+
+
 def monotonicity_audit(
     game: GameSpec,
     region: ActionSet,
@@ -205,6 +222,9 @@ def monotonicity_audit(
     the result NaN. Pairs closer than 1e-9 are redrawn; a ValueError is raised
     once 10 * samples pairs are drawn without samples of them far enough apart,
     and for samples not an integer >= 1 (no pair would leave the result inf).
+    Pairs come in blocks of at most grid.BLOCK_CELLS // (2 d), and F is read at
+    a block's kept points in one call per player, held to row 0's single-point
+    bits (else one point at a time, in order).
     """
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
@@ -214,20 +234,21 @@ def monotonicity_audit(
         if drawn == 10 * samples:
             raise ValueError(f"{drawn} pairs drawn, {done} of them more than 1e-9 apart; the region is too small")
         if batched:  # the pairs still needed, at most: one (2n, d) draw has the bits of 2n draws of d
-            n, box = min(samples - done, 10 * samples - drawn), region.bounding_box()
+            box = region.bounding_box()
+            n = min(samples - done, 10 * samples - drawn, max(1, grid.BLOCK_CELLS // (2 * box.dimension)))
             points = region.project_rows(rng.uniform(box.lower, box.upper, (2 * n, box.dimension)))
         else:
-            n, points = 1, [region.sample(rng), region.sample(rng)]
+            n, points = 1, np.array([region.sample(rng), region.sample(rng)])
         drawn += n
-        for a, b in zip(points[::2], points[1::2]):
-            diff = a - b
-            nsq = float(diff @ diff)
-            if nsq < 1e-18:
-                continue
-            q = (gradient_operator(game, a) - gradient_operator(game, b)) @ diff / nsq
-            if q < min_q or math.isnan(q):
-                min_q = q
-            done += 1
+        diff = points[::2] - points[1::2]  # contiguous rows: vecdot then has the bits of each row's @
+        nsq = np.vecdot(diff, diff)
+        keep = ~(nsq < 1e-18)  # a NaN nsq is kept, as the pair-by-pair loop keeps it
+        if kept := np.count_nonzero(keep):
+            g = _audit_gradients(game, points.reshape(n, -1)[keep].reshape(2 * kept, -1))
+            for q in (np.vecdot(g[::2] - g[1::2], diff[keep]) / nsq[keep]).tolist():
+                if q < min_q or math.isnan(q):
+                    min_q = q
+            done += kept
     return min_q
 
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import GameSpec, JointAction, ModelClassLadder, _batch_gradient, gradient_operator
+from .core import GameSpec, JointAction, ModelClassLadder, _batch_gradient, gradient_operator, gradient_rows
 from .descent import _projected_descent, _single_point_checked, natural_residuals
 from .grid import _blocks, _grid_minimize, _pattern_search, grid_points
 from .psgd import PSGDBatch
@@ -191,9 +191,7 @@ def _nash_rows(game: GameSpec, learner_sets: Sequence[ActionSet], env_set: Actio
     sets, x0 = [Product(s, env_set) for s in learner_sets], np.zeros((len(learner_sets), dl + de))
     solve = lambda grad: _projected_descent(grad, sets, x0, game.mu / (game.lipschitz**2), False, tol, 500_000)
     per_row = lambda x, rows: np.array([gradient_operator(game, xi) for xi in x])
-    part = lambda name, x, dim: _batch_gradient(getattr(game, name), name, x[:, :dl], x[:, dl:], dim)
-    batch = lambda x, rows: np.concatenate([part("grad_learner", x, dl), part("grad_env", x, de)], axis=1)
-    return _single_point_checked(solve, batch, per_row)
+    return _single_point_checked(solve, lambda x, rows: gradient_rows(game, x), per_row)
 
 
 def solve_nash(

@@ -8,6 +8,7 @@ step numerically.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -116,16 +117,23 @@ def delta_search(
     where reference = f_l(theta*, BR(theta*)). Returns delta and BR(theta'),
     solved at BR_SOLVE_TOL. Terminates for smooth games because the
     first-order term dominates.
+    The interior candidates' best responses are solved 8 at a time (one
+    best_responses batch, rows bit for bit as alone), then the losses read in
+    order; a block whose solve raises is solved again one candidate at a time,
+    so only a candidate that the one-at-a-time loop reaches raises.
     """
     theta_star = np.asarray(theta_star, dtype=float)
-    delta = 1.0
-    for _ in range(60):
-        cand = theta_star - delta * v
-        if learner_set.is_interior(cand, 1e-9):
-            response = best_response(game, "env", cand, env_set, tol=BR_SOLVE_TOL)
+    candidates = ((0.5**i, theta_star - 0.5**i * v) for i in range(60))
+    interior = ((delta, cand) for delta, cand in candidates if learner_set.is_interior(cand, 1e-9))
+    while block := list(itertools.islice(interior, 8)):
+        try:
+            responses = best_responses(game, "env", np.array([cand for _, cand in block]), env_set, BR_SOLVE_TOL)[0]
+        except Exception:  # a candidate past the winner may fail; the loop below raises only where it is reached
+            responses = None
+        for k, (delta, cand) in enumerate(block):
+            response = best_response(game, "env", cand, env_set, BR_SOLVE_TOL) if responses is None else responses[k]
             if game.loss("learner", cand, response, "a delta_search candidate") < reference - 1e-10:
                 return delta, response
-        delta *= 0.5
     raise ConvergenceError("no improving step found: composed gradient too small along v")
 
 

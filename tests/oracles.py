@@ -12,9 +12,9 @@ corners included) that a ladder's classes are nested, per-arm suboptimality
 gaps, successive elimination one epoch at a time, random strongly monotone affine games with a known Nash point, an
 exhaustive-grid Nash, the Pareto grid search one pair at a time, the
 Stackelberg grid search with one leader-loss call per grid row, the
-monotonicity audit with one region.sample call per point,
-alternating best responses, the restriction pipeline's composed loss
-f_l(theta, BR(theta)), a finite-difference gradient check, the
+monotonicity audit with one region.sample call per point, the restriction's
+delta search one candidate at a time, alternating best responses, the
+restriction pipeline's composed loss f_l(theta, BR(theta)), a finite-difference gradient check, the
 strategic-regression game as a generic Stackelberg instance, the large regression class's best-response coefficients, scalar
 references of the regression closed forms and grid argmax, Monte-Carlo
 estimates of the regression game's integrals, losses, predictions and
@@ -388,6 +388,25 @@ def loop_monotonicity_audit(game: GameSpec, region: ActionSet, samples: int, rng
             min_q = q
         done += 1
     return min_q
+
+
+def loop_delta_search(
+    game: GameSpec, theta_star: np.ndarray, v: np.ndarray, env_set: ActionSet, learner_set: ActionSet,
+    reference: float,
+) -> tuple[float, np.ndarray]:
+    """delta_search one candidate at a time: each interior candidate's best response, then its
+    loss, before the next; the library, which solves the candidates in blocks, must return the
+    same delta and response bits, or raise the same error."""
+    theta_star = np.asarray(theta_star, dtype=float)
+    delta = 1.0
+    for _ in range(60):
+        cand = theta_star - delta * v
+        if learner_set.is_interior(cand, 1e-9):
+            response = best_response(game, "env", cand, env_set, tol=BR_SOLVE_TOL)
+            if game.loss("learner", cand, response, "a delta_search candidate") < reference - 1e-10:
+                return delta, response
+        delta *= 0.5
+    raise ConvergenceError("no improving step found: composed gradient too small along v")
 
 
 def single_run_psgd(

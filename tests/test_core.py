@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gamescale.grid
 from gamescale.core import (
     GameSpec,
     JointAction,
@@ -588,11 +589,12 @@ def test_audit_rejects_a_sample_count_that_is_not_an_integer_of_at_least_1(sampl
         monotonicity_audit(coupling_game(0.0), JOINT_BOX, samples, np.random.default_rng(0))
 
 
-def cubic_coupling_game():
-    """F(t, e) = (t + e^3, e): the quotient depends on the pair, so the pair used shows."""
+def cubic_coupling_game(dim_learner: int = 1, dim_env: int = 1) -> GameSpec:
+    """F(t, e) = (t + e_0^3, e), e_0^3 added to every learner entry: the quotient depends on the
+    pair, so the pair used shows. The gradients broadcast over a batch with single-point bits."""
     return GameSpec(
-        dim_learner=1, dim_env=1, loss_learner=lambda t, e: 0.5 * t[0] ** 2 + t[0] * e[0] ** 3,
-        loss_env=lambda t, e: 0.5 * e[0] ** 2, grad_learner=lambda t, e: t + e**3, grad_env=lambda t, e: e,
+        dim_learner=dim_learner, dim_env=dim_env, loss_learner=lambda t, e: 0.5 * t @ t + t.sum() * e[0] ** 3,
+        loss_env=lambda t, e: 0.5 * e @ e, grad_learner=lambda t, e: t + e[..., :1] ** 3, grad_env=lambda t, e: e,
         mu=0.1, lipschitz=10.0,
     )
 
@@ -604,40 +606,149 @@ class SampledBox(Box):
         return self.project(rng.standard_normal(self.dimension))
 
 
-# name -> (region, samples); the audit draws a chunk of pairs per call only for
-# regions that keep ActionSet.sample
+def cube(dim: int, half: float = 1.0) -> Box:
+    return Box(-half * np.ones(dim), half * np.ones(dim))
+
+
+# name -> (region, samples, learner dimension); the audit draws a chunk of pairs per call only
+# for regions that keep ActionSet.sample. From joint dimension 4 on a dot product's rounding
+# depends on how it is taken (BLAS sums 4+ entries in its own order), so these regions show a
+# quotient not summed as the loop's contiguous @ sums it
 AUDIT_REGIONS = {
-    "box": (JOINT_BOX, 128),
-    "intersection": (Product(Intersection([box_1d(-2.0, 2.0), Halfspace([1.0], 0.3)]), box_1d(-1.0, 1.0)), 64),
+    "box": (JOINT_BOX, 128, 1),
+    "intersection": (Product(Intersection([box_1d(-2.0, 2.0), Halfspace([1.0], 0.3)]), box_1d(-1.0, 1.0)), 64, 1),
     # pairs within 1e-9 of each other, one in five or so, are skipped and redrawn
-    "thin_skips": (Product(box_1d(0.0, 1e-8), box_1d(0.5, 0.5)), 50),
+    "thin_skips": (Product(box_1d(0.0, 1e-8), box_1d(0.5, 0.5)), 50, 1),
     # three of four pairs skipped: some seeds reach the 10 * samples limit
-    "thinner_limit": (Product(box_1d(0.0, 1.5e-9), box_1d(0.5, 0.5)), 8),
-    "point_limit": (Product(box_1d(0.5, 0.5), box_1d(1.0, 1.0)), 3),
-    "own_sample": (SampledBox(-np.ones(2), np.ones(2)), 40),
+    "thinner_limit": (Product(box_1d(0.0, 1.5e-9), box_1d(0.5, 0.5)), 8, 1),
+    "point_limit": (Product(box_1d(0.5, 0.5), box_1d(1.0, 1.0)), 3, 1),
+    "own_sample": (SampledBox(-np.ones(2), np.ones(2)), 40, 1),
+    "product_3d": (Product(cube(2), cube(1, 2.0)), 128, 2),
+    "intersection_4d": (Product(Intersection([cube(2, 2.0), Halfspace([1.0, 1.0], 0.5)]), cube(2)), 64, 2),
+    "product_5d": (Product(cube(2), cube(3, 2.0)), 128, 2),
+    "own_sample_5d": (SampledBox(-np.ones(5), np.ones(5)), 40, 2),
 }
+
+
+def audit_outcome(audit, region, samples, dim_learner, rng, game=None):
+    """The audit's quotient as hex, or its ValueError's message."""
+    game = game or cubic_coupling_game(dim_learner, region.dimension - dim_learner)
+    try:
+        return float(audit(game, region, samples, rng)).hex()
+    except ValueError as err:
+        return str(err)
 
 
 @pytest.mark.parametrize("case", sorted(AUDIT_REGIONS))
 def test_audit_has_the_point_by_point_loops_bits_and_rng_state(case):
-    region, samples = AUDIT_REGIONS[case]
+    region, samples, dim_learner = AUDIT_REGIONS[case]
     outcomes = set()
     for seed in range(6):
         rngs = np.random.default_rng(seed), np.random.default_rng(seed)
-        results = []
-        for audit, rng in zip((monotonicity_audit, loop_monotonicity_audit), rngs):
-            try:
-                results.append(float(audit(cubic_coupling_game(), region, samples, rng)).hex())
-            except ValueError as err:
-                results.append(str(err))
+        results = [audit_outcome(audit, region, samples, dim_learner, rng)
+                   for audit, rng in zip((monotonicity_audit, loop_monotonicity_audit), rngs)]
         assert results[0] == results[1]
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
         outcomes.add(results[0].endswith("too small"))
-        if case != "own_sample":  # more draws than samples pairs: some were skipped
+        if not case.startswith("own_sample"):  # more draws than samples pairs: some were skipped
             exact = np.random.default_rng(seed)
-            exact.uniform(size=(2 * samples, 2))
+            exact.uniform(size=(2 * samples, region.dimension))
             assert (rngs[0].bit_generator.state != exact.bit_generator.state) == case.startswith(("thin", "point"))
     assert outcomes == ({True} if case == "point_limit" else {True, False} if case == "thinner_limit" else {False})
+
+
+@pytest.mark.parametrize("cells", [1, 8, 4096, 10**6])
+@pytest.mark.parametrize("case", ["box", "thin_skips", "product_5d"])
+def test_audit_reads_bounded_blocks_with_the_loops_bits_and_rng_state(monkeypatch, case, cells):
+    # at most grid.BLOCK_CELLS // (2 d) pairs a block, one at least: a (2n, d) draw has the bits of
+    # 2n draws of d, so neither the quotient nor the generator depends on the block size
+    region, samples, dim_learner = AUDIT_REGIONS[case]
+    game = cubic_coupling_game(dim_learner, region.dimension - dim_learner)
+    rows, grad_env = [], game.grad_env  # the rows of each batch call
+
+    def spy(t, e):
+        if np.ndim(t) == 2:
+            rows.append(len(t))
+        return grad_env(t, e)
+
+    game.grad_env = spy
+    monkeypatch.setattr(gamescale.grid, "BLOCK_CELLS", cells)
+    rngs = np.random.default_rng(3), np.random.default_rng(3)
+    results = [audit_outcome(audit, region, samples, dim_learner, rng, game)
+               for audit, rng in zip((monotonicity_audit, loop_monotonicity_audit), rngs)]
+    assert results[0] == results[1]
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    block = max(1, cells // (2 * region.dimension))  # pairs
+    assert rows and max(rows) <= 2 * block
+    if case != "thin_skips":  # no pair skipped: full blocks, the last one the rest
+        assert rows == [2 * min(block, samples - start) for start in range(0, samples, block)]
+
+
+def test_audit_reads_each_player_once_per_block_and_row_0_once_alone():
+    calls = {"batch": 0, "point": 0}
+
+    def grad(t, e):
+        calls["batch" if np.ndim(t) == 2 else "point"] += 1
+        return t + e**3
+
+    game = cubic_coupling_game()
+    game.grad_learner = grad
+    monotonicity_audit(game, JOINT_BOX, 128, np.random.default_rng(0))
+    assert calls == {"batch": 1, "point": 1}
+
+
+def point_only(grad, kind: str):
+    """grad written for single points: it indexes t[0] ("index"), calls float() ("float"),
+    raises on a batch ("raises") or returns a batch whose row 0 is one ulp off ("row0")."""
+
+    def oracle(t, e):
+        if kind == "index":
+            return np.array([grad(t, e)[0]])
+        if kind == "float":
+            return float(grad(t, e)[0])
+        if np.ndim(t) == 2 and kind == "raises":
+            raise TypeError("single points only")
+        g = np.array(grad(t, e))  # a copy: grad_env returns e itself
+        if np.ndim(t) == 2:
+            g[0] = np.nextafter(g[0], np.inf)
+        return g
+
+    return oracle
+
+
+@pytest.mark.parametrize("kind", ["index", "float", "raises", "row0"])
+@pytest.mark.parametrize("player", ["grad_learner", "grad_env"])
+def test_audit_of_a_point_only_oracle_reads_one_point_at_a_time_with_the_loops_bits(player, kind):
+    for region, samples, dim_learner in (AUDIT_REGIONS["box"], AUDIT_REGIONS["intersection"]):
+        outcomes = []
+        for audit in (monotonicity_audit, loop_monotonicity_audit):
+            game = cubic_coupling_game(dim_learner, region.dimension - dim_learner)
+            setattr(game, player, point_only(getattr(game, player), kind))
+            outcomes.append(audit_outcome(audit, region, samples, dim_learner, np.random.default_rng(1), game))
+        clean = audit_outcome(monotonicity_audit, region, samples, dim_learner, np.random.default_rng(1))
+        assert outcomes[0] == outcomes[1] == clean
+
+
+@pytest.mark.parametrize("fault", ["nan", "inf", "raises"])
+def test_audit_of_a_gradient_faulty_on_a_region_raises_the_loops_error(fault):
+    # a fault at the sampled points with t > 1.5 only: the batch path must end as the loop does
+    def grad(t, e):
+        hit = t > 1.5
+        if fault != "raises":
+            return np.where(hit, float(fault), t + e**3)
+        if np.any(hit):
+            raise ArithmeticError("injected fault")
+        return t + e**3
+
+    errors = []
+    for audit in (monotonicity_audit, loop_monotonicity_audit):
+        game = cubic_coupling_game()
+        game.grad_learner = grad
+        with pytest.raises(Exception) as err:
+            audit(game, JOINT_BOX, 128, np.random.default_rng(2))
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] is (ArithmeticError if fault == "raises" else FloatingPointError)
 
 
 def test_audit_of_a_matrix_valued_point_oracle_raises():

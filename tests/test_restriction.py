@@ -1,5 +1,6 @@
 """Best-response Jacobians, composed gradients, and restriction certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from gamescale.restriction import (
     fbar_gradient,
 )
 from gamescale.sets import Box, ConvergenceError, Halfspace, box_1d
-from oracles import composed_loss
+from oracles import composed_loss, loop_delta_search, random_affine_game
 
 ENV_BOX = box_1d(-3.0, 3.0)
 
@@ -242,6 +243,97 @@ def test_delta_search_zero_slope_exhausts():
     reference = composed_loss(game, np.array([0.0]), ENV_BOX)
     with pytest.raises(ConvergenceError):
         delta_search(game, np.array([0.0]), np.array([1.0]), ENV_BOX, box_1d(-2.0, 2.0), reference)
+
+
+def delta_outcome(search, *args) -> tuple:
+    """search's delta (hex) and response bytes, or its error's type and message."""
+    try:
+        delta, response = search(*args)
+        return float(delta).hex(), response.tobytes()
+    except Exception as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.mark.parametrize("case", ["first_block", "later_block", "non_interior_skipped", "exhausted"])
+@pytest.mark.parametrize("dims", [(1, 1), (2, 1), (3, 2)], ids=["1x1", "2x1", "3x2"])
+def test_delta_search_has_the_one_at_a_time_loops_bits(dims, case):
+    # the candidates run uphill from theta, so their composed losses fall toward theta's, and a
+    # reference between two of them picks the winner: the candidates are solved 8 at a time
+    rng = np.random.default_rng(sum(dims))
+    game, _ = random_affine_game(rng, *dims)
+    env_set, theta = Box(-3.0 * np.ones(dims[1]), 3.0 * np.ones(dims[1])), rng.uniform(-0.5, 0.5, dims[0])
+    u = rng.standard_normal(dims[0])
+    u /= np.linalg.norm(u)
+    v = u if composed_loss(game, theta - 1e-3 * u, env_set) > composed_loss(game, theta, env_set) else -u
+    half = 0.3 if case == "non_interior_skipped" else 2.0
+    learner_set = Box(theta - half, theta + half)
+    cands = [(0.5**i, theta - 0.5**i * v) for i in range(60)]
+    values = [(delta, composed_loss(game, c, env_set)) for delta, c in cands if learner_set.is_interior(c, 1e-9)]
+    # the winner's place among the interior candidates: a strict record low, by 1e-8 at least
+    records = [k for k in range(1, len(values)) if values[k][1] < min(f for _, f in values[:k]) - 1e-8]
+    k = next(k for k in records if (k >= 8) == (case == "later_block"))
+    losses = [f for _, f in values]
+    reference = min(losses) if case == "exhausted" else 1e-10 + (losses[k] + min(losses[:k])) / 2
+    args = (game, theta, v, env_set, learner_set, reference)
+    outcome = delta_outcome(delta_search, *args)
+    assert outcome == delta_outcome(loop_delta_search, *args)
+    if case == "exhausted":
+        assert outcome == ("ConvergenceError", "no improving step found: composed gradient too small along v")
+    else:
+        assert outcome[0] == values[k][0].hex()
+    assert (values[0][0] < 1.0) == (case == "non_interior_skipped")
+
+
+def test_delta_search_solves_the_interior_candidates_in_one_block_of_8(monkeypatch):
+    bench = restriction_instance()
+    rows, solve = [], gamescale.restriction.best_responses
+
+    def spy(game, player, opponents, *args):
+        rows.append(np.asarray(opponents)[:, 0].tolist())
+        return solve(game, player, opponents, *args)
+
+    monkeypatch.setattr(gamescale.restriction, "best_responses", spy)
+    monkeypatch.setattr(gamescale.restriction, "best_response", None)  # no candidate solved alone
+    reference = composed_loss(bench.game, np.array([0.0]), bench.env_set)
+    delta, _ = delta_search(bench.game, np.array([0.0]), np.array([1.0]), bench.env_set, bench.learner_set, reference)
+    assert delta == 0.25 and rows == [[-(0.5**i) for i in range(8)]]
+
+
+def test_delta_search_reaches_the_60th_candidate_alone_interior():
+    # a learner box so thin around theta* = 0 that only delta = 2**-59, the last candidate, is interior
+    bench = restriction_instance()
+    half = 1e-9 + 1.5 * 2.0**-59
+    args = (bench.game, np.array([0.0]), np.array([1.0]), bench.env_set, box_1d(-half, half), 1.0)
+    outcome = delta_outcome(delta_search, *args)
+    assert outcome == delta_outcome(loop_delta_search, *args) and outcome[0] == (2.0**-59).hex()
+
+
+@pytest.mark.parametrize("fault", ["nan", "raises"])
+@pytest.mark.parametrize("where", [(-0.2, -0.1), (-0.6, -0.4)], ids=["past_the_winner", "before_the_winner"])
+def test_delta_search_with_a_faulty_env_gradient_at_one_candidate_ends_as_the_loop(where, fault):
+    # on the shipped instance (theta* = 0, v = 1) delta = 0.25 wins; a fault at delta = 0.125, in
+    # the winner's block, must not show, and one at delta = 0.5, before it, raises the loop's error
+    bench = restriction_instance()
+    lo, hi = where
+
+    def grad_env(t, e):
+        hit = (lo < t) & (t < hi)
+        if fault == "nan":
+            return np.where(hit, np.nan, e - t)
+        if np.any(hit):
+            raise RuntimeError("injected fault")
+        return e - t
+
+    reference = composed_loss(bench.game, np.array([0.0]), bench.env_set)
+    args = (np.array([0.0]), np.array([1.0]), bench.env_set, bench.learner_set, reference)
+    faulty = dataclasses.replace(bench.game, grad_env=grad_env)
+    outcome = delta_outcome(delta_search, faulty, *args)
+    assert outcome == delta_outcome(loop_delta_search, faulty, *args)
+    if lo < -0.25:
+        assert outcome == {"nan": ("FloatingPointError", "non-finite gradient components"),
+                           "raises": ("RuntimeError", "injected fault")}[fault]
+    else:
+        assert outcome == delta_outcome(loop_delta_search, bench.game, *args) and outcome[0] == (0.25).hex()
 
 
 # ---------------------------------------------------------------------------
