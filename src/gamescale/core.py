@@ -43,28 +43,21 @@ def central_difference(f: Callable[[np.ndarray], float], x: np.ndarray, step: fl
 class GameSpec:
     """Two-player game: losses, gradient oracles, and regularity constants.
 
-    One oracle contract serves PSGD, best responses, the monotonicity audit and the
-    Pareto and Stackelberg grids: a gradient or loss f(theta, env) gets one joint
-    point (two vectors; a loss returns a float, a gradient a vector or, in dimension
-    1, a float) or a batch, theta (B, dim_learner) and env (B, dim_env), row i joint
-    point i, for which a gradient must return shape (B, dim) and a loss (B,)
-    exactly: any other shape is an error, not broadcast. Best responses check every
-    row at one iterate, and the audit and the grids row 0 of each call, against the
-    single point's bits; the Stackelberg grid also calls the single points where the
-    batch values, taken as 8-16 ulps from them, do not decide its rule, and at each
-    round's winner. Oracles that broadcast over rows, such as t - 1.0 + e or the
-    shipped losses' t.T[0], take one call per step, audit block, Pareto block (whole
-    learner grid points, rows mixing them) or Stackelberg block. One that takes
-    single points only (it indexes t[0] or calls float()), or an omitted gradient
-    (central differences, step 1e-6), makes PSGD raise, while best responses rerun
-    the whole solve one point at a time, the audit and the Stackelberg grid each
-    block, and the Pareto grid scans one pair at a time from the first learner
-    point of the first block whose batch fails. An oracle's value must depend on its
-    arguments only: the library may call it in another order and number than a
-    one-at-a-time loop.
-    Every loss the library reads goes through loss(), which raises
-    FloatingPointError naming the oracle on any non-finite value, batch or
-    single point, and never retries after one.
+    The oracle contract: a loss or gradient oracle f(theta, env) gets one joint point (two
+    vectors) or a batch, theta (B, dim_learner) and env (B, dim_env) with row i joint point i.
+    For one point a loss returns a float and a gradient a vector (a float in dimension 1); for
+    a batch they return shape (B,) and (B, dim) exactly, never broadcast. An oracle's value
+    must depend on its arguments only: the library may call it in another order and number
+    than a point-by-point loop. An omitted gradient is central differences of the loss.
+    Every read goes through loss() or grad() (grad_reader binds grad's batch read once for
+    PSGD's steps): a wrong shape raises ValueError, a non-finite loss FloatingPointError.
+    Batch values are held to single points, best responses' every row at the first moved
+    iterate and the audit's and grids' row 0 of each call (grid.py says where the
+    Stackelberg grid reads more). Where a batch raises or fails that check, best responses
+    rerun the solve one point at a time, the audit and the Stackelberg grid the block, and
+    the Pareto grid scans pairs one at a time from that block on; PSGD raises. An oracle
+    that broadcasts over rows (t - 1.0 + e, the shipped losses' t.T[0]) takes one call per
+    PSGD step, audit block or grid block.
     """
 
     dim_learner: int
@@ -94,9 +87,7 @@ class GameSpec:
         2-D), its (B,) values from one oracle call; None if the oracle cannot take the batch (it
         raises, or its values break shape (B,) or row 0's single-point bits). A non-finite value
         raises FloatingPointError naming the oracle and where."""
-        if player not in ("learner", "env"):
-            raise ValueError(f"unknown player {player!r}")
-        oracle = self.loss_learner if player == "learner" else self.loss_env
+        oracle = self._oracles(player)[0]
         if theta.ndim == 2:
             try:
                 f, f0 = np.asarray(oracle(theta, env), dtype=float), float(oracle(theta[0], env[0]))
@@ -111,30 +102,45 @@ class GameSpec:
             raise FloatingPointError(f"loss_{player} is not finite at {where}")
         return f
 
-    def grad_l(self, theta: np.ndarray, env: np.ndarray) -> np.ndarray:
-        if self.grad_learner is not None:
-            return _as_vector(self.grad_learner(theta, env), self.dim_learner)
-        return central_difference(lambda t: self.loss("learner", t, env, "a central-difference point"), theta)
+    def grad(self, player: str, theta: np.ndarray, env: np.ndarray) -> np.ndarray:
+        """player's ("learner" or "env") gradient in its own action: at one joint point a
+        vector of its dimension (central differences of the loss, step 1e-6, without an
+        oracle), at a batch (theta 2-D) the (B, dim) values of one oracle call."""
+        if theta.ndim == 2:
+            return self.grad_reader(player, theta.shape[0])(theta, env)
+        _, oracle, dim = self._oracles(player)
+        if oracle is not None:
+            return _as_vector(oracle(theta, env), dim)
+        if player == "learner":
+            return central_difference(lambda t: self.loss(player, t, env, "a central-difference point"), theta)
+        return central_difference(lambda e: self.loss(player, theta, e, "a central-difference point"), env)
 
-    def grad_e(self, theta: np.ndarray, env: np.ndarray) -> np.ndarray:
-        if self.grad_env is not None:
-            return _as_vector(self.grad_env(theta, env), self.dim_env)
-        return central_difference(lambda e: self.loss("env", theta, e, "a central-difference point"), env)
+    def grad_reader(self, player: str, rows: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """grad's read of a batch of `rows` joint points, bound once: one oracle call held to shape
+        (rows, dim), its exception re-raised as ValueError naming it; raises at once without one."""
+        _, oracle, dim = self._oracles(player)
+        if oracle is None:
+            raise ValueError(f"the game has no grad_{player} oracle; a batch of points needs one")
+        shape = (rows, dim)
 
+        def read_batch(theta: np.ndarray, env: np.ndarray) -> np.ndarray:
+            try:
+                g = np.asarray(oracle(theta, env), dtype=float)
+            except Exception as exc:  # a gradient written for single points may raise anything on a batch
+                raise ValueError(f"grad_{player} failed on a batch of {rows} points: {exc!r}") from exc
+            if g.shape != shape:
+                raise ValueError(f"grad_{player} returned shape {g.shape} for a batch; expected {shape}")
+            return g
 
-def _batch_gradient(
-    oracle: Optional[GradFn], name: str, theta: np.ndarray, env: np.ndarray, dim: int
-) -> np.ndarray:
-    """One oracle call on a batch of joint points, held to shape (B, dim)."""
-    if oracle is None:
-        raise ValueError(f"the game has no {name} oracle; a batch of points needs one")
-    g = np.asarray(oracle(theta, env), dtype=float)
-    if g.shape != (theta.shape[0], dim):
-        raise ValueError(
-            f"{name} returned shape {g.shape} for a batch of {theta.shape[0]} points; "
-            f"expected {(theta.shape[0], dim)}"
-        )
-    return g
+        return read_batch
+
+    def _oracles(self, player: str) -> tuple:
+        """player's loss, gradient oracle and dimension."""
+        if player == "learner":
+            return self.loss_learner, self.grad_learner, self.dim_learner
+        if player == "env":
+            return self.loss_env, self.grad_env, self.dim_env
+        raise ValueError(f"unknown player {player!r}")
 
 
 @dataclass(eq=False)
@@ -158,10 +164,11 @@ class JointAction:
 
 
 def gradient_operator(game: GameSpec, x: np.ndarray) -> np.ndarray:
-    """Stacked own-action gradients F(x) = (grad_theta f_l; grad_e f_e) at the
-    stacked joint point x = (theta; env)."""
-    theta, env = x[: game.dim_learner], x[game.dim_learner :]
-    return _finite(np.concatenate([game.grad_l(theta, env), game.grad_e(theta, env)]))
+    """Stacked own-action gradients F(x) = (f_l's in theta; f_e's in env) at the stacked joint
+    point x = (theta; env), (d,), or at each row of a batch (B, d) from one read per player;
+    raises FloatingPointError if any component is not finite."""
+    theta, env = x[..., : game.dim_learner], x[..., game.dim_learner :]
+    return _finite(np.concatenate([game.grad("learner", theta, env), game.grad("env", theta, env)], axis=-1))
 
 
 def _finite(g: np.ndarray) -> np.ndarray:
@@ -194,18 +201,11 @@ def gradient_noise(streams: Sequence, noise_bound: float, out: np.ndarray) -> np
     return out
 
 
-def gradient_rows(game: GameSpec, x: np.ndarray) -> np.ndarray:
-    """F at each row of x, (B, d), from one batched call per player; not held to single-point bits."""
-    theta, env = x[:, : game.dim_learner], x[:, game.dim_learner :]
-    return np.concatenate([_batch_gradient(game.grad_learner, "grad_learner", theta, env, game.dim_learner),
-                           _batch_gradient(game.grad_env, "grad_env", theta, env, game.dim_env)], axis=1)
-
-
 def _audit_gradients(game: GameSpec, points: np.ndarray) -> np.ndarray:
-    """gradient_rows of points if finite with row 0's single-point bits, else gradient_operator by row."""
+    """gradient_operator of the batch points if its row 0 has the single-point bits, else of each point."""
     with contextlib.suppress(Exception):  # a gradient written for single points may raise anything on a batch
-        if (g := gradient_rows(game, points))[0].tobytes() == gradient_operator(game, points[0]).tobytes():
-            return _finite(g)
+        if (g := gradient_operator(game, points))[0].tobytes() == gradient_operator(game, points[0]).tobytes():
+            return g
     return np.array([gradient_operator(game, p) for p in points])
 
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import GameSpec, JointAction, ModelClassLadder, _batch_gradient, gradient_operator, gradient_rows
+from .core import GameSpec, JointAction, ModelClassLadder, gradient_operator
 from .descent import _projected_descent, _single_point_checked, natural_residuals
 from .grid import _blocks, _grid_minimize, _pattern_search, grid_points
 from .psgd import PSGDBatch
@@ -62,32 +62,29 @@ def best_responses(
     opp = np.asarray(opponent_actions, dtype=float)
     if not isinstance(own_sets, ActionSet) and len(own_sets) != len(opp):
         raise ValueError(f"{len(own_sets)} own sets for {len(opp)} opponent rows")
-    if player == "learner":
-        single, raw, dim = game.grad_l, game.grad_learner, game.dim_learner
-        batch = lambda x, rows: _batch_gradient(game.grad_learner, "grad_learner", x, opp[rows], dim)
-    elif player == "env":
-        single, raw, dim = lambda x, o: game.grad_e(o, x), lambda x, o: game.grad_env(o, x), game.dim_env
-        batch = lambda x, rows: _batch_gradient(game.grad_env, "grad_env", opp[rows], x, dim)
-    else:
+    if player not in ("learner", "env"):
         raise ValueError(f"unknown player {player!r}")
+    dim = game.dim_learner if player == "learner" else game.dim_env
+    pair = (lambda own, o: (own, o)) if player == "learner" else (lambda own, o: (o, own))  # as (theta, env)
+    batch = lambda x, rows: game.grad(player, *pair(x, opp[rows]))
     x0 = np.zeros((len(opp), dim))
     solve = lambda grad: _projected_descent(grad, own_sets, x0, 1.0 / game.lipschitz, True, tol, 200_000)
 
     def per_row(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """One oracle call per row into one (B, dim) array, 256 rows at a time, each chunk
+        """One raw oracle call per row into one (B, dim) array, 256 rows at a time, each chunk
         stacked as it is if that is (rows, dim), or (rows,) in dimension 1; else, or after an
-        exception, every row through single, which raises as _as_vector does."""
-        g = np.empty((len(x), dim))
+        exception, every row through game.grad, which raises as one point does."""
+        g, raw = np.empty((len(x), dim)), game.grad_learner if player == "learner" else game.grad_env
         with contextlib.suppress(Exception):
             for s in range(0, len(x), 256):
-                part = np.array([*map(raw, x[s : s + 256], opp[rows[s : s + 256]])], dtype=float)
+                part = np.array([*map(raw, *pair(x[s : s + 256], opp[rows[s : s + 256]]))], dtype=float)
                 if part.shape != (len(part), dim) and (dim != 1 or part.ndim != 1):
                     break
                 g[s : s + 256] = part.reshape(-1, dim)
             else:
                 return g
         for j, (xi, i) in enumerate(zip(x, rows.tolist())):
-            g[j] = single(xi, opp[i])
+            g[j] = game.grad(player, *pair(xi, opp[i]))
         return g
 
     return _single_point_checked(solve, batch, per_row)
@@ -186,12 +183,12 @@ def nash_residual(
 
 def _nash_rows(game: GameSpec, learner_sets: Sequence[ActionSet], env_set: ActionSet, tol: float) -> tuple:
     """solve_nash of each learner set as a row of one descent; each iteration makes one
-    batched oracle call per player, held to gradient_operator's bits by _single_point_checked."""
+    batched read per player, held to gradient_operator's single-point bits by _single_point_checked."""
     dl, de = game.dim_learner, game.dim_env
     sets, x0 = [Product(s, env_set) for s in learner_sets], np.zeros((len(learner_sets), dl + de))
     solve = lambda grad: _projected_descent(grad, sets, x0, game.mu / (game.lipschitz**2), False, tol, 500_000)
     per_row = lambda x, rows: np.array([gradient_operator(game, xi) for xi in x])
-    return _single_point_checked(solve, lambda x, rows: gradient_rows(game, x), per_row)
+    return _single_point_checked(solve, lambda x, rows: gradient_operator(game, x), per_row)
 
 
 def solve_nash(

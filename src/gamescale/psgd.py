@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import GameSpec, JointAction, _batch_gradient, _finite, gradient_noise
+from .core import GameSpec, JointAction, _finite, gradient_noise
 from .sets import ActionSet, Product, row_projector
 
 NOISE_BLOCK = 64  # fewest PSGD steps per block; block lengths set memory and speed, never output bits
@@ -98,6 +98,7 @@ class PSGDBatch:
         # first call of a numpy routine a run makes nowhere else pages in library code (peak memory)
         done = np.concatenate([np.zeros(len(c.sets)) + c.done for c in cohorts])
         t = np.empty((block, len(sets)))  # each row's step numbers in a block
+        read_l, read_e = game.grad_reader("learner", len(sets)), game.grad_reader("env", len(sets))
         # iterated per block; lists of every step's views were faster but peaked higher
         views = path, path[:, :dl].mT, path[:, dl:].mT, fhat, fhat[:, :dl].mT, fhat[:, dl:].mT
         while all(c.done < c.horizon for c in cohorts):
@@ -109,8 +110,8 @@ class PSGDBatch:
             np.add(t[:n, np.newaxis], 1.0, out=steps)
             np.divide(-2.0, np.multiply(steps, game.mu, out=steps), out=steps)
             for x, theta, env, f, fl, fe, nxt in zip(*views, steps):
-                fl += _batch_gradient(game.grad_learner, "grad_learner", theta, env, dl)
-                fe += _batch_gradient(game.grad_env, "grad_env", theta, env, de)
+                fl += read_l(theta, env)
+                fe += read_e(theta, env)
                 if not clips:
                     _finite(f)
                 np.multiply(f, nxt, out=nxt)  # nxt held -eta_t

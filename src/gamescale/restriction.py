@@ -91,7 +91,7 @@ def fbar_gradient(
     theta = np.asarray(theta, dtype=float)
     jac = br_jacobian(game, theta, env_set, e)
     cross = lambda ee: game.loss("learner", theta, ee, "a central-difference point")
-    return game.grad_l(theta, e) + jac.T @ central_difference(cross, e, FD_STEP)
+    return game.grad("learner", theta, e) + jac.T @ central_difference(cross, e, FD_STEP)
 
 
 def choose_direction(grad_fbar: np.ndarray) -> np.ndarray:
@@ -151,7 +151,7 @@ def construct_restriction(
     makes theta' a best response to e' = BR(theta') over the whole cut.
     """
     theta_prime = np.asarray(theta_prime, dtype=float)
-    grad_at_prime = game.grad_l(theta_prime, e_prime)
+    grad_at_prime = game.grad("learner", theta_prime, e_prime)
     first = Halfspace(v, float(v @ theta_prime))
     second = Halfspace(-grad_at_prime, float(-grad_at_prime @ theta_prime))
     return Intersection([learner_set, first, second])

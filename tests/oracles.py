@@ -24,8 +24,8 @@ check and forward walk, value iteration on the chain's environment MDP, the
 chain game's absorbing state and per-cap dominance check for one policy, the
 dominance check by re-walking the chain once per deviation, a
 Monte-Carlo rollout of the learner value, the per-cell CSV writer that
-a float-array table's rows are held to, and a loss oracle with an injected
-fault and a call budget.
+a float-array table's rows are held to, and loss and gradient oracles with an
+injected fault and a call budget.
 """
 
 from __future__ import annotations
@@ -370,7 +370,9 @@ def per_row_stackelberg(
 def loop_monotonicity_audit(game: GameSpec, region: ActionSet, samples: int, rng: np.random.Generator) -> float:
     """monotonicity_audit with one region.sample call per point, pair by pair:
     the library, which draws the pairs a chunk at a time, must return the same
-    quotient bits, raise at the same draw and leave rng in the same state."""
+    quotient bits or raise the same error, and leave rng in the same state on
+    return and at the draw-limit ValueError. A gradient error mid-chunk leaves
+    the library's rng past this loop's: it draws a chunk before reading any pair."""
     min_q = math.inf
     done = drawn = 0
     while done < samples:
@@ -944,15 +946,30 @@ class CallBudgetExceeded(BaseException):
 
 
 class InjectedFault(ValueError):
-    """The exception a faulty_loss oracle raises as its own."""
+    """The exception a faulty_loss or faulty_grad oracle raises as its own."""
 
 
 @dataclasses.dataclass
 class FaultLog:
-    """What a faulty_loss oracle did: its calls, and whether it returned a non-finite value."""
+    """What a faulty oracle did: its calls, and whether it returned a non-finite value."""
 
     calls: int = 0
     non_finite: bool = False
+
+
+def _faulty_call(t, fault: str, below: float, batches: bool, log: FaultLog, budget: int):
+    """The checks every faulty oracle call makes first; returns whether t is a batch and which
+    of its points lie in the fault's region."""
+    log.calls += 1
+    if log.calls > budget:
+        raise CallBudgetExceeded(f"{log.calls} oracle calls")
+    batch = np.ndim(t) == 2
+    if batch and not batches:
+        raise TypeError("this oracle takes single points only")
+    hit = np.asarray(t).T[0] < below
+    if fault == "raises" and np.any(hit):
+        raise InjectedFault("injected fault")
+    return batch, hit
 
 
 def faulty_loss(loss, fault: str, below: float, batches: bool, log: FaultLog, budget: int = 200_000):
@@ -964,15 +981,7 @@ def faulty_loss(loss, fault: str, below: float, batches: bool, log: FaultLog, bu
     value = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}.get(fault)
 
     def f(t, e):
-        log.calls += 1
-        if log.calls > budget:
-            raise CallBudgetExceeded(f"{log.calls} loss calls")
-        batch = np.ndim(t) == 2
-        if batch and not batches:
-            raise TypeError("this loss takes single points only")
-        hit = np.asarray(t).T[0] < below
-        if fault == "raises" and np.any(hit):
-            raise InjectedFault("injected fault")
+        batch, hit = _faulty_call(t, fault, below, batches, log, budget)
         v = np.asarray(loss(t, e), dtype=float)
         if value is not None:
             v = np.where(hit, value, v)
@@ -982,3 +991,24 @@ def faulty_loss(loss, fault: str, below: float, batches: bool, log: FaultLog, bu
         return v[:, np.newaxis] if fault == "shape" else v
 
     return f
+
+
+def faulty_grad(grad, fault: str, below: float, batches: bool, log: FaultLog, budget: int = 200_000):
+    """grad with a fault at the points whose theta[0] lies below `below` (inf: everywhere), as
+    faulty_loss: "nan", "inf" and "-inf" replace the gradient there and "raises" raises
+    InjectedFault there; "flat" and "wide" return a batch holding such a point as shape (B,)
+    and (B, dim + 1), a wrong shape ((B, 1) is the right one in dimension 1). Pure, single
+    points only with batches False, and held to `budget` calls, as faulty_loss."""
+    value = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}.get(fault)
+
+    def g(t, e):
+        batch, hit = _faulty_call(t, fault, below, batches, log, budget)
+        v = np.asarray(grad(t, e), dtype=float)
+        if value is not None:
+            v = np.where(hit[:, np.newaxis] if batch else hit, value, v)
+        log.non_finite |= not np.isfinite(v).all()
+        if batch and np.any(hit) and fault in ("flat", "wide"):
+            return v[:, 0] if fault == "flat" else np.hstack([v, v[:, :1]])
+        return v
+
+    return g

@@ -751,6 +751,23 @@ def test_audit_of_a_gradient_faulty_on_a_region_raises_the_loops_error(fault):
     assert errors[0][0] is (ArithmeticError if fault == "raises" else FloatingPointError)
 
 
+def test_audit_stopped_by_a_gradient_error_mid_block_raises_the_loops_error_past_its_draws():
+    # the audit draws a block's pairs, here all 128 at once, before it reads any, so an error at
+    # a pair mid-block leaves rng past the loop's; the error is the loop's all the same
+    errors, states = [], []
+    for audit in (monotonicity_audit, loop_monotonicity_audit):
+        game, rng = cubic_coupling_game(), np.random.default_rng(2)
+        game.grad_learner = lambda t, e: np.where(t > 1.5, math.nan, t + e**3)
+        with pytest.raises(FloatingPointError) as err:
+            audit(game, JOINT_BOX, 128, rng)
+        errors.append((type(err.value), str(err.value)))
+        states.append(rng.bit_generator.state)
+    assert errors[0] == errors[1] == (FloatingPointError, "non-finite gradient components")
+    whole_block = np.random.default_rng(2)
+    whole_block.uniform(size=(2 * 128, JOINT_BOX.dimension))
+    assert states[0] == whole_block.bit_generator.state != states[1]
+
+
 def test_audit_of_a_matrix_valued_point_oracle_raises():
     game = cubic_coupling_game()
     game.grad_learner = lambda t, e: np.array([[t[0] + e[0] ** 3]])  # shape (1, 1) at a point

@@ -1535,6 +1535,7 @@ BETWEEN_GRID_POINTS = Intersection([box_1d(0.0, 1.0), Halfspace([1.0], 1e-4), Ha
     [
         (lambda game: best_responses(game, "nobody", np.zeros((1, 1)), box_1d(-1, 1), 1e-8), "unknown player"),
         (lambda game: game.loss("nobody", np.zeros(1), np.zeros(1), "x"), "unknown player"),
+        (lambda game: game.grad("nobody", np.zeros(1), np.zeros(1)), "unknown player"),
         (lambda game: stackelberg_leader(game, "nobody", box_1d(-1, 1), box_1d(-1, 1)), "unknown leader"),
         (lambda game: stackelberg_leader(game, "learner", BETWEEN_GRID_POINTS, box_1d(-1, 1)), "empty grid"),
         (lambda game: psgd_nash(game, [box_1d(-1, 1)], box_1d(-1, 1), JointAction([0.0], [0.0]), 8, []),

@@ -1,17 +1,22 @@
-"""Fault matrix: each library entry point that reads a loss, run with a faulty loss oracle.
+"""Fault matrix: each library entry point that reads a loss or a gradient, run with a faulty oracle.
 
-Each row puts one fault (oracles.faulty_loss) into loss_learner or loss_env: NaN, +inf or -inf
-on a region or everywhere, each through batches and through single points only; a wrong batch
-shape; an oracle that raises ValueError. The faulty oracle stays pure, and a call budget turns
-a hang into a failure. An entry point may end only in
+Each loss row puts one fault (oracles.faulty_loss) into loss_learner or loss_env: NaN, +inf or
+-inf on a region or everywhere, each through batches and through single points only; a wrong
+batch shape; an oracle that raises ValueError. Each gradient row puts one fault
+(oracles.faulty_grad) into grad_learner or grad_env: a non-finite value on a region or
+everywhere, through batches or single points only; a batch of shape (B,) or (B, dim + 1); an
+oracle that raises. The faulty oracle stays pure, and a call budget turns a hang into a
+failure. An entry point may end only in
 - the result without the fault, bit for bit, when no faulty value was read;
 - FloatingPointError or ValueError naming the oracle, or the oracle's own exception;
+- after a non-finite gradient read, core._finite's FloatingPointError, which checks both
+  players' gradients at once and so names neither;
 - RestrictionStageError caused by one of those;
 - through the CLI, exit 3 with a manifest error record that has a `where` field.
 A result or HypothesisNotSatisfiedError after a non-finite read, a result holding a non-finite
 number, TypeError, IndexError, AttributeError, StopIteration and the budget being hit all fail.
 The CLI rows run the four experiments whose game is a GameSpec; markov, regression and
-participation read no GameSpec loss.
+participation read no GameSpec oracle.
 """
 
 import dataclasses
@@ -39,7 +44,7 @@ from gamescale.instances import coupled_quadratic, nested_box_ladder, restrictio
 from gamescale.restriction import HypothesisNotSatisfiedError, RestrictionStageError, certify_restriction
 from gamescale.selection import successive_elimination
 from gamescale.sets import Box, box_1d
-from oracles import CallBudgetExceeded, FaultLog, InjectedFault, faulty_loss
+from oracles import CallBudgetExceeded, FaultLog, InjectedFault, faulty_grad, faulty_loss
 
 
 class LooseBox(Box):
@@ -75,7 +80,11 @@ ENTRIES = {
         g, [BOX, BOX], BOX, JointAction([0.0], [0.0]), 64, [np.random.default_rng(s) for s in range(2)])),
 }
 
-# (fault, where, path): path "single" is a loss that raises TypeError on a batch
+# the entries that read a gradient, best_response and solve_nash on COUPLED's gradient oracles
+GRAD_ENTRIES = {name: (COUPLED if game is NO_GRADIENTS else game, below, run)
+                for name, (game, below, run) in ENTRIES.items() if name != "pareto_improvement_search"}
+
+# (fault, where, path): path "single" is an oracle that raises TypeError on a batch
 FAULTS = [
     *((value, where, path) for value in ("nan", "inf", "-inf") for where in ("region", "everywhere")
       for path in ("batch", "single")),
@@ -83,13 +92,25 @@ FAULTS = [
     ("raises", "region", "batch"),
     ("raises", "everywhere", "single"),
 ]
+# one region fault per entry and oracle for each kind, everywhere once
+GRAD_FAULTS = [
+    ("nan", "region", "batch"),
+    ("inf", "region", "single"),
+    ("-inf", "everywhere", "batch"),
+    ("flat", "region", "batch"),
+    ("wide", "region", "batch"),
+    ("raises", "region", "batch"),
+    ("raises", "everywhere", "single"),
+]
 FORBIDDEN = (TypeError, IndexError, AttributeError, StopIteration)
+NON_FINITE_F = "non-finite gradient components"  # core._finite's message
 
 
 def with_fault(game: GameSpec, oracle: str, fault: tuple, below: float, log: FaultLog) -> GameSpec:
     value, where, path = fault
-    loss = faulty_loss(getattr(game, oracle), value, below if where == "region" else math.inf, path == "batch", log)
-    return dataclasses.replace(game, **{oracle: loss})
+    faulty = faulty_grad if oracle.startswith("grad") else faulty_loss
+    f = faulty(getattr(game, oracle), value, below if where == "region" else math.inf, path == "batch", log)
+    return dataclasses.replace(game, **{oracle: f})
 
 
 def leaves(value):
@@ -118,16 +139,22 @@ def snapshot(result) -> tuple:
 
 
 @functools.cache
-def baseline(entry: str) -> tuple:
-    game, _, run = ENTRIES[entry]
+def baseline(entry: str, gradients: bool = False) -> tuple:
+    game, _, run = (GRAD_ENTRIES if gradients else ENTRIES)[entry]
     return snapshot(run(game))
+
+
+def names_the_fault(message: str, oracle: str, log: FaultLog) -> bool:
+    """Whether an error message names the faulty oracle, or is _finite's after a non-finite gradient."""
+    finite_check = message == NON_FINITE_F or message.endswith(f"] {NON_FINITE_F}")  # "[stage] ..." in the CLI
+    return oracle in message or (oracle.startswith("grad") and log.non_finite and finite_check)
 
 
 def error_problem(exc: BaseException, oracle: str, log: FaultLog):
     """None if exc is an allowed end of a faulty run, else what is wrong with it."""
     if isinstance(exc, InjectedFault):
         return None
-    if isinstance(exc, (FloatingPointError, ValueError)) and oracle in str(exc):
+    if isinstance(exc, (FloatingPointError, ValueError)) and names_the_fault(str(exc), oracle, log):
         return None
     if isinstance(exc, RestrictionStageError) and exc.__cause__ is not None:
         return error_problem(exc.__cause__, oracle, log)
@@ -135,11 +162,9 @@ def error_problem(exc: BaseException, oracle: str, log: FaultLog):
     return f"{type(exc).__name__}{after}: {exc}"
 
 
-@pytest.mark.parametrize("fault", FAULTS, ids=["-".join(f) for f in FAULTS])
-@pytest.mark.parametrize("oracle", ["loss_learner", "loss_env"])
-@pytest.mark.parametrize("entry", sorted(ENTRIES))
-def test_faulty_loss_ends_in_the_clean_result_or_a_typed_error(entry, oracle, fault):
-    game, below, run = ENTRIES[entry]
+def check_entry(entry: str, oracle: str, fault: tuple) -> None:
+    gradients = oracle.startswith("grad")
+    game, below, run = (GRAD_ENTRIES if gradients else ENTRIES)[entry]
     log = FaultLog()
     try:
         result = run(with_fault(game, oracle, fault, below, log))
@@ -150,7 +175,21 @@ def test_faulty_loss_ends_in_the_clean_result_or_a_typed_error(entry, oracle, fa
         assert problem is None, problem
         return
     assert not log.non_finite, "a result after a non-finite read"
-    assert snapshot(result) == baseline(entry), "a result unlike the one without the fault"
+    assert snapshot(result) == baseline(entry, gradients), "a result unlike the one without the fault"
+
+
+@pytest.mark.parametrize("fault", FAULTS, ids=["-".join(f) for f in FAULTS])
+@pytest.mark.parametrize("oracle", ["loss_learner", "loss_env"])
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_faulty_loss_ends_in_the_clean_result_or_a_typed_error(entry, oracle, fault):
+    check_entry(entry, oracle, fault)
+
+
+@pytest.mark.parametrize("fault", GRAD_FAULTS, ids=["-".join(f) for f in GRAD_FAULTS])
+@pytest.mark.parametrize("oracle", ["grad_learner", "grad_env"])
+@pytest.mark.parametrize("entry", sorted(GRAD_ENTRIES))
+def test_faulty_gradient_ends_in_the_clean_result_or_a_typed_error(entry, oracle, fault):
+    check_entry(entry, oracle, fault)
 
 
 # experiment -> (the gamescale.cli name that builds its game, argv, the region's theta[0] bound)
@@ -170,12 +209,7 @@ def cli_run(argv: list, out) -> tuple[int, dict, dict]:
     return code, files, json.loads((out / "manifest.json").read_text())
 
 
-@pytest.mark.parametrize("fault", CLI_FAULTS, ids=["-".join(f) for f in CLI_FAULTS])
-@pytest.mark.parametrize("oracle", ["loss_learner", "loss_env"])
-@pytest.mark.parametrize("experiment", sorted(CLI_RUNS))
-def test_cli_with_a_faulty_loss_exits_3_with_a_where_field_or_writes_the_clean_outputs(
-    monkeypatch, tmp_path, experiment, oracle, fault
-):
+def check_cli(monkeypatch, tmp_path, experiment: str, oracle: str, fault: tuple) -> None:
     builder, argv, below = CLI_RUNS[experiment]
     clean_code, clean_files, _ = cli_run(argv, tmp_path / "clean")
     assert clean_code == 0
@@ -198,7 +232,26 @@ def test_cli_with_a_faulty_loss_exits_3_with_a_where_field_or_writes_the_clean_o
     assert code == 3
     error = manifest["error"]
     assert error["type"] not in {e.__name__ for e in FORBIDDEN} | {"HypothesisNotSatisfiedError"}
-    assert error["where"] and (oracle in error["message"] or "injected fault" in error["message"]), error
+    message = error["message"]
+    assert error["where"] and (names_the_fault(message, oracle, log) or "injected fault" in message), error
+
+
+@pytest.mark.parametrize("fault", CLI_FAULTS, ids=["-".join(f) for f in CLI_FAULTS])
+@pytest.mark.parametrize("oracle", ["loss_learner", "loss_env"])
+@pytest.mark.parametrize("experiment", sorted(CLI_RUNS))
+def test_cli_with_a_faulty_loss_exits_3_with_a_where_field_or_writes_the_clean_outputs(
+    monkeypatch, tmp_path, experiment, oracle, fault
+):
+    check_cli(monkeypatch, tmp_path, experiment, oracle, fault)
+
+
+@pytest.mark.parametrize("fault", CLI_FAULTS, ids=["-".join(f) for f in CLI_FAULTS])
+@pytest.mark.parametrize("oracle", ["grad_learner", "grad_env"])
+@pytest.mark.parametrize("experiment", sorted(CLI_RUNS))
+def test_cli_with_a_faulty_gradient_exits_3_with_a_where_field_or_writes_the_clean_outputs(
+    monkeypatch, tmp_path, experiment, oracle, fault
+):
+    check_cli(monkeypatch, tmp_path, experiment, oracle, fault)
 
 
 @pytest.mark.parametrize("oracle", ["loss_learner", "loss_env"])

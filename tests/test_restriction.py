@@ -358,7 +358,7 @@ def test_construct_restriction_first_order_condition():
     v = np.array([1.0])
     e_prime = best_response(bench.game, "env", theta_prime, bench.env_set, tol=1e-12)
     restricted = construct_restriction(bench.game, theta_prime, e_prime, v, bench.learner_set)
-    grad = bench.game.grad_l(theta_prime, e_prime)
+    grad = bench.game.grad("learner", theta_prime, e_prime)
     moved = restricted.project(theta_prime - grad)
     assert float(np.linalg.norm(moved - theta_prime)) <= 1e-9
 
@@ -453,8 +453,8 @@ def test_weakly_monotone_game_rejected_at_audit():
         dim_env=1,
         loss_learner=lambda t, e: 0.5 * bench.game.loss_learner(t, e),
         loss_env=lambda t, e: 0.5 * bench.game.loss_env(t, e),
-        grad_learner=lambda t, e: 0.5 * bench.game.grad_l(t, e),
-        grad_env=lambda t, e: 0.5 * bench.game.grad_e(t, e),
+        grad_learner=lambda t, e: 0.5 * bench.game.grad("learner", t, e),
+        grad_env=lambda t, e: 0.5 * bench.game.grad("env", t, e),
         mu=1.0,
         lipschitz=1.0,
     )

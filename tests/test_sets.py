@@ -238,3 +238,22 @@ def test_sets_imports_no_gamescale_module_and_only_sets_touches_its_clip_and_bou
                     assert not names & {"_clip", "_bounds"}, path.name
             elif isinstance(node, ast.Import) and path.name == "sets.py":
                 assert not any(alias.name.startswith("gamescale") for alias in node.names), path.name
+
+
+def test_only_core_and_the_best_responses_per_row_map_read_the_gradient_oracles():
+    # one checked gradient read (GameSpec.grad, its batch read bound by grad_reader): a module
+    # that reads grad_learner or grad_env itself is a second gradient path. best_responses'
+    # per-row map calls the raw oracle on each row, the hot path of its single-point check
+    readers = []
+    for path in sorted(Path(sets.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "equilibrium.py":
+            responses = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "best_responses")
+            per_row = next(n for n in ast.walk(responses) if isinstance(n, ast.FunctionDef) and n.name == "per_row")
+            allowed = {id(n) for n in ast.walk(per_row)}
+        readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and node.attr in ("grad_learner", "grad_env") and id(node) not in allowed]
+    assert readers == []
